@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -42,6 +43,7 @@ from .trainer import (
     boundary_angle_degrees,
     save_checkpoint,
     train,
+    train_lockstep,
 )
 
 EXIT_OK = 0
@@ -53,10 +55,18 @@ SPLITS = ("train", "val", "test")
 
 
 def _dump_json(path: Path, payload) -> None:
+    """Write through a temp file in the same directory and os.replace, so
+    a reader finds either no file or the whole of it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _append_jsonl(fh, record) -> None:
@@ -123,95 +133,131 @@ def _make_model(train_block, n, d, seed):
                                    norm_bound=train_block["norm_bound"])
 
 
-def _execute_run(config, gridpoint, seed, out):
-    """Train one (gridpoint, seed) run; returns the metrics payload."""
-    splits = _load_splits(config, out)
-    train_set, val_set, test_set = (splits[s] for s in SPLITS)
-    stats = train_set.stats()
-    tb = config["train"]
-    run_dir = out / "runs" / _run_hash(config, gridpoint) / str(seed)
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    spec = spec_from_gridpoint(gridpoint, stats)
-    cfg = TrainConfig(epochs=tb["epochs"], batch_size=tb["batch_size"],
-                      lr0=tb["lr0"], momentum=tb["momentum"],
-                      weight_decay=tb["weight_decay"], seed=seed,
-                      schedule=tb["schedule"])
-    model = _make_model(tb, train_set.n, train_set.d, seed)
-
-    payload = {
-        "config_hash": _run_hash(config, gridpoint),
-        "dataset_hash": canonical_hash(config["dataset"]),
-        "profile": config["dataset"]["profile"],
-        "imb_ratio": config["dataset"]["imb_ratio"],
-        "family": gridpoint["family"],
-        "hyperparams": {k: v for k, v in spec.hyperparams().items()},
-        "seed": seed,
-    }
+def _read_metrics(path: Path):
+    """A finished run's metrics, or None when the file is missing,
+    unreadable or incomplete (such a run is trained again)."""
     try:
-        trained, history = train(model, train_set, spec, cfg)
-    except TrainingDiverged as exc:
-        payload.update(status="diverged", error=str(exc))
-        _dump_json(run_dir / "metrics.json", payload)
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(payload, dict):
+        return None
+    status = payload.get("status")
+    if status == "diverged":
         return payload
+    if status == "ok" and all(f"{split}_balanced_error" in payload
+                              for split in ("val", "test")):
+        return payload
+    return None
+
+
+def _execute_group(config, gridpoint, seeds, splits, out: Path):
+    """Train one grid point's seeds in lockstep; returns their metrics
+    payloads in seed order."""
+    train_set, val_set, test_set = (splits[s] for s in SPLITS)
+    tb = config["train"]
+    run_hash = _run_hash(config, gridpoint)
+    spec = spec_from_gridpoint(gridpoint, train_set.stats())
+    cfgs = [TrainConfig(epochs=tb["epochs"], batch_size=tb["batch_size"],
+                        lr0=tb["lr0"], momentum=tb["momentum"],
+                        weight_decay=tb["weight_decay"], seed=seed,
+                        schedule=tb["schedule"]) for seed in seeds]
+    models = [_make_model(tb, train_set.n, train_set.d, seed)
+              for seed in seeds]
+    outcomes = train_lockstep(models, train_set, spec, cfgs)
 
     metrics = config["eval"]["metrics"]
-    payload.update(
-        status="ok",
-        final_train_loss=history[-1],
-        val_balanced_error=balanced_error(trained, val_set),
-        test_balanced_error=balanced_error(trained, test_set),
-    )
-    if "per_class_error" in metrics:
-        payload["test_per_class_error"] = per_class_error(
-            trained, test_set).tolist()
-    if "confusion" in metrics:
-        payload["test_confusion"] = confusion(trained, test_set).counts.tolist()
-    save_checkpoint(trained, run_dir / "model.json")
-    with open(run_dir / "history.csv", "w", encoding="ascii",
-              newline="\n") as fh:
-        fh.write("epoch,mean_loss\n")
-        for epoch, loss in enumerate(history):
-            fh.write(f"{epoch},{loss:.17g}\n")
-    _dump_json(run_dir / "metrics.json", payload)
-    return payload
+    payloads = []
+    for seed, outcome in zip(seeds, outcomes):
+        run_dir = out / "runs" / run_hash / str(seed)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        payload = {
+            "config_hash": run_hash,
+            "dataset_hash": canonical_hash(config["dataset"]),
+            "profile": config["dataset"]["profile"],
+            "imb_ratio": config["dataset"]["imb_ratio"],
+            "family": gridpoint["family"],
+            "hyperparams": spec.hyperparams(),
+            "seed": seed,
+        }
+        payloads.append(payload)
+        if isinstance(outcome, TrainingDiverged):
+            payload.update(status="diverged", error=str(outcome))
+            _dump_json(run_dir / "metrics.json", payload)
+            continue
+        trained, history = outcome
+        payload.update(
+            status="ok",
+            final_train_loss=history[-1],
+            val_balanced_error=balanced_error(trained, val_set),
+            test_balanced_error=balanced_error(trained, test_set),
+        )
+        if "per_class_error" in metrics:
+            payload["test_per_class_error"] = per_class_error(
+                trained, test_set).tolist()
+        if "confusion" in metrics:
+            payload["test_confusion"] = confusion(
+                trained, test_set).counts.tolist()
+        save_checkpoint(trained, run_dir / "model.json")
+        with open(run_dir / "history.csv", "w", encoding="ascii",
+                  newline="\n") as fh:
+            fh.write("epoch,mean_loss\n")
+            for epoch, loss in enumerate(history):
+                fh.write(f"{epoch},{loss:.17g}\n")
+        # Written last: a complete metrics.json marks the run as done.
+        _dump_json(run_dir / "metrics.json", payload)
+    return payloads
 
 
-def _run_worker(args):
-    config, gridpoint, seed, out = args
-    return _execute_run(config, gridpoint, seed, Path(out))
+def _group_worker(args):
+    return _execute_group(*args)
 
 
 def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     """One run per (grid point x seed); summary with mean +- sd per point.
 
-    The best grid point is selected by mean validation balanced error and
-    reported on test. Diverged runs are recorded, not fatal.
+    The pending seeds of each grid point train in lockstep; with jobs > 1
+    the workers take whole grid points. The splits are read once, and
+    only when some run is pending. The best grid point is selected by
+    mean validation balanced error and reported on test. Diverged runs
+    are recorded, not fatal.
     """
     grid = loss_grid_points(config)
     seeds = [config["train"]["seed"] + i
              for i in range(config["train"]["repeats"])]
-    pending, results = [], []
+    done, groups = {}, []
     for gridpoint in grid:
+        run_hash = _run_hash(config, gridpoint)
+        pending = []
         for seed in seeds:
-            run_dir = out / "runs" / _run_hash(config, gridpoint) / str(seed)
-            metrics_path = run_dir / "metrics.json"
-            if metrics_path.exists() and not force:
-                with open(metrics_path, "r", encoding="ascii") as fh:
-                    results.append(json.load(fh))
+            payload = None if force else _read_metrics(
+                out / "runs" / run_hash / str(seed) / "metrics.json")
+            if payload is None:
+                pending.append(seed)
             else:
-                pending.append((config, gridpoint, seed, str(out)))
+                done[run_hash, seed] = payload
+        if pending:
+            groups.append((gridpoint, pending))
 
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results.extend(pool.map(_run_worker, pending))
-    else:
-        results.extend(_run_worker(item) for item in pending)
+    if groups:
+        splits = _load_splits(config, out)
+        tasks = [(config, gridpoint, pending, splits, out)
+                 for gridpoint, pending in groups]
+        if jobs > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                trained = list(pool.map(_group_worker, tasks))
+        else:
+            trained = [_group_worker(task) for task in tasks]
+        for (gridpoint, pending), payloads in zip(groups, trained):
+            run_hash = _run_hash(config, gridpoint)
+            for seed, payload in zip(pending, payloads):
+                done[run_hash, seed] = payload
 
     summary_rows = []
     for gridpoint in grid:
         run_hash = _run_hash(config, gridpoint)
-        runs = [r for r in results if r["config_hash"] == run_hash]
+        runs = [done[run_hash, seed] for seed in seeds]
         ok = [r for r in runs if r["status"] == "ok"]
         row = {
             "config_hash": run_hash,
@@ -247,7 +293,7 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
         fh.write(",".join(header) + "\n")
         for row in summary_rows:
             fh.write(",".join(_csv_cell(row[h]) for h in header) + "\n")
-    print(f"train: {len(results)} runs, summary at {summary_path}")
+    print(f"train: {len(grid) * len(seeds)} runs, summary at {summary_path}")
     if best_hash is not None:
         best = next(r for r in summary_rows if r["config_hash"] == best_hash)
         if isinstance(best["test_mean"], float):

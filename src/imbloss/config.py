@@ -89,6 +89,9 @@ DEFAULT_SEARCH_GRIDS = {
 _LOSS_GRID_KEYS = ("q", "tau", "gamma", "cap_c", "eq_p", "eq_lambda",
                    "rho_margin", "psi_tau")
 
+_TRAIN_KEYS = ("model", "hidden", "epochs", "batch_size", "lr0", "momentum",
+               "weight_decay", "schedule", "seed", "repeats", "norm_bound")
+
 
 def _parse_floats(text: str) -> list[float]:
     items = [part.strip() for part in text.split(",") if part.strip()]
@@ -158,6 +161,9 @@ def load_config(path) -> dict:
             raise ConfigError(f"empty grid for {key}")
 
     tr = dict(parser.items("train")) if parser.has_section("train") else {}
+    for key in tr:
+        if key not in _TRAIN_KEYS:
+            raise ConfigError(f"unknown train option {key!r}")
     train = {
         "model": tr.get("model", "linear"),
         "hidden": _parse_ints(tr["hidden"]) if "hidden" in tr else [],
@@ -175,6 +181,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"model must be linear or mlp, got {train['model']!r}")
     if train["model"] == "mlp" and not train["hidden"]:
         raise ConfigError("mlp model needs hidden widths")
+    if train["model"] == "mlp" and train["norm_bound"] is not None:
+        raise ConfigError("norm_bound applies to linear models only")
+    if train["model"] == "linear" and train["hidden"]:
+        raise ConfigError("hidden widths apply to mlp models only")
     if train["repeats"] < 1 or train["epochs"] < 1 or train["batch_size"] < 1:
         raise ConfigError("repeats, epochs, and batch_size must be >= 1")
 

@@ -294,6 +294,11 @@ def _gce_core(adjusted, idx, q):
     return values, np.exp(logp), t_pow_q
 
 
+def draw_equal_gates(spec: LossSpec, rng: np.random.Generator, shape):
+    """EQUAL's Bernoulli(eq_p) gate draws: a 0/1 float array of ``shape``."""
+    return (rng.random(shape) < spec.eq_p).astype(np.float64)
+
+
 def batch_loss_and_grad(
     spec: LossSpec,
     scores,
@@ -399,7 +404,7 @@ def batch_loss_and_grad(
         if equal_draws is None:
             if rng is None:
                 raise ValueError("EQUAL needs equal_draws or an rng")
-            equal_draws = (rng.random((m, n)) < spec.eq_p).astype(np.float64)
+            equal_draws = draw_equal_gates(spec, rng, (m, n))
         draws = np.asarray(equal_draws, dtype=np.float64)
         if draws.shape != (m, n):
             raise ValueError(f"equal_draws must be shape {(m, n)}")
@@ -574,10 +579,3 @@ def eval_balanced_loss(prediction: int, label: int, priors) -> float:
     if priors[label - 1] <= 0:
         raise ValueError("label prior must be positive")
     return 0.0 if prediction == label else float(1.0 / priors[label - 1])
-
-
-def batch_loss(spec, scores, labels, stats=None, **kwargs) -> np.ndarray:
-    """Per-example loss values for a batch; see batch_loss_and_grad."""
-    values, _ = batch_loss_and_grad(spec, scores, labels, stats,
-                                    want_grad=False, **kwargs)
-    return values

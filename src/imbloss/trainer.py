@@ -10,6 +10,13 @@ biases), and an optional per-class L2 norm cap on linear weight rows
 enforced by projection after every step. Given a seed, a training run is
 bitwise deterministic.
 
+There is one SGD loop, and it trains R runs in lockstep: runs that share
+the data, the loss and every TrainConfig field but the seed. Their
+parameters are stacked along a leading model axis and each run keeps its
+own generator, so every run's model and history are bit for bit those of
+training it alone. ``train`` is that loop at R = 1; ``train_lockstep``
+takes the seeds of one grid point, as ``imbloss train`` does.
+
 Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
 applied at prediction time.
@@ -25,12 +32,17 @@ as where a bounded family places its decision boundary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datagen import Dataset, DiscreteJoint
-from .losses import LossSpec, PriorStats, batch_loss_and_grad
+from .losses import (
+    LossSpec,
+    PriorStats,
+    batch_loss_and_grad,
+    draw_equal_gates,
+)
 from .numerics import argmax_highest
 
 
@@ -59,19 +71,22 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
-# Mirrors the large-batch recipe commonly used for ResNet-scale runs.
-PAPER_PRESET = TrainConfig(epochs=200, batch_size=1024, lr0=0.2,
-                           momentum=0.9, weight_decay=1e-3)
-# Default for the synthetic desk-scale experiments in this package.
-DESK_PRESET = TrainConfig(epochs=200, batch_size=64, lr0=0.1,
-                          momentum=0.9, weight_decay=0.0)
-
-
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     """Half-cosine decay lr0 * 0.5 * (1 + cos(pi * step / total_steps))."""
     if total_steps < 1 or not (0 <= step <= total_steps):
         raise ValueError("need 0 <= step <= total_steps, total_steps >= 1")
     return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
+
+
+def _project_rows(weights, norm_bound) -> None:
+    """Scale in place every row of ``weights`` (last axis) whose L2 norm
+    exceeds norm_bound back onto the bound."""
+    norms = np.linalg.norm(weights, axis=-1, keepdims=True)
+    over = norms > norm_bound
+    if over.any():
+        # Rows within the bound are scaled by exactly 1.0.
+        weights *= np.divide(norm_bound, norms, out=np.ones_like(norms),
+                             where=over)
 
 
 class LinearModel:
@@ -124,25 +139,11 @@ class LinearModel:
         return out[0] if single else out
 
     def project(self) -> None:
-        if self.norm_bound is None:
-            return
-        norms = np.linalg.norm(self.weights, axis=1)
-        over = norms > self.norm_bound
-        if np.any(over):
-            self.weights[over] *= (self.norm_bound / norms[over])[:, None]
+        if self.norm_bound is not None:
+            _project_rows(self.weights, self.norm_bound)
 
-    def _params(self):
-        # (array, is_weight) pairs; biases excluded when use_bias is False.
-        out = [(self.weights, True)]
-        if self.use_bias:
-            out.append((self.biases, False))
-        return out
-
-    def _grads(self, X, dscores):
-        grads = [dscores.T @ X]
-        if self.use_bias:
-            grads.append(dscores.sum(axis=0))
-        return grads
+    def _layers(self):
+        return [(self.weights, self.biases)]
 
     def to_dict(self) -> dict:
         return {
@@ -216,23 +217,8 @@ class MlpModel:
     def project(self) -> None:
         pass
 
-    def _params(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append((w, True))
-            out.append((b, False))
-        return out
-
-    def _grads(self, X, dscores):
-        acts = self._forward(X)
-        grads = []
-        delta = dscores
-        for i in reversed(range(len(self.weights))):
-            grads.append(delta.sum(axis=0))      # bias
-            grads.append(delta.T @ acts[i])      # weight
-            if i > 0:
-                delta = (delta @ self.weights[i]) * (acts[i] > 0)
-        return grads[::-1]
+    def _layers(self):
+        return list(zip(self.weights, self.biases))
 
     def to_dict(self) -> dict:
         return {
@@ -274,7 +260,8 @@ def predict_batch(model, X) -> np.ndarray:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a batch produces a non-finite training loss."""
+    """A batch produced non-finite scores or loss: raised by train,
+    returned as the run's outcome by train_lockstep."""
 
 
 def train(model, data: Dataset, spec: LossSpec, cfg: TrainConfig):
@@ -282,61 +269,183 @@ def train(model, data: Dataset, spec: LossSpec, cfg: TrainConfig):
 
     ``history`` is the per-epoch mean training loss (averaged over the
     examples visited in the epoch, evaluated at the lookahead point where
-    gradients are computed). The input model is not mutated.
+    gradients are computed). The input model is not mutated. Raises
+    TrainingDiverged at the first non-finite score or loss.
     """
-    if data.d != model.d:
-        raise ValueError(f"model expects d={model.d}, data has d={data.d}")
-    if data.n != model.n:
-        raise ValueError(f"model expects n={model.n}, data has n={data.n}")
-    model = model.copy()
-    stats = data.stats()
-    rng = np.random.default_rng(cfg.seed)
-    params = model._params()
-    velocity = [np.zeros_like(p) for p, _ in params]
+    (outcome,) = _sgd_lockstep([model], data, spec, [cfg])
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
 
-    m = data.m
+
+def train_lockstep(models, data: Dataset, spec: LossSpec, cfgs):
+    """Train several models in lockstep, one per config; cfgs may differ
+    only in their seed, and the models must share one architecture.
+
+    Returns one outcome per model, in order: ``(model, history)`` as
+    :func:`train` returns it, or the TrainingDiverged that train would
+    raise for that run alone. Each outcome is bit for bit what train
+    gives for that model and config; a diverged run leaves the stack and
+    the others go on.
+    """
+    # train and train_lockstep share a private loop rather than one
+    # calling the other, so a profile of either shows the loop as its own.
+    return _sgd_lockstep(models, data, spec, cfgs)
+
+
+def _forward(weights, biases, X):
+    """Activations of stacked rectifier networks; the last are the scores.
+
+    Every array carries a leading model axis: X is (R, B, d), weights[i]
+    is (R, out, in) and biases[i] is (R, 1, out). A linear model is one
+    layer. Batched matmul computes each slice as the 2-d product would.
+    """
+    acts = [X]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if i:  # the input of every layer but the first is rectified
+            acts[i] = np.maximum(acts[i], 0.0)
+        acts.append(np.matmul(acts[i], w.transpose(0, 2, 1)) + b)
+    return acts
+
+
+def _backward(weights, acts, dscores, bias_grads):
+    """Gradients of the stacked layers: weights first, then biases unless
+    bias_grads is False."""
+    wgrads, bgrads = [], []
+    delta = dscores
+    for i in range(len(weights) - 1, -1, -1):
+        wgrads.insert(0, np.matmul(delta.transpose(0, 2, 1), acts[i]))
+        if bias_grads:
+            bgrads.insert(0, delta.sum(axis=1, keepdims=True))
+        if i:
+            delta = np.matmul(delta, weights[i]) * (acts[i] > 0)
+    return wgrads + bgrads
+
+
+def _sgd_lockstep(models, data, spec, cfgs):
+    """The SGD loop behind train and train_lockstep.
+
+    The R parameter sets are stacked along a leading model axis, and each
+    run keeps its own generator, which draws its epoch permutations and
+    EQUAL gates in the order a solo run draws them. Every operation acts
+    on each slice as the solo loop acts on its arrays, so each run is
+    bitwise identical to training it alone.
+    """
+    if len(models) != len(cfgs) or not models:
+        raise ValueError("need one config per model, and at least one model")
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("lockstep configs may differ only in seed")
+    first = models[0]
+    shapes = [(w.shape, b.shape) for w, b in first._layers()]
+    for model in models:
+        if model.d != data.d:
+            raise ValueError(f"model expects d={model.d}, data has d={data.d}")
+        if model.n != data.n:
+            raise ValueError(f"model expects n={model.n}, data has n={data.n}")
+        if (type(model) is not type(first)
+                or [(w.shape, b.shape) for w, b in model._layers()] != shapes
+                or model.norm_bound != first.norm_bound
+                or model.use_bias != first.use_bias):
+            raise ValueError("lockstep models must share one architecture")
+    models = [model.copy() for model in models]
+    depth = len(shapes)
+    norm_bound = first.norm_bound
+    # Every layer's weights, then every layer's biases as (R, 1, out).
+    arrays = [np.stack([model._layers()[i][0] for model in models])
+              for i in range(depth)]
+    arrays += [np.stack([model._layers()[i][1] for model in models])[:, None]
+               for i in range(depth)]
+    # Velocities pair with the leading arrays: the weights, then the
+    # biases when they train. zip() below stops at the last velocity.
+    velocity = [np.zeros_like(a)
+                for a in arrays[:2 * depth if first.use_bias else depth]]
+    stats = data.stats()
+    # Per-run state is indexed by stack slice, so the runs that diverge
+    # leave every stack through one boolean mask.
+    rngs = np.array([np.random.default_rng(c.seed) for c in cfgs])
+    live = np.arange(len(models))  # run index of each stack slice
+    outcomes = [None] * len(models)
+    histories = [[] for _ in models]
+
+    def leave(ok, what):
+        # Runs outside ``ok`` diverged at this step: record them and drop
+        # them from the run state (per-step arrays are the caller's).
+        nonlocal live, rngs, orders, loss_sums, arrays, velocity
+        for run in live[~ok]:
+            outcomes[run] = TrainingDiverged(
+                f"non-finite {what} at epoch {epoch}, step {step} "
+                f"(family={spec.family}, lr={lr:.6g})")
+        live, rngs, orders, loss_sums = (
+            x[ok] for x in (live, rngs, orders, loss_sums))
+        arrays, velocity = ([a[ok] for a in x] for x in (arrays, velocity))
+
+    m, n = data.m, data.n
     batches_per_epoch = (m + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * batches_per_epoch
-    history = []
     step = 0
     for epoch in range(cfg.epochs):
-        order = rng.permutation(m)
-        loss_sum = 0.0
+        orders = np.stack([rng.permutation(m) for rng in rngs])
+        loss_sums = np.zeros(live.size)
         for b in range(batches_per_epoch):
-            batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            X = data.features[batch]
-            y = data.labels[batch]
+            batch = orders[:, b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            size = batch.shape[1]
             lr = (cosine_lr(step, total_steps, cfg.lr0)
                   if cfg.schedule == "cosine" else cfg.lr0)
 
             # Lookahead: evaluate the gradient at w + mu * v.
-            for (p, _), v in zip(params, velocity):
+            for p, v in zip(arrays, velocity):
                 p += cfg.momentum * v
-            scores = model.scores(X)
-            if not np.all(np.isfinite(scores)):
-                raise TrainingDiverged(
-                    f"non-finite scores at epoch {epoch}, step {step} "
-                    f"(family={spec.family}, lr={lr:.6g})"
-                )
-            values, dscores = batch_loss_and_grad(spec, scores, y, stats,
-                                                  rng=rng)
-            if not np.all(np.isfinite(values)):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, step {step} "
-                    f"(family={spec.family}, lr={lr:.6g})"
-                )
-            loss_sum += float(values.sum())
-            grads = model._grads(X, dscores / len(batch))
-            for (p, is_weight), v, g in zip(params, velocity, grads):
+            acts = _forward(arrays[:depth], arrays[depth:],
+                            data.features[batch])
+            # Diverged runs leave before the shared loss call, which
+            # rejects non-finite scores for the whole stack.
+            if not np.isfinite(acts[-1]).all():
+                ok = np.isfinite(acts[-1]).all(axis=(1, 2))
+                leave(ok, "scores")
+                if not live.size:
+                    return outcomes
+                batch, acts = batch[ok], [a[ok] for a in acts]
+
+            draws = None
+            if spec.family == "EQUAL":
+                draws = np.concatenate([draw_equal_gates(spec, rng, (size, n))
+                                        for rng in rngs])
+            values, dscores = batch_loss_and_grad(
+                spec, acts[-1].reshape(-1, n), data.labels[batch].reshape(-1),
+                stats, equal_draws=draws)
+            values = values.reshape(live.size, size)
+            dscores = dscores.reshape(live.size, size, n)
+            if not np.isfinite(values).all():
+                ok = np.isfinite(values).all(axis=1)
+                leave(ok, "loss")
+                if not live.size:
+                    return outcomes
+                values, dscores = values[ok], dscores[ok]
+                acts = [a[ok] for a in acts]
+            loss_sums += values.sum(axis=1)
+            grads = _backward(arrays[:depth], acts, dscores / size,
+                              first.use_bias)
+            for i, (p, v, g) in enumerate(zip(arrays, velocity, grads)):
                 v_new = cfg.momentum * v - lr * g
                 p += v_new - cfg.momentum * v
                 v[...] = v_new
-                if is_weight and cfg.weight_decay > 0.0:
+                if i < depth and cfg.weight_decay > 0.0:
                     p *= 1.0 - lr * cfg.weight_decay
-            model.project()
+            if norm_bound is not None:
+                _project_rows(arrays[0], norm_bound)
             step += 1
-        history.append(loss_sum / m)
-    return model, history
+        for run, loss_sum in zip(live, loss_sums):
+            histories[run].append(float(loss_sum / m))
+
+    for r, run in enumerate(live):
+        model = models[run]
+        for (w, b), ws, bs in zip(model._layers(), arrays[:depth],
+                                  arrays[depth:]):
+            w[...] = ws[r]
+            b[...] = bs[r, 0]
+        outcomes[run] = (model, histories[run])
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

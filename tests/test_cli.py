@@ -101,6 +101,34 @@ class TestConfigParsing:
             for combo in combos:
                 spec_from_gridpoint({"family": family, **combo}, stats)
 
+    @pytest.mark.parametrize("old, new", [
+        ("epochs = 4", "epoch = 4"),
+        ("repeats = 2",
+         "repeats = 2\nmodel = mlp\nhidden = 8\nnorm_bound = 1.0"),
+        ("repeats = 2", "repeats = 2\nhidden = 8"),
+    ], ids=["unknown-key", "mlp-norm-bound", "linear-hidden"])
+    def test_train_block_rejects_options_it_would_ignore(self, tmp_path, old,
+                                                         new):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                     "synth"]) == 2
+
+    def test_valid_configs_keep_their_run_hashes(self, config_file, tmp_path):
+        from imbloss.cli import _run_hash
+
+        config = load_config(config_file)
+        hashes = [_run_hash(config, p) for p in loss_grid_points(config)]
+        assert hashes == ["859faaeea949", "5ff29d14f83c"]
+        path = tmp_path / "mlp.ini"
+        path.write_text(BASE_CONFIG.replace(
+            "repeats = 2", "repeats = 2\nmodel = mlp\nhidden = 8, 4"))
+        config = load_config(path)
+        hashes = [_run_hash(config, p) for p in loss_grid_points(config)]
+        assert hashes == ["23e3377834ca", "aa9731d80502"]
+
     def test_figure1_forces_two_classes(self, tmp_path):
         path = tmp_path / "f1.ini"
         path.write_text(BASE_CONFIG.replace("profile = longtail",
@@ -216,6 +244,52 @@ class TestCommands:
         assert main(["--config", str(config_file), "--out", str(out),
                      "train"]) == 0
         assert [p.stat().st_mtime_ns for p in metrics] == stamps
+
+    def test_train_jobs_2_writes_the_same_bytes_as_jobs_1(self, config_file,
+                                                           tmp_path):
+        trees = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            main(["--config", str(config_file), "--out", str(out), "synth"])
+            assert main(["--config", str(config_file), "--out", str(out),
+                         "--jobs", jobs, "train"]) == 0
+            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
+                          for p in sorted((out / "runs").rglob("*"))
+                          if p.is_file()})
+        assert len(trees[0]) == 4 * 3 + 1  # 3 files per run, one summary
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:40],
+        lambda text: b'{"status": "ok"}\n',
+    ], ids=["truncated", "incomplete"])
+    def test_damaged_metrics_retrains_only_that_run(self, config_file,
+                                                    tmp_path, damage):
+        out = tmp_path / "o"
+        main(["--config", str(config_file), "--out", str(out), "synth"])
+        main(["--config", str(config_file), "--out", str(out), "train"])
+        files = sorted(p for p in (out / "runs").rglob("*") if p.is_file())
+        before = {p: p.read_bytes() for p in files}
+        victim, *others = sorted((out / "runs").rglob("metrics.json"))
+        stamps = [p.stat().st_mtime_ns for p in others]
+        victim.write_bytes(damage(before[victim]))
+        assert main(["--config", str(config_file), "--out", str(out),
+                     "train"]) == 0
+        assert {p: p.read_bytes() for p in files} == before
+        assert [p.stat().st_mtime_ns for p in others] == stamps
+        assert sorted(p for p in (out / "runs").rglob("*")
+                      if p.is_file()) == files  # no temp files left
+
+    def test_failed_json_write_keeps_the_old_file(self, tmp_path):
+        from imbloss.cli import _dump_json
+
+        path = tmp_path / "metrics.json"
+        _dump_json(path, {"status": "ok"})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            _dump_json(path, {"status": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
 
     def test_verify_suites_small_budget(self, tmp_path):
         out = tmp_path / "v"

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from imbloss.datagen import gaussian_mixture, random_discrete_joint
-from imbloss.losses import ClassStats, LossSpec, eval_grad
+from imbloss.losses import (
+    ClassStats,
+    LossSpec,
+    batch_loss_and_grad,
+    default_gca_margins,
+    eval_grad,
+)
 from imbloss.trainer import (
     BoundedLinearFamily,
     LinearModel,
@@ -19,6 +25,7 @@ from imbloss.trainer import (
     predict_batch,
     save_checkpoint,
     train,
+    train_lockstep,
 )
 
 
@@ -176,6 +183,188 @@ class TestTrain:
             np.testing.assert_array_equal(wa, wb)
         preds = predict_batch(a, data.features)
         assert np.mean(preds != data.labels) == 0.0
+
+
+def imbalanced_mixture():
+    # 63 examples: batches of 16 leave a last batch of 15.
+    means = np.random.default_rng(0).normal(0.0, 1.5, (3, 4))
+    return gaussian_mixture(3, 4, [40, 17, 6], means, np.ones(3), 1)
+
+
+def lockstep_spec(family, stats):
+    params = {
+        "CE": {}, "WCE": {}, "LA": {"tau": 1.5},
+        "EQUAL": {"eq_p": 0.5, "eq_lambda": 0.2},  # class 3 is rare
+        "CB": {"gamma": 0.99}, "FOCAL": {"gamma": 2.0}, "LDAM": {"cap_c": 0.5},
+        "GCE": {"q": 0.3}, "GLA": {"q": 0.5},
+        "GCA": {"q": 0.3, "margins": tuple(default_gca_margins(stats))},
+        "CSMAX": {"rho_margin": 1.0, "psi_tau": 1.0},
+    }[family]
+    return LossSpec(family, **params)
+
+
+def solo(model, data, spec, cfg):
+    """train() for one run, with divergence as a returned outcome."""
+    try:
+        return train(model, data, spec, cfg)
+    except TrainingDiverged as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, TrainingDiverged):
+        assert isinstance(got, TrainingDiverged)
+        assert str(got) == str(want)
+        return
+    (got_model, got_history), (want_model, want_history) = got, want
+    assert got_history == want_history
+    assert all(type(v) is float for v in got_history)
+    # to_dict lists every parameter as Python floats: == is bit equality
+    assert got_model.to_dict() == want_model.to_dict()
+
+
+def assert_lockstep_matches_solo(models, data, spec, cfgs):
+    outcomes = train_lockstep(models, data, spec, cfgs)
+    assert len(outcomes) == len(models)
+    for model, cfg, outcome in zip(models, cfgs, outcomes):
+        assert_same_outcome(outcome, solo(model, data, spec, cfg))
+    return outcomes
+
+
+def seed_configs(seeds=(3, 4, 5, 6), **kwargs):
+    base = dict(epochs=3, batch_size=16, lr0=0.2, momentum=0.9)
+    base.update(kwargs)
+    return [TrainConfig(seed=seed, **base) for seed in seeds]
+
+
+def reference_train(model, data, spec, cfg):
+    """Per-run SGD written out on 2-d arrays: the loop the lockstep trainer
+    must reproduce bit for bit at R = 1."""
+    model = model.copy()
+    linear = isinstance(model, LinearModel)
+    ws = [model.weights] if linear else model.weights
+    bs = [model.biases] if linear else model.biases
+    params = ws + (bs if model.use_bias else [])
+    velocity = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    stats = data.stats()
+    per_epoch = -(-data.m // cfg.batch_size)
+    total, step, history = cfg.epochs * per_epoch, 0, []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(data.m)
+        loss_sum = 0.0
+        for b in range(per_epoch):
+            batch = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            X, y = data.features[batch], data.labels[batch]
+            lr = (cosine_lr(step, total, cfg.lr0)
+                  if cfg.schedule == "cosine" else cfg.lr0)
+            for p, v in zip(params, velocity):
+                p += cfg.momentum * v
+            acts = [X]
+            for i, (w, bias) in enumerate(zip(ws, bs)):
+                z = acts[-1] @ w.T + bias
+                acts.append(z if i == len(ws) - 1 else np.maximum(z, 0.0))
+            values, dscores = batch_loss_and_grad(spec, acts[-1], y, stats,
+                                                  rng=rng)
+            loss_sum += float(values.sum())
+            delta, wgrads, bgrads = dscores / len(batch), [], []
+            for i in reversed(range(len(ws))):
+                bgrads.insert(0, delta.sum(axis=0))
+                wgrads.insert(0, delta.T @ acts[i])
+                if i > 0:
+                    delta = (delta @ ws[i]) * (acts[i] > 0)
+            grads = wgrads + (bgrads if model.use_bias else [])
+            for i, (p, v, g) in enumerate(zip(params, velocity, grads)):
+                v_new = cfg.momentum * v - lr * g
+                p += v_new - cfg.momentum * v
+                v[...] = v_new
+                if i < len(ws) and cfg.weight_decay > 0.0:
+                    p *= 1.0 - lr * cfg.weight_decay
+            if linear and model.norm_bound is not None:
+                bound = model.norm_bound
+                norms = np.linalg.norm(model.weights, axis=1)
+                over = norms > bound
+                model.weights[over] *= (bound / norms[over])[:, None]
+            step += 1
+        history.append(loss_sum / data.m)
+    return model, history
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("family", [
+        "CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM",
+        "GCE", "GLA", "GCA", "CSMAX"])
+    def test_every_family_matches_solo_runs(self, family):
+        data = imbalanced_mixture()
+        spec = lockstep_spec(family, data.stats())
+        cfgs = seed_configs()
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        assert_lockstep_matches_solo(models, data, spec, cfgs)
+
+    @pytest.mark.parametrize("make, overrides", [
+        (lambda s: LinearModel.init_random(3, 4, s, norm_bound=0.4), {}),
+        (lambda s: LinearModel.init_random(3, 4, s, use_bias=False), {}),
+        (lambda s: MlpModel.init_random([4, 8, 5, 3], s), {}),
+        (lambda s: LinearModel.init_random(3, 4, s, norm_bound=0.4),
+         {"weight_decay": 1e-2, "schedule": "constant", "batch_size": 10}),
+        (lambda s: MlpModel.init_random([4, 6, 3], s),
+         {"weight_decay": 1e-2, "schedule": "constant"}),
+    ], ids=["norm-bound", "no-bias", "mlp", "linear-decay-constant",
+            "mlp-decay-constant"])
+    @pytest.mark.parametrize("family", ["WCE", "EQUAL"])
+    def test_models_and_schedules_match_solo_runs(self, make, overrides,
+                                                  family):
+        data = imbalanced_mixture()
+        spec = lockstep_spec(family, data.stats())
+        cfgs = seed_configs(**overrides)
+        models = [make(c.seed) for c in cfgs]
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        for model, cfg, (trained, history) in zip(models, cfgs, outcomes):
+            want_model, want_history = reference_train(model, data, spec, cfg)
+            assert history == want_history
+            assert trained.to_dict() == want_model.to_dict()
+        if models[0].norm_bound is not None:
+            for trained, _ in outcomes:
+                norms = np.linalg.norm(trained.weights, axis=1)
+                assert np.all(norms <= 0.4 + 1e-12)
+        if not models[0].use_bias:
+            assert all(not np.any(trained.biases) for trained, _ in outcomes)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_diverged_runs_leave_the_stack_alone(self):
+        data = imbalanced_mixture()
+        spec = lockstep_spec("CSMAX", data.stats())
+        cfgs = seed_configs(seeds=(0, 1, 2, 3, 4))
+        # Huge finite weights give a non-finite loss, early or after a few
+        # steps depending on the shuffle; infinite ones non-finite scores.
+        scales = (1.0, 3e307, 1.0, np.inf, 9e307)
+        models = []
+        for cfg, scale in zip(cfgs, scales):
+            model = LinearModel.init_random(3, 4, cfg.seed)
+            model.weights *= scale
+            models.append(model)
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        diverged = [str(o) for o in outcomes
+                    if isinstance(o, TrainingDiverged)]
+        assert len(diverged) == 3
+        assert any("non-finite scores" in msg for msg in diverged)
+        assert any("non-finite loss" in msg for msg in diverged)
+        assert not isinstance(outcomes[0], TrainingDiverged)
+        assert not isinstance(outcomes[2], TrainingDiverged)
+
+    def test_rejects_stacks_that_differ_beyond_the_seed(self):
+        data = imbalanced_mixture()
+        spec = LossSpec("CE")
+        models = [LinearModel.init_random(3, 4, s) for s in (0, 1)]
+        with pytest.raises(ValueError, match="only in seed"):
+            train_lockstep(models, data, spec,
+                           [TrainConfig(seed=0), TrainConfig(seed=1, lr0=0.5)])
+        mixed = [models[0], LinearModel.init_random(3, 4, 1, norm_bound=1.0)]
+        with pytest.raises(ValueError, match="one architecture"):
+            train_lockstep(mixed, data, spec, seed_configs(seeds=(0, 1)))
+        with pytest.raises(ValueError, match="one config per model"):
+            train_lockstep(models, data, spec, seed_configs(seeds=(0,)))
 
 
 class TestCheckpoint:
