@@ -66,6 +66,7 @@ from .theory import (
     margin_loss,
     minimizability_gap_finite,
     minimize_conditional_error,
+    minimize_conditional_errors,
     phi_rho,
 )
 from .trainer import (

@@ -133,15 +133,22 @@ def _make_model(train_block, n, d, seed):
                                    norm_bound=train_block["norm_bound"])
 
 
+# Keys every metrics payload carries, whatever its status; `report`
+# groups runs by them.
+_RUN_KEYS = ("family", "hyperparams", "profile", "imb_ratio", "seed")
+
+
 def _read_metrics(path: Path):
     """A finished run's metrics, or None when the file is missing,
-    unreadable or incomplete (such a run is trained again)."""
+    unreadable or incomplete (such a run is trained again, and `report`
+    lists it as missing)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    if not isinstance(payload, dict):
+    if not isinstance(payload, dict) or not all(k in payload
+                                                for k in _RUN_KEYS):
         return None
     status = payload.get("status")
     if status == "diverged":
@@ -332,21 +339,25 @@ def _verify_bayes(budget, seed, evidence):
     label in every trial.
     """
     rng = np.random.default_rng(seed)
-    violations = 0
     qs = (0.0, 0.3, 0.7)
-    for trial in range(budget):
+    points = []
+    for _ in range(budget):
         n = int(rng.integers(2, 7))
+        points.append(theory.random_conditional_point(rng, n, ratio_gap=1e-3))
+    solved = [None] * budget
+    for k, q in enumerate(qs):
+        solved[k::len(qs)] = theory.minimize_conditional_errors(
+            LossSpec("GLA", q=q), points[k::len(qs)])
+    violations = 0
+    for trial, (point, (scores, value)) in enumerate(zip(points, solved)):
         q = qs[trial % len(qs)]
-        point = theory.random_conditional_point(rng, n, ratio_gap=1e-3)
-        scores, value = theory.minimize_conditional_error(
-            LossSpec("GLA", q=q), point)
         closed = theory.best_conditional_error("GLA", point, q)
         label = int(np.argmax(scores)) + 1
         expected = theory.bayes_balanced_label(point)
         ok = abs(value - closed) <= 1e-10 and label == expected
         violations += not ok
         _append_jsonl(evidence, {
-            "trial": trial, "n": n, "q": q,
+            "trial": trial, "n": point.n, "q": q,
             "cond": point.cond.tolist(), "priors": point.priors.tolist(),
             "value": value, "closed": closed,
             "argmax_label": label, "balanced_label": expected, "ok": ok,
@@ -536,12 +547,11 @@ def cmd_report(run_dirs, out: Path):
     """Aggregate run metrics into a comparison table and plot data."""
     rows, missing = [], []
     for raw in run_dirs:
-        path = Path(raw) / "metrics.json"
-        if not path.exists():
+        payload = _read_metrics(Path(raw) / "metrics.json")
+        if payload is None:
             missing.append(str(raw))
-            continue
-        with open(path, "r", encoding="ascii") as fh:
-            rows.append(json.load(fh))
+        else:
+            rows.append(payload)
     if missing:
         print("report: missing metrics for: " + ", ".join(missing),
               file=sys.stderr)

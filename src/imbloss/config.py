@@ -89,6 +89,10 @@ DEFAULT_SEARCH_GRIDS = {
 _LOSS_GRID_KEYS = ("q", "tau", "gamma", "cap_c", "eq_p", "eq_lambda",
                    "rho_margin", "psi_tau")
 
+_DATASET_KEYS = ("profile", "n", "d", "m_max", "imb_ratio", "seed",
+                 "test_m_max", "val_fraction", "minority_fraction",
+                 "mean_scale", "noise_scale")
+
 _TRAIN_KEYS = ("model", "hidden", "epochs", "batch_size", "lr0", "momentum",
                "weight_decay", "schedule", "seed", "repeats", "norm_bound")
 
@@ -107,6 +111,12 @@ def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in _parse_floats(text)]
 
 
+def _reject_unknown(block: dict, section: str, known) -> None:
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown {section} option {key!r}")
+
+
 def load_config(path) -> dict:
     """Parse and resolve an experiment config file into plain dicts."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -117,6 +127,7 @@ def load_config(path) -> dict:
         raise ConfigError("missing [dataset] section")
 
     ds = dict(parser.items("dataset"))
+    _reject_unknown(ds, "dataset", _DATASET_KEYS)
     profile = ds.get("profile")
     if profile not in PROFILES:
         raise ConfigError(f"profile must be one of {PROFILES}, got {profile!r}")
@@ -161,9 +172,7 @@ def load_config(path) -> dict:
             raise ConfigError(f"empty grid for {key}")
 
     tr = dict(parser.items("train")) if parser.has_section("train") else {}
-    for key in tr:
-        if key not in _TRAIN_KEYS:
-            raise ConfigError(f"unknown train option {key!r}")
+    _reject_unknown(tr, "train", _TRAIN_KEYS)
     train = {
         "model": tr.get("model", "linear"),
         "hidden": _parse_ints(tr["hidden"]) if "hidden" in tr else [],
@@ -189,6 +198,7 @@ def load_config(path) -> dict:
         raise ConfigError("repeats, epochs, and batch_size must be >= 1")
 
     ev = dict(parser.items("eval")) if parser.has_section("eval") else {}
+    _reject_unknown(ev, "eval", ("metrics",))
     metrics = [s.strip() for s in
                ev.get("metrics", "balanced_error, per_class_error").split(",")
                if s.strip()]

@@ -110,23 +110,29 @@ class PriorStats:
     class marginal is a known distribution rather than empirical counts
     (the substrate of all distribution-level consistency checks). Losses
     that need raw integer counts (LDAM) reject PriorStats.
+
+    ``priors`` is one marginal (a vector), or an (m, n) array holding one
+    marginal per score row of the batch it is evaluated with; every
+    statistic then has that shape and ``p_min`` is per row.
     """
 
     counts = None
 
     def __init__(self, priors):
         priors = as_finite_array(priors, "priors")
-        if priors.ndim != 1 or priors.size == 0:
-            raise ValueError("priors must be a non-empty vector")
+        if priors.ndim not in (1, 2) or priors.size == 0:
+            raise ValueError("priors must be a non-empty vector or (m, n) array")
         if np.any(priors <= 0):
             raise ValueError("priors must be strictly positive")
-        if abs(priors.sum() - 1.0) > 1e-12:
-            raise ValueError(f"priors must sum to 1, got {priors.sum()!r}")
+        sums = priors.sum(axis=-1)
+        if np.any(np.abs(sums - 1.0) > 1e-12):
+            raise ValueError(f"priors must sum to 1, got {sums!r}")
         self.priors = priors
         self.inv_priors = 1.0 / priors
         self.log_priors = np.log(priors)
-        self.p_min = float(priors.min())
-        self.n = int(priors.size)
+        self.p_min = (float(priors.min()) if priors.ndim == 1
+                      else priors.min(axis=1))
+        self.n = int(priors.shape[-1])
 
     def __repr__(self) -> str:
         return f"PriorStats(priors={self.priors.tolist()})"
@@ -294,6 +300,13 @@ def _gce_core(adjusted, idx, q):
     return values, np.exp(logp), t_pow_q
 
 
+def _label_stat(table, rows, idx):
+    """Each row's entry of a per-class statistic at its label (0-based
+    idx): ``table[idx]`` for one marginal, ``table[rows, idx]`` for one
+    marginal per row."""
+    return table[idx] if table.ndim == 1 else table[rows, idx]
+
+
 def draw_equal_gates(spec: LossSpec, rng: np.random.Generator, shape):
     """EQUAL's Bernoulli(eq_p) gate draws: a 0/1 float array of ``shape``."""
     return (rng.random(shape) < spec.eq_p).astype(np.float64)
@@ -312,8 +325,9 @@ def batch_loss_and_grad(
     """Per-example loss values and score gradients for a batch.
 
     ``equal_draws`` (an (m, n) 0/1 array) fixes the EQUAL loss's Bernoulli
-    gate; otherwise the draws come from ``rng``. Returns ``(values, grads)``
-    where grads is None when want_grad is False.
+    gate; otherwise the draws come from ``rng``. A :class:`PriorStats` with
+    (m, n) priors gives each row its own class marginal. Returns
+    ``(values, grads)`` where grads is None when want_grad is False.
     """
     family = spec.family
     needs_stats = family not in ("CE", "FOCAL", "GCE")
@@ -321,6 +335,8 @@ def batch_loss_and_grad(
         raise ValueError(f"{family} requires ClassStats")
     scores, labels = _check_batch(scores, labels, stats.n if stats else None)
     m, n = scores.shape
+    if stats is not None and stats.priors.ndim == 2 and len(stats.priors) != m:
+        raise ValueError(f"stats have {len(stats.priors)} rows, expected {m}")
     idx = labels - 1
     rows = np.arange(m)
     onehot = np.zeros((m, n))
@@ -339,10 +355,11 @@ def batch_loss_and_grad(
             adjusted = scores
         values, probs, _ = _gce_core(adjusted, idx, 0.0)
         if family == "WCE":
-            weight = stats.inv_priors[idx]
+            weight = _label_stat(stats.inv_priors, rows, idx)
         elif family == "CB":
             gamma = spec.gamma
-            weight = (1.0 - gamma) / (1.0 - gamma ** stats.priors[idx])
+            weight = (1.0 - gamma) / (
+                1.0 - gamma ** _label_stat(stats.priors, rows, idx))
         else:
             weight = np.ones(m)
         values = weight * values
@@ -393,7 +410,7 @@ def batch_loss_and_grad(
         rho = margins[idx]
         scaled = scores / rho[:, None]
         values, probs, t_pow_q = _gce_core(scaled, idx, q)
-        weight = stats.inv_priors[idx]
+        weight = _label_stat(stats.inv_priors, rows, idx)
         values = weight * values
         grads = None
         if want_grad:
@@ -409,7 +426,7 @@ def batch_loss_and_grad(
         if draws.shape != (m, n):
             raise ValueError(f"equal_draws must be shape {(m, n)}")
         rare = (stats.priors < spec.eq_lambda).astype(np.float64)
-        weights = 1.0 - draws * rare[None, :] * (1.0 - onehot)
+        weights = 1.0 - draws * rare * (1.0 - onehot)
         # Masked log-sum-exp over classes with weight 1 (weights are 0/1
         # and the true class always has weight 1).
         shifted = scores - scores.max(axis=1, keepdims=True)
@@ -420,7 +437,7 @@ def batch_loss_and_grad(
         return values, grads
 
     if family == "CSMAX":
-        cost = stats.inv_priors[idx]
+        cost = _label_stat(stats.inv_priors, rows, idx)
         return _csmax_batch(scores, idx, cost, spec.rho_margin, spec.psi_tau,
                             want_grad)
 

@@ -15,7 +15,9 @@ The key quantities:
   what ``find_la_disagreement`` hunts for;
 * closed-form best conditional errors of the generalized losses over
   unconstrained scores, cross-checked by an independent gradient-descent
-  minimizer;
+  minimizer; it descends many points in lockstep (one loss call per
+  iteration for all of them), and each point's result equals its solo
+  descent bit for bit;
 * conditional-regret bound checks: the balanced regret of any score
   vector must be covered by sqrt(2 t) / p_min (logit-adjusted family,
   q = 0; with an extra (1-q) correction for q in (0,1)) and by
@@ -262,38 +264,107 @@ def minimize_conditional_error(
     converge to machine precision within the step budget. Stops when the
     relative per-step improvement falls below ``tol``. Returns
     (scores, value).
+
+    This is :func:`minimize_conditional_errors` on one point; a point
+    solved there among others gets exactly this result, bit for bit.
     """
-    stats = PriorStats(point.priors)
-    n = point.n
-    labels = np.arange(1, n + 1)
+    return minimize_conditional_errors(spec, [point], max_steps=max_steps,
+                                       init_step=init_step, tol=tol)[0]
+
+
+def minimize_conditional_errors(
+    spec: LossSpec,
+    points,
+    *,
+    max_steps: int = 10_000,
+    init_step: float = 0.5,
+    tol: float = 1e-15,
+):
+    """Run :func:`minimize_conditional_error` on many points in lockstep.
+
+    Returns one (scores, value) per point, in input order. The points are
+    grouped by class count n and each group descends together: one
+    ``batch_loss_and_grad`` call per iteration covers the (P*n, n) tile
+    of every point still descending, each row with its own point's
+    marginal (a (P*n, n) :class:`PriorStats`). Every point keeps its own
+    step, Armijo accept/reject and stopping test, and leaves the group at
+    the iteration where its solo descent stops, so its result equals the
+    solo one bit for bit.
+    """
+    results = [None] * len(points)
+    groups: dict[int, list[int]] = {}
+    for i, point in enumerate(points):
+        groups.setdefault(point.n, []).append(i)
+    for members in groups.values():
+        solved = _descend_group(spec, [points[i] for i in members],
+                                max_steps, init_step, tol)
+        for i, result in zip(members, solved):
+            results[i] = result
+    return results
+
+
+def _descend_group(spec, points, max_steps, init_step, tol):
+    """The descent loop over points that share n; arrays are indexed by
+    point, and ``active`` lists the points still descending.
+
+    The per-point reductions are stacked matmuls, (P,1,n) @ (P,n,1) and
+    (P,1,n) @ (P,n,n): per point they make the same BLAS dot and gemv
+    calls as ``cond @ values``, ``cond @ grads`` and ``np.linalg.norm``
+    on that point alone, so they round identically.
+    """
+    n = points[0].n
+    count = len(points)
+    cond = np.array([p.cond for p in points])
+    priors = np.array([p.priors for p in points])
+    labels = np.tile(np.arange(1, n + 1), count)
     max_move = 1.0
+    stats = None
 
-    def value_grad(scores):
-        tiled = np.tile(scores, (n, 1))
-        values, grads = batch_loss_and_grad(spec, tiled, labels, stats)
-        return float(point.cond @ values), point.cond @ grads
+    def value_grad(scores, rows):
+        nonlocal stats
+        if stats is None or len(stats.priors) != len(rows) * n:  # rows shrank
+            stats = PriorStats(np.repeat(priors[rows], n, axis=0))
+        values, grads = batch_loss_and_grad(
+            spec, np.repeat(scores, n, axis=0), labels[:len(rows) * n], stats)
+        weights = cond[rows][:, None, :]
+        return ((weights @ values.reshape(-1, n, 1)).reshape(-1),
+                (weights @ grads.reshape(-1, n, n)).reshape(-1, n))
 
-    scores = np.zeros(n)
-    value, grad = value_grad(scores)
-    step = init_step
+    active = np.arange(count)
+    scores = np.zeros((count, n))
+    value, grad = value_grad(scores, active)
+    step = np.full(count, init_step)
     for _ in range(max_steps):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-13:
+        g = grad[active]
+        gnorm = np.sqrt((g[:, None, :] @ g[:, :, None]).reshape(-1))
+        moving = ~(gnorm < 1e-13)
+        active, gnorm, g = active[moving], gnorm[moving], g[moving]
+        if active.size == 0:
             break
-        used = min(step, max_move / gnorm)
-        candidate = scores - used * grad
-        cand_value, cand_grad = value_grad(candidate)
-        if cand_value <= value - 0.1 * used * gnorm**2:
-            improvement = value - cand_value
-            scores, value, grad = candidate, cand_value, cand_grad
-            step = min(step * 1.5, 1e6)
-            if improvement < tol * max(1.0, abs(value)):
-                break
-        else:
-            step = used * 0.5
-            if step < 1e-14:
-                break
-    return scores, value
+        used = np.minimum(step[active], max_move / gnorm)
+        candidate = scores[active] - used[:, None] * g
+        cand_value, cand_grad = value_grad(candidate, active)
+        # gnorm**2 on Python floats, as the per-point loop always computed
+        # it: libm pow differs from gnorm * gnorm in the last bit for
+        # about 0.1% of inputs, which could flip an Armijo decision.
+        gnorm_sq = np.array([g**2 for g in gnorm.tolist()])
+        old_value = value[active]
+        accept = cand_value <= old_value - 0.1 * used * gnorm_sq
+        grown = np.minimum(step[active] * 1.5, 1e6)
+        halved = used * 0.5
+        done = np.where(
+            accept,
+            old_value - cand_value < tol * np.maximum(1.0, np.abs(cand_value)),
+            halved < 1e-14)
+        step[active] = np.where(accept, grown, halved)
+        took = active[accept]
+        scores[took] = candidate[accept]
+        value[took] = cand_value[accept]
+        grad[took] = cand_grad[accept]
+        active = active[~done]
+        if active.size == 0:
+            break
+    return [(scores[i].copy(), float(value[i])) for i in range(count)]
 
 
 def _gce_regret_from_logs(weights, log_target, log_achieved, q) -> float:

@@ -42,7 +42,7 @@ from imbloss.theory import (
     check_gla_bound,
     check_lamargin,
     check_theorem5_bound,
-    minimize_conditional_error,
+    minimize_conditional_errors,
     random_conditional_point,
 )
 from imbloss.trainer import (
@@ -159,15 +159,15 @@ def test_criterion_3_conditional_regret_oracle():
 
 def test_criterion_4_pointwise_optimality_of_adjusted_family():
     rng = np.random.default_rng(4)
+    points = [random_conditional_point(rng, int(rng.integers(2, 7)),
+                                       ratio_gap=1e-3)
+              for _ in range(500)]
     label_hits = 0
     worst_gap = 0.0
     trials = 0
-    for _ in range(500):
-        n = int(rng.integers(2, 7))
-        point = random_conditional_point(rng, n, ratio_gap=1e-3)
-        for q in (0.0, 0.3, 0.7):
-            scores, value = minimize_conditional_error(
-                LossSpec("GLA", q=q), point)
+    for q in (0.0, 0.3, 0.7):
+        solved = minimize_conditional_errors(LossSpec("GLA", q=q), points)
+        for point, (scores, value) in zip(points, solved):
             closed = best_conditional_error("GLA", point, q)
             worst_gap = max(worst_gap, abs(value - closed))
             label_hits += (int(np.argmax(scores)) + 1

@@ -116,6 +116,19 @@ class TestConfigParsing:
         assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                      "synth"]) == 2
 
+    @pytest.mark.parametrize("old, new", [
+        ("imb_ratio = 10", "imb_ration = 10"),
+        ("mean_scale = 2.0", "mean_scale = 2.0\n\n[eval]\nmetric = confusion"),
+    ], ids=["dataset-typo", "eval-typo"])
+    def test_dataset_and_eval_blocks_reject_unknown_keys(self, tmp_path, old,
+                                                         new):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(path)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                     "synth"]) == 2
+
     def test_valid_configs_keep_their_run_hashes(self, config_file, tmp_path):
         from imbloss.cli import _run_hash
 
@@ -213,6 +226,26 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "ghost" in err
 
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:40],
+        lambda text: b'{"status": "diverged"}\n',
+    ], ids=["truncated", "incomplete"])
+    def test_report_lists_damaged_metrics_as_missing(self, config_file,
+                                                     tmp_path, capsys,
+                                                     damage):
+        out = tmp_path / "o"
+        main(["--config", str(config_file), "--out", str(out), "synth"])
+        main(["--config", str(config_file), "--out", str(out), "train"])
+        victim, *others = sorted((out / "runs").rglob("metrics.json"))
+        victim.write_bytes(damage(victim.read_bytes()))
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        assert main(["--out", str(rep), "report", str(victim.parent),
+                     *(str(p.parent) for p in others)]) == 0
+        assert str(victim.parent) in capsys.readouterr().err
+        plot = (rep / "plot_data.csv").read_text().splitlines()
+        assert len(plot) == 1 + len(others)
+
     def test_report_single_run_has_zero_sd_and_parses_back(self, tmp_path):
         import csv
 
@@ -302,6 +335,19 @@ class TestCommands:
         assert len(records) == 100  # two families per trial
         assert all(r["ok"] for r in records)
         assert all(r["slack"] >= -1e-9 for r in records)
+
+    def test_verify_bayes_evidence_bytes_are_pinned(self, tmp_path):
+        # written by the per-point descent before the lockstep loop
+        # replaced it; the evidence must not change by a byte
+        import hashlib
+
+        out = tmp_path / "v"
+        assert main(["--out", str(out), "--seed", "0", "verify", "bayes",
+                     "--budget", "30"]) == 0
+        digest = hashlib.sha256(
+            (out / "verify_bayes.jsonl").read_bytes()).hexdigest()
+        assert digest == ("75b7f71e1518faaa02eea5b8f30c6e0d"
+                          "c98ab6448eac9973decfd284a2900629")
 
     def test_verify_violation_exit_code(self, tmp_path):
         # At m = 1000 the small-sample boundary geometry deterministically

@@ -10,6 +10,7 @@ from imbloss.losses import (
     ClassStats,
     LossSpec,
     PriorStats,
+    batch_loss_and_grad,
     default_gca_margins,
     eval_balanced_loss,
     eval_baseline,
@@ -419,3 +420,35 @@ class TestPriorStats:
             PriorStats([0.5, 0.4])
         with pytest.raises(ValueError):
             PriorStats([1.0, 0.0])
+        with pytest.raises(ValueError):
+            PriorStats([[0.5, 0.5], [0.5, 0.4]])
+
+    @pytest.mark.parametrize("family",
+                             ["WCE", "LA", "EQUAL", "CB", "GLA", "GCA", "CSMAX"])
+    def test_per_row_priors_equal_per_row_calls(self, family):
+        # one marginal per row gives each row, bit for bit, what a call
+        # with that row's 1-d marginal gives it
+        rng = np.random.default_rng(31)
+        m, n = 12, 4
+        priors = rng.random((m, n)) + 0.05
+        priors /= priors.sum(axis=1, keepdims=True)
+        scores = rng.normal(0, 2, (m, n))
+        labels = rng.integers(1, n + 1, m)
+        draws = (rng.random((m, n)) < 0.5).astype(float)
+        spec = random_spec(rng, family, n)
+        if family == "EQUAL":  # straddle eq_lambda so the rare mask varies
+            spec = LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.25)
+        values, grads = batch_loss_and_grad(spec, scores, labels,
+                                            PriorStats(priors),
+                                            equal_draws=draws)
+        for i in range(m):
+            value, grad = batch_loss_and_grad(
+                spec, scores[i:i + 1], labels[i:i + 1], PriorStats(priors[i]),
+                equal_draws=draws[i:i + 1])
+            assert values[i] == value[0]
+            assert np.array_equal(grads[i], grad[0])
+
+    def test_per_row_priors_need_one_row_per_score_row(self):
+        with pytest.raises(ValueError):
+            batch_loss_and_grad(LossSpec("WCE"), np.zeros((3, 2)), [1, 2, 1],
+                                PriorStats(np.full((2, 2), 0.5)))

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from imbloss.datagen import Dataset, gaussian_mixture, random_discrete_joint
-from imbloss.losses import LossSpec, PriorStats, eval_loss
+from imbloss.losses import (
+    LossSpec,
+    PriorStats,
+    batch_loss_and_grad,
+    eval_loss,
+)
 from imbloss.theory import (
     ConditionalPoint,
     RegretReport,
@@ -28,6 +33,7 @@ from imbloss.theory import (
     margin_loss,
     minimizability_gap_finite,
     minimize_conditional_error,
+    minimize_conditional_errors,
     phi_rho,
     random_conditional_point,
 )
@@ -147,6 +153,143 @@ class TestGlaPointwiseMinimizer:
             point = random_conditional_point(rng, n, ratio_gap=1e-3)
             scores, _ = minimize_conditional_error(LossSpec("GLA", q=q), point)
             assert int(np.argmax(scores)) + 1 == bayes_balanced_label(point)
+
+
+def _assert_solo_equal(spec, points, solved, **kwargs):
+    assert len(solved) == len(points)
+    for point, (scores, value) in zip(points, solved):
+        solo_scores, solo_value = minimize_conditional_error(spec, point,
+                                                             **kwargs)
+        assert np.array_equal(scores, solo_scores)
+        assert value == solo_value and isinstance(value, float)
+
+
+def _per_point_descent(spec, point, max_steps=10_000):
+    """The descent written for one point with 1-d arrays and Python
+    floats: the reference the stacked loop must reproduce exactly."""
+    stats = PriorStats(point.priors)
+    n = point.n
+    labels = np.arange(1, n + 1)
+
+    def value_grad(scores):
+        values, grads = batch_loss_and_grad(spec, np.tile(scores, (n, 1)),
+                                            labels, stats)
+        return float(point.cond @ values), point.cond @ grads
+
+    scores = np.zeros(n)
+    value, grad = value_grad(scores)
+    step = 0.5
+    for _ in range(max_steps):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < 1e-13:
+            break
+        used = min(step, 1.0 / gnorm)
+        candidate = scores - used * grad
+        cand_value, cand_grad = value_grad(candidate)
+        if cand_value <= value - 0.1 * used * gnorm**2:
+            improvement = value - cand_value
+            scores, value, grad = candidate, cand_value, cand_grad
+            step = min(step * 1.5, 1e6)
+            if improvement < 1e-15 * max(1.0, abs(value)):
+                break
+        else:
+            step = used * 0.5
+            if step < 1e-14:
+                break
+    return scores, value
+
+
+class TestLockstepMinimizer:
+    def test_solo_equals_the_per_point_loop(self):
+        rng = np.random.default_rng(40)
+        specs = [LossSpec("GLA", q=0.0), LossSpec("GLA", q=0.7),
+                 LossSpec("WCE"), LossSpec("FOCAL", gamma=2.0)]
+        for spec in specs:
+            for _ in range(5):
+                point = random_conditional_point(rng, int(rng.integers(2, 7)))
+                scores, value = minimize_conditional_error(spec, point,
+                                                           max_steps=600)
+                ref_scores, ref_value = _per_point_descent(spec, point, 600)
+                assert np.array_equal(scores, ref_scores)
+                assert value == ref_value
+
+
+    @pytest.mark.parametrize("spec", [
+        LossSpec("GLA", q=0.0), LossSpec("GLA", q=0.3), LossSpec("GLA", q=0.7),
+        LossSpec("GCE", q=0.0), LossSpec("GCE", q=0.5),
+        LossSpec("LA", tau=1.0), LossSpec("LA", tau=0.5),
+        LossSpec("WCE"), LossSpec("CB", gamma=0.9), LossSpec("CE"),
+        LossSpec("FOCAL", gamma=2.0),
+        LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
+    ], ids=lambda spec: f"{spec.family}{spec.hyperparams()}")
+    def test_mixed_n_equals_solo_bit_for_bit(self, spec):
+        rng = np.random.default_rng(41)
+        points = [random_conditional_point(rng, int(rng.integers(2, 6)))
+                  for _ in range(8)]
+        solved = minimize_conditional_errors(spec, points, max_steps=400)
+        _assert_solo_equal(spec, points, solved, max_steps=400)
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.7])
+    def test_gca_equals_solo_bit_for_bit(self, q):
+        rng = np.random.default_rng(42)
+        spec = LossSpec("GCA", q=q, margins=(1.0, 0.5, 2.0))
+        points = [random_conditional_point(rng, 3) for _ in range(6)]
+        solved = minimize_conditional_errors(spec, points, max_steps=400)
+        _assert_solo_equal(spec, points, solved, max_steps=400)
+
+    def test_points_leave_at_their_own_iteration(self, monkeypatch):
+        # At q = 0.7 a flat point stops before its first step, two stop
+        # within a few dozen steps, and one with an impossible label keeps
+        # pushing that score down until the step limit; the lockstep loop
+        # evaluates exactly the rows their solo descents do, in as many
+        # calls as the longest of them.
+        import imbloss.theory as theory
+
+        calls = []
+        real = theory.batch_loss_and_grad
+
+        def counting(spec, scores, *args, **kwargs):
+            calls.append(len(scores))
+            return real(spec, scores, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "batch_loss_and_grad", counting)
+        spec = LossSpec("GLA", q=0.7)
+        points = [ConditionalPoint([0.5, 0.5, 0.0], [0.25, 0.25, 0.5]),
+                  ConditionalPoint([0.96, 0.02, 0.02], [0.05, 0.05, 0.9]),
+                  ConditionalPoint([1 / 3] * 3, [1 / 3] * 3),
+                  ConditionalPoint([0.4, 0.35, 0.25], [0.3, 0.3, 0.4])]
+        solo_calls = []
+        for point in points:
+            calls.clear()
+            minimize_conditional_error(spec, point, max_steps=1500)
+            solo_calls.append(list(calls))
+        counts = [len(c) for c in solo_calls]
+        assert counts[0] == 1501 and counts[2] == 1
+        assert 10 < counts[1] < 100 and 10 < counts[3] < 100
+        calls.clear()
+        solved = minimize_conditional_errors(spec, points, max_steps=1500)
+        assert len(calls) == 1501
+        assert sum(calls) == sum(sum(c) for c in solo_calls)
+        _assert_solo_equal(spec, points, solved, max_steps=1500)
+
+    def test_empty_and_single(self):
+        assert minimize_conditional_errors(LossSpec("GLA", q=0.3), []) == []
+        point = ConditionalPoint([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
+        spec = LossSpec("GLA", q=0.3)
+        (scores, value), = minimize_conditional_errors(spec, [point])
+        _assert_solo_equal(spec, [point], [(scores, value)])
+        assert int(np.argmax(scores)) + 1 == bayes_balanced_label(point)
+
+    def test_results_do_not_share_memory(self):
+        rng = np.random.default_rng(43)
+        points = [random_conditional_point(rng, 3) for _ in range(3)]
+        solved = minimize_conditional_errors(LossSpec("GLA", q=0.0), points,
+                                             max_steps=50)
+        first = solved[0][0]
+        first += 1.0
+        assert not np.shares_memory(first, solved[1][0])
+        _assert_solo_equal(LossSpec("GLA", q=0.0), points[1:], solved[1:],
+                           max_steps=50)
 
 
 class TestConditionalError:
