@@ -336,18 +336,29 @@ class TestCommands:
         assert all(r["ok"] for r in records)
         assert all(r["slack"] >= -1e-9 for r in records)
 
-    def test_verify_bayes_evidence_bytes_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize("suite, budget, seed, code, digest", [
         # written by the per-point descent before the lockstep loop
-        # replaced it; the evidence must not change by a byte
+        ("bayes", 30, 0, 0, "75b7f71e1518faaa02eea5b8f30c6e0d"
+                            "c98ab6448eac9973decfd284a2900629"),
+        # the three below were written by the suites as they stood in
+        # cli.py, before they moved to imbloss.verify
+        ("bounds", 50, 3, 0, "0081c42a7b7750e52f5bddd45202c516"
+                             "16ee97e95a133534fcde22df89add31f"),
+        ("margin", 20, 0, 0, "523f2afc48c98ce03691497070d9f6a9"
+                             "67b993bac64615dc4cfd903f58765e83"),
+        ("counterexample", 1000, 0, 3, "16c143015030954d395f707e5b6154ca"
+                                       "88ca4871d320679de8275d51b0ae78e3"),
+    ], ids=["bayes", "bounds", "margin", "counterexample"])
+    def test_verify_evidence_bytes_are_pinned(self, tmp_path, suite, budget,
+                                              seed, code, digest):
+        # the evidence must not change by a byte
         import hashlib
 
         out = tmp_path / "v"
-        assert main(["--out", str(out), "--seed", "0", "verify", "bayes",
-                     "--budget", "30"]) == 0
-        digest = hashlib.sha256(
-            (out / "verify_bayes.jsonl").read_bytes()).hexdigest()
-        assert digest == ("75b7f71e1518faaa02eea5b8f30c6e0d"
-                          "c98ab6448eac9973decfd284a2900629")
+        assert main(["--out", str(out), "--seed", str(seed), "verify", suite,
+                     "--budget", str(budget)]) == code
+        assert hashlib.sha256((out / f"verify_{suite}.jsonl").read_bytes()
+                              ).hexdigest() == digest
 
     def test_verify_violation_exit_code(self, tmp_path):
         # At m = 1000 the small-sample boundary geometry deterministically
