@@ -14,6 +14,8 @@ The package is organized as a numpy library:
 * :mod:`imbloss.metrics` -- balanced error and friends;
 * :mod:`imbloss.theory` -- numeric oracles for pointwise-optimal labels,
   conditional-regret bounds, margin bounds, and minimizability gaps;
+* :mod:`imbloss.verify` -- the checks behind ``imbloss verify`` and the
+  acceptance suite, as pure functions returning evidence records;
 * :mod:`imbloss.cli` -- the ``imbloss`` command (synth/train/verify/report).
 
 Class labels are 1-based integers everywhere in the public API.
@@ -25,10 +27,7 @@ from .losses import (
     PriorStats,
     default_gca_margins,
     eval_balanced_loss,
-    eval_baseline,
     eval_csmax,
-    eval_gca,
-    eval_gla,
     eval_grad,
     eval_loss,
     psi_q,

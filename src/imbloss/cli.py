@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 config error, 3 theory-check violation,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import math
 import os
 import sys
 import traceback
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import theory
+from . import datagen, verify
 from .config import (
     ConfigError,
     canonical_hash,
@@ -31,18 +31,13 @@ from .config import (
     synthesize_splits,
 )
 from .datagen import read_dataset_csv, write_dataset_csv
-from .losses import LossSpec
 from .metrics import balanced_error, confusion, per_class_error
 from .trainer import (
-    BoundedLinearFamily,
     LinearModel,
     MlpModel,
     TrainConfig,
     TrainingDiverged,
-    best_in_class_search,
-    boundary_angle_degrees,
     save_checkpoint,
-    train,
     train_lockstep,
 )
 
@@ -323,216 +318,50 @@ def _csv_cell(value) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-VERIFY_DEFAULT_BUDGET = {
-    "bayes": 500,
-    "bounds": 10_000,
-    "margin": 10_000,
-    "counterexample": 50_000,
+
+def _margin_suite(budget, seed):
+    yield verify.ramp_grid()
+    yield from verify.domination(np.random.default_rng(seed), min(budget, 2000))
+    yield from verify.margin_bound(np.random.default_rng(seed + 1),
+                                   max(10, min(100, budget // 100)))
+
+
+def _counterexample_suite(budget, seed):
+    yield from verify.la_disagreements()
+    data = datagen.figure1_distribution(max(budget, 1000), seed)
+    yield from verify.figure1_angles(data, 100.0, 20, seed)[0]
+
+
+# Each suite's default budget, and its evidence records for (budget, seed).
+VERIFY_SUITES = {
+    "bayes": (500, lambda budget, seed: verify.bayes(zip(
+        verify.bayes_points(np.random.default_rng(seed), budget),
+        itertools.cycle((0.0, 0.3, 0.7))))),
+    "bounds": (10_000, lambda budget, seed: verify.bounds(
+        np.random.default_rng(seed), budget)),
+    "margin": (10_000, _margin_suite),
+    "counterexample": (50_000, _counterexample_suite),
 }
-
-
-def _verify_bayes(budget, seed, evidence):
-    """Numeric pointwise-optimality check of the logit-adjusted family.
-
-    The numerically minimized conditional error must match the closed
-    form to 1e-10 and its argmax label must equal the balanced-optimal
-    label in every trial.
-    """
-    rng = np.random.default_rng(seed)
-    qs = (0.0, 0.3, 0.7)
-    points = []
-    for _ in range(budget):
-        n = int(rng.integers(2, 7))
-        points.append(theory.random_conditional_point(rng, n, ratio_gap=1e-3))
-    solved = [None] * budget
-    for k, q in enumerate(qs):
-        solved[k::len(qs)] = theory.minimize_conditional_errors(
-            LossSpec("GLA", q=q), points[k::len(qs)])
-    violations = 0
-    for trial, (point, (scores, value)) in enumerate(zip(points, solved)):
-        q = qs[trial % len(qs)]
-        closed = theory.best_conditional_error("GLA", point, q)
-        label = int(np.argmax(scores)) + 1
-        expected = theory.bayes_balanced_label(point)
-        ok = abs(value - closed) <= 1e-10 and label == expected
-        violations += not ok
-        _append_jsonl(evidence, {
-            "trial": trial, "n": point.n, "q": q,
-            "cond": point.cond.tolist(), "priors": point.priors.tolist(),
-            "value": value, "closed": closed,
-            "argmax_label": label, "balanced_label": expected, "ok": ok,
-        })
-    return violations
-
-
-def _verify_bounds(budget, seed, evidence):
-    """Conditional-regret bound fuzzing for both loss families."""
-    rng = np.random.default_rng(seed)
-    qs = (0.0, 0.3, 0.5, 0.7, 0.9)
-    violations = 0
-    for trial in range(budget):
-        n = int(rng.integers(2, 7))
-        q = qs[trial % len(qs)]
-        point = theory.random_conditional_point(rng, n, floor=0.03)
-        scores = rng.normal(0, 3, n)
-        for family, check in (("GLA", theory.check_gla_bound),
-                              ("GCA", theory.check_gca_bound)):
-            report = check(point, scores, q)
-            violations += not report.holds
-            _append_jsonl(evidence, {
-                "trial": trial, "family": family, "n": n, "q": q,
-                "cond": point.cond.tolist(),
-                "priors": point.priors.tolist(),
-                "scores": scores.tolist(),
-                "target_regret": report.target_regret,
-                "surrogate_regret": report.surrogate_regret,
-                "bound_value": report.bound_value, "slack": report.slack,
-                "ok": report.holds,
-            })
-    return violations
-
-
-def _verify_margin(budget, seed, evidence):
-    """Margin-bound machinery: ramp inequality grid, domination fuzz,
-    and the generalization bound across fresh train/test resamples."""
-    from .datagen import gaussian_mixture
-
-    violations = 0
-    # ramp-vs-logistic inequality on the full grid
-    v_grid = np.arange(-10.0, 10.0 + 1e-12, 0.01)
-    rho_grid = [0.1, 1.0, 10.0]
-    costs = [1.0, 2.0, 10.0]
-    worst = min(
-        theory.check_lamargin(cy, cyp, 1.0, 10.0, v_grid, rho_grid)
-        for cy in costs for cyp in costs
-    )
-    ok = worst >= -1e-12
-    violations += not ok
-    _append_jsonl(evidence, {"check": "ramp_log_inequality",
-                             "worst_slack": worst, "ok": ok})
-
-    # margin loss dominates the cost-weighted zero-one loss
-    rng = np.random.default_rng(seed)
-    dom_trials = min(budget, 2000)
-    dom_failures = 0
-    for trial in range(dom_trials):
-        n = int(rng.integers(2, 6))
-        scores = rng.normal(0, 2, n)
-        label = int(rng.integers(1, n + 1))
-        cost = float(rng.uniform(0.0, 5.0))
-        rho = float(rng.uniform(0.2, 3.0))
-        predicted = n - int(np.argmax(scores[::-1]))
-        loss = theory.margin_loss(scores, label, cost, rho)
-        if loss < cost * (predicted != label) - 1e-12:
-            dom_failures += 1
-            _append_jsonl(evidence, {"check": "domination", "trial": trial,
-                                     "ok": False})
-    violations += dom_failures
-    _append_jsonl(evidence, {"check": "domination", "trials": dom_trials,
-                             "failures": dom_failures,
-                             "ok": dom_failures == 0})
-
-    # generalization bound across resamples of a 3-class Gaussian task
-    resamples = max(10, min(100, budget // 100))
-    holds = 0
-    rng = np.random.default_rng(seed + 1)
-    # the sampling distribution is fixed; only train/test draws resample
-    means = np.random.default_rng(123).normal(0, 2.0, (3, 6))
-    for rep in range(resamples):
-        counts = rng.multinomial(500, [0.6, 0.3, 0.1])
-        while np.any(counts == 0):
-            counts = rng.multinomial(500, [0.6, 0.3, 0.1])
-        train_set = gaussian_mixture(3, 6, counts, means, np.ones(3),
-                                     int(rng.integers(2**31)))
-        test_counts = rng.multinomial(2000, [0.6, 0.3, 0.1])
-        while np.any(test_counts == 0):
-            test_counts = rng.multinomial(2000, [0.6, 0.3, 0.1])
-        test_set = gaussian_mixture(3, 6, test_counts, means, np.ones(3),
-                                    int(rng.integers(2**31)))
-        model = LinearModel.init_random(3, 6, rep, norm_bound=1.0,
-                                        use_bias=False)
-        model, _ = train(model, train_set, LossSpec("WCE"),
-                         TrainConfig(epochs=10, batch_size=50, lr0=0.05,
-                                     seed=rep))
-        report = theory.check_theorem5_bound(
-            model, train_set, test_set, rho=0.5, norm_bound=1.0, delta=0.1,
-            trials=30, seed=rep)
-        holds += report.holds
-        _append_jsonl(evidence, {"check": "margin_bound", "rep": rep,
-                                 "rhs": report.rhs,
-                                 "test_risk": report.test_balanced_risk,
-                                 "ok": report.holds})
-    required = math.ceil(0.85 * resamples)
-    ok = holds >= required
-    violations += not ok
-    _append_jsonl(evidence, {"check": "margin_bound_rate", "holds": holds,
-                             "resamples": resamples, "required": required,
-                             "ok": ok})
-    return violations
-
-
-def _verify_counterexample(budget, seed, evidence):
-    """Stored-witness and bounded-hypothesis-set geometry checks.
-
-    The two-class grid search must produce label disagreements for
-    temperatures 0.5 and 2; on the skewed two-dimensional sample the
-    best norm-100 linear boundary under the balanced and class-aware
-    objectives must lie within 2 degrees of horizontal while the
-    logit-adjusted (tau = 1) boundary stays at least 5 degrees away.
-    """
-    from .datagen import figure1_distribution
-
-    violations = 0
-    for tau in (0.5, 2.0):
-        point = theory.find_la_disagreement(tau)
-        ok = point is not None and (
-            theory.bayes_la_label(point, tau)
-            != theory.bayes_balanced_label(point))
-        violations += not ok
-        _append_jsonl(evidence, {
-            "check": "la_disagreement", "tau": tau,
-            "point": None if point is None else {
-                "cond": point.cond.tolist(), "priors": point.priors.tolist()},
-            "ok": ok,
-        })
-
-    m = max(int(budget), 1000)
-    data = figure1_distribution(m, seed)
-    family = BoundedLinearFamily(n=2, d=2, norm_bound=100.0)
-    angles = {}
-    for name, objective in (("balanced", "balanced"),
-                            ("GCA", LossSpec("GCA", q=0.0, margins=(1.0, 1.0))),
-                            ("LA", LossSpec("LA", tau=1.0))):
-        model, value = best_in_class_search(family, data, objective,
-                                            restarts=20, seed=seed)
-        angles[name] = boundary_angle_degrees(model)
-        _append_jsonl(evidence, {"check": "figure1_angle", "objective": name,
-                                 "angle_degrees": angles[name],
-                                 "objective_value": value})
-    ok = (angles["balanced"] <= 2.0 and angles["GCA"] <= 2.0
-          and angles["LA"] >= 5.0)
-    violations += not ok
-    _append_jsonl(evidence, {"check": "figure1_thresholds", **angles,
-                             "ok": ok})
-    return violations
 
 
 def cmd_verify(suite: str, budget, seed: int, out: Path) -> int:
     """Run one named verification suite; nonzero count means violation."""
-    runners = {
-        "bayes": _verify_bayes,
-        "bounds": _verify_bounds,
-        "margin": _verify_margin,
-        "counterexample": _verify_counterexample,
-    }
-    if suite not in runners:
+    if suite not in VERIFY_SUITES:
         raise ConfigError(f"unknown suite {suite!r}; "
-                          f"choose from {sorted(runners)}")
-    budget = VERIFY_DEFAULT_BUDGET[suite] if budget is None else int(budget)
+                          f"choose from {sorted(VERIFY_SUITES)}")
+    default_budget, records = VERIFY_SUITES[suite]
+    budget = default_budget if budget is None else int(budget)
+    if budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     out.mkdir(parents=True, exist_ok=True)
     evidence_path = out / f"verify_{suite}.jsonl"
+    violations = 0
     with open(evidence_path, "w", encoding="ascii", newline="\n") as fh:
-        violations = runners[suite](budget, seed, fh)
+        for record in records(budget, seed):
+            _append_jsonl(fh, record)
+            violations += verify.is_violation(record)
     status = "ok" if violations == 0 else f"{violations} violations"
     print(f"verify[{suite}]: {status}; evidence at {evidence_path}")
     return violations
@@ -634,9 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p_train, suppress=True)
 
     p_verify = sub.add_parser("verify", help="run a theory-verification suite")
-    p_verify.add_argument("suite",
-                          choices=("bayes", "bounds", "margin",
-                                   "counterexample"))
+    p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--budget", type=int, default=None,
                           help="trials / sample size for the suite")
     _add_global_flags(p_verify, suppress=True)

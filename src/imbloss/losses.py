@@ -50,15 +50,6 @@ FAMILIES = (
     "GCE", "GLA", "GCA", "CSMAX",
 )
 
-BASELINE_FAMILIES = ("CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM")
-
-# Families whose gradient in the scores is defined everywhere we test
-# (EQUAL conditioned on fixed weight draws, CSMAX away from max ties).
-DIFFERENTIABLE_FAMILIES = (
-    "CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM",
-    "GCE", "GLA", "GCA", "CSMAX",
-)
-
 # Probability floor applied before -log; invisible at test tolerances but
 # keeps the q = 0 link finite for arbitrarily bad score vectors.
 PROB_FLOOR = 1e-300
@@ -526,43 +517,6 @@ def eval_grad(
         equal_draws=draws, rng=rng,
     )
     return grads[0]
-
-
-def eval_baseline(
-    spec: LossSpec,
-    scores,
-    label: int,
-    stats: ClassStats,
-    *,
-    equal_draws=None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Value of one of the baseline losses (CE/WCE/LA/EQUAL/CB/FOCAL/LDAM)."""
-    if spec.family not in BASELINE_FAMILIES:
-        raise ValueError(f"{spec.family} is not a baseline family")
-    return eval_loss(spec, scores, label, stats, equal_draws=equal_draws, rng=rng)
-
-
-def eval_gla(scores, label: int, stats: ClassStats, q: float) -> float:
-    """Generalized logit-adjusted loss.
-
-    Psi^q of the softmax of scores shifted by log p(y') / (1 - q),
-    evaluated at the label coordinate. At q = 0 this is exactly the
-    logit-adjusted loss with tau = 1.
-    """
-    return eval_loss(LossSpec("GLA", q=q), scores, label, stats)
-
-
-def eval_gca(scores, label: int, stats: ClassStats, q: float, margins) -> float:
-    """Generalized class-aware loss.
-
-    (1 / p(y)) * Psi^q(softmax(scores / rho_y) at y), where rho_y is the
-    true class's confidence margin and divides the whole score vector.
-    At q = 0 with unit margins this is exactly the class-weighted
-    cross-entropy.
-    """
-    spec = LossSpec("GCA", q=q, margins=tuple(np.asarray(margins, dtype=float)))
-    return eval_loss(spec, scores, label, stats)
 
 
 def eval_csmax(

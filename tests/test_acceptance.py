@@ -5,6 +5,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete. Several criteria train models or fuzz bounds at full
 scale; the whole suite takes a few minutes.
 
+Criteria 4, 6, 7, 8 and 9 run the checks of ``imbloss verify`` through
+the same ``imbloss.verify`` functions, each on its own sample and seed.
+
 Criterion 7's logit-adjusted threshold is expected to fail: the
 converged best-in-class boundary of the tau = 1 logit-adjusted loss on
 the skewed two-dimensional sample tilts ~3.2 degrees from horizontal
@@ -14,14 +17,14 @@ angles are printed and the committed oracle fixture records them.
 """
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from imbloss import verify
 from imbloss.config import synthesize_splits
-from imbloss.datagen import figure1_distribution, gaussian_mixture
+from imbloss.datagen import figure1_distribution
 from imbloss.losses import (
     ClassStats,
     LossSpec,
@@ -37,22 +40,9 @@ from imbloss.theory import (
     bal_regret_bruteforce,
     bayes_balanced_label,
     bayes_la_label,
-    best_conditional_error,
-    check_gca_bound,
-    check_gla_bound,
-    check_lamargin,
-    check_theorem5_bound,
-    minimize_conditional_errors,
     random_conditional_point,
 )
-from imbloss.trainer import (
-    BoundedLinearFamily,
-    LinearModel,
-    TrainConfig,
-    best_in_class_search,
-    boundary_angle_degrees,
-    train,
-)
+from imbloss.trainer import LinearModel, TrainConfig, train
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -158,21 +148,13 @@ def test_criterion_3_conditional_regret_oracle():
 
 
 def test_criterion_4_pointwise_optimality_of_adjusted_family():
-    rng = np.random.default_rng(4)
-    points = [random_conditional_point(rng, int(rng.integers(2, 7)),
-                                       ratio_gap=1e-3)
-              for _ in range(500)]
-    label_hits = 0
-    worst_gap = 0.0
-    trials = 0
-    for q in (0.0, 0.3, 0.7):
-        solved = minimize_conditional_errors(LossSpec("GLA", q=q), points)
-        for point, (scores, value) in zip(points, solved):
-            closed = best_conditional_error("GLA", point, q)
-            worst_gap = max(worst_gap, abs(value - closed))
-            label_hits += (int(np.argmax(scores)) + 1
-                           == bayes_balanced_label(point))
-            trials += 1
+    points = verify.bayes_points(np.random.default_rng(4), 500)
+    records = list(verify.bayes([(point, q) for q in (0.0, 0.3, 0.7)
+                                 for point in points]))
+    label_hits = sum(r["argmax_label"] == r["balanced_label"]
+                     for r in records)
+    worst_gap = max(abs(r["value"] - r["closed"]) for r in records)
+    trials = len(records)
     ok = label_hits == trials and worst_gap <= 1e-10
     assert report(4, "minimized adjusted-family error picks the balanced label",
                   ok, f"{label_hits}/{trials} labels, worst objective gap "
@@ -198,16 +180,10 @@ def test_criterion_5_stored_la_witness():
 
 
 def test_criterion_6_bound_fuzzing():
-    rng = np.random.default_rng(6)
-    qs = (0.0, 0.3, 0.5, 0.7, 0.9)
-    worst_gla = worst_gca = np.inf
-    for trial in range(10_000):
-        n = int(rng.integers(2, 7))
-        point = random_conditional_point(rng, n, floor=0.03)
-        scores = rng.normal(0, 3, n)
-        q = qs[trial % len(qs)]
-        worst_gla = min(worst_gla, check_gla_bound(point, scores, q).slack)
-        worst_gca = min(worst_gca, check_gca_bound(point, scores, q).slack)
+    worst = {"GLA": np.inf, "GCA": np.inf}
+    for r in verify.bounds(np.random.default_rng(6), 10_000):
+        worst[r["family"]] = min(worst[r["family"]], r["slack"])
+    worst_gla, worst_gca = worst["GLA"], worst["GCA"]
     ok = worst_gla >= -1e-9 and worst_gca >= -1e-9
     assert report(6, "conditional-regret bounds hold on 10k fuzz trials "
                      "per family", ok,
@@ -218,20 +194,15 @@ def test_criterion_7_bounded_family_counterexample():
     with open(FIXTURES / "figure1_oracle.json") as fh:
         oracle = json.load(fh)
     data = figure1_distribution(oracle["m"], seed=oracle["data_seed"])
-    family = BoundedLinearFamily(n=2, d=2, norm_bound=oracle["norm_bound"])
-    angles = {}
-    for name, objective in [
-        ("balanced", "balanced"),
-        ("gca", LossSpec("GCA", q=0.0, margins=(1.0, 1.0))),
-        ("la", LossSpec("LA", tau=1.0)),
-    ]:
-        model, _ = best_in_class_search(family, data, objective,
-                                        restarts=oracle["restarts"],
-                                        seed=oracle["search_seed"])
-        angles[name] = boundary_angle_degrees(model)
+    records, _ = verify.figure1_angles(data, oracle["norm_bound"],
+                                       oracle["restarts"],
+                                       oracle["search_seed"])
+    angles = {r["objective"].lower(): r["angle_degrees"] for r in records
+              if r["check"] == "figure1_angle"}
+    for name, angle in angles.items():
         # the committed oracle run is reproducible
-        assert angles[name] == pytest.approx(
-            oracle[name]["angle_degrees"], abs=1e-9)
+        assert angle == pytest.approx(oracle[name]["angle_degrees"],
+                                      abs=1e-9)
     ok = (angles["balanced"] <= 2.0 and angles["gca"] <= 2.0
           and angles["la"] >= 5.0)
     report(7, "bounded-family boundaries: balanced/GCA horizontal, LA tilted",
@@ -247,43 +218,15 @@ def test_criterion_7_bounded_family_counterexample():
 
 
 def test_criterion_8_ramp_log_inequality_grid():
-    v_grid = np.arange(-10.0, 10.0 + 1e-12, 0.01)
-    rho_grid = [0.1, 1.0, 10.0]
-    costs = [1.0, 2.0, 10.0]
-    worst = min(
-        check_lamargin(cy, cyp, 1.0, 10.0, v_grid, rho_grid)
-        for cy in costs for cyp in costs
-    )
+    worst = verify.ramp_grid()["worst_slack"]
     ok = worst >= -1e-12
     assert report(8, "cost-weighted ramp is covered by the logistic bound "
                      "on the full grid", ok, f"worst slack {worst:.3e}")
 
 
 def test_criterion_9_margin_bound_resamples():
-    rng = np.random.default_rng(9)
-    # the sampling distribution is fixed; only train/test draws resample
-    means = np.random.default_rng(123).normal(0, 2.0, (3, 6))
-    holds = 0
-    for rep in range(100):
-        counts = rng.multinomial(500, [0.6, 0.3, 0.1])
-        while np.any(counts == 0):
-            counts = rng.multinomial(500, [0.6, 0.3, 0.1])
-        train_set = gaussian_mixture(3, 6, counts, means, np.ones(3),
-                                     int(rng.integers(2**31)))
-        test_counts = rng.multinomial(2000, [0.6, 0.3, 0.1])
-        while np.any(test_counts == 0):
-            test_counts = rng.multinomial(2000, [0.6, 0.3, 0.1])
-        test_set = gaussian_mixture(3, 6, test_counts, means, np.ones(3),
-                                    int(rng.integers(2**31)))
-        model = LinearModel.init_random(3, 6, rep, norm_bound=1.0,
-                                        use_bias=False)
-        model, _ = train(model, train_set, LossSpec("WCE"),
-                         TrainConfig(epochs=10, batch_size=50, lr0=0.05,
-                                     seed=rep))
-        bound_report = check_theorem5_bound(model, train_set, test_set,
-                                             rho=0.5, norm_bound=1.0,
-                                             delta=0.1, trials=30, seed=rep)
-        holds += bound_report.holds
+    *_, rate = verify.margin_bound(np.random.default_rng(9), 100)
+    holds = rate["holds"]
     ok = holds >= 85
     assert report(9, "margin generalization bound holds across resamples",
                   ok, f"{holds}/100 at delta=0.1")

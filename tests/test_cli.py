@@ -360,6 +360,33 @@ class TestCommands:
         assert hashlib.sha256((out / f"verify_{suite}.jsonl").read_bytes()
                               ).hexdigest() == digest
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "bounds", "--budget", "0"],
+        ["verify", "margin", "--budget", "-5"],
+        ["--seed", "-1", "verify", "bayes", "--budget", "3"],
+    ], ids=["zero-budget", "negative-budget", "negative-seed"])
+    def test_verify_rejects_empty_budget_and_negative_seed(self, tmp_path,
+                                                           args):
+        out = tmp_path / "v"
+        assert main(["--out", str(out), *args]) == 2
+        assert not out.exists()
+
+    def test_verify_counts_each_failed_check_once(self):
+        from imbloss.verify import is_violation
+
+        records = [
+            {"trial": 0, "family": "GLA", "ok": False},
+            {"check": "domination", "trial": 3, "ok": False},
+            {"check": "domination", "trials": 20, "failures": 1, "ok": False},
+            {"check": "margin_bound", "rep": 0, "ok": False},
+            {"check": "margin_bound_rate", "holds": 8, "resamples": 10,
+             "required": 9, "ok": False},
+            {"check": "figure1_angle", "objective": "LA"},
+            {"check": "figure1_thresholds", "ok": True},
+        ]
+        assert [is_violation(r) for r in records] == [
+            True, True, False, False, True, False, False]
+
     def test_verify_violation_exit_code(self, tmp_path):
         # At m = 1000 the small-sample boundary geometry deterministically
         # misses the pinned angle thresholds, exercising the violation

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from imbloss.losses import (
-    DIFFERENTIABLE_FAMILIES,
+    FAMILIES,
     ClassStats,
     LossSpec,
     PriorStats,
     batch_loss_and_grad,
     default_gca_margins,
     eval_balanced_loss,
-    eval_baseline,
     eval_csmax,
-    eval_gca,
-    eval_gla,
     eval_grad,
     eval_loss,
     psi_q,
@@ -116,11 +113,13 @@ class TestPsiQ:
 class TestGla:
     def test_uniform_priors_reduces_to_ce(self):
         stats = ClassStats([5, 5])
-        assert eval_gla([0.0, 0.0], 1, stats, 0.0) == pytest.approx(math.log(2))
+        assert eval_loss(LossSpec("GLA", q=0.0), [0.0, 0.0], 1,
+                         stats) == pytest.approx(math.log(2))
 
     def test_constant_scores_recover_priors(self):
         stats = ClassStats([8, 2])
-        assert eval_gla([0.0, 0.0], 2, stats, 0.0) == pytest.approx(
+        assert eval_loss(LossSpec("GLA", q=0.0), [0.0, 0.0], 2,
+                         stats) == pytest.approx(
             -math.log(0.2), abs=1e-12)
 
     def test_q0_equals_la_tau1_exactly(self):
@@ -130,8 +129,8 @@ class TestGla:
             stats = ClassStats(rng.integers(1, 40, n))
             scores = rng.normal(0, 3, n)
             label = int(rng.integers(1, n + 1))
-            gla = eval_gla(scores, label, stats, 0.0)
-            la = eval_baseline(LossSpec("LA", tau=1.0), scores, label, stats)
+            gla = eval_loss(LossSpec("GLA", q=0.0), scores, label, stats)
+            la = eval_loss(LossSpec("LA", tau=1.0), scores, label, stats)
             assert gla == la  # bit-exact: identical code path
 
     def test_uniform_priors_equal_gce_all_q(self):
@@ -143,19 +142,20 @@ class TestGla:
                 scores = rng.normal(0, 3, n)
                 label = int(rng.integers(1, n + 1))
                 gce = eval_loss(LossSpec("GCE", q=q), scores, label, stats)
-                assert eval_gla(scores, label, stats, q) == pytest.approx(
-                    gce, abs=1e-12)
+                assert eval_loss(LossSpec("GLA", q=q), scores, label,
+                                 stats) == pytest.approx(gce, abs=1e-12)
 
     def test_rejects_bad_q(self):
         stats = ClassStats([1, 1])
         with pytest.raises(ValueError):
-            eval_gla([0.0, 0.0], 1, stats, 1.0)
+            eval_loss(LossSpec("GLA", q=1.0), [0.0, 0.0], 1, stats)
 
 
 class TestGca:
     def test_weighted_ce_value(self):
         stats = ClassStats([5, 5])
-        value = eval_gca([0.0, 0.0], 1, stats, 0.0, [1.0, 1.0])
+        value = eval_loss(LossSpec("GCA", q=0.0, margins=[1.0, 1.0]),
+                          [0.0, 0.0], 1, stats)
         assert value == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_q0_unit_margins_equals_wce_exactly(self):
@@ -165,8 +165,9 @@ class TestGca:
             stats = ClassStats(rng.integers(1, 40, n))
             scores = rng.normal(0, 3, n)
             label = int(rng.integers(1, n + 1))
-            gca = eval_gca(scores, label, stats, 0.0, np.ones(n))
-            wce = eval_baseline(LossSpec("WCE"), scores, label, stats)
+            gca = eval_loss(LossSpec("GCA", q=0.0, margins=np.ones(n)),
+                            scores, label, stats)
+            wce = eval_loss(LossSpec("WCE"), scores, label, stats)
             assert gca == wce  # bit-exact: identical code path
 
     def test_joint_margin_score_scaling(self):
@@ -177,16 +178,20 @@ class TestGca:
             margins = rng.uniform(0.2, 3.0, 3)
             label = int(rng.integers(1, 4))
             c = float(rng.uniform(0.5, 4.0))
-            a = eval_gca(scores, label, stats, 0.4, margins)
-            b = eval_gca(scores / c, label, stats, 0.4, margins / c)
+            a = eval_loss(LossSpec("GCA", q=0.4, margins=margins), scores,
+                          label, stats)
+            b = eval_loss(LossSpec("GCA", q=0.4, margins=margins / c),
+                          scores / c, label, stats)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_true_class_margin_divides_whole_vector(self):
         # With distinct margins the loss must depend only on rho_label.
         stats = ClassStats([4, 4])
         scores = np.array([1.0, -0.5])
-        a = eval_gca(scores, 1, stats, 0.0, [2.0, 7.0])
-        b = eval_gca(scores, 1, stats, 0.0, [2.0, 0.1])
+        a = eval_loss(LossSpec("GCA", q=0.0, margins=[2.0, 7.0]), scores, 1,
+                      stats)
+        b = eval_loss(LossSpec("GCA", q=0.0, margins=[2.0, 0.1]), scores, 1,
+                      stats)
         assert a == b
         assert a == pytest.approx(
             2.0 * -math.log(1 / (1 + math.exp(-(1.0 - -0.5) / 2.0))), rel=1e-12)
@@ -194,7 +199,8 @@ class TestGca:
     def test_rejects_bad_margins(self):
         stats = ClassStats([1, 1])
         with pytest.raises(ValueError):
-            eval_gca([0.0, 0.0], 1, stats, 0.0, [1.0, 0.0])
+            eval_loss(LossSpec("GCA", q=0.0, margins=[1.0, 0.0]), [0.0, 0.0],
+                      1, stats)
 
 
 class TestDefaultGcaMargins:
@@ -213,7 +219,7 @@ class TestDefaultGcaMargins:
 class TestBaselines:
     def test_ce_uniform(self):
         stats = ClassStats([1, 1, 1])
-        value = eval_baseline(LossSpec("CE"), [0.0, 0.0, 0.0], 1, stats)
+        value = eval_loss(LossSpec("CE"), [0.0, 0.0, 0.0], 1, stats)
         assert value == pytest.approx(math.log(3), abs=1e-15)
 
     def test_focal_gamma0_is_ce(self):
@@ -222,15 +228,15 @@ class TestBaselines:
         for _ in range(100):
             scores = rng.normal(0, 3, 3)
             label = int(rng.integers(1, 4))
-            focal = eval_baseline(LossSpec("FOCAL", gamma=0.0), scores, label, stats)
-            ce = eval_baseline(LossSpec("CE"), scores, label, stats)
+            focal = eval_loss(LossSpec("FOCAL", gamma=0.0), scores, label, stats)
+            ce = eval_loss(LossSpec("CE"), scores, label, stats)
             assert focal == pytest.approx(ce, rel=1e-15)
 
     def test_ldam_closed_form(self):
         # C=1, m_label=16 gives a margin shift of 1/16^(1/4) = 0.5 on the
         # true-class logit only.
         stats = ClassStats([16, 16])
-        value = eval_baseline(LossSpec("LDAM", cap_c=1.0), [0.0, 0.0], 1, stats)
+        value = eval_loss(LossSpec("LDAM", cap_c=1.0), [0.0, 0.0], 1, stats)
         assert value == pytest.approx(math.log(1 + math.exp(0.5)), abs=1e-12)
 
     def test_equal_gating_with_fixed_draws(self):
@@ -258,18 +264,13 @@ class TestBaselines:
         stats = ClassStats([3, 1])
         gamma = 0.5
         weight = (1 - gamma) / (1 - gamma ** 0.25)
-        value = eval_baseline(LossSpec("CB", gamma=gamma), [0.0, 0.0], 2, stats)
+        value = eval_loss(LossSpec("CB", gamma=gamma), [0.0, 0.0], 2, stats)
         assert value == pytest.approx(weight * math.log(2), rel=1e-12)
 
     def test_wce_weight_is_total_over_count(self):
         stats = ClassStats([3, 1])
-        value = eval_baseline(LossSpec("WCE"), [0.0, 0.0], 2, stats)
+        value = eval_loss(LossSpec("WCE"), [0.0, 0.0], 2, stats)
         assert value == pytest.approx(4.0 * math.log(2), rel=1e-15)
-
-    def test_non_baseline_rejected(self):
-        stats = ClassStats([1, 1])
-        with pytest.raises(ValueError):
-            eval_baseline(LossSpec("GLA", q=0.0), [0.0, 0.0], 1, stats)
 
 
 class TestCsmax:
@@ -326,9 +327,9 @@ class TestGradients:
             b = eval_grad(LossSpec("CE"), scores, label, stats)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    @pytest.mark.parametrize("family", DIFFERENTIABLE_FAMILIES)
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_finite_differences(self, family):
-        rng = np.random.default_rng(DIFFERENTIABLE_FAMILIES.index(family))
+        rng = np.random.default_rng(FAMILIES.index(family))
         checked = 0
         while checked < 25:
             n = int(rng.integers(2, 6))
@@ -357,7 +358,7 @@ class TestGradients:
 
 
 class TestLossProperties:
-    families = DIFFERENTIABLE_FAMILIES
+    families = FAMILIES
 
     def test_nonnegative(self):
         rng = np.random.default_rng(14)

@@ -13,12 +13,10 @@ the skewed two-dimensional sample at m = 50,000, 20 restarts, norm 100).
 import json
 from pathlib import Path
 
+from imbloss import verify
 from imbloss.datagen import figure1_distribution
-from imbloss.losses import LossSpec
 from imbloss.theory import (bayes_balanced_label, bayes_la_label,
                             find_la_disagreement)
-from imbloss.trainer import (BoundedLinearFamily, best_in_class_search,
-                             boundary_angle_degrees)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -38,32 +36,28 @@ def la_witness():
 
 def figure1_oracle(data_seed=2, m=50_000, norm_bound=100.0, restarts=20):
     data = figure1_distribution(m, seed=data_seed)
-    family = BoundedLinearFamily(n=2, d=2, norm_bound=norm_bound)
+    records, models = verify.figure1_angles(data, norm_bound, restarts, 0)
     out = {"data_seed": data_seed, "m": m, "norm_bound": norm_bound,
            "restarts": restarts, "search_seed": 0}
-    for name, objective in [
-        ("balanced", "balanced"),
-        ("gca", LossSpec("GCA", q=0.0, margins=(1.0, 1.0))),
-        ("la", LossSpec("LA", tau=1.0)),
-    ]:
-        model, value = best_in_class_search(family, data, objective,
-                                            restarts=restarts, seed=0)
-        out[name] = {
-            "angle_degrees": boundary_angle_degrees(model),
-            "objective_value": value,
-            "weights": model.weights.tolist(),
+    for r in records[:-1]:  # the last one is the thresholds record
+        out[r["objective"].lower()] = {
+            "angle_degrees": r["angle_degrees"],
+            "objective_value": r["objective_value"],
+            "weights": models[r["objective"]].weights.tolist(),
         }
     return out
 
 
 def main():
+    # Both are computed before either file is opened: the oracle search
+    # takes about a minute, and a fixture opened for writing reads empty.
+    fixtures = {"la_witness.json": la_witness(),
+                "figure1_oracle.json": figure1_oracle()}
     FIXTURES.mkdir(parents=True, exist_ok=True)
-    with open(FIXTURES / "la_witness.json", "w") as fh:
-        json.dump(la_witness(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(FIXTURES / "figure1_oracle.json", "w") as fh:
-        json.dump(figure1_oracle(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, payload in fixtures.items():
+        with open(FIXTURES / name, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     print(f"fixtures written to {FIXTURES}")
 
 
