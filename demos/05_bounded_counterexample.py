@@ -32,8 +32,7 @@ objectives = [
 ]
 print(f"{'objective':34s} {'boundary angle vs x2=0':>24s}")
 for name, objective in objectives:
-    model, value = best_in_class_search(family, data, objective, restarts=10,
-                                        seed=0)
+    model, value = best_in_class_search(family, data, objective)
     angle = boundary_angle_degrees(model)
     print(f"{name:34s} {angle:20.2f} deg")
 

@@ -225,6 +225,8 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     mean validation balanced error and reported on test. Diverged runs
     are recorded, not fatal.
     """
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     grid = loss_grid_points(config)
     seeds = [config["train"]["seed"] + i
              for i in range(config["train"]["repeats"])]
@@ -329,7 +331,7 @@ def _margin_suite(budget, seed):
 def _counterexample_suite(budget, seed):
     yield from verify.la_disagreements()
     data = datagen.figure1_distribution(max(budget, 1000), seed)
-    yield from verify.figure1_angles(data, 100.0, 20, seed)[0]
+    yield from verify.figure1_angles(data, 100.0)[0]
 
 
 # Each suite's default budget, and its evidence records for (budget, seed).

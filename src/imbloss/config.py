@@ -46,6 +46,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -89,12 +90,16 @@ DEFAULT_SEARCH_GRIDS = {
 _LOSS_GRID_KEYS = ("q", "tau", "gamma", "cap_c", "eq_p", "eq_lambda",
                    "rho_margin", "psi_tau")
 
-_DATASET_KEYS = ("profile", "n", "d", "m_max", "imb_ratio", "seed",
-                 "test_m_max", "val_fraction", "minority_fraction",
-                 "mean_scale", "noise_scale")
-
-_TRAIN_KEYS = ("model", "hidden", "epochs", "batch_size", "lr0", "momentum",
-               "weight_decay", "schedule", "seed", "repeats", "norm_bound")
+# The numeric options of [dataset] and [train]: type and default.
+_DATASET_NUMBERS = {
+    "n": (int, 2), "d": (int, 2), "m_max": (int, 100),
+    "imb_ratio": (float, 1.0), "seed": (int, 0), "test_m_max": (int, 100),
+    "val_fraction": (float, 0.1), "minority_fraction": (float, 0.5),
+    "mean_scale": (float, 3.0), "noise_scale": (float, 1.0)}
+_TRAIN_NUMBERS = {
+    "epochs": (int, 100), "batch_size": (int, 64), "lr0": (float, 0.1),
+    "momentum": (float, 0.9), "weight_decay": (float, 0.0), "seed": (int, 0),
+    "repeats": (int, 1), "norm_bound": (float, None)}
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -109,6 +114,21 @@ def _parse_floats(text: str) -> list[float]:
 
 def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in _parse_floats(text)]
+
+
+def _numbers(block: dict, section: str, table: dict) -> dict:
+    """The numeric options of ``table`` parsed from block, or defaulted;
+    a value must be a finite number of its option's type."""
+    out = {}
+    for key, (kind, default) in table.items():
+        try:
+            out[key] = kind(block[key]) if key in block else default
+            if key in block and not math.isfinite(out[key]):
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} must be a finite "
+                              f"{kind.__name__}, got {block[key]!r}") from None
+    return out
 
 
 def _reject_unknown(block: dict, section: str, known) -> None:
@@ -127,23 +147,12 @@ def load_config(path) -> dict:
         raise ConfigError("missing [dataset] section")
 
     ds = dict(parser.items("dataset"))
-    _reject_unknown(ds, "dataset", _DATASET_KEYS)
+    _reject_unknown(ds, "dataset", ("profile", *_DATASET_NUMBERS))
     profile = ds.get("profile")
     if profile not in PROFILES:
         raise ConfigError(f"profile must be one of {PROFILES}, got {profile!r}")
-    dataset = {
-        "profile": profile,
-        "n": int(ds.get("n", 2)),
-        "d": int(ds.get("d", 2)),
-        "m_max": int(ds.get("m_max", 100)),
-        "imb_ratio": float(ds.get("imb_ratio", 1.0)),
-        "seed": int(ds.get("seed", 0)),
-        "test_m_max": int(ds.get("test_m_max", ds.get("m_max", 100))),
-        "val_fraction": float(ds.get("val_fraction", 0.1)),
-        "minority_fraction": float(ds.get("minority_fraction", 0.5)),
-        "mean_scale": float(ds.get("mean_scale", 3.0)),
-        "noise_scale": float(ds.get("noise_scale", 1.0)),
-    }
+    ds.setdefault("test_m_max", ds.get("m_max", "100"))
+    dataset = {"profile": profile, **_numbers(ds, "dataset", _DATASET_NUMBERS)}
     if profile == "figure1":
         dataset["n"], dataset["d"] = 2, 2
     if dataset["n"] < 2 or dataset["m_max"] < 1 or dataset["imb_ratio"] < 1:
@@ -172,19 +181,13 @@ def load_config(path) -> dict:
             raise ConfigError(f"empty grid for {key}")
 
     tr = dict(parser.items("train")) if parser.has_section("train") else {}
-    _reject_unknown(tr, "train", _TRAIN_KEYS)
+    _reject_unknown(tr, "train", ("model", "hidden", "schedule",
+                                  *_TRAIN_NUMBERS))
     train = {
         "model": tr.get("model", "linear"),
         "hidden": _parse_ints(tr["hidden"]) if "hidden" in tr else [],
-        "epochs": int(tr.get("epochs", 100)),
-        "batch_size": int(tr.get("batch_size", 64)),
-        "lr0": float(tr.get("lr0", 0.1)),
-        "momentum": float(tr.get("momentum", 0.9)),
-        "weight_decay": float(tr.get("weight_decay", 0.0)),
         "schedule": tr.get("schedule", "cosine"),
-        "seed": int(tr.get("seed", 0)),
-        "repeats": int(tr.get("repeats", 1)),
-        "norm_bound": float(tr["norm_bound"]) if "norm_bound" in tr else None,
+        **_numbers(tr, "train", _TRAIN_NUMBERS),
     }
     if train["model"] not in ("linear", "mlp"):
         raise ConfigError(f"model must be linear or mlp, got {train['model']!r}")

@@ -21,12 +21,13 @@ Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
 applied at prediction time.
 
-``best_in_class_search`` looks for the best norm-bounded linear scorer
-under either a smooth surrogate objective (multi-restart projected
-gradient) or the prior-weighted zero-one objective (seeded random search
-with hill climbing). It is a numerical search, not a certificate, but
-with enough restarts it resolves low-dimensional geometry questions such
-as where a bounded family places its decision boundary.
+``best_in_class_search`` finds the best norm-bounded linear scorer,
+deterministically. For the two-class prior-weighted zero-one objective
+an angular sweep makes it exact; for a smooth surrogate one projected
+gradient descent from the zero model finds the global optimum of every
+loss convex in the weights (every q = 0 family) and a stationary point
+of the others. That resolves geometry questions such as where a bounded
+family places its decision boundary.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import Dataset, DiscreteJoint
+from .datagen import Dataset
 from .losses import (
     LossSpec,
-    PriorStats,
     batch_loss_and_grad,
     draw_equal_gates,
 )
@@ -475,26 +475,6 @@ class BoundedLinearFamily:
                            norm_bound=self.norm_bound, use_bias=False)
 
 
-def _as_eval_problem(data):
-    """Normalize Dataset / DiscreteJoint into (X, labels, weights, stats).
-
-    For a Dataset the weights are uniform 1/m. For a DiscreteJoint the
-    grid points become one-hot feature vectors and each (x, y) cell
-    contributes its joint probability, so objectives are exact
-    expectations under the joint.
-    """
-    if isinstance(data, Dataset):
-        m = data.m
-        return data.features, data.labels, np.full(m, 1.0 / m), data.stats()
-    if isinstance(data, DiscreteJoint):
-        num_x, n = data.num_x, data.n
-        X = np.repeat(np.eye(num_x), n, axis=0)
-        labels = np.tile(np.arange(1, n + 1), num_x)
-        weights = data.joint.reshape(-1)
-        return X, labels, weights, PriorStats(data.p_y)
-    raise TypeError(f"unsupported data type {type(data)!r}")
-
-
 def _weighted_loss_and_grad(spec, model, X, labels, weights, stats):
     scores = model.scores(X)
     values, dscores = batch_loss_and_grad(spec, scores, labels, stats)
@@ -509,76 +489,90 @@ def _weighted_balanced_error(model, X, labels, weights, inv_priors):
     return float(np.sum(weights * wrong * inv_priors[labels - 1]))
 
 
-def best_in_class_search(
-    family: BoundedLinearFamily,
-    data,
-    objective,
-    restarts: int = 20,
-    seed: int = 0,
-    smooth_iters: int = 400,
-    search_iters: int = 400,
-):
-    """Search the bounded linear family for the best model under objective.
+def _balanced_direction(X, labels, cost):
+    """The angle t of delta = w_1 - w_2 = (cos t, sin t) that minimises
+    the two-class error weighted by ``cost``, exactly.
 
-    ``objective`` is a LossSpec (smooth: multi-restart projected gradient
-    with backtracking) or the string "balanced" (prior-weighted zero-one
-    objective: seeded random restarts plus hill climbing on the weight
-    rows). Not a global guarantee; with enough restarts it is reliable
-    for the low-dimensional geometry probed by the test suite.
+    A point x predicts class 1 iff delta . x > 0 (ties go to class 2, so
+    x = 0 always does), that is iff t lies within pi/2 of the angle of x.
+    The error is constant on the arcs between the 2m breakpoints
+    angle(x_i) +- pi/2; one cumulative sum over the sorted breakpoints
+    gives it on every arc, up to a common constant. Returns the midpoint
+    of the first best arc. A breakpoint itself can only do better when two
+    points lie on exactly opposite rays from the origin.
+    """
+    alpha = np.arctan2(X[:, 1], X[:, 0])
+    # Rising past angle(x) - pi/2 turns x to class 1, which moves the
+    # error by -cost for label 1 and +cost for label 2; rising past
+    # angle(x) + pi/2 undoes it. A point at x = 0 never turns.
+    step = np.where(labels == 1, -cost, cost) * np.any(X != 0.0, axis=1)
+    breaks = np.mod(np.concatenate([alpha - np.pi / 2, alpha + np.pi / 2]),
+                    2 * np.pi)
+    order = np.argsort(breaks, kind="stable")
+    breaks = breaks[order]
+    errors = np.cumsum(np.concatenate([step, -step])[order])
+    ends = np.append(breaks[1:], breaks[0] + 2 * np.pi)
+    # No direction lies strictly between equal breakpoints.
+    k = int(np.argmin(np.where(ends > breaks, errors, np.inf)))
+    return 0.5 * (breaks[k] + ends[k])
+
+
+# Safety cap on the descent's steps; its own stop test ends it first (the
+# Figure-1 samples at m = 50,000 take fewer than 100).
+_DESCENT_CAP = 10_000
+
+
+def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
+                         objective):
+    """The best model of the bounded linear family on a sample.
+
+    ``objective`` is the string "balanced" (the prior-weighted zero-one
+    objective) or a LossSpec. "balanced" needs n = 2 and d = 2; it only
+    depends on the boundary's direction, and an angular sweep over it
+    finds the exact optimum, with rows at the bound. A LossSpec runs one
+    projected gradient descent with backtracking from the zero model: its
+    result is the global optimum when the loss is convex in the weights
+    (every q = 0 family, LA and CE among them) and a stationary point
+    otherwise. Deterministic.
 
     Returns (best_model, best_objective_value).
     """
-    X, labels, weights, stats = _as_eval_problem(data)
-    rng = np.random.default_rng(seed)
-    best_model, best_value = None, np.inf
-
-    if isinstance(objective, LossSpec):
-        for _ in range(restarts):
-            model = family.random_model(rng)
-            value, grad = _weighted_loss_and_grad(
-                objective, model, X, labels, weights, stats)
-            lr = 1.0
-            for _ in range(smooth_iters):
-                gnorm = np.linalg.norm(grad)
-                if gnorm < 1e-14 or lr < 1e-14:
-                    break
-                trial = model.copy()
-                trial.weights -= lr * grad
-                trial.project()
-                new_value, new_grad = _weighted_loss_and_grad(
-                    objective, trial, X, labels, weights, stats)
-                if new_value < value:
-                    model, value, grad = trial, new_value, new_grad
-                    lr *= 1.5
-                else:
-                    lr *= 0.5
-            if value < best_value:
-                best_model, best_value = model, value
-        return best_model, best_value
-
+    X, labels, stats = data.features, data.labels, data.stats()
+    weights = np.full(data.m, 1.0 / data.m)
+    bound = family.norm_bound
     if objective == "balanced":
-        inv_priors = stats.inv_priors
-        for _ in range(restarts):
-            model = family.random_model(rng)
-            value = _weighted_balanced_error(model, X, labels, weights,
-                                             inv_priors)
-            sigma = 0.5 * family.norm_bound
-            for _ in range(search_iters):
-                trial = model.copy()
-                trial.weights = trial.weights + sigma * rng.standard_normal(
-                    trial.weights.shape)
-                norms = np.linalg.norm(trial.weights, axis=1, keepdims=True)
-                trial.weights *= family.norm_bound / norms
-                new_value = _weighted_balanced_error(
-                    trial, X, labels, weights, inv_priors)
-                if new_value <= value:
-                    model, value = trial, new_value
-                sigma = max(sigma * 0.99, 1e-3 * family.norm_bound)
-            if value < best_value:
-                best_model, best_value = model, value
-        return best_model, best_value
+        if (family.n, family.d, data.n, data.d) != (2, 2, 2, 2):
+            raise ValueError("the balanced search needs n = 2 and d = 2")
+        theta = _balanced_direction(
+            X, labels, weights * stats.inv_priors[labels - 1])
+        row = bound * np.array([np.cos(theta), np.sin(theta)])
+        model = LinearModel(np.stack([row, -row]), np.zeros(2), bound,
+                            use_bias=False)
+        return model, _weighted_balanced_error(model, X, labels, weights,
+                                               stats.inv_priors)
+    if not isinstance(objective, LossSpec):
+        raise ValueError(f"unknown objective {objective!r}")
 
-    raise ValueError(f"unknown objective {objective!r}")
+    model = LinearModel(np.zeros((family.n, family.d)), np.zeros(family.n),
+                        bound, use_bias=False)
+    value, grad = _weighted_loss_and_grad(objective, model, X, labels,
+                                          weights, stats)
+    lr = 1.0
+    for _ in range(_DESCENT_CAP):
+        gnorm = np.linalg.norm(grad)
+        if gnorm < 1e-14 or lr < 1e-14:
+            break
+        trial = model.copy()
+        trial.weights -= lr * grad
+        trial.project()
+        new_value, new_grad = _weighted_loss_and_grad(
+            objective, trial, X, labels, weights, stats)
+        if new_value < value:
+            model, value, grad = trial, new_value, new_grad
+            lr *= 1.5
+        else:
+            lr *= 0.5
+    return model, value
 
 
 def boundary_angle_degrees(model: LinearModel) -> float:

@@ -166,7 +166,7 @@ def la_disagreements():
         }
 
 
-def figure1_angles(data, norm_bound: float, restarts: int, search_seed: int):
+def figure1_angles(data, norm_bound: float):
     """Best-in-class no-bias linear boundaries on the Figure-1 sample.
 
     Returns ``(records, models)``: one ``figure1_angle`` record per
@@ -179,8 +179,7 @@ def figure1_angles(data, norm_bound: float, restarts: int, search_seed: int):
     for name, objective in (("balanced", "balanced"),
                             ("GCA", LossSpec("GCA", q=0.0, margins=(1.0, 1.0))),
                             ("LA", LossSpec("LA", tau=1.0))):
-        model, value = trainer.best_in_class_search(
-            family, data, objective, restarts=restarts, seed=search_seed)
+        model, value = trainer.best_in_class_search(family, data, objective)
         models[name] = model
         angles[name] = trainer.boundary_angle_degrees(model)
         records.append({"check": "figure1_angle", "objective": name,

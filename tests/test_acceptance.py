@@ -3,7 +3,7 @@ pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
 they complete. Several criteria train models or fuzz bounds at full
-scale; the whole suite takes a few minutes.
+scale; the whole suite takes under a minute.
 
 Criteria 4, 6, 7, 8 and 9 run the checks of ``imbloss verify`` through
 the same ``imbloss.verify`` functions, each on its own sample and seed.
@@ -42,7 +42,12 @@ from imbloss.theory import (
     bayes_la_label,
     random_conditional_point,
 )
-from imbloss.trainer import LinearModel, TrainConfig, train
+from imbloss.trainer import (
+    LinearModel,
+    TrainConfig,
+    TrainingDiverged,
+    train_lockstep,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -194,9 +199,7 @@ def test_criterion_7_bounded_family_counterexample():
     with open(FIXTURES / "figure1_oracle.json") as fh:
         oracle = json.load(fh)
     data = figure1_distribution(oracle["m"], seed=oracle["data_seed"])
-    records, _ = verify.figure1_angles(data, oracle["norm_bound"],
-                                       oracle["restarts"],
-                                       oracle["search_seed"])
+    records, _ = verify.figure1_angles(data, oracle["norm_bound"])
     angles = {r["objective"].lower(): r["angle_degrees"] for r in records
               if r["check"] == "figure1_angle"}
     for name, angle in angles.items():
@@ -251,12 +254,14 @@ def _table1_runs(profile):
     seeds = range(5)
 
     def run_mean(spec):
+        cfgs = [TrainConfig(epochs=200, batch_size=64, lr0=0.1, momentum=0.9,
+                            weight_decay=0.0, seed=seed) for seed in seeds]
+        models = [LinearModel.init_random(10, 20, seed) for seed in seeds]
         val_errs, test_errs = [], []
-        for seed in seeds:
-            cfg = TrainConfig(epochs=200, batch_size=64, lr0=0.1,
-                              momentum=0.9, weight_decay=0.0, seed=seed)
-            model = LinearModel.init_random(10, 20, seed)
-            trained, _ = train(model, train_set, spec, cfg)
+        for outcome in train_lockstep(models, train_set, spec, cfgs):
+            if isinstance(outcome, TrainingDiverged):
+                raise outcome
+            trained, _ = outcome
             val_errs.append(balanced_error(trained, val_set))
             test_errs.append(balanced_error(trained, test_set))
         return float(np.mean(val_errs)), float(np.mean(test_errs))

@@ -129,6 +129,20 @@ class TestConfigParsing:
         assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                      "synth"]) == 2
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("m_max = 60", "m_max = 6O", "m_max"),
+        ("epochs = 4", "epochs = 2.5", "epochs"),
+        ("lr0 = 0.1", "lr0 = fast", "lr0"),
+        ("imb_ratio = 10", "imb_ratio = nan", "imb_ratio"),
+    ], ids=["dataset-int", "train-int", "train-float", "dataset-nan"])
+    def test_malformed_scalar_is_config_error(self, tmp_path, old, new, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                     "synth"]) == 2
+
     def test_valid_configs_keep_their_run_hashes(self, config_file, tmp_path):
         from imbloss.cli import _run_hash
 
@@ -292,6 +306,14 @@ class TestCommands:
         assert len(trees[0]) == 4 * 3 + 1  # 3 files per run, one summary
         assert trees[0] == trees[1]
 
+    def test_train_rejects_jobs_below_one(self, config_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--config", str(config_file), "--out", str(out),
+                     "synth"]) == 0
+        assert main(["--config", str(config_file), "--out", str(out),
+                     "--jobs", "0", "train"]) == 2
+        assert not (out / "runs").exists()
+
     @pytest.mark.parametrize("damage", [
         lambda text: text[:40],
         lambda text: b'{"status": "ok"}\n',
@@ -340,14 +362,16 @@ class TestCommands:
         # written by the per-point descent before the lockstep loop
         ("bayes", 30, 0, 0, "75b7f71e1518faaa02eea5b8f30c6e0d"
                             "c98ab6448eac9973decfd284a2900629"),
-        # the three below were written by the suites as they stood in
+        # the two below were written by the suites as they stood in
         # cli.py, before they moved to imbloss.verify
         ("bounds", 50, 3, 0, "0081c42a7b7750e52f5bddd45202c516"
                              "16ee97e95a133534fcde22df89add31f"),
         ("margin", 20, 0, 0, "523f2afc48c98ce03691497070d9f6a9"
                              "67b993bac64615dc4cfd903f58765e83"),
-        ("counterexample", 1000, 0, 3, "16c143015030954d395f707e5b6154ca"
-                                       "88ca4871d320679de8275d51b0ae78e3"),
+        # written by the exact search; the optimality certificates in
+        # test_trainer.py back it (balanced at 2.81 degrees, so exit 3)
+        ("counterexample", 1000, 0, 3, "554b9b96ed45d369f88009bd7078b488"
+                                       "57d0e720497c555bb2db1797ab98ac3e"),
     ], ids=["bayes", "bounds", "margin", "counterexample"])
     def test_verify_evidence_bytes_are_pinned(self, tmp_path, suite, budget,
                                               seed, code, digest):

@@ -1,8 +1,4 @@
-"""Smoke test: the narrative demos run to completion.
-
-Demo 05 is left out: it repeats criterion 7's best-in-class search and
-takes about 20 s.
-"""
+"""Smoke test: the narrative demos run to completion."""
 
 import os
 import subprocess
@@ -13,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_loss_zoo.py", "02_imbalanced_training.py",
-         "03_consistency_checks.py", "04_margin_bound.py")
+         "03_consistency_checks.py", "04_margin_bound.py",
+         "05_bounded_counterexample.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)

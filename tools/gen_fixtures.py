@@ -6,8 +6,8 @@ Run from the repository root:
 
 Writes tests/fixtures/la_witness.json (first grid disagreement between the
 balanced-optimal and temperature-tau logit-adjusted labels, per tau) and
-tests/fixtures/figure1_oracle.json (one-time boundary-angle oracle run on
-the skewed two-dimensional sample at m = 50,000, 20 restarts, norm 100).
+tests/fixtures/figure1_oracle.json (the best-in-class boundary angles on
+the skewed two-dimensional sample at m = 50,000, norm 100).
 """
 
 import json
@@ -34,11 +34,10 @@ def la_witness():
     return out
 
 
-def figure1_oracle(data_seed=2, m=50_000, norm_bound=100.0, restarts=20):
+def figure1_oracle(data_seed=2, m=50_000, norm_bound=100.0):
     data = figure1_distribution(m, seed=data_seed)
-    records, models = verify.figure1_angles(data, norm_bound, restarts, 0)
-    out = {"data_seed": data_seed, "m": m, "norm_bound": norm_bound,
-           "restarts": restarts, "search_seed": 0}
+    records, models = verify.figure1_angles(data, norm_bound)
+    out = {"data_seed": data_seed, "m": m, "norm_bound": norm_bound}
     for r in records[:-1]:  # the last one is the thresholds record
         out[r["objective"].lower()] = {
             "angle_degrees": r["angle_degrees"],
@@ -49,8 +48,8 @@ def figure1_oracle(data_seed=2, m=50_000, norm_bound=100.0, restarts=20):
 
 
 def main():
-    # Both are computed before either file is opened: the oracle search
-    # takes about a minute, and a fixture opened for writing reads empty.
+    # Both are computed before either file is opened: a fixture opened for
+    # writing reads empty until the search behind it ends.
     fixtures = {"la_witness.json": la_witness(),
                 "figure1_oracle.json": figure1_oracle()}
     FIXTURES.mkdir(parents=True, exist_ok=True)
