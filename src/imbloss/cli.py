@@ -29,13 +29,13 @@ from .config import (
     loss_grid_points,
     spec_from_gridpoint,
     synthesize_splits,
+    train_config,
 )
 from .datagen import read_dataset_csv, write_dataset_csv
 from .metrics import balanced_error, confusion, per_class_error
 from .trainer import (
     LinearModel,
     MlpModel,
-    TrainConfig,
     TrainingDiverged,
     save_checkpoint,
     train_lockstep,
@@ -161,10 +161,7 @@ def _execute_group(config, gridpoint, seeds, splits, out: Path):
     tb = config["train"]
     run_hash = _run_hash(config, gridpoint)
     spec = spec_from_gridpoint(gridpoint, train_set.stats())
-    cfgs = [TrainConfig(epochs=tb["epochs"], batch_size=tb["batch_size"],
-                        lr0=tb["lr0"], momentum=tb["momentum"],
-                        weight_decay=tb["weight_decay"], seed=seed,
-                        schedule=tb["schedule"]) for seed in seeds]
+    cfgs = [train_config(tb, seed) for seed in seeds]
     models = [_make_model(tb, train_set.n, train_set.d, seed)
               for seed in seeds]
     outcomes = train_lockstep(models, train_set, spec, cfgs)

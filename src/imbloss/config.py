@@ -47,6 +47,7 @@ import configparser
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -58,6 +59,7 @@ from .datagen import (
     step_counts,
 )
 from .losses import LossSpec
+from .trainer import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -112,8 +114,12 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"bad numeric list {text!r}") from exc
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in _parse_floats(text)]
+def _parse_widths(text: str) -> list[int]:
+    widths = _parse_floats(text)
+    if not all(w.is_integer() and w >= 1 for w in widths):
+        raise ConfigError(f"[train] hidden widths must be positive integers, "
+                          f"got {text!r}")
+    return [int(w) for w in widths]
 
 
 def _numbers(block: dict, section: str, table: dict) -> dict:
@@ -185,7 +191,7 @@ def load_config(path) -> dict:
                                   *_TRAIN_NUMBERS))
     train = {
         "model": tr.get("model", "linear"),
-        "hidden": _parse_ints(tr["hidden"]) if "hidden" in tr else [],
+        "hidden": _parse_widths(tr["hidden"]) if "hidden" in tr else [],
         "schedule": tr.get("schedule", "cosine"),
         **_numbers(tr, "train", _TRAIN_NUMBERS),
     }
@@ -197,8 +203,14 @@ def load_config(path) -> dict:
         raise ConfigError("norm_bound applies to linear models only")
     if train["model"] == "linear" and train["hidden"]:
         raise ConfigError("hidden widths apply to mlp models only")
-    if train["repeats"] < 1 or train["epochs"] < 1 or train["batch_size"] < 1:
-        raise ConfigError("repeats, epochs, and batch_size must be >= 1")
+    if train["norm_bound"] is not None and train["norm_bound"] <= 0:
+        raise ConfigError("[train] norm_bound must be positive")
+    if train["repeats"] < 1:
+        raise ConfigError("[train] repeats must be >= 1")
+    try:
+        train_config(train, train["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"[train] {exc}") from None
 
     ev = dict(parser.items("eval")) if parser.has_section("eval") else {}
     _reject_unknown(ev, "eval", ("metrics",))
@@ -228,6 +240,12 @@ def load_config(path) -> dict:
     for point in points:
         spec_from_gridpoint(point, placeholder)
     return config
+
+
+def train_config(train: dict, seed: int) -> TrainConfig:
+    """The optimization settings of one run of a resolved [train] block."""
+    return TrainConfig(**{f.name: train[f.name] for f in fields(TrainConfig)
+                          if f.name != "seed"}, seed=seed)
 
 
 def canonical_hash(block) -> str:

@@ -22,7 +22,10 @@ The key quantities:
   vector must be covered by sqrt(2 t) / p_min (logit-adjusted family,
   q = 0; with an extra (1-q) correction for q in (0,1)) and by
   sqrt(2 n^q t) / sqrt(p_min) (class-aware family, unit margins), where
-  t is the surrogate conditional regret;
+  t is the surrogate conditional regret. Both families share one batched
+  check that computes many points row-wise, grouped by n; the one-point
+  checks are its P = 1 call, and a point's report is the same bits
+  either way;
 * margin machinery: the ramp loss Phi_rho, the cost-sensitive margin
   loss, Monte-Carlo empirical Rademacher complexity of norm-bounded
   linear scorers, the resulting generalization bound check, and the
@@ -291,14 +294,20 @@ def minimize_conditional_errors(
     the iteration where its solo descent stops, so its result equals the
     solo one bit for bit.
     """
+    return _solve_by_n(points, lambda members: _descend_group(
+        spec, [points[i] for i in members], max_steps, init_step, tol))
+
+
+def _solve_by_n(points, solve):
+    """Group the points by class count n and call ``solve`` on the list
+    of indices of each group; returns its per-index results in input
+    order."""
     results = [None] * len(points)
     groups: dict[int, list[int]] = {}
     for i, point in enumerate(points):
         groups.setdefault(point.n, []).append(i)
     for members in groups.values():
-        solved = _descend_group(spec, [points[i] for i in members],
-                                max_steps, init_step, tol)
-        for i, result in zip(members, solved):
+        for i, result in zip(members, solve(members)):
             results[i] = result
     return results
 
@@ -367,8 +376,28 @@ def _descend_group(spec, points, max_steps, init_step, tol):
     return [(scores[i].copy(), float(value[i])) for i in range(count)]
 
 
-def _gce_regret_from_logs(weights, log_target, log_achieved, q) -> float:
-    """sum_y w_y [Psi^q(t_achieved) - Psi^q(t_target)] from log inputs.
+def _log_normalize(logits) -> np.ndarray:
+    """Row-wise log softmax of (P, n) logits with sub-eps accuracy on each
+    row's dominant entry.
+
+    The usual m + log(sum(exp(. - m))) normalizer rounds 1 + tiny to 1,
+    an absolute error of order eps shared by every output entry; the
+    regret computations below need the normalizer exact to the relative
+    precision of the non-max mass, so the max term's exp(0) = 1 is set
+    to 0.0 and the remainder goes through log1p.
+    """
+    top = np.argmax(logits, axis=1)[:, None]
+    # subtract the max first: adding log1p(rest) to the O(1) top logit
+    # would absorb the tiny correction before it reaches the top entry
+    shifted = logits - np.take_along_axis(logits, top, axis=1)
+    rest = np.exp(shifted)
+    np.put_along_axis(rest, top, 0.0, axis=1)
+    return shifted - np.log1p(rest.sum(axis=1))[:, None]
+
+
+def _surrogate_regrets(family, cond, priors, scores, q) -> np.ndarray:
+    """Surrogate conditional regrets of points sharing n, one per row of
+    the (P, n) arrays: sum_y w_y [Psi^q(t_achieved) - Psi^q(t_target)].
 
     Computing the regret as conditional_error - best_conditional_error
     cancels catastrophically once the achieved softmax saturates: near
@@ -376,138 +405,112 @@ def _gce_regret_from_logs(weights, log_target, log_achieved, q) -> float:
     fifty orders of magnitude below the two conditional errors. Working
     per class in the log domain keeps full relative precision at both
     the t -> 0 and t -> 1 ends (exp for small t^q, expm1 for large).
-    Entries with zero weight are skipped so that impossible labels
-    (cond 0) contribute nothing.
+    For GCA (unit margins) the prior-ratio weights reduce the regret to
+    the plain generalized cross-entropy regret under the reweighted
+    posterior, scaled by the normalizer. The terms of zero-weight entries
+    (impossible labels, cond 0) are zeroed; adding 0.0 keeps a row sum
+    exact.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    keep = weights > 0.0
-    w = weights[keep]
-    log_t = np.asarray(log_target, dtype=np.float64)[keep]
-    log_a = np.asarray(log_achieved, dtype=np.float64)[keep]
+    with np.errstate(divide="ignore"):  # log 0 = -inf at impossible labels
+        if family == "GLA":
+            weights = cond
+            log_achieved = _log_normalize(scores + np.log(priors) / (1.0 - q))
+            log_dist = np.log(cond)
+        else:
+            weights = cond / priors
+            log_achieved = _log_normalize(scores)
+            log_dist = np.log(weights / weights.sum(axis=1, keepdims=True))
+    log_target = _log_normalize((1.0 / (1.0 - q)) * log_dist)
     if q == 0.0:
-        return float(np.sum(w * (log_t - log_a)))
-    u_t = q * log_t
-    u_a = q * log_a
-    big = (u_t > -0.693) & (u_a > -0.693)  # both t^q above ~1/2
-    delta = np.where(big,
-                     np.expm1(u_t) - np.expm1(u_a),
-                     np.exp(u_t) - np.exp(u_a))
-    return float(np.sum(w * delta) / q)
-
-
-def _log_normalize(logits) -> np.ndarray:
-    """log softmax with sub-eps accuracy on the dominant entry.
-
-    The usual m + log(sum(exp(. - m))) normalizer rounds 1 + tiny to 1,
-    an absolute error of order eps shared by every output entry; the
-    regret computations below need the normalizer exact to the relative
-    precision of the non-max mass, so the max term's exp(0) = 1 is split
-    out and the remainder goes through log1p.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    top = int(np.argmax(logits))
-    rest = np.exp(np.delete(logits, top) - logits[top])
-    # subtract the max first: adding log1p(rest) to the O(1) top logit
-    # would absorb the tiny correction before it reaches the top entry
-    return (logits - logits[top]) - np.log1p(np.sum(rest))
-
-
-def _log_power_normalize(log_p, exponent) -> np.ndarray:
-    """log of p^exponent / sum(p^exponent), safely in the log domain."""
-    return _log_normalize(exponent * np.asarray(log_p, dtype=np.float64))
+        with np.errstate(invalid="ignore"):  # 0 * -inf at impossible labels
+            terms = weights * (log_target - log_achieved)
+    else:
+        u_t = q * log_target
+        u_a = q * log_achieved
+        big = (u_t > -0.693) & (u_a > -0.693)  # both t^q above ~1/2
+        terms = weights * np.where(big,
+                                   np.expm1(u_t) - np.expm1(u_a),
+                                   np.exp(u_t) - np.exp(u_a))
+    regret = np.where(weights > 0.0, terms, 0.0).sum(axis=1)
+    return regret if q == 0.0 else regret / q
 
 
 def gla_surrogate_regret(point: ConditionalPoint, scores, q: float) -> float:
-    """Conditional regret of the adjusted generalized loss at the scores.
-
-    Equals conditional_error - best_conditional_error, evaluated without
-    the cancellation of that difference (see _gce_regret_from_logs).
-    """
-    scores = as_finite_array(scores, "scores")
-    with np.errstate(divide="ignore"):
-        log_cond = np.log(point.cond)
-    adjusted = scores + np.log(point.priors) / (1.0 - q)
-    log_achieved = _log_normalize(adjusted)
-    log_target = _log_power_normalize(log_cond, 1.0 / (1.0 - q))
-    return _gce_regret_from_logs(point.cond, log_target, log_achieved, q)
+    """Conditional regret of the adjusted generalized loss at the scores:
+    conditional_error - best_conditional_error on a complete hypothesis
+    set, without the cancellation of that difference (_surrogate_regrets)."""
+    return check_regret_bounds("GLA", [point], [scores], q)[0].surrogate_regret
 
 
 def gca_surrogate_regret(point: ConditionalPoint, scores, q: float) -> float:
-    """Conditional regret of the class-aware loss (unit margins).
-
-    The prior-ratio weights reduce it to the plain generalized
-    cross-entropy regret under the reweighted posterior, scaled by the
-    normalizer; computed per class in the log domain.
-    """
-    scores = as_finite_array(scores, "scores")
-    ratios = point.ratios
-    log_achieved = _log_normalize(scores)
-    with np.errstate(divide="ignore"):
-        log_qdist = np.log(ratios / ratios.sum())
-    log_target = _log_power_normalize(log_qdist, 1.0 / (1.0 - q))
-    return _gce_regret_from_logs(ratios, log_target, log_achieved, q)
+    """Conditional regret of the class-aware loss (unit margins), computed
+    like :func:`gla_surrogate_regret`."""
+    return check_regret_bounds("GCA", [point], [scores], q)[0].surrogate_regret
 
 
 def gla_bound_transform(t: float, p_min: float, q: float) -> float:
-    """Regret transform of the logit-adjusted family.
-
-    sqrt(2t) / p_min at q = 0, sqrt(2t) / (p_min^(1/(1-q)) sqrt(1-q))
-    for q in (0, 1).
-    """
+    """Regret transform of the logit-adjusted family,
+    sqrt(2t) / (p_min^(1/(1-q)) sqrt(1-q)); sqrt(2t) / p_min at q = 0."""
     t = max(t, 0.0)
-    if q == 0.0:
-        return math.sqrt(2.0 * t) / p_min
     return math.sqrt(2.0 * t) / (p_min ** (1.0 / (1.0 - q)) * math.sqrt(1.0 - q))
 
 
 def gca_bound_transform(t: float, p_min: float, n: int, q: float) -> float:
-    """Regret transform of the class-aware family (unit margins).
-
-    sqrt(2t) / sqrt(p_min) at q = 0, sqrt(2 n^q t) / sqrt(p_min) for
-    q in (0, 1).
-    """
+    """Regret transform of the class-aware family (unit margins),
+    sqrt(2 n^q t) / sqrt(p_min); sqrt(2t) / sqrt(p_min) at q = 0."""
     t = max(t, 0.0)
-    if q == 0.0:
-        return math.sqrt(2.0 * t) / math.sqrt(p_min)
     return math.sqrt(2.0 * n**q * t) / math.sqrt(p_min)
 
 
-def check_gla_bound(point: ConditionalPoint, scores, q: float) -> RegretReport:
-    """Conditional-regret bound check for the logit-adjusted family.
+def check_regret_bounds(family: str, points, scores, q: float) -> list:
+    """Conditional-regret bound checks of one family at one q: one
+    :class:`RegretReport` per (point, score vector), in input order.
 
-    Requires a complete hypothesis set at x (all labels reachable). The
-    balanced regret of argmax(scores) must not exceed
-    gla_bound_transform of the surrogate conditional regret -- the
-    conditional error of the scores minus the closed-form best, computed
-    via gla_surrogate_regret so extreme saturation corners stay
-    resolvable.
+    ``family`` is "GLA" (logit-adjusted) or "GCA" (class-aware, unit
+    margins); every point needs all labels reachable. The balanced regret
+    of argmax(scores), ties to the highest label, must not exceed the
+    family's bound transform of the surrogate conditional regret. Points
+    sharing n are computed together, row-wise; every row sum runs left to
+    right, so a point's report equals its solo one bit for bit.
     """
-    if not point.is_regular:
+    if family not in ("GLA", "GCA"):
+        raise ValueError(f"unsupported family {family!r}")
+    if not all(point.is_regular for point, _ in zip(points, scores,
+                                                    strict=True)):
         raise ValueError("bound check requires all labels reachable")
-    scores = as_finite_array(scores, "scores")
-    predicted = argmax_highest(scores) + 1
-    target = bal_regret(point, predicted)
-    surrogate = gla_surrogate_regret(point, scores, q)
-    return RegretReport(target, surrogate,
-                        gla_bound_transform(surrogate, point.p_min, q))
+
+    def check_group(members):
+        n = points[members[0]].n
+        cond = np.array([points[i].cond for i in members])
+        priors = np.array([points[i].priors for i in members])
+        group_scores = as_finite_array([scores[i] for i in members], "scores")
+        if group_scores.shape != cond.shape:
+            raise ValueError(f"scores must have {n} entries per point")
+        ratios = cond / priors
+        predicted = n - 1 - np.argmax(group_scores[:, ::-1], axis=1)
+        targets = ratios.max(axis=1) - ratios[np.arange(len(members)), predicted]
+        surrogates = _surrogate_regrets(family, cond, priors, group_scores, q)
+        reports = []
+        for target, t, p_min in zip(targets.tolist(), surrogates.tolist(),
+                                    priors.min(axis=1).tolist()):
+            bound = (gla_bound_transform(t, p_min, q) if family == "GLA"
+                     else gca_bound_transform(t, p_min, n, q))
+            reports.append(RegretReport(target, t, bound))
+        return reports
+
+    return _solve_by_n(points, check_group)
+
+
+def check_gla_bound(point: ConditionalPoint, scores, q: float) -> RegretReport:
+    """Conditional-regret bound check for the logit-adjusted family:
+    :func:`check_regret_bounds` on one point."""
+    return check_regret_bounds("GLA", [point], [scores], q)[0]
 
 
 def check_gca_bound(point: ConditionalPoint, scores, q: float) -> RegretReport:
-    """Conditional-regret bound check for the class-aware family.
-
-    Uses unit margins (the setting of the consistency statements); the
-    balanced regret of argmax(scores) must not exceed
-    gca_bound_transform of the surrogate conditional regret, computed
-    via gca_surrogate_regret.
-    """
-    if not point.is_regular:
-        raise ValueError("bound check requires all labels reachable")
-    scores = as_finite_array(scores, "scores")
-    predicted = argmax_highest(scores) + 1
-    target = bal_regret(point, predicted)
-    surrogate = gca_surrogate_regret(point, scores, q)
-    return RegretReport(target, surrogate,
-                        gca_bound_transform(surrogate, point.p_min, point.n, q))
+    """Conditional-regret bound check for the class-aware family (unit
+    margins): :func:`check_regret_bounds` on one point."""
+    return check_regret_bounds("GCA", [point], [scores], q)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -476,11 +476,14 @@ class BoundedLinearFamily:
 
 
 def _weighted_loss_and_grad(spec, model, X, labels, weights, stats):
+    # np.sum adds the m terms of a contiguous row in a fixed (pairwise)
+    # order; BLAS dot and gemm split the m rows by thread count, so their
+    # last bits would follow the BLAS threading.
     scores = model.scores(X)
     values, dscores = batch_loss_and_grad(spec, scores, labels, stats)
-    value = float(weights @ values)
-    grad_w = (dscores * weights[:, None]).T @ X
-    return value, grad_w
+    weighted = np.multiply(dscores.T, weights, order="C")  # (n, m)
+    grad_w = np.sum(weighted[:, None, :] * np.ascontiguousarray(X.T), axis=2)
+    return float(np.sum(weights * values)), grad_w
 
 
 def _weighted_balanced_error(model, X, labels, weights, inv_priors):

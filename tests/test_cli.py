@@ -143,6 +143,34 @@ class TestConfigParsing:
         assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                      "synth"]) == 2
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("seed = 1", "seed = 1\nschedule = linear", "schedule"),
+        ("lr0 = 0.1", "lr0 = 0.1\nmomentum = 1.5", "momentum"),
+        ("lr0 = 0.1", "lr0 = -1", "lr0"),
+        ("seed = 1", "seed = 1\nweight_decay = -0.1", "weight_decay"),
+        ("seed = 1", "seed = 1\nnorm_bound = -1", "norm_bound"),
+        ("seed = 1", "seed = 1\nnorm_bound = 0", "norm_bound"),
+        ("epochs = 4", "epochs = 0", "epochs"),
+        ("repeats = 2", "repeats = 0", "repeats"),
+        ("repeats = 2", "repeats = 2\nmodel = mlp\nhidden = 0", "hidden"),
+        ("repeats = 2", "repeats = 2\nmodel = mlp\nhidden = 8.5", "hidden"),
+        ("repeats = 2", "repeats = 2\nmodel = mlp\nhidden = 8, -4",
+         "hidden"),
+    ], ids=["schedule", "momentum", "lr0", "weight-decay", "norm-bound",
+            "zero-norm-bound", "epochs", "repeats", "zero-hidden",
+            "fractional-hidden", "negative-hidden"])
+    def test_out_of_range_train_option_is_config_error(self, tmp_path, old,
+                                                       new, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"\[train\] .*{key}"):
+            load_config(path)
+        out = tmp_path / "o"
+        for command in ("synth", "train"):
+            assert main(["--config", str(path), "--out", str(out),
+                         command]) == 2
+        assert not (out / "runs").exists()
+
     def test_valid_configs_keep_their_run_hashes(self, config_file, tmp_path):
         from imbloss.cli import _run_hash
 
@@ -358,6 +386,18 @@ class TestCommands:
         assert all(r["ok"] for r in records)
         assert all(r["slack"] >= -1e-9 for r in records)
 
+    def test_bounds_records_do_not_depend_on_the_block_size(self,
+                                                            monkeypatch):
+        # block boundaries, and a last block shorter than the others,
+        # leave every record as one block of all the trials writes it
+        from imbloss import verify
+
+        whole = list(verify.bounds(np.random.default_rng(3), 23))
+        monkeypatch.setattr(verify, "_BOUNDS_BLOCK", 5)
+        assert list(verify.bounds(np.random.default_rng(3), 23)) == whole
+        assert [r["trial"] for r in whole] == [t for t in range(23)
+                                               for _ in range(2)]
+
     @pytest.mark.parametrize("suite, budget, seed, code, digest", [
         # written by the per-point descent before the lockstep loop
         ("bayes", 30, 0, 0, "75b7f71e1518faaa02eea5b8f30c6e0d"
@@ -368,10 +408,12 @@ class TestCommands:
                              "16ee97e95a133534fcde22df89add31f"),
         ("margin", 20, 0, 0, "523f2afc48c98ce03691497070d9f6a9"
                              "67b993bac64615dc4cfd903f58765e83"),
-        # written by the exact search; the optimality certificates in
-        # test_trainer.py back it (balanced at 2.81 degrees, so exit 3)
-        ("counterexample", 1000, 0, 3, "554b9b96ed45d369f88009bd7078b488"
-                                       "57d0e720497c555bb2db1797ab98ac3e"),
+        # written by the exact search with its row sums in a fixed order,
+        # the same under any BLAS thread count; the optimality
+        # certificates in test_trainer.py back it (balanced at 2.81
+        # degrees, so exit 3)
+        ("counterexample", 1000, 0, 3, "6948eaabd79f0582a160be04e4931249"
+                                       "64c2b0a50c239f711278451eac97dc02"),
     ], ids=["bayes", "bounds", "margin", "counterexample"])
     def test_verify_evidence_bytes_are_pinned(self, tmp_path, suite, budget,
                                               seed, code, digest):

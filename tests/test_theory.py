@@ -23,6 +23,7 @@ from imbloss.theory import (
     check_gca_bound,
     check_gla_bound,
     check_lamargin,
+    check_regret_bounds,
     check_theorem5_bound,
     conditional_error,
     empirical_rademacher_linear,
@@ -471,6 +472,140 @@ class TestBoundChecks:
         point = ConditionalPoint([0.5, 0.5], [0.5, 0.5], reachable=[2])
         with pytest.raises(ValueError):
             check_gla_bound(point, [0.0, 0.0], 0.0)
+
+
+def _per_point_log_normalize(logits):
+    top = int(np.argmax(logits))
+    rest = np.exp(np.delete(logits, top) - logits[top])
+    return (logits - logits[top]) - np.log1p(np.sum(rest))
+
+
+def _per_point_report(family, point, scores, q):
+    """The bound check written for one point, with the max entry deleted
+    from the normalizer, the zero-weight entries dropped from the regret
+    sum and the q = 0 transforms written out: the reference the batched
+    path must reproduce exactly. Returns (target, surrogate, bound)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    exponent = 1.0 / (1.0 - q)
+    with np.errstate(divide="ignore"):
+        if family == "GLA":
+            weights = point.cond
+            log_achieved = _per_point_log_normalize(
+                scores + np.log(point.priors) / (1.0 - q))
+            log_target = _per_point_log_normalize(exponent * np.log(point.cond))
+        else:
+            weights = point.ratios
+            log_achieved = _per_point_log_normalize(scores)
+            log_target = _per_point_log_normalize(
+                exponent * np.log(weights / weights.sum()))
+    keep = weights > 0.0
+    w, log_t, log_a = weights[keep], log_target[keep], log_achieved[keep]
+    if q == 0.0:
+        surrogate = float(np.sum(w * (log_t - log_a)))
+    else:
+        u_t, u_a = q * log_t, q * log_a
+        big = (u_t > -0.693) & (u_a > -0.693)
+        delta = np.where(big, np.expm1(u_t) - np.expm1(u_a),
+                         np.exp(u_t) - np.exp(u_a))
+        surrogate = float(np.sum(w * delta) / q)
+    predicted = point.n - int(np.argmax(scores[::-1]))
+    target = bal_regret(point, predicted)
+    t, p_min = max(surrogate, 0.0), point.p_min
+    if family == "GLA" and q == 0.0:
+        bound = math.sqrt(2.0 * t) / p_min
+    elif family == "GLA":
+        bound = math.sqrt(2.0 * t) / (p_min ** (1.0 / (1.0 - q))
+                                      * math.sqrt(1.0 - q))
+    elif q == 0.0:
+        bound = math.sqrt(2.0 * t) / math.sqrt(p_min)
+    else:
+        bound = math.sqrt(2.0 * point.n**q * t) / math.sqrt(p_min)
+    return target, surrogate, bound
+
+
+def _assert_reference_equal(family, points, scores, q, reports):
+    assert len(reports) == len(points)
+    for point, s, report in zip(points, scores, reports):
+        fields = (report.target_regret, report.surrogate_regret,
+                  report.bound_value)
+        assert all(type(f) is float for f in fields)
+        assert fields == _per_point_report(family, point, s, q)
+
+
+def _saturation_corners(rng, q, count):
+    """Points in the style of the adversarial saturation test: floors of
+    1e-3, spiky posteriors, scores at scale 20, near-minimizers and
+    predictions of the worst label."""
+    points, scores = [], []
+    for trial in range(count):
+        n = int(rng.integers(2, 7))
+        w = rng.random(n) ** 4
+        cond = 1e-3 + (1 - n * 1e-3) * (w / w.sum())
+        w = rng.random(n) ** 4
+        point = ConditionalPoint(cond, 1e-3 + (1 - n * 1e-3) * (w / w.sum()))
+        if trial % 3 == 0:
+            s = rng.normal(0, 20.0, n)
+        elif trial % 3 == 1:
+            s, _ = minimize_conditional_error(LossSpec("GLA", q=q), point,
+                                              max_steps=150)
+            s = s + rng.normal(0, 1e-4, n)
+        else:
+            s = -np.log(point.ratios)
+        points.append(point)
+        scores.append(s)
+    return points, scores
+
+
+class TestBatchedBoundChecks:
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 0.7, 0.9])
+    def test_mixed_batch_equals_the_per_point_loop(self, q):
+        rng = np.random.default_rng(44)
+        points = [random_conditional_point(rng, int(rng.integers(2, 7)),
+                                           floor=0.03) for _ in range(60)]
+        scores = [rng.normal(0, 3, p.n) for p in points]
+        corners, corner_scores = _saturation_corners(rng, q, 15)
+        points += corners + [ConditionalPoint([0.5, 0.5, 0.0],
+                                              [0.25, 0.25, 0.5])]
+        scores += corner_scores + [np.array([0.3, -1.0, 2.0])]
+        assert {p.n for p in points} == {2, 3, 4, 5, 6}
+        for family in ("GLA", "GCA"):
+            reports = check_regret_bounds(family, points, scores, q)
+            _assert_reference_equal(family, points, scores, q, reports)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q", [0.0, 0.7])
+    def test_zero_cond_entry_adds_nothing_and_warns_nothing(self, q):
+        point = ConditionalPoint([0.0, 0.6, 0.4], [0.5, 0.3, 0.2])
+        scores = [np.array([4.0, -2.0, 1.0])]
+        for family in ("GLA", "GCA"):
+            reports = check_regret_bounds(family, [point], scores, q)
+            _assert_reference_equal(family, [point], scores, q, reports)
+            assert reports[0].holds
+
+    def test_single_and_empty(self):
+        point = ConditionalPoint([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
+        scores = [0.5, -0.2, 1.5]
+        for family, check in (("GLA", check_gla_bound),
+                              ("GCA", check_gca_bound)):
+            assert check_regret_bounds(family, [], [], 0.3) == []
+            report, = check_regret_bounds(family, [point], [scores], 0.3)
+            assert report == check(point, scores, 0.3)
+            _assert_reference_equal(family, [point], [scores], 0.3, [report])
+
+    def test_rejects_restricted_points_and_bad_inputs(self):
+        regular = ConditionalPoint([0.5, 0.5], [0.5, 0.5])
+        restricted = ConditionalPoint([0.5, 0.5], [0.5, 0.5], reachable=[2])
+        zeros = [np.zeros(2), np.zeros(2)]
+        with pytest.raises(ValueError, match="reachable"):
+            check_regret_bounds("GCA", [regular, restricted], zeros, 0.0)
+        with pytest.raises(ValueError, match="reachable"):
+            check_gca_bound(restricted, [0.0, 0.0], 0.5)
+        with pytest.raises(ValueError, match="family"):
+            check_regret_bounds("LA", [regular], zeros[:1], 0.0)
+        with pytest.raises(ValueError, match="argument 2 is longer"):
+            check_regret_bounds("GLA", [regular], zeros, 0.0)
+        with pytest.raises(ValueError, match="2 entries"):
+            check_regret_bounds("GLA", [regular], [np.zeros(1)], 0.0)
 
 
 class TestPhiRho:
