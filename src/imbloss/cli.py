@@ -31,7 +31,7 @@ from .config import (
     synthesize_splits,
     train_config,
 )
-from .datagen import read_dataset_csv, write_dataset_csv
+from .datagen import DatasetShapeError, read_dataset_csv, write_dataset_csv
 from .metrics import balanced_error, confusion, per_class_error
 from .trainer import (
     LinearModel,
@@ -92,17 +92,13 @@ def cmd_synth(config, out: Path) -> Path:
 
 def _load_splits(config, out: Path):
     target = dataset_dir(config, out)
-    missing = [s for s in SPLITS if not (target / f"{s}.csv").exists()]
-    if missing:
-        raise ConfigError(
-            f"dataset files missing under {target} ({', '.join(missing)}); "
-            f"run `imbloss synth` with this config first"
-        )
-    return {
-        name: read_dataset_csv(target / f"{name}.csv",
-                               target / f"{name}.meta.json")
-        for name in SPLITS
-    }
+    try:
+        return {name: read_dataset_csv(target / f"{name}.csv",
+                                       target / f"{name}.meta.json")
+                for name in SPLITS}
+    except (FileNotFoundError, DatasetShapeError) as exc:
+        raise ConfigError(f"missing or damaged dataset ({exc}); "
+                          f"rerun `imbloss synth` with this config") from None
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ from .datagen import (
     longtail_counts,
     step_counts,
 )
-from .losses import LossSpec
+from .losses import HYPERPARAMETERS, LossSpec
 from .trainer import TrainConfig
 
 
@@ -89,8 +89,8 @@ DEFAULT_SEARCH_GRIDS = {
     "LA": {"tau": [1.0]},  # the consistent temperature
 }
 
-_LOSS_GRID_KEYS = ("q", "tau", "gamma", "cap_c", "eq_p", "eq_lambda",
-                   "rho_margin", "psi_tau")
+# Every hyperparameter but margins, which is resolved per run, not swept.
+_LOSS_GRID_KEYS = tuple(k for k in HYPERPARAMETERS if k != "margins")
 
 # The numeric options of [dataset] and [train]: type and default.
 _DATASET_NUMBERS = {
@@ -183,8 +183,8 @@ def load_config(path) -> dict:
         if key not in _LOSS_GRID_KEYS:
             raise ConfigError(f"unknown loss option {key!r}")
         loss[key] = _parse_floats(raw)
-        if not loss[key]:
-            raise ConfigError(f"empty grid for {key}")
+        if len(set(loss[key])) != len(loss[key]):
+            raise ConfigError(f"[loss] {key} repeats a grid value: {raw!r}")
 
     tr = dict(parser.items("train")) if parser.has_section("train") else {}
     _reject_unknown(tr, "train", ("model", "hidden", "schedule",

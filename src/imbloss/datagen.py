@@ -288,20 +288,30 @@ def write_dataset_csv(dataset: Dataset, csv_path, meta_path=None) -> None:
             fh.write("\n")
 
 
+class DatasetShapeError(ValueError):
+    """A split whose rows or columns disagree with its header or sidecar."""
+
+
 def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
+    """Read a split written by :func:`write_dataset_csv`; its shape must
+    match its header and its sidecar's m and d (DatasetShapeError)."""
     with open(csv_path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "label":
             raise ValueError(f"{csv_path}: last column must be 'label'")
         d = len(header) - 1
         raw = np.loadtxt(fh, delimiter=",", ndmin=2)
-    features = raw[:, :d]
-    labels = raw[:, d].astype(np.int64)
     meta = {}
     if meta_path is not None:
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
         n = n if n is not None else meta.get("n")
+    if raw.shape != (meta.get("m", len(raw)), d + 1) or meta.get("d", d) != d:
+        raise DatasetShapeError(
+            f"{csv_path}: {len(raw)} rows of {raw.shape[1]} columns disagree "
+            f"with its header or sidecar")
+    features = raw[:, :d]
+    labels = raw[:, d].astype(np.int64)
     if n is None:
         n = int(labels.max())
     return Dataset(features, labels, int(n), meta)

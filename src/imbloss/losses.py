@@ -21,6 +21,11 @@ Implements closed-form values and analytic score gradients for:
              (c = 1/p(y) when evaluated through a LossSpec; eval_csmax
              takes the cost explicitly).
 
+CE, WCE, LA, CB, LDAM, GCE, GLA and GCA share one code path, weight_y *
+Psi^q(softmax(adjusted scores)_y) with q = 0 and GCA's margin rho = 1 where
+a family has none; multiplying or dividing by 1.0 is exact, so the GLA/LA
+and GCA/WCE identities hold bit for bit.
+
 Conventions used throughout the package:
 
 * class labels are 1-based integers in 1..n;
@@ -39,7 +44,7 @@ injected by the caller (a generator or explicit draws), never global.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +54,7 @@ FAMILIES = (
     "CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM",
     "GCE", "GLA", "GCA", "CSMAX",
 )
+_PSI_FAMILIES = ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
 
 # Probability floor applied before -log; invisible at test tolerances but
 # keeps the q = 0 link finite for arbitrarily bad score vectors.
@@ -179,9 +185,7 @@ class LossSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown loss family {self.family!r}")
         required = self._REQUIRED[self.family]
-        fields = ("q", "tau", "margins", "gamma", "cap_c",
-                  "eq_p", "eq_lambda", "rho_margin", "psi_tau")
-        for name in fields:
+        for name in HYPERPARAMETERS:
             value = getattr(self, name)
             if name in required and value is None:
                 raise ValueError(f"{self.family} requires {name}")
@@ -214,12 +218,15 @@ class LossSpec:
     def hyperparams(self) -> dict:
         """Non-None hyperparameters as a plain dict (for reports/configs)."""
         out = {}
-        for name in ("q", "tau", "margins", "gamma", "cap_c",
-                     "eq_p", "eq_lambda", "rho_margin", "psi_tau"):
+        for name in HYPERPARAMETERS:
             value = getattr(self, name)
             if value is not None:
                 out[name] = list(value) if isinstance(value, tuple) else value
         return out
+
+
+# LossSpec's hyperparameter names, in field order.
+HYPERPARAMETERS = tuple(f.name for f in fields(LossSpec))[1:]
 
 
 def psi_q(t: float, q: float) -> float:
@@ -273,24 +280,6 @@ def _check_batch(scores, labels, n_expected=None):
     return scores, labels
 
 
-def _gce_core(adjusted, idx, q):
-    """Psi^q of softmax(adjusted) at each row's label (0-based idx).
-
-    Returns (values, probs, label_prob_pow_q) so gradient code can reuse
-    the softmax. Values use the log-softmax path with the 1e-300 floor.
-    """
-    logp = log_softmax(adjusted)
-    rows = np.arange(adjusted.shape[0])
-    log_t = logp[rows, idx]
-    if q == 0.0:
-        values = -np.maximum(log_t, _LOG_PROB_FLOOR)
-        t_pow_q = np.ones_like(log_t)
-    else:
-        t_pow_q = np.exp(q * log_t)
-        values = (1.0 - t_pow_q) / q
-    return values, np.exp(logp), t_pow_q
-
-
 def _label_stat(table, rows, idx):
     """Each row's entry of a per-class statistic at its label (0-based
     idx): ``table[idx]`` for one marginal, ``table[rows, idx]`` for one
@@ -333,28 +322,44 @@ def batch_loss_and_grad(
     onehot = np.zeros((m, n))
     onehot[rows, idx] = 1.0
 
-    if family in ("CE", "WCE", "LA", "CB", "LDAM"):
+    if family in _PSI_FAMILIES:
+        # weight_y * Psi^q(softmax(adjusted scores)_y)
+        q, rho, adjusted = spec.q or 0.0, 1.0, scores
         if family == "LA":
             adjusted = scores + spec.tau * stats.log_priors
+        elif family == "GLA":
+            adjusted = scores + stats.log_priors / (1.0 - q)
         elif family == "LDAM":
             if stats.counts is None:
                 raise ValueError("LDAM needs integer class counts (ClassStats)")
             delta = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
             adjusted = scores.copy()
             adjusted[rows, idx] -= delta[idx]
-        else:
-            adjusted = scores
-        values, probs, _ = _gce_core(adjusted, idx, 0.0)
-        if family == "WCE":
+        elif family == "GCA":
+            margins = np.asarray(spec.margins, dtype=np.float64)
+            if margins.size != n:
+                raise ValueError(
+                    f"margins have length {margins.size}, expected {n}")
+            rho = margins[idx]
+            adjusted = scores / rho[:, None]
+        if family in ("WCE", "GCA"):
             weight = _label_stat(stats.inv_priors, rows, idx)
         elif family == "CB":
-            gamma = spec.gamma
-            weight = (1.0 - gamma) / (
-                1.0 - gamma ** _label_stat(stats.priors, rows, idx))
+            weight = (1.0 - spec.gamma) / (
+                1.0 - spec.gamma ** _label_stat(stats.priors, rows, idx))
         else:
             weight = np.ones(m)
-        values = weight * values
-        grads = weight[:, None] * (probs - onehot) if want_grad else None
+        # Psi^q in log space, with the 1e-300 floor at q = 0.
+        logp = log_softmax(adjusted)
+        log_t = logp[rows, idx]
+        if q == 0.0:
+            values = weight * -np.maximum(log_t, _LOG_PROB_FLOOR)
+            t_pow_q = 1.0
+        else:
+            t_pow_q = np.exp(q * log_t)
+            values = weight * ((1.0 - t_pow_q) / q)
+        grads = ((weight / rho * t_pow_q)[:, None] * (np.exp(logp) - onehot)
+                 if want_grad else None)
         return values, grads
 
     if family == "FOCAL":
@@ -381,31 +386,6 @@ def batch_loss_and_grad(
                 )
         du_ds = u[:, None] * (onehot - probs)
         grads = dl_du[:, None] * du_ds
-        return values, grads
-
-    if family in ("GCE", "GLA"):
-        q = spec.q
-        if family == "GLA":
-            adjusted = scores + stats.log_priors / (1.0 - q)
-        else:
-            adjusted = scores
-        values, probs, t_pow_q = _gce_core(adjusted, idx, q)
-        grads = t_pow_q[:, None] * (probs - onehot) if want_grad else None
-        return values, grads
-
-    if family == "GCA":
-        q = spec.q
-        margins = np.asarray(spec.margins, dtype=np.float64)
-        if margins.size != n:
-            raise ValueError(f"margins have length {margins.size}, expected {n}")
-        rho = margins[idx]
-        scaled = scores / rho[:, None]
-        values, probs, t_pow_q = _gce_core(scaled, idx, q)
-        weight = _label_stat(stats.inv_priors, rows, idx)
-        values = weight * values
-        grads = None
-        if want_grad:
-            grads = (weight / rho * t_pow_q)[:, None] * (probs - onehot)
         return values, grads
 
     if family == "EQUAL":

@@ -114,9 +114,10 @@ def gradient_rel_error(analytic, reference) -> float:
     return float(np.max(np.abs(a - r) / denom))
 
 
-def argmax_highest(values) -> int:
-    """Index of the maximum, breaking ties toward the highest index."""
+def argmax_highest(values):
+    """Index of the maximum along the last axis, ties to the highest."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("values must be a non-empty vector")
-    return int(arr.size - 1 - np.argmax(arr[::-1]))
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError("values must have a non-empty last axis")
+    top = arr.shape[-1] - 1 - np.argmax(arr[..., ::-1], axis=-1)
+    return int(top) if top.ndim == 0 else top

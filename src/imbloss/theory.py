@@ -13,6 +13,9 @@ The key quantities:
   (argmax p(y|x)/p(y)) and for logit-adjusted losses with temperature
   tau (argmax p(y|x)/p(y)^tau) -- these disagree for tau != 1, which is
   what ``find_la_disagreement`` hunts for;
+* conditional errors sum_y p(y|x) loss(scores, y), computed row-wise by
+  one function for ``conditional_error``, the descent below and the
+  minimizability gap;
 * closed-form best conditional errors of the generalized losses over
   unconstrained scores, cross-checked by an independent gradient-descent
   minimizer; it descends many points in lockstep (one loss call per
@@ -26,8 +29,9 @@ The key quantities:
   check that computes many points row-wise, grouped by n; the one-point
   checks are its P = 1 call, and a point's report is the same bits
   either way;
-* margin machinery: the ramp loss Phi_rho, the cost-sensitive margin
-  loss, Monte-Carlo empirical Rademacher complexity of norm-bounded
+* margin machinery: the ramp loss Phi_rho, the row-wise cost-sensitive
+  margin loss (runner-up reading; the one-vector form is its one-row
+  call), Monte-Carlo empirical Rademacher complexity of norm-bounded
   linear scorers, the resulting generalization bound check, and the
   pointwise logistic upper bound on cost * Phi_rho;
 * exact minimizability-gap computation for finite hypothesis lists on a
@@ -192,19 +196,30 @@ def gla_pointwise_minimizer(point: ConditionalPoint, q: float) -> np.ndarray:
     return powered / powered.sum()
 
 
-def _all_label_values(spec: LossSpec, scores, stats) -> np.ndarray:
-    """Loss value of every possible label on one score vector."""
-    n = stats.n
-    tiled = np.tile(np.asarray(scores, dtype=np.float64), (n, 1))
-    values, _ = batch_loss_and_grad(spec, tiled, np.arange(1, n + 1), stats,
-                                    want_grad=False)
-    return values
+def _conditional_errors(spec: LossSpec, cond, scores, stats, want_grad=False):
+    """sum_y cond[y] * loss(scores, y) per row of the (P, n) arrays, and
+    its score gradients when want_grad, from one loss call on the (P*n, n)
+    tile of every row's labels; ``stats`` holds one marginal or one per
+    tile row. The stacked matmuls (P,1,n) @ (P,n,1) and (P,1,n) @ (P,n,n)
+    make per row the BLAS calls of ``cond @ values`` and ``cond @ grads``
+    on that row alone, so they round identically.
+    """
+    count, n = scores.shape
+    labels = np.tile(np.arange(1, n + 1), count)
+    values, grads = batch_loss_and_grad(
+        spec, np.repeat(scores, n, axis=0), labels, stats, want_grad=want_grad)
+    weights = cond[:, None, :]
+    errors = (weights @ values.reshape(-1, n, 1)).reshape(-1)
+    if not want_grad:
+        return errors, None
+    return errors, (weights @ grads.reshape(-1, n, n)).reshape(-1, n)
 
 
 def conditional_error(spec: LossSpec, scores, point: ConditionalPoint) -> float:
     """sum_y p(y|x) * loss(scores, y) with the point's priors as p(y)."""
-    stats = PriorStats(point.priors)
-    return float(point.cond @ _all_label_values(spec, scores, stats))
+    errors, _ = _conditional_errors(spec, point.cond[None, :], np.asarray(
+        scores, dtype=np.float64)[None, :], PriorStats(point.priors))
+    return float(errors[0])
 
 
 def _entropy(p) -> float:
@@ -231,7 +246,7 @@ def best_conditional_error(family: str, point: ConditionalPoint, q: float) -> fl
 
     For the logit-adjusted generalized family (and the plain generalized
     cross-entropy) the prior shift is a bijection of the simplex, so the
-    optimum equals the generalized-entropy functional of p(.|x). Forting
+    optimum equals the generalized-entropy functional of p(.|x). For
     the class-aware family with unit margins the reweighted posterior
     q(y|x) = (p(y|x)/p(y)) / Z(x) reduces it to Z(x) times that
     functional of q(.|x).
@@ -316,16 +331,15 @@ def _descend_group(spec, points, max_steps, init_step, tol):
     """The descent loop over points that share n; arrays are indexed by
     point, and ``active`` lists the points still descending.
 
-    The per-point reductions are stacked matmuls, (P,1,n) @ (P,n,1) and
-    (P,1,n) @ (P,n,n): per point they make the same BLAS dot and gemv
-    calls as ``cond @ values``, ``cond @ grads`` and ``np.linalg.norm``
-    on that point alone, so they round identically.
+    The gradient norms are stacked matmuls, (P,1,n) @ (P,n,1), which per
+    point make the same BLAS dot call as ``np.linalg.norm`` on that point
+    alone; the conditional errors round per point as well
+    (:func:`_conditional_errors`).
     """
     n = points[0].n
     count = len(points)
     cond = np.array([p.cond for p in points])
     priors = np.array([p.priors for p in points])
-    labels = np.tile(np.arange(1, n + 1), count)
     max_move = 1.0
     stats = None
 
@@ -333,11 +347,8 @@ def _descend_group(spec, points, max_steps, init_step, tol):
         nonlocal stats
         if stats is None or len(stats.priors) != len(rows) * n:  # rows shrank
             stats = PriorStats(np.repeat(priors[rows], n, axis=0))
-        values, grads = batch_loss_and_grad(
-            spec, np.repeat(scores, n, axis=0), labels[:len(rows) * n], stats)
-        weights = cond[rows][:, None, :]
-        return ((weights @ values.reshape(-1, n, 1)).reshape(-1),
-                (weights @ grads.reshape(-1, n, n)).reshape(-1, n))
+        return _conditional_errors(spec, cond[rows], scores, stats,
+                                   want_grad=True)
 
     active = np.arange(count)
     scores = np.zeros((count, n))
@@ -487,7 +498,7 @@ def check_regret_bounds(family: str, points, scores, q: float) -> list:
         if group_scores.shape != cond.shape:
             raise ValueError(f"scores must have {n} entries per point")
         ratios = cond / priors
-        predicted = n - 1 - np.argmax(group_scores[:, ::-1], axis=1)
+        predicted = argmax_highest(group_scores)
         targets = ratios.max(axis=1) - ratios[np.arange(len(members)), predicted]
         surrogates = _surrogate_regrets(family, cond, priors, group_scores, q)
         reports = []
@@ -525,44 +536,34 @@ def phi_rho(u, rho: float):
     return np.clip(1.0 - np.asarray(u, dtype=np.float64) / rho, 0.0, 1.0)
 
 
-def margin_loss(
-    scores,
-    label: int,
-    cost: float,
-    rho: float,
-    include_label: bool = False,
-) -> float:
-    """Cost-sensitive margin loss cost * max_y' Phi_rho(s_y - s_y').
+def margin_losses(scores, labels, costs, rho) -> np.ndarray:
+    """Cost-sensitive margin loss cost * max_{y' != y} Phi_rho(s_y - s_y')
+    of each row of the (m, n) scores, with 1-based labels.
 
-    By default the max runs over competing labels y' != y (the runner-up
-    reading, under which the loss still dominates cost * 1[argmax != y]).
-    ``include_label=True`` adds the y' = y term, whose value Phi_rho(0)=1
-    makes the loss at least ``cost`` everywhere; both conventions are
-    exercised by the test suite.
+    The max runs over the competing labels only (the runner-up reading,
+    under which the loss dominates cost * 1[argmax != y]). Phi_rho is
+    non-increasing and rounding is monotone, so it is Phi_rho of the gap
+    to the runner-up score, bit for bit.
     """
-    if cost < 0:
-        raise ValueError(f"cost must be >= 0, got {cost}")
     scores = as_finite_array(scores, "scores")
-    n = scores.size
-    if n < 2:
-        raise ValueError("need at least two classes")
-    if not (1 <= label <= n):
-        raise ValueError(f"label must lie in 1..{n}")
-    gaps = scores[label - 1] - scores
-    if not include_label:
-        gaps = np.delete(gaps, label - 1)
-    return float(cost * np.max(phi_rho(gaps, rho)))
-
-
-def _batch_margin_risk(scores, labels, costs, rho) -> float:
-    """Mean cost-sensitive margin loss (runner-up reading), vectorized."""
+    labels, costs = np.asarray(labels), np.asarray(costs, dtype=np.float64)
     m, n = scores.shape
+    if n < 2 or np.any(costs < 0):
+        raise ValueError("need n >= 2 classes and costs >= 0")
+    if np.any((labels < 1) | (labels > n)):
+        raise ValueError(f"labels must lie in 1..{n}")
     rows = np.arange(m)
     own = scores[rows, labels - 1]
     masked = scores.copy()
     masked[rows, labels - 1] = -np.inf
-    runner_up = masked.max(axis=1)
-    return float(np.mean(costs * phi_rho(own - runner_up, rho)))
+    return costs * phi_rho(own - masked.max(axis=1), rho)
+
+
+def margin_loss(scores, label: int, cost: float, rho: float) -> float:
+    """The cost-sensitive margin loss of one score vector:
+    :func:`margin_losses` on one row."""
+    return float(margin_losses(np.asarray(scores, dtype=np.float64)[None, :],
+                               [label], [cost], rho)[0])
 
 
 def empirical_rademacher_linear(
@@ -629,8 +630,8 @@ def check_theorem5_bound(
     m, n = train.m, train.n
 
     train_scores = model.scores(train.features)
-    emp = _batch_margin_risk(train_scores, train.labels,
-                             costs[train.labels - 1], rho)
+    emp = float(np.mean(margin_losses(train_scores, train.labels,
+                                      costs[train.labels - 1], rho)))
     rad, rad_se = empirical_rademacher_linear(train, norm_bound, trials, seed)
     complexity = 4.0 * cbar * math.sqrt(2.0 * n) * rad
     deviation = 3.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * m))
@@ -690,12 +691,10 @@ def minimizability_gap_finite(
                 f"hypothesis tables must be {(joint.num_x, joint.n)}, "
                 f"got {table.shape}"
             )
-    stats = PriorStats(joint.p_y)
-    cond_err = np.empty((len(tables), joint.num_x))
-    for hi, table in enumerate(tables):
-        for xi in range(joint.num_x):
-            values = _all_label_values(spec, table[xi], stats)
-            cond_err[hi, xi] = joint.cond_y_given_x[xi] @ values
+    cond_err, _ = _conditional_errors(
+        spec, np.tile(joint.cond_y_given_x, (len(tables), 1)),
+        np.concatenate(tables), PriorStats(joint.p_y))
+    cond_err = cond_err.reshape(len(tables), joint.num_x)
     risks = cond_err @ joint.p_x
     return float(risks.min() - joint.p_x @ cond_err.min(axis=0))
 

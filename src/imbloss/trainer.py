@@ -15,7 +15,9 @@ the data, the loss and every TrainConfig field but the seed. Their
 parameters are stacked along a leading model axis and each run keeps its
 own generator, so every run's model and history are bit for bit those of
 training it alone. ``train`` is that loop at R = 1; ``train_lockstep``
-takes the seeds of one grid point, as ``imbloss train`` does.
+takes the seeds of one grid point, as ``imbloss train`` does. There is
+also one forward pass, over such stacks: a model's ``scores`` runs it on a
+stack of one.
 
 Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
@@ -89,7 +91,30 @@ def _project_rows(weights, norm_bound) -> None:
                              where=over)
 
 
-class LinearModel:
+class _Model:
+    """What both model classes derive from their ``_layers()``: the class
+    count n, the input dimension d and the scores, which come from the one
+    forward pass, :func:`_forward`, on a stack of one model."""
+
+    @property
+    def n(self) -> int:
+        return self._layers()[-1][0].shape[0]
+
+    @property
+    def d(self) -> int:
+        return self._layers()[0][0].shape[1]
+
+    def scores(self, X) -> np.ndarray:
+        """Scores of one input (d,) or of a batch (B, d)."""
+        X = np.asarray(X, dtype=np.float64)
+        layers = self._layers()
+        out = _forward([w[None] for w, _ in layers],
+                       [b[None, None] for _, b in layers],
+                       X.reshape(1, -1, X.shape[-1]))[-1][0]
+        return out[0] if X.ndim == 1 else out
+
+
+class LinearModel(_Model):
     """Per-class linear scorer h(x, y) = w_y . x + b_y.
 
     ``norm_bound`` caps ||w_y||_2 for every class; the cap is enforced by
@@ -118,25 +143,9 @@ class LinearModel:
         weights = rng.uniform(-limit, limit, size=(n, d))
         return cls(weights, np.zeros(n), norm_bound, use_bias)
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.weights.shape[1]
-
     def copy(self) -> "LinearModel":
         return LinearModel(self.weights.copy(), self.biases.copy(),
                            self.norm_bound, self.use_bias)
-
-    def scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        out = X @ self.weights.T + self.biases
-        return out[0] if single else out
 
     def project(self) -> None:
         if self.norm_bound is not None:
@@ -157,7 +166,7 @@ class LinearModel:
         }
 
 
-class MlpModel:
+class MlpModel(_Model):
     """Fully connected rectifier network with n output scores.
 
     ``widths`` is (d, hidden..., n). A desk-scale stand-in for larger
@@ -189,30 +198,9 @@ class MlpModel:
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
-    @property
-    def n(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.weights[0].shape[1]
-
     def copy(self) -> "MlpModel":
         return MlpModel([w.copy() for w in self.weights],
                         [b.copy() for b in self.biases])
-
-    def _forward(self, X):
-        acts = [np.asarray(X, dtype=np.float64)]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w.T + b
-            acts.append(z if i == len(self.weights) - 1 else np.maximum(z, 0.0))
-        return acts
-
-    def scores(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        single = X.ndim == 1
-        out = self._forward(X[None, :] if single else X)[-1]
-        return out[0] if single else out
 
     def project(self) -> None:
         pass
@@ -249,14 +237,12 @@ def load_checkpoint(path):
 
 def predict(model, x) -> int:
     """1-based predicted class; ties go to the highest class index."""
-    return argmax_highest(model.scores(np.asarray(x, dtype=np.float64))) + 1
+    return argmax_highest(model.scores(x)) + 1
 
 
 def predict_batch(model, X) -> np.ndarray:
-    scores = model.scores(np.asarray(X, dtype=np.float64))
-    n = scores.shape[1]
-    # argmax with ties to the highest index, vectorized via reversal.
-    return n - np.argmax(scores[:, ::-1], axis=1).astype(np.int64)
+    """1-based predicted class of each row of X, ties as in predict."""
+    return argmax_highest(model.scores(X)) + 1
 
 
 class TrainingDiverged(RuntimeError):

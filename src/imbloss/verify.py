@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from . import datagen, theory, trainer
+from . import datagen, numerics, theory, trainer
 from .losses import LossSpec
 
 
@@ -117,7 +117,7 @@ def domination(rng: np.random.Generator, trials: int):
         label = int(rng.integers(1, n + 1))
         cost = float(rng.uniform(0.0, 5.0))
         rho = float(rng.uniform(0.2, 3.0))
-        predicted = n - int(np.argmax(scores[::-1]))
+        predicted = numerics.argmax_highest(scores) + 1
         loss = theory.margin_loss(scores, label, cost, rho)
         if loss < cost * (predicted != label) - 1e-12:
             failures += 1

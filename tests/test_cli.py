@@ -134,7 +134,9 @@ class TestConfigParsing:
         ("epochs = 4", "epochs = 2.5", "epochs"),
         ("lr0 = 0.1", "lr0 = fast", "lr0"),
         ("imb_ratio = 10", "imb_ratio = nan", "imb_ratio"),
-    ], ids=["dataset-int", "train-int", "train-float", "dataset-nan"])
+        ("q = 0.0, 0.3", "q = 0.3, 0.30", "q"),
+    ], ids=["dataset-int", "train-int", "train-float", "dataset-nan",
+            "repeated-grid-value"])
     def test_malformed_scalar_is_config_error(self, tmp_path, old, new, key):
         path = tmp_path / "bad.ini"
         path.write_text(BASE_CONFIG.replace(old, new))
@@ -470,6 +472,25 @@ class TestCommands:
         path.write_text("[dataset]\nprofile = nope\n")
         assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                      "synth"]) == 2
+
+    @pytest.mark.parametrize("cut", ["rows", "column"])
+    def test_split_disagreeing_with_its_sidecar_is_config_error(
+            self, config_file, tmp_path, capsys, cut):
+        out = tmp_path / "o"
+        main(["--config", str(config_file), "--out", str(out), "synth"])
+        csv = next((out / "datasets").rglob("train.csv"))
+        lines = csv.read_text().splitlines()
+        if cut == "rows":  # the header and the first half of the rows
+            lines = lines[:1 + (len(lines) - 1) // 2]
+        else:  # a consistent file one feature short
+            lines = [line.split(",", 1)[1] for line in lines]
+        csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["--config", str(config_file), "--out", str(out),
+                     "train"])
+        assert code == 2
+        assert "rerun `imbloss synth`" in capsys.readouterr().err
+        assert not (out / "runs").exists()
 
     def test_corrupt_dataset_is_runtime_error(self, config_file, tmp_path):
         out = tmp_path / "o"

@@ -18,7 +18,11 @@ from imbloss.losses import (
     eval_loss,
     psi_q,
 )
-from imbloss.numerics import finite_diff_gradient, gradient_rel_error
+from imbloss.numerics import (
+    finite_diff_gradient,
+    gradient_rel_error,
+    log_softmax,
+)
 
 
 def random_spec(rng, family, n):
@@ -453,3 +457,87 @@ class TestPriorStats:
         with pytest.raises(ValueError):
             batch_loss_and_grad(LossSpec("WCE"), np.zeros((3, 2)), [1, 2, 1],
                                 PriorStats(np.full((2, 2), 0.5)))
+
+
+def _reference_psi_family(spec, scores, labels, stats):
+    """Values and gradients of the eight Psi^q families written as three
+    branches (CE/WCE/LA/CB/LDAM at q = 0, GCE/GLA unweighted, GCA): the
+    reference the one shared code path must reproduce bit for bit."""
+    m, n = scores.shape
+    rows, idx = np.arange(m), labels - 1
+    onehot = np.zeros((m, n))
+    onehot[rows, idx] = 1.0
+
+    def label_stat(table):
+        return table[idx] if table.ndim == 1 else table[rows, idx]
+
+    def gce_core(adjusted, q):
+        logp = log_softmax(adjusted)
+        log_t = logp[rows, idx]
+        if q == 0.0:
+            return (-np.maximum(log_t, math.log(1e-300)), np.exp(logp),
+                    np.ones_like(log_t))
+        t_pow_q = np.exp(q * log_t)
+        return (1.0 - t_pow_q) / q, np.exp(logp), t_pow_q
+
+    family = spec.family
+    if family in ("CE", "WCE", "LA", "CB", "LDAM"):
+        adjusted = scores
+        if family == "LA":
+            adjusted = scores + spec.tau * stats.log_priors
+        elif family == "LDAM":
+            delta = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
+            adjusted = scores.copy()
+            adjusted[rows, idx] -= delta[idx]
+        values, probs, _ = gce_core(adjusted, 0.0)
+        weight = np.ones(m)
+        if family == "WCE":
+            weight = label_stat(stats.inv_priors)
+        elif family == "CB":
+            weight = (1.0 - spec.gamma) / (
+                1.0 - spec.gamma ** label_stat(stats.priors))
+        return weight * values, weight[:, None] * (probs - onehot)
+    if family in ("GCE", "GLA"):
+        adjusted = scores
+        if family == "GLA":
+            adjusted = scores + stats.log_priors / (1.0 - spec.q)
+        values, probs, t_pow_q = gce_core(adjusted, spec.q)
+        return values, t_pow_q[:, None] * (probs - onehot)
+    rho = np.asarray(spec.margins)[idx]
+    values, probs, t_pow_q = gce_core(scores / rho[:, None], spec.q)
+    weight = label_stat(stats.inv_priors)
+    return (weight * values,
+            (weight / rho * t_pow_q)[:, None] * (probs - onehot))
+
+
+class TestPsiFamiliesEqualTheReference:
+    # LDAM needs integer class counts, so it runs under ClassStats only.
+    @pytest.mark.parametrize("family,kind", [
+        (family, kind)
+        for family in ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
+        for kind in ("counts", "priors", "row_priors")
+        if family != "LDAM" or kind == "counts"])
+    def test_values_and_grads_are_bit_equal(self, family, kind):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            m, n = int(rng.integers(1, 30)), int(rng.integers(2, 7))
+            # wide scores reach the 1e-300 floor and t^q underflow
+            scores = rng.normal(0, float(rng.choice([1.0, 30.0, 400.0])),
+                                (m, n))
+            labels = rng.integers(1, n + 1, m)
+            if kind == "counts":
+                stats = ClassStats(rng.integers(1, 500, n))
+            elif kind == "priors":
+                stats = PriorStats(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+            else:
+                stats = PriorStats(rng.dirichlet(np.ones(n), m) * 0.9
+                                   + 0.1 / n)
+            spec = random_spec(rng, family, n)
+            values, grads = batch_loss_and_grad(spec, scores, labels, stats)
+            ref_values, ref_grads = _reference_psi_family(spec, scores,
+                                                          labels, stats)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(grads, ref_grads)
+            only, none = batch_loss_and_grad(spec, scores, labels, stats,
+                                             want_grad=False)
+            assert np.array_equal(only, ref_values) and none is None

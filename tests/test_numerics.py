@@ -120,6 +120,24 @@ class TestArgmaxHighest:
     def test_unique_max(self):
         assert argmax_highest([3.0, 1.0, 2.0]) == 0
 
+    def test_stacks_reduce_the_last_axis_row_by_row(self):
+        rng = np.random.default_rng(9)
+        # few distinct values, so most rows hold ties
+        stack = rng.integers(0, 3, (4, 50, 5)).astype(float)
+        top = argmax_highest(stack)
+        assert top.shape == (4, 50)
+        for index in np.ndindex(4, 50):
+            row = stack[index]
+            ref = max(i for i in range(5) if row[i] == row.max())
+            assert top[index] == ref == argmax_highest(row)
+        assert isinstance(argmax_highest(stack[0, 0]), int)
+
+    def test_rejects_empty_and_scalar(self):
+        with pytest.raises(ValueError):
+            argmax_highest(np.zeros((3, 0)))
+        with pytest.raises(ValueError):
+            argmax_highest(1.0)
+
 
 class TestSimplexProperties:
     @given(score_vectors)

@@ -32,6 +32,7 @@ from imbloss.theory import (
     gla_bound_transform,
     gla_pointwise_minimizer,
     margin_loss,
+    margin_losses,
     minimizability_gap_finite,
     minimize_conditional_error,
     minimize_conditional_errors,
@@ -291,6 +292,71 @@ class TestLockstepMinimizer:
         assert not np.shares_memory(first, solved[1][0])
         _assert_solo_equal(LossSpec("GLA", q=0.0), points[1:], solved[1:],
                            max_steps=50)
+
+
+def _all_label_values(spec, scores, stats):
+    """Loss value of every label on one score vector, from its n tiled
+    rows: the reference of the conditional errors."""
+    n = stats.n
+    tiled = np.tile(np.asarray(scores, dtype=np.float64), (n, 1))
+    values, _ = batch_loss_and_grad(spec, tiled, np.arange(1, n + 1), stats,
+                                    want_grad=False)
+    return values
+
+
+def _reference_gap(joint, tables, spec):
+    """minimizability_gap_finite as a loop over (hypothesis, x)."""
+    stats = PriorStats(joint.p_y)
+    cond_err = np.empty((len(tables), joint.num_x))
+    for hi, table in enumerate(tables):
+        for xi in range(joint.num_x):
+            cond_err[hi, xi] = (joint.cond_y_given_x[xi]
+                                @ _all_label_values(spec, table[xi], stats))
+    risks = cond_err @ joint.p_x
+    return float(risks.min() - joint.p_x @ cond_err.min(axis=0))
+
+
+def _spec_for(family, n):
+    return {
+        "GLA0": LossSpec("GLA", q=0.0), "GLA": LossSpec("GLA", q=0.6),
+        "GCE": LossSpec("GCE", q=0.3), "LA": LossSpec("LA", tau=0.7),
+        "WCE": LossSpec("WCE"), "CE": LossSpec("CE"),
+        "CB": LossSpec("CB", gamma=0.9), "FOCAL": LossSpec("FOCAL", gamma=2.0),
+        "CSMAX": LossSpec("CSMAX", rho_margin=0.5, psi_tau=1.0),
+        "GCA": LossSpec("GCA", q=0.4,
+                        margins=tuple(np.linspace(0.5, 2.0, n))),
+    }[family]
+
+
+_REFERENCE_FAMILIES = ("GLA0", "GLA", "GCE", "LA", "WCE", "CE", "CB",
+                       "FOCAL", "CSMAX", "GCA")
+
+
+class TestConditionalErrorsEqualTheReference:
+    @pytest.mark.parametrize("family", _REFERENCE_FAMILIES)
+    def test_conditional_error(self, family):
+        rng = np.random.default_rng(44)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            spec = _spec_for(family, n)
+            point = random_conditional_point(rng, n)
+            scores = rng.normal(0, 3, n)
+            ref = float(point.cond @ _all_label_values(
+                spec, scores, PriorStats(point.priors)))
+            assert conditional_error(spec, scores, point) == ref
+
+    @pytest.mark.parametrize("family", _REFERENCE_FAMILIES)
+    def test_minimizability_gap(self, family):
+        rng = np.random.default_rng(45)
+        for _ in range(10):
+            num_x, n = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+            joint = random_discrete_joint(num_x, n, 0.05,
+                                          seed=int(rng.integers(1e6)))
+            tables = [rng.normal(0, 2, (num_x, n))
+                      for _ in range(int(rng.integers(1, 5)))]
+            spec = _spec_for(family, n)
+            assert (minimizability_gap_finite(joint, tables, spec)
+                    == _reference_gap(joint, tables, spec))
 
 
 class TestConditionalError:
@@ -627,10 +693,8 @@ class TestMarginLoss:
 
     def test_conventions_differ_exactly_when_margins_clear_rho(self):
         scores = [3.0, 0.5, -1.0]
-        # all competing gaps >= rho: runner-up reading gives 0, the
-        # label-inclusive reading pins the loss at cost * Phi(0) = cost
+        # all competing gaps >= rho: the runner-up reading gives 0
         assert margin_loss(scores, 1, 2.0, 1.0) == 0.0
-        assert margin_loss(scores, 1, 2.0, 1.0, include_label=True) == 2.0
 
     def test_dominates_cost_weighted_zero_one(self):
         rng = np.random.default_rng(14)
@@ -646,23 +710,45 @@ class TestMarginLoss:
             assert margin_loss(scores, label, cost, rho) >= zero_one - 1e-12
 
 
-class TestBatchMarginRisk:
-    def test_matches_scalar_margin_loss(self):
-        from imbloss.theory import _batch_margin_risk
+def _reference_margin_loss(scores, label, cost, rho):
+    """The margin loss written for one score vector with np.delete: the
+    reference every row of margin_losses must equal."""
+    gaps = np.delete(scores[label - 1] - scores, label - 1)
+    return float(cost * np.max(phi_rho(gaps, rho)))
 
+
+class TestMarginLosses:
+    def test_every_row_equals_the_scalar_reference(self):
         rng = np.random.default_rng(15)
         for _ in range(50):
             m, n = int(rng.integers(1, 20)), int(rng.integers(2, 6))
             scores = rng.normal(0, 2, (m, n))
+            # ties between the label and the runner-up, and among rivals
+            scores[:, -1] = np.where(rng.random(m) < 0.3, scores[:, 0],
+                                     scores[:, -1])
             labels = rng.integers(1, n + 1, m)
             costs = rng.uniform(0, 5, m)
             rho = float(rng.uniform(0.2, 3.0))
-            direct = np.mean([
-                margin_loss(scores[i], int(labels[i]), float(costs[i]), rho)
-                for i in range(m)
-            ])
-            assert _batch_margin_risk(scores, labels, costs, rho) == \
-                pytest.approx(direct, abs=1e-14)
+            rows = margin_losses(scores, labels, costs, rho)
+            for i in range(m):
+                ref = _reference_margin_loss(scores[i], int(labels[i]),
+                                             float(costs[i]), rho)
+                assert rows[i] == ref
+                assert margin_loss(scores[i], int(labels[i]),
+                                   float(costs[i]), rho) == ref
+
+    def test_rejects_bad_input(self):
+        scores = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="n >= 2"):
+            margin_losses(np.zeros((2, 1)), [1, 1], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="1..3"):
+            margin_losses(scores, [1, 4], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="costs"):
+            margin_losses(scores, [1, 2], [1.0, -1.0], 1.0)
+        with pytest.raises(ValueError, match="rho"):
+            margin_losses(scores, [1, 2], [1.0, 1.0], 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            margin_loss([1.0, np.nan], 1, 1.0, 1.0)
 
 
 class TestRademacher:
@@ -819,7 +905,6 @@ class TestMinimizabilityGap:
         rows = [np.array([a, b]) for a in grid for b in grid]
         rows += [t[x] for t in tables for x in range(3)]
         stats = PriorStats(joint.p_y)
-        from imbloss.theory import _all_label_values
         per_x_best = np.array([
             min(float(joint.cond_y_given_x[x] @ _all_label_values(spec, r, stats))
                 for r in rows)

@@ -75,6 +75,44 @@ class TestPredict:
         np.testing.assert_array_equal(predict_batch(model, X), np.full(10, 4))
 
 
+def reference_scores(model, X):
+    """The forward pass written on 2-d arrays, one layer at a time: the
+    reference of the stacked forward pass behind model.scores."""
+    ws = [model.weights] if isinstance(model, LinearModel) else model.weights
+    bs = [model.biases] if isinstance(model, LinearModel) else model.biases
+    out = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        out = out @ w.T + b
+        if i < len(ws) - 1:
+            out = np.maximum(out, 0.0)
+    return out
+
+
+class TestScores:
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_scores_equal_the_2d_reference(self, kind):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n, d = int(rng.integers(2, 12)), int(rng.integers(1, 25))
+            if kind == "linear":
+                model = LinearModel(rng.normal(0, 1, (n, d)),
+                                    rng.normal(0, 1, n))
+            else:
+                widths = [d, *rng.integers(1, 16, int(rng.integers(1, 3))), n]
+                model = MlpModel.init_random(widths, int(rng.integers(1000)))
+                model.biases = [rng.normal(0, 0.5, b.shape)
+                                for b in model.biases]
+            assert (model.n, model.d) == (n, d)
+            X = rng.normal(0, 3, (int(rng.integers(1, 3000)), d))
+            assert np.array_equal(model.scores(X), reference_scores(model, X))
+            x = X[0]
+            assert model.scores(x).shape == (n,)
+            assert np.array_equal(model.scores(x),
+                                  reference_scores(model, x)[0])
+            assert np.array_equal(model.scores(x.tolist()),
+                                  reference_scores(model, x)[0])
+
+
 class TestTrain:
     def test_zero_lr_leaves_model_unchanged(self):
         data = separable_blobs()
