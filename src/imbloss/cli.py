@@ -11,12 +11,12 @@ Exit codes: 0 success, 2 config error, 3 theory-check violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,19 +49,26 @@ EXIT_RUNTIME = 4
 SPLITS = ("train", "val", "test")
 
 
-def _dump_json(path: Path, payload) -> None:
-    """Write through a temp file in the same directory and os.replace, so
-    a reader finds either no file or the whole of it."""
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """Open a temp file in path's directory for writing and os.replace it
+    onto path when the block completes, so a reader finds the old file or
+    the whole new one; a block that raises leaves no temp file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _dump_json(path: Path, payload) -> None:
+    with _replacing(path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _append_jsonl(fh, record) -> None:
@@ -242,6 +249,10 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
         tasks = [(config, gridpoint, pending, splits, out)
                  for gridpoint, pending in groups]
         if jobs > 1 and len(tasks) > 1:
+            # imported here: it loads multiprocessing, which nothing else
+            # needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 trained = list(pool.map(_group_worker, tasks))
         else:
@@ -350,10 +361,9 @@ def cmd_verify(suite: str, budget, seed: int, out: Path) -> int:
         raise ConfigError(f"--budget must be >= 1, got {budget}")
     if seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
-    out.mkdir(parents=True, exist_ok=True)
     evidence_path = out / f"verify_{suite}.jsonl"
     violations = 0
-    with open(evidence_path, "w", encoding="ascii", newline="\n") as fh:
+    with _replacing(evidence_path) as fh:
         for record in records(budget, seed):
             _append_jsonl(fh, record)
             violations += verify.is_violation(record)

@@ -68,21 +68,28 @@ class ClassStats:
     ``priors[k]`` is m_k / m and ``inv_priors[k]`` is m / m_k. The latter
     is the canonical class weight used by every weighted loss so that
     the "1 / p(y)" and "m / m_y" forms coincide exactly.
+
+    ``counts`` is one count vector, or an (m, n) array holding one per
+    score row of the batch it is evaluated with, as for
+    :class:`PriorStats`; every row's statistics are then bit for bit
+    those of its vector alone, and ``total`` and ``p_min`` are per row.
     """
 
     def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0:
-            raise ValueError("counts must be a non-empty vector")
+        if counts.ndim not in (1, 2) or counts.size == 0:
+            raise ValueError("counts must be a non-empty vector or (m, n) array")
         if np.any(counts < 1):
             raise ValueError(f"every class needs at least one example, got {counts}")
         self.counts = counts
-        self.total = int(counts.sum())
+        self.total = (int(counts.sum()) if counts.ndim == 1
+                      else counts.sum(axis=1, keepdims=True))
         self.priors = counts / self.total
         self.inv_priors = self.total / counts
         self.log_priors = np.log(self.priors)
-        self.p_min = float(self.priors.min())
-        self.n = int(counts.size)
+        self.p_min = (float(self.priors.min()) if counts.ndim == 1
+                      else self.priors.min(axis=1))
+        self.n = int(counts.shape[-1])
 
     @classmethod
     def from_labels(cls, labels, n: int | None = None) -> "ClassStats":
@@ -305,8 +312,9 @@ def batch_loss_and_grad(
     """Per-example loss values and score gradients for a batch.
 
     ``equal_draws`` (an (m, n) 0/1 array) fixes the EQUAL loss's Bernoulli
-    gate; otherwise the draws come from ``rng``. A :class:`PriorStats` with
-    (m, n) priors gives each row its own class marginal. Returns
+    gate; otherwise the draws come from ``rng``. Stats with one row per
+    score row (an (m, n) :class:`ClassStats` or :class:`PriorStats`) give
+    each row its own class statistics. Returns
     ``(values, grads)`` where grads is None when want_grad is False.
     """
     family = spec.family
@@ -334,7 +342,7 @@ def batch_loss_and_grad(
                 raise ValueError("LDAM needs integer class counts (ClassStats)")
             delta = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
             adjusted = scores.copy()
-            adjusted[rows, idx] -= delta[idx]
+            adjusted[rows, idx] -= _label_stat(delta, rows, idx)
         elif family == "GCA":
             margins = np.asarray(spec.margins, dtype=np.float64)
             if margins.size != n:

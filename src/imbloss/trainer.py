@@ -11,13 +11,15 @@ enforced by projection after every step. Given a seed, a training run is
 bitwise deterministic.
 
 There is one SGD loop, and it trains R runs in lockstep: runs that share
-the data, the loss and every TrainConfig field but the seed. Their
+the loss and every TrainConfig field but the seed, and that train on one
+shared dataset or each on its own dataset of the same shape. Their
 parameters are stacked along a leading model axis and each run keeps its
-own generator, so every run's model and history are bit for bit those of
-training it alone. ``train`` is that loop at R = 1; ``train_lockstep``
-takes the seeds of one grid point, as ``imbloss train`` does. There is
-also one forward pass, over such stacks: a model's ``scores`` runs it on a
-stack of one.
+own generator and label statistics, so every run's model and history are
+bit for bit those of training it alone. ``train`` is that loop at R = 1;
+``train_lockstep`` takes the seeds of one grid point on shared data, as
+``imbloss train`` does, or resamples each with its own train set, as
+``verify margin`` does. There is also one forward pass, over such stacks:
+a model's ``scores`` runs it on a stack of one.
 
 Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
@@ -41,6 +43,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .losses import (
+    ClassStats,
     LossSpec,
     batch_loss_and_grad,
     draw_equal_gates,
@@ -264,9 +267,13 @@ def train(model, data: Dataset, spec: LossSpec, cfg: TrainConfig):
     return outcome
 
 
-def train_lockstep(models, data: Dataset, spec: LossSpec, cfgs):
+def train_lockstep(models, data, spec: LossSpec, cfgs):
     """Train several models in lockstep, one per config; cfgs may differ
     only in their seed, and the models must share one architecture.
+
+    ``data`` is one Dataset that every run trains on, or a list of one
+    Dataset per model, all with the same m, n and d; each run then draws
+    its batches and its label statistics from its own.
 
     Returns one outcome per model, in order: ``(model, history)`` as
     :func:`train` returns it, or the TrainingDiverged that train would
@@ -316,12 +323,31 @@ def _sgd_lockstep(models, data, spec, cfgs):
     EQUAL gates in the order a solo run draws them. Every operation acts
     on each slice as the solo loop acts on its arrays, so each run is
     bitwise identical to training it alone.
+
+    Runs with their own datasets train on them concatenated: each run's
+    permutations are offset to its own rows, and the loss reads per-row
+    ClassStats, built again only when the live runs or the batch size
+    change.
     """
     if len(models) != len(cfgs) or not models:
         raise ValueError("need one config per model, and at least one model")
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("lockstep configs may differ only in seed")
+    if isinstance(data, Dataset):
+        features, labels, stats = data.features, data.labels, data.stats()
+        counts = offsets = None
+    else:
+        if len(data) != len(models):
+            raise ValueError("need one dataset per model")
+        if any((x.m, x.n, x.d) != (data[0].m, data[0].n, data[0].d)
+               for x in data):
+            raise ValueError("lockstep datasets must share m, n and d")
+        features = np.concatenate([x.features for x in data])
+        labels = np.concatenate([x.labels for x in data])
+        counts = np.stack([x.stats().counts for x in data])
+        offsets = np.arange(len(data)) * data[0].m
+        data = data[0]  # for m, n and d, which every dataset shares
     first = models[0]
     shapes = [(w.shape, b.shape) for w, b in first._layers()]
     for model in models:
@@ -346,18 +372,19 @@ def _sgd_lockstep(models, data, spec, cfgs):
     # biases when they train. zip() below stops at the last velocity.
     velocity = [np.zeros_like(a)
                 for a in arrays[:2 * depth if first.use_bias else depth]]
-    stats = data.stats()
     # Per-run state is indexed by stack slice, so the runs that diverge
     # leave every stack through one boolean mask.
     rngs = np.array([np.random.default_rng(c.seed) for c in cfgs])
     live = np.arange(len(models))  # run index of each stack slice
     outcomes = [None] * len(models)
     histories = [[] for _ in models]
+    row_stats = {}  # batch size -> ClassStats of the live runs' batch rows
 
     def leave(ok, what):
         # Runs outside ``ok`` diverged at this step: record them and drop
         # them from the run state (per-step arrays are the caller's).
         nonlocal live, rngs, orders, loss_sums, arrays, velocity
+        nonlocal counts, offsets
         for run in live[~ok]:
             outcomes[run] = TrainingDiverged(
                 f"non-finite {what} at epoch {epoch}, step {step} "
@@ -365,6 +392,9 @@ def _sgd_lockstep(models, data, spec, cfgs):
         live, rngs, orders, loss_sums = (
             x[ok] for x in (live, rngs, orders, loss_sums))
         arrays, velocity = ([a[ok] for a in x] for x in (arrays, velocity))
+        if counts is not None:
+            counts, offsets = counts[ok], offsets[ok]
+            row_stats.clear()
 
     m, n = data.m, data.n
     batches_per_epoch = (m + cfg.batch_size - 1) // cfg.batch_size
@@ -372,6 +402,8 @@ def _sgd_lockstep(models, data, spec, cfgs):
     step = 0
     for epoch in range(cfg.epochs):
         orders = np.stack([rng.permutation(m) for rng in rngs])
+        if offsets is not None:
+            orders += offsets[:, None]
         loss_sums = np.zeros(live.size)
         for b in range(batches_per_epoch):
             batch = orders[:, b * cfg.batch_size:(b + 1) * cfg.batch_size]
@@ -382,8 +414,7 @@ def _sgd_lockstep(models, data, spec, cfgs):
             # Lookahead: evaluate the gradient at w + mu * v.
             for p, v in zip(arrays, velocity):
                 p += cfg.momentum * v
-            acts = _forward(arrays[:depth], arrays[depth:],
-                            data.features[batch])
+            acts = _forward(arrays[:depth], arrays[depth:], features[batch])
             # Diverged runs leave before the shared loss call, which
             # rejects non-finite scores for the whole stack.
             if not np.isfinite(acts[-1]).all():
@@ -397,8 +428,13 @@ def _sgd_lockstep(models, data, spec, cfgs):
             if spec.family == "EQUAL":
                 draws = np.concatenate([draw_equal_gates(spec, rng, (size, n))
                                         for rng in rngs])
+            if counts is not None:
+                if size not in row_stats:
+                    row_stats[size] = ClassStats(
+                        np.repeat(counts, size, axis=0))
+                stats = row_stats[size]
             values, dscores = batch_loss_and_grad(
-                spec, acts[-1].reshape(-1, n), data.labels[batch].reshape(-1),
+                spec, acts[-1].reshape(-1, n), labels[batch].reshape(-1),
                 stats, equal_draws=draws)
             values = values.reshape(live.size, size)
             dscores = dscores.reshape(live.size, size, n)

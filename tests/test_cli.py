@@ -1,6 +1,11 @@
 """Tests for config parsing and the command-line workflows."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,17 @@ from imbloss.config import (
     synthesize_splits,
 )
 from imbloss.losses import ClassStats
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, tmp_path, **env):
+    """Run ``python args`` in a fresh process with imbloss importable."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 BASE_CONFIG = """\
@@ -376,6 +392,32 @@ class TestCommands:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
 
+    def test_failed_verify_suite_keeps_the_old_evidence(self, tmp_path,
+                                                        monkeypatch):
+        from imbloss import cli
+
+        out = tmp_path / "v"
+        assert main(["--out", str(out), "verify", "bayes",
+                     "--budget", "3"]) == 0
+        before = (out / "verify_bayes.jsonl").read_bytes()
+
+        def one_record_then_fail(budget, seed):
+            yield {"trial": 0, "ok": True}
+            raise RuntimeError("suite failed partway")
+
+        monkeypatch.setitem(cli.VERIFY_SUITES, "bayes",
+                            (3, one_record_then_fail))
+        assert main(["--out", str(out), "verify", "bayes"]) == 4
+        assert (out / "verify_bayes.jsonl").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["verify_bayes.jsonl"]
+
+    def test_importing_the_cli_loads_no_process_pool(self, tmp_path):
+        done = run_python(["-c", "import sys, imbloss.cli; print(sorted("
+                           "{'concurrent.futures.process', 'multiprocessing'}"
+                           " & set(sys.modules)))"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_verify_suites_small_budget(self, tmp_path):
         out = tmp_path / "v"
         assert main(["--out", str(out), "--seed", "3", "verify", "bayes",
@@ -400,6 +442,51 @@ class TestCommands:
         assert [r["trial"] for r in whole] == [t for t in range(23)
                                                for _ in range(2)]
 
+    def test_margin_records_do_not_depend_on_the_block_size(self,
+                                                            monkeypatch):
+        # the margin suite trains its resamples a block at a time; the
+        # records of 10 resamples in blocks of 3 (the last of one) are
+        # those of one block of all of them
+        from imbloss import verify
+
+        monkeypatch.setattr(verify, "_MARGIN_BLOCK", 10)
+        whole = list(verify.margin_bound(np.random.default_rng(4), 10))
+        monkeypatch.setattr(verify, "_MARGIN_BLOCK", 3)
+        assert list(verify.margin_bound(np.random.default_rng(4), 10)) == whole
+        assert [r.get("rep") for r in whole] == [*range(10), None]
+
+    def test_diverged_margin_resample_raises_after_the_ones_before(
+            self, monkeypatch):
+        from imbloss import trainer, verify
+
+        train_lockstep = trainer.train_lockstep
+
+        def diverge_rep_4(models, data, spec, cfgs):
+            return [trainer.TrainingDiverged(f"rep {cfg.seed}")
+                    if cfg.seed == 4 else outcome for cfg, outcome in
+                    zip(cfgs, train_lockstep(models, data, spec, cfgs))]
+
+        monkeypatch.setattr(verify, "_MARGIN_BLOCK", 3)
+        monkeypatch.setattr(trainer, "train_lockstep", diverge_rep_4)
+        records = verify.margin_bound(np.random.default_rng(4), 10)
+        assert [next(records)["rep"] for _ in range(4)] == [0, 1, 2, 3]
+        with pytest.raises(trainer.TrainingDiverged, match="rep 4"):
+            next(records)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_full_budget_margin_bytes_are_pinned(self, tmp_path, threads):
+        # written when the margin suite trained each of its 100 resamples
+        # alone, before it trained them in blocks; the same under 1 and 2
+        # BLAS threads
+        done = run_python(["-m", "imbloss.cli", "--out", "v", "--seed", "0",
+                           "verify", "margin", "--budget", "10000"],
+                          tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(
+            (tmp_path / "v" / "verify_margin.jsonl").read_bytes()
+        ).hexdigest() == ("bdb0af257f7d5dd162f63deb02c221ee"
+                          "d512dcce898c1b9ed29bb6f6c69e0656")
+
     @pytest.mark.parametrize("suite, budget, seed, code, digest", [
         # written by the per-point descent before the lockstep loop
         ("bayes", 30, 0, 0, "75b7f71e1518faaa02eea5b8f30c6e0d"
@@ -420,8 +507,6 @@ class TestCommands:
     def test_verify_evidence_bytes_are_pinned(self, tmp_path, suite, budget,
                                               seed, code, digest):
         # the evidence must not change by a byte
-        import hashlib
-
         out = tmp_path / "v"
         assert main(["--out", str(out), "--seed", str(seed), "verify", suite,
                      "--budget", str(budget)]) == code

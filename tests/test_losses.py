@@ -66,6 +66,45 @@ class TestClassStats:
             ClassStats([3, 0])
         with pytest.raises(ValueError):
             ClassStats.from_labels([1, 1], n=2)
+        with pytest.raises(ValueError):
+            ClassStats([[3, 1], [2, 0]])
+
+    def test_each_row_equals_its_vector_alone(self):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(1, 10**6, (200, 5))
+        counts[:20] = rng.integers(1, 4, (20, 5))
+        rows = ClassStats(counts)
+        assert rows.n == 5
+        for k, row in enumerate(counts):
+            alone = ClassStats(row)
+            assert rows.total[k, 0] == alone.total
+            assert rows.p_min[k] == alone.p_min
+            for name in ("counts", "priors", "inv_priors", "log_priors"):
+                assert np.array_equal(getattr(rows, name)[k],
+                                      getattr(alone, name)), name
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_row_counts_give_each_row_its_own_loss(self, family):
+        # one loss call over rows with their own counts equals a call per
+        # row with that row's counts alone, values and gradients
+        rng = np.random.default_rng(6)
+        m, n = 40, 4
+        counts = rng.integers(1, 60, (m, n))
+        scores = rng.normal(0, 3, (m, n))
+        labels = rng.integers(1, n + 1, m)
+        draws = (rng.random((m, n)) < 0.5).astype(np.float64)
+        spec = random_spec(rng, family, n)
+        if family == "EQUAL":  # gates a different class set in each row
+            spec = LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.25)
+        values, grads = batch_loss_and_grad(spec, scores, labels,
+                                            ClassStats(counts),
+                                            equal_draws=draws)
+        for k in range(m):
+            value, grad = batch_loss_and_grad(
+                spec, scores[k:k + 1], labels[k:k + 1], ClassStats(counts[k]),
+                equal_draws=draws[k:k + 1])
+            assert values[k] == value[0]
+            assert np.array_equal(grads[k], grad[0])
 
 
 class TestLossSpecValidation:

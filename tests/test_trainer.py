@@ -241,6 +241,17 @@ def imbalanced_mixture():
     return gaussian_mixture(3, 4, [40, 17, 6], means, np.ones(3), 1)
 
 
+def own_mixtures(count):
+    """One 63 x 4, 3-class dataset per run, each with its own class counts;
+    the first is imbalanced_mixture(). At eq_lambda = 0.2 EQUAL gates
+    class 3, class 1, no class, classes 1 and 3, then class 3."""
+    means = np.random.default_rng(0).normal(0.0, 1.5, (3, 4))
+    counts = [(40, 17, 6), (8, 40, 15), (21, 21, 21), (12, 45, 6),
+              (30, 25, 8)]
+    return [gaussian_mixture(3, 4, list(c), means, np.ones(3), seed)
+            for seed, c in enumerate(counts[:count], 1)]
+
+
 def lockstep_spec(family, stats):
     params = {
         "CE": {}, "WCE": {}, "LA": {"tau": 1.5},
@@ -274,10 +285,12 @@ def assert_same_outcome(got, want):
 
 
 def assert_lockstep_matches_solo(models, data, spec, cfgs):
+    """data is one shared Dataset or a list of one per model."""
     outcomes = train_lockstep(models, data, spec, cfgs)
     assert len(outcomes) == len(models)
-    for model, cfg, outcome in zip(models, cfgs, outcomes):
-        assert_same_outcome(outcome, solo(model, data, spec, cfg))
+    own = data if isinstance(data, list) else [data] * len(models)
+    for model, x, cfg, outcome in zip(models, own, cfgs, outcomes):
+        assert_same_outcome(outcome, solo(model, x, spec, cfg))
     return outcomes
 
 
@@ -402,6 +415,72 @@ class TestLockstep:
         assert any("non-finite loss" in msg for msg in diverged)
         assert not isinstance(outcomes[0], TrainingDiverged)
         assert not isinstance(outcomes[2], TrainingDiverged)
+
+    @pytest.mark.parametrize("family", [
+        "CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM",
+        "GCE", "GLA", "GCA", "CSMAX"])
+    def test_own_datasets_match_solo_runs(self, family):
+        # LDAM, CB, LA, GLA, WCE, GCA and CSMAX read each run's own counts
+        # or priors, and EQUAL its own gates; the last batch is shorter.
+        cfgs = seed_configs(seeds=(3, 4, 5, 6, 7))
+        data = own_mixtures(len(cfgs))
+        spec = lockstep_spec(family, data[0].stats())
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        assert_lockstep_matches_solo(models, data, spec, cfgs)
+
+    @pytest.mark.parametrize("make", [
+        lambda s: LinearModel.init_random(3, 4, s, norm_bound=0.4,
+                                          use_bias=False),
+        lambda s: MlpModel.init_random([4, 8, 5, 3], s),
+    ], ids=["norm-bound", "mlp"])
+    @pytest.mark.parametrize("family", ["WCE", "EQUAL"])
+    def test_own_datasets_models_match_solo_runs(self, make, family):
+        cfgs = seed_configs(weight_decay=1e-2)
+        data = own_mixtures(len(cfgs))
+        spec = lockstep_spec(family, data[0].stats())
+        assert_lockstep_matches_solo([make(c.seed) for c in cfgs], data,
+                                     spec, cfgs)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_own_datasets_diverged_runs_leave_the_stack_alone(self):
+        # Runs 1 and 4 leave at the first step, run 3 at the third; the
+        # runs that stay read their own stats after each leave.
+        cfgs = seed_configs(seeds=(0, 1, 2, 3, 4))
+        data = own_mixtures(len(cfgs))
+        spec = lockstep_spec("CSMAX", data[0].stats())
+        models = []
+        for cfg, scale in zip(cfgs, (1.0, 3e307, 1.0, 2e307, np.inf)):
+            model = LinearModel.init_random(3, 4, cfg.seed)
+            model.weights *= scale
+            models.append(model)
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        diverged = [str(o) for o in outcomes
+                    if isinstance(o, TrainingDiverged)]
+        assert len(diverged) == 3
+        assert any("non-finite scores" in msg for msg in diverged)
+        assert "non-finite loss at epoch 0, step 2 " in str(outcomes[3])
+        assert not isinstance(outcomes[0], TrainingDiverged)
+        assert not isinstance(outcomes[2], TrainingDiverged)
+
+    def test_rejects_datasets_that_differ_in_shape_or_count(self):
+        spec = LossSpec("WCE")
+        cfgs = seed_configs(seeds=(0, 1))
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        means = np.zeros((3, 4))
+        good = own_mixtures(2)
+        for other, what in [
+                (gaussian_mixture(3, 4, [40, 17, 7], means, np.ones(3), 1),
+                 "m"),
+                (gaussian_mixture(4, 4, [40, 17, 3, 3], np.zeros((4, 4)),
+                                  np.ones(4), 1), "n"),
+                (gaussian_mixture(3, 5, [40, 17, 6], np.zeros((3, 5)),
+                                  np.ones(3), 1), "d")]:
+            with pytest.raises(ValueError, match="share m, n and d"):
+                train_lockstep(models, [good[0], other], spec, cfgs)
+        for count in (1, 3):
+            with pytest.raises(ValueError, match="one dataset per model"):
+                train_lockstep(models, own_mixtures(count), spec, cfgs)
 
     def test_rejects_stacks_that_differ_beyond_the_seed(self):
         data = imbalanced_mixture()
