@@ -157,21 +157,23 @@ def _read_metrics(path: Path):
     return None
 
 
-def _execute_group(config, gridpoint, seeds, splits, out: Path):
-    """Train one grid point's seeds in lockstep; returns their metrics
-    payloads in seed order."""
+def _execute_stack(config, points, splits, out: Path):
+    """Train the pending seeds of grid points whose losses differ only in
+    q as one lockstep stack; returns each run's metrics payload, keyed by
+    (run hash, seed)."""
     train_set, val_set, test_set = (splits[s] for s in SPLITS)
     tb = config["train"]
-    run_hash = _run_hash(config, gridpoint)
-    spec = spec_from_gridpoint(gridpoint, train_set.stats())
-    cfgs = [train_config(tb, seed) for seed in seeds]
-    models = [_make_model(tb, train_set.n, train_set.d, seed)
-              for seed in seeds]
-    outcomes = train_lockstep(models, train_set, spec, cfgs)
+    runs = [(gridpoint, seed) for gridpoint, seeds in points for seed in seeds]
+    specs = [spec_from_gridpoint(gridpoint, train_set.stats())
+             for gridpoint, _ in runs]
+    outcomes = train_lockstep(
+        [_make_model(tb, train_set.n, train_set.d, seed) for _, seed in runs],
+        train_set, specs, [train_config(tb, seed) for _, seed in runs])
 
     metrics = config["eval"]["metrics"]
-    payloads = []
-    for seed, outcome in zip(seeds, outcomes):
+    payloads = {}
+    for (gridpoint, seed), spec, outcome in zip(runs, specs, outcomes):
+        run_hash = _run_hash(config, gridpoint)
         run_dir = out / "runs" / run_hash / str(seed)
         run_dir.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -183,7 +185,7 @@ def _execute_group(config, gridpoint, seeds, splits, out: Path):
             "hyperparams": spec.hyperparams(),
             "seed": seed,
         }
-        payloads.append(payload)
+        payloads[run_hash, seed] = payload
         if isinstance(outcome, TrainingDiverged):
             payload.update(status="diverged", error=str(outcome))
             _dump_json(run_dir / "metrics.json", payload)
@@ -212,25 +214,26 @@ def _execute_group(config, gridpoint, seeds, splits, out: Path):
     return payloads
 
 
-def _group_worker(args):
-    return _execute_group(*args)
+def _stack_worker(args):
+    return _execute_stack(*args)
 
 
 def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     """One run per (grid point x seed); summary with mean +- sd per point.
 
-    The pending seeds of each grid point train in lockstep; with jobs > 1
-    the workers take whole grid points. The splits are read once, and
-    only when some run is pending. The best grid point is selected by
-    mean validation balanced error and reported on test. Diverged runs
-    are recorded, not fatal.
+    The pending runs of grid points whose losses differ only in q train
+    as one lockstep stack; with jobs > 1 each such stack's grid points are
+    split among the workers, and each worker trains its share as one
+    stack. The splits are read once, and only when some run is pending.
+    The best grid point is selected by mean validation balanced error and
+    reported on test. Diverged runs are recorded, not fatal.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     grid = loss_grid_points(config)
     seeds = [config["train"]["seed"] + i
              for i in range(config["train"]["repeats"])]
-    done, groups = {}, []
+    done, stacks = {}, {}
     for gridpoint in grid:
         run_hash = _run_hash(config, gridpoint)
         pending = []
@@ -242,25 +245,29 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
             else:
                 done[run_hash, seed] = payload
         if pending:
-            groups.append((gridpoint, pending))
+            key = json.dumps({k: v for k, v in gridpoint.items() if k != "q"},
+                             sort_keys=True)
+            stacks.setdefault(key, []).append((gridpoint, pending))
 
-    if groups:
+    if stacks:
         splits = _load_splits(config, out)
-        tasks = [(config, gridpoint, pending, splits, out)
-                 for gridpoint, pending in groups]
+        tasks = []
+        for points in stacks.values():
+            parts = min(jobs, len(points))
+            tasks += [(config, points[len(points) * i // parts:
+                                      len(points) * (i + 1) // parts],
+                       splits, out) for i in range(parts)]
         if jobs > 1 and len(tasks) > 1:
             # imported here: it loads multiprocessing, which nothing else
             # needs
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                trained = list(pool.map(_group_worker, tasks))
+                trained = list(pool.map(_stack_worker, tasks))
         else:
-            trained = [_group_worker(task) for task in tasks]
-        for (gridpoint, pending), payloads in zip(groups, trained):
-            run_hash = _run_hash(config, gridpoint)
-            for seed, payload in zip(pending, payloads):
-                done[run_hash, seed] = payload
+            trained = [_stack_worker(task) for task in tasks]
+        for payloads in trained:
+            done.update(payloads)
 
     summary_rows = []
     for gridpoint in grid:

@@ -289,18 +289,23 @@ def write_dataset_csv(dataset: Dataset, csv_path, meta_path=None) -> None:
 
 
 class DatasetShapeError(ValueError):
-    """A split whose rows or columns disagree with its header or sidecar."""
+    """A split with a non-numeric field, or whose rows or columns disagree
+    with its header or sidecar."""
 
 
 def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
-    """Read a split written by :func:`write_dataset_csv`; its shape must
-    match its header and its sidecar's m and d (DatasetShapeError)."""
+    """Read a split written by :func:`write_dataset_csv`; every field must
+    be a number, and its shape must match its header and its sidecar's m
+    and d (DatasetShapeError)."""
     with open(csv_path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "label":
             raise ValueError(f"{csv_path}: last column must be 'label'")
         d = len(header) - 1
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DatasetShapeError(f"{csv_path}: {exc}") from None
     meta = {}
     if meta_path is not None:
         with open(meta_path, "r", encoding="ascii") as fh:

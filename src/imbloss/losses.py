@@ -24,7 +24,15 @@ Implements closed-form values and analytic score gradients for:
 CE, WCE, LA, CB, LDAM, GCE, GLA and GCA share one code path, weight_y *
 Psi^q(softmax(adjusted scores)_y) with q = 0 and GCA's margin rho = 1 where
 a family has none; multiplying or dividing by 1.0 is exact, so the GLA/LA
-and GCA/WCE identities hold bit for bit.
+and GCA/WCE identities hold bit for bit. That path is class-major: it
+transposes the adjusted scores once to (n, m), so every reduction and
+broadcast over the classes runs along m-long rows, and it adds the classes
+in the exact order of numpy's last-axis sum over a row: one by one for
+n < 8, numpy's pairwise tree of eight running sums for 8 <= n <= 128, and
+numpy's own sum beyond. Its values and gradients are therefore bit for bit
+those of the row-major log-softmax. Its q is one value, or one per score
+row as the class statistics can be. Adjusted scores that overflow give
+non-finite values, which a caller such as the trainer reads as divergence.
 
 Conventions used throughout the package:
 
@@ -294,6 +302,132 @@ def _label_stat(table, rows, idx):
     return table[idx] if table.ndim == 1 else table[rows, idx]
 
 
+def _row_q(q, m):
+    """A given GCE exponent as a float, or as an (m,) array, one per row."""
+    arr = np.asarray(q, dtype=np.float64)
+    if arr.shape not in ((), (m,)):
+        raise ValueError(f"q must be one value or {m}, one per score row")
+    if not np.all((arr >= 0.0) & (arr < 1.0)):
+        raise ValueError(f"q must lie in [0, 1), got {q!r}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _class_major(table):
+    """A per-class statistic laid out against class-major (n, m) scores:
+    a column for one marginal, the transpose for one per row."""
+    return table[:, None] if table.ndim == 1 else table.T
+
+
+def _class_sum(values):
+    """Sum over axis 0 of a class-major (n, m) array, in the order numpy's
+    last-axis sum adds each row of the row-major (m, n) array.
+
+    That order is sequential for n < 8; for 8 <= n <= 128 it keeps eight
+    running sums over blocks of eight classes, adds them as the tree
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the
+    leftover classes one by one; beyond 128 classes it is numpy's own.
+    """
+    n = len(values)
+    if n < 8:  # numpy adds the rows of an axis-0 sum one by one
+        return values.sum(axis=0)
+    if n > 128:
+        return np.ascontiguousarray(values.T).sum(axis=1)
+    tail = n - n % 8
+    acc = values[:8]
+    for i in range(8, tail, 8):
+        acc = acc + values[i:i + 8]
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for row in values[tail:]:
+        total += row
+    return total
+
+
+def _exp(x):
+    """np.exp(x), bit for bit, without numpy's slow path for underflow.
+
+    numpy's vectorized exp slows down tenfold or more on every SIMD block
+    that holds an entry below about -707.5, where its result nears the
+    subnormals (numpy 2.4, AVX-512); trained scores put many there. Such entries are set
+    apart: below -746 the result is exactly 0.0, and the few in between
+    are computed on their own.
+    """
+    if x.min() >= -700.0:
+        return np.exp(x)
+    low = x < -700.0
+    out = np.exp(np.maximum(x, -700.0))
+    out *= ~low
+    band = low & (x >= -746.0)
+    out[band] = np.exp(x[band])
+    return out
+
+
+def _psi_batch(spec, scores, idx, stats, q, want_grad):
+    """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient.
+
+    The adjusted scores are laid out class-major, (n, m), so every
+    reduction and broadcast over the classes runs along m-long rows; each
+    element is computed by the same float operations as in the row-major
+    log-softmax, and the class sums in the same order (_class_sum), so
+    the values and gradients are bit for bit those of the row-major path.
+    ``q`` is a float or one value per row.
+    """
+    family = spec.family
+    m, n = scores.shape
+    rows = np.arange(m)
+    label_at = idx * m + rows  # each row's label in the flat class-major array
+    adjusted = scores.T.copy()
+    rho = 1.0
+    if family == "LA":
+        adjusted += _class_major(spec.tau * stats.log_priors)
+    elif family == "GLA":
+        adjusted += _class_major(stats.log_priors) / (1.0 - q)
+    elif family == "LDAM":
+        if stats.counts is None:
+            raise ValueError("LDAM needs integer class counts (ClassStats)")
+        delta = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
+        adjusted.ravel()[label_at] -= _label_stat(delta, rows, idx)
+    elif family == "GCA":
+        margins = np.asarray(spec.margins, dtype=np.float64)
+        if margins.size != n:
+            raise ValueError(
+                f"margins have length {margins.size}, expected {n}")
+        rho = margins[idx]
+        adjusted /= rho
+    if family in ("WCE", "GCA"):
+        weight = _label_stat(stats.inv_priors, rows, idx)
+    elif family == "CB":
+        weight = (1.0 - spec.gamma) / (
+            1.0 - spec.gamma ** _label_stat(stats.priors, rows, idx))
+    else:
+        weight = 1.0
+    # log-softmax over the classes, then Psi^q in log space with the
+    # 1e-300 floor at q = 0.
+    logp = adjusted  # shifted by the class max, in place
+    logp -= logp.max(axis=0)
+    logp -= np.log(_class_sum(_exp(logp)))
+    log_t = logp.ravel()[label_at]
+    if isinstance(q, float):
+        if q == 0.0:
+            psi, t_pow_q = -np.maximum(log_t, _LOG_PROB_FLOOR), 1.0
+        else:
+            t_pow_q = np.exp(q * log_t)
+            psi = (1.0 - t_pow_q) / q
+    else:
+        zero = q == 0.0
+        t_pow_q = np.where(zero, 1.0, np.exp(q * log_t))
+        psi = np.where(zero, -np.maximum(log_t, _LOG_PROB_FLOOR),
+                       (1.0 - t_pow_q) / np.where(zero, 1.0, q))
+    values = weight * psi
+    if not want_grad:
+        return values, None
+    probs = _exp(logp)
+    probs.ravel()[label_at] -= 1.0
+    probs *= weight / rho * t_pow_q
+    return values, np.ascontiguousarray(probs.T)
+
+
 def draw_equal_gates(spec: LossSpec, rng: np.random.Generator, shape):
     """EQUAL's Bernoulli(eq_p) gate draws: a 0/1 float array of ``shape``."""
     return (rng.random(shape) < spec.eq_p).astype(np.float64)
@@ -305,6 +439,7 @@ def batch_loss_and_grad(
     labels,
     stats: ClassStats | None = None,
     *,
+    q=None,
     equal_draws=None,
     rng: np.random.Generator | None = None,
     want_grad: bool = True,
@@ -314,8 +449,10 @@ def batch_loss_and_grad(
     ``equal_draws`` (an (m, n) 0/1 array) fixes the EQUAL loss's Bernoulli
     gate; otherwise the draws come from ``rng``. Stats with one row per
     score row (an (m, n) :class:`ClassStats` or :class:`PriorStats`) give
-    each row its own class statistics. Returns
-    ``(values, grads)`` where grads is None when want_grad is False.
+    each row its own class statistics. ``q`` overrides the exponent of a
+    GCE, GLA or GCA spec, with one value or one per score row. Returns
+    ``(values, grads)``, grads an (m, n) C-contiguous array or None when
+    want_grad is False.
     """
     family = spec.family
     needs_stats = family not in ("CE", "FOCAL", "GCE")
@@ -325,51 +462,16 @@ def batch_loss_and_grad(
     m, n = scores.shape
     if stats is not None and stats.priors.ndim == 2 and len(stats.priors) != m:
         raise ValueError(f"stats have {len(stats.priors)} rows, expected {m}")
+    if q is not None and spec.q is None:
+        raise ValueError(f"{family} takes no q")
     idx = labels - 1
+    if family in _PSI_FAMILIES:
+        q = (spec.q or 0.0) if q is None else _row_q(q, m)
+        return _psi_batch(spec, scores, idx, stats, q, want_grad)
+
     rows = np.arange(m)
     onehot = np.zeros((m, n))
     onehot[rows, idx] = 1.0
-
-    if family in _PSI_FAMILIES:
-        # weight_y * Psi^q(softmax(adjusted scores)_y)
-        q, rho, adjusted = spec.q or 0.0, 1.0, scores
-        if family == "LA":
-            adjusted = scores + spec.tau * stats.log_priors
-        elif family == "GLA":
-            adjusted = scores + stats.log_priors / (1.0 - q)
-        elif family == "LDAM":
-            if stats.counts is None:
-                raise ValueError("LDAM needs integer class counts (ClassStats)")
-            delta = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
-            adjusted = scores.copy()
-            adjusted[rows, idx] -= _label_stat(delta, rows, idx)
-        elif family == "GCA":
-            margins = np.asarray(spec.margins, dtype=np.float64)
-            if margins.size != n:
-                raise ValueError(
-                    f"margins have length {margins.size}, expected {n}")
-            rho = margins[idx]
-            adjusted = scores / rho[:, None]
-        if family in ("WCE", "GCA"):
-            weight = _label_stat(stats.inv_priors, rows, idx)
-        elif family == "CB":
-            weight = (1.0 - spec.gamma) / (
-                1.0 - spec.gamma ** _label_stat(stats.priors, rows, idx))
-        else:
-            weight = np.ones(m)
-        # Psi^q in log space, with the 1e-300 floor at q = 0.
-        logp = log_softmax(adjusted)
-        log_t = logp[rows, idx]
-        if q == 0.0:
-            values = weight * -np.maximum(log_t, _LOG_PROB_FLOOR)
-            t_pow_q = 1.0
-        else:
-            t_pow_q = np.exp(q * log_t)
-            values = weight * ((1.0 - t_pow_q) / q)
-        grads = ((weight / rho * t_pow_q)[:, None] * (np.exp(logp) - onehot)
-                 if want_grad else None)
-        return values, grads
-
     if family == "FOCAL":
         gamma = spec.gamma
         logp = log_softmax(scores)

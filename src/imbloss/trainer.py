@@ -11,15 +11,17 @@ enforced by projection after every step. Given a seed, a training run is
 bitwise deterministic.
 
 There is one SGD loop, and it trains R runs in lockstep: runs that share
-the loss and every TrainConfig field but the seed, and that train on one
-shared dataset or each on its own dataset of the same shape. Their
-parameters are stacked along a leading model axis and each run keeps its
-own generator and label statistics, so every run's model and history are
-bit for bit those of training it alone. ``train`` is that loop at R = 1;
-``train_lockstep`` takes the seeds of one grid point on shared data, as
-``imbloss train`` does, or resamples each with its own train set, as
-``verify margin`` does. There is also one forward pass, over such stacks:
-a model's ``scores`` runs it on a stack of one.
+the loss up to its exponent q and every TrainConfig field but the seed,
+and that train on one shared dataset or each on its own dataset of the
+same shape. Their parameters are stacked along a leading model axis and
+each run keeps its own generator, label statistics and q, so every run's
+model and history are bit for bit those of training it alone. One loss
+call per step covers the whole stack: its class-major core reads one q
+and one set of class statistics per score row. ``train`` is that loop at
+R = 1; ``train_lockstep`` takes every seed of every q of a sweep on
+shared data, as ``imbloss train`` does, or resamples each with its own
+train set, as ``verify margin`` does. There is also one forward pass,
+over such stacks: a model's ``scores`` runs it on a stack of one.
 
 Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
@@ -267,13 +269,15 @@ def train(model, data: Dataset, spec: LossSpec, cfg: TrainConfig):
     return outcome
 
 
-def train_lockstep(models, data, spec: LossSpec, cfgs):
+def train_lockstep(models, data, spec, cfgs):
     """Train several models in lockstep, one per config; cfgs may differ
     only in their seed, and the models must share one architecture.
 
     ``data`` is one Dataset that every run trains on, or a list of one
     Dataset per model, all with the same m, n and d; each run then draws
-    its batches and its label statistics from its own.
+    its batches and its label statistics from its own. ``spec`` is one
+    LossSpec for every run, or a list of one per model that differ only
+    in q; each run's loss then reads its own q.
 
     Returns one outcome per model, in order: ``(model, history)`` as
     :func:`train` returns it, or the TrainingDiverged that train would
@@ -326,14 +330,22 @@ def _sgd_lockstep(models, data, spec, cfgs):
 
     Runs with their own datasets train on them concatenated: each run's
     permutations are offset to its own rows, and the loss reads per-row
-    ClassStats, built again only when the live runs or the batch size
-    change.
+    ClassStats. Runs with their own q make the loss read one q per row.
+    Both are built again only when the live runs or the batch size change.
     """
     if len(models) != len(cfgs) or not models:
         raise ValueError("need one config per model, and at least one model")
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("lockstep configs may differ only in seed")
+    specs = [spec] * len(models) if isinstance(spec, LossSpec) else spec
+    if len(specs) != len(models):
+        raise ValueError("need one loss spec per model")
+    spec = specs[0]
+    if any(replace(s, q=spec.q) != spec for s in specs):
+        raise ValueError("lockstep loss specs may differ only in q")
+    qs = (np.array([s.q for s in specs])
+          if any(s.q != spec.q for s in specs) else None)
     if isinstance(data, Dataset):
         features, labels, stats = data.features, data.labels, data.stats()
         counts = offsets = None
@@ -378,13 +390,13 @@ def _sgd_lockstep(models, data, spec, cfgs):
     live = np.arange(len(models))  # run index of each stack slice
     outcomes = [None] * len(models)
     histories = [[] for _ in models]
-    row_stats = {}  # batch size -> ClassStats of the live runs' batch rows
+    row_args = {}  # batch size -> the loss's stats and q for the batch rows
 
     def leave(ok, what):
         # Runs outside ``ok`` diverged at this step: record them and drop
         # them from the run state (per-step arrays are the caller's).
         nonlocal live, rngs, orders, loss_sums, arrays, velocity
-        nonlocal counts, offsets
+        nonlocal counts, offsets, qs
         for run in live[~ok]:
             outcomes[run] = TrainingDiverged(
                 f"non-finite {what} at epoch {epoch}, step {step} "
@@ -394,7 +406,9 @@ def _sgd_lockstep(models, data, spec, cfgs):
         arrays, velocity = ([a[ok] for a in x] for x in (arrays, velocity))
         if counts is not None:
             counts, offsets = counts[ok], offsets[ok]
-            row_stats.clear()
+        if qs is not None:
+            qs = qs[ok]
+        row_args.clear()
 
     m, n = data.m, data.n
     batches_per_epoch = (m + cfg.batch_size - 1) // cfg.batch_size
@@ -428,14 +442,15 @@ def _sgd_lockstep(models, data, spec, cfgs):
             if spec.family == "EQUAL":
                 draws = np.concatenate([draw_equal_gates(spec, rng, (size, n))
                                         for rng in rngs])
-            if counts is not None:
-                if size not in row_stats:
-                    row_stats[size] = ClassStats(
-                        np.repeat(counts, size, axis=0))
-                stats = row_stats[size]
+            if size not in row_args:
+                row_args[size] = (
+                    stats if counts is None
+                    else ClassStats(np.repeat(counts, size, axis=0)),
+                    None if qs is None else np.repeat(qs, size))
+            row_stats, row_q = row_args[size]
             values, dscores = batch_loss_and_grad(
                 spec, acts[-1].reshape(-1, n), labels[batch].reshape(-1),
-                stats, equal_draws=draws)
+                row_stats, q=row_q, equal_draws=draws)
             values = values.reshape(live.size, size)
             dscores = dscores.reshape(live.size, size, n)
             if not np.isfinite(values).all():

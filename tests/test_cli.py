@@ -352,6 +352,33 @@ class TestCommands:
         assert len(trees[0]) == 4 * 3 + 1  # 3 files per run, one summary
         assert trees[0] == trees[1]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_diverged_runs_are_recorded_not_fatal(self, tmp_path):
+        # At lr0 = 1e305 the GCA scores of three runs, divided by their
+        # margins, overflow: those runs record a non-finite loss, the
+        # fourth trains on, and train writes the summary.
+        path = tmp_path / "div.ini"
+        path.write_text(BASE_CONFIG.replace(
+            "family = GLA\nq = 0.0, 0.3",
+            "family = GCA\nq = 0.0, 0.3\nmargins = default").replace(
+            "lr0 = 0.1", "lr0 = 1e305"))
+        out = tmp_path / "o"
+        main(["--config", str(path), "--out", str(out), "synth"])
+        assert main(["--config", str(path), "--out", str(out),
+                     "train"]) == 0
+        runs = [json.loads(p.read_text())
+                for p in sorted((out / "runs").rglob("metrics.json"))]
+        assert len(runs) == 4
+        assert sorted(r["status"] for r in runs) == ["diverged"] * 3 + ["ok"]
+        assert all("non-finite loss" in r["error"] for r in runs
+                   if r["status"] == "diverged")
+        (summary,) = (out / "runs").glob("summary_*.csv")
+        rows = summary.read_text().splitlines()[1:]
+        # runs_ok and runs_failed of q = 0.0 and q = 0.3
+        assert [row.split(",")[-7:-5] for row in rows] == [["0", "2"],
+                                                           ["1", "1"]]
+
     def test_train_rejects_jobs_below_one(self, config_file, tmp_path):
         out = tmp_path / "o"
         assert main(["--config", str(config_file), "--out", str(out),
@@ -363,9 +390,12 @@ class TestCommands:
     @pytest.mark.parametrize("damage", [
         lambda text: text[:40],
         lambda text: b'{"status": "ok"}\n',
-    ], ids=["truncated", "incomplete"])
+        None,
+    ], ids=["truncated", "incomplete", "deleted"])
     def test_damaged_metrics_retrains_only_that_run(self, config_file,
                                                     tmp_path, damage):
+        # The lone run retrains as a stack of one, where it first trained
+        # in one stack with every seed and q of the sweep.
         out = tmp_path / "o"
         main(["--config", str(config_file), "--out", str(out), "synth"])
         main(["--config", str(config_file), "--out", str(out), "train"])
@@ -373,7 +403,10 @@ class TestCommands:
         before = {p: p.read_bytes() for p in files}
         victim, *others = sorted((out / "runs").rglob("metrics.json"))
         stamps = [p.stat().st_mtime_ns for p in others]
-        victim.write_bytes(damage(before[victim]))
+        if damage is None:
+            victim.unlink()
+        else:
+            victim.write_bytes(damage(before[victim]))
         assert main(["--config", str(config_file), "--out", str(out),
                      "train"]) == 0
         assert {p: p.read_bytes() for p in files} == before
@@ -577,11 +610,15 @@ class TestCommands:
         assert "rerun `imbloss synth`" in capsys.readouterr().err
         assert not (out / "runs").exists()
 
-    def test_corrupt_dataset_is_runtime_error(self, config_file, tmp_path):
+    def test_corrupt_dataset_is_config_error(self, config_file, tmp_path,
+                                             capsys):
         out = tmp_path / "o"
         main(["--config", str(config_file), "--out", str(out), "synth"])
         csv = next((out / "datasets").rglob("train.csv"))
         csv.write_text("f0,f1,f2,f3,label\nnot,numbers,at,all,x\n")
+        capsys.readouterr()
         code = main(["--config", str(config_file), "--out", str(out),
                      "train"])
-        assert code == 4
+        assert code == 2
+        assert "rerun `imbloss synth`" in capsys.readouterr().err
+        assert not (out / "runs").exists()

@@ -1,6 +1,7 @@
 """Tests for loss values, identities, and analytic gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -527,7 +528,7 @@ def _reference_psi_family(spec, scores, labels, stats):
         elif family == "LDAM":
             delta = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
             adjusted = scores.copy()
-            adjusted[rows, idx] -= delta[idx]
+            adjusted[rows, idx] -= label_stat(delta)
         values, probs, _ = gce_core(adjusted, 0.0)
         weight = np.ones(m)
         if family == "WCE":
@@ -549,34 +550,75 @@ def _reference_psi_family(spec, scores, labels, stats):
             (weight / rho * t_pow_q)[:, None] * (probs - onehot))
 
 
+def _row_stats(rng, kind, m, n):
+    """Class statistics of one kind: one count vector or marginal, or one
+    per score row."""
+    if kind == "counts":
+        return ClassStats(rng.integers(1, 500, n))
+    if kind == "row_counts":
+        return ClassStats(rng.integers(1, 500, (m, n)))
+    if kind == "priors":
+        return PriorStats(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+    return PriorStats(rng.dirichlet(np.ones(n), m) * 0.9 + 0.1 / n)
+
+
+def _stats_rows(stats, rows):
+    """The stats of the score rows selected by the mask ``rows``."""
+    if stats.priors.ndim == 1:
+        return stats
+    if stats.counts is not None:
+        return ClassStats(stats.counts[rows])
+    return PriorStats(stats.priors[rows])
+
+
 class TestPsiFamiliesEqualTheReference:
-    # LDAM needs integer class counts, so it runs under ClassStats only.
+    # The class-major core must reproduce the row-major reference bit for
+    # bit on both sides of numpy's 8-class switch in its class sums (and
+    # past its 128-class one), with one q and, for GCE, GLA and GCA, with
+    # one q per row. LDAM needs integer class counts.
     @pytest.mark.parametrize("family,kind", [
         (family, kind)
         for family in ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
-        for kind in ("counts", "priors", "row_priors")
-        if family != "LDAM" or kind == "counts"])
+        for kind in ("counts", "priors", "row_priors", "row_counts")
+        if family != "LDAM" or kind.endswith("counts")])
     def test_values_and_grads_are_bit_equal(self, family, kind):
         rng = np.random.default_rng(32)
-        for _ in range(20):
-            m, n = int(rng.integers(1, 30)), int(rng.integers(2, 7))
-            # wide scores reach the 1e-300 floor and t^q underflow
+        for n in [*range(2, 21), 130]:
+            m = int(rng.integers(1, 30))
+            # wide scores reach the 1e-300 floor, t^q underflow and exp's
+            # subnormal range
             scores = rng.normal(0, float(rng.choice([1.0, 30.0, 400.0])),
                                 (m, n))
             labels = rng.integers(1, n + 1, m)
-            if kind == "counts":
-                stats = ClassStats(rng.integers(1, 500, n))
-            elif kind == "priors":
-                stats = PriorStats(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
-            else:
-                stats = PriorStats(rng.dirichlet(np.ones(n), m) * 0.9
-                                   + 0.1 / n)
+            stats = _row_stats(rng, kind, m, n)
             spec = random_spec(rng, family, n)
-            values, grads = batch_loss_and_grad(spec, scores, labels, stats)
-            ref_values, ref_grads = _reference_psi_family(spec, scores,
-                                                          labels, stats)
-            assert np.array_equal(values, ref_values)
-            assert np.array_equal(grads, ref_grads)
-            only, none = batch_loss_and_grad(spec, scores, labels, stats,
-                                             want_grad=False)
-            assert np.array_equal(only, ref_values) and none is None
+            for q in [None] + ([] if spec.q is None
+                               else [rng.choice([0.0, 0.3, 0.7], m)]):
+                self.assert_bit_equal(spec, scores, labels, stats, q)
+
+    @staticmethod
+    def assert_bit_equal(spec, scores, labels, stats, q):
+        m, n = scores.shape
+        values, grads = batch_loss_and_grad(spec, scores, labels, stats, q=q)
+        assert grads.flags.c_contiguous
+        ref_values, ref_grads = np.empty(m), np.empty((m, n))
+        for value in ([spec.q] if q is None else np.unique(q)):
+            rows = np.full(m, True) if q is None else q == value
+            spec_q = spec if q is None else replace(spec, q=float(value))
+            ref_values[rows], ref_grads[rows] = _reference_psi_family(
+                spec_q, scores[rows], labels[rows], _stats_rows(stats, rows))
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(grads, ref_grads)
+        only, none = batch_loss_and_grad(spec, scores, labels, stats, q=q,
+                                         want_grad=False)
+        assert np.array_equal(only, ref_values) and none is None
+
+    def test_q_is_checked(self):
+        scores, labels = np.zeros((3, 2)), [1, 2, 1]
+        stats = ClassStats([2, 1])
+        for spec, q in [(LossSpec("WCE"), 0.3),
+                        (LossSpec("GCE", q=0.3), [0.3, 0.3]),
+                        (LossSpec("GCE", q=0.3), [0.3, 1.0, 0.3]),
+                        (LossSpec("GLA", q=0.3), -0.1)]:
+            with pytest.raises(ValueError):
+                batch_loss_and_grad(spec, scores, labels, stats, q=q)

@@ -1,6 +1,7 @@
 """Tests for models, the SGD loop, and the best-in-class search."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -285,12 +286,14 @@ def assert_same_outcome(got, want):
 
 
 def assert_lockstep_matches_solo(models, data, spec, cfgs):
-    """data is one shared Dataset or a list of one per model."""
+    """data is one shared Dataset or a list of one per model, and spec one
+    shared LossSpec or a list of one per model."""
     outcomes = train_lockstep(models, data, spec, cfgs)
     assert len(outcomes) == len(models)
     own = data if isinstance(data, list) else [data] * len(models)
-    for model, x, cfg, outcome in zip(models, own, cfgs, outcomes):
-        assert_same_outcome(outcome, solo(model, x, spec, cfg))
+    specs = spec if isinstance(spec, list) else [spec] * len(models)
+    for model, x, s, cfg, outcome in zip(models, own, specs, cfgs, outcomes):
+        assert_same_outcome(outcome, solo(model, x, s, cfg))
     return outcomes
 
 
@@ -482,6 +485,43 @@ class TestLockstep:
             with pytest.raises(ValueError, match="one dataset per model"):
                 train_lockstep(models, own_mixtures(count), spec, cfgs)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("diverged", [False, True])
+    @pytest.mark.parametrize("family", ["GCE", "GLA", "GCA"])
+    def test_mixed_q_stack_matches_solo_runs(self, family, diverged):
+        # The loss reads one q per row; a run that leaves takes its q with
+        # it. Own datasets give each run its own stats as well.
+        cfgs = seed_configs(seeds=(3, 4, 5, 6, 7))
+        base = lockstep_spec(family, imbalanced_mixture().stats())
+        specs = [replace(base, q=q) for q in (0.0, 0.3, 0.5, 0.0, 0.7)]
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        if diverged:  # non-finite scores at the first step
+            models[1].weights *= np.inf
+        for data in (imbalanced_mixture(), own_mixtures(len(cfgs))):
+            outcomes = assert_lockstep_matches_solo(models, data, specs, cfgs)
+            assert isinstance(outcomes[1], TrainingDiverged) == diverged
+            assert not any(isinstance(o, TrainingDiverged)
+                           for o in outcomes[2:])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_overflowing_adjusted_scores_leave_the_stack(self):
+        # Finite scores that GCA's margins divide past the float range give
+        # a non-finite loss, not an error: that run leaves, the others go on.
+        data = imbalanced_mixture()
+        spec = LossSpec("GCA", q=0.3, margins=(0.01, 0.01, 0.01))
+        cfgs = seed_configs(seeds=(0, 1, 2))
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        models[1].weights *= 5e306
+        scores = models[1].scores(data.features)
+        assert np.isfinite(scores).all()
+        assert not np.isfinite(scores / 0.01).all()
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        assert "non-finite loss at epoch 0, step 0 " in str(outcomes[1])
+        assert not isinstance(outcomes[0], TrainingDiverged)
+        assert not isinstance(outcomes[2], TrainingDiverged)
+
     def test_rejects_stacks_that_differ_beyond_the_seed(self):
         data = imbalanced_mixture()
         spec = LossSpec("CE")
@@ -494,6 +534,15 @@ class TestLockstep:
             train_lockstep(mixed, data, spec, seed_configs(seeds=(0, 1)))
         with pytest.raises(ValueError, match="one config per model"):
             train_lockstep(models, data, spec, seed_configs(seeds=(0,)))
+        cfgs = seed_configs(seeds=(0, 1))
+        with pytest.raises(ValueError, match="only in q"):
+            train_lockstep(models, data, [LossSpec("GCE", q=0.3),
+                                          LossSpec("GLA", q=0.3)], cfgs)
+        with pytest.raises(ValueError, match="only in q"):
+            train_lockstep(models, data, [LossSpec("LA", tau=1.0),
+                                          LossSpec("LA", tau=2.0)], cfgs)
+        with pytest.raises(ValueError, match="one loss spec per model"):
+            train_lockstep(models, data, [LossSpec("CE")], cfgs)
 
 
 class TestCheckpoint:
