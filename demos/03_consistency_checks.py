@@ -16,11 +16,9 @@ from imbloss import (
     bayes_balanced_label,
     bayes_la_label,
     best_conditional_error,
-    check_gca_bound,
-    check_gla_bound,
-    minimize_conditional_error,
+    minimize_conditional_errors,
 )
-from imbloss.theory import random_conditional_point
+from imbloss.theory import check_regret_bounds, random_conditional_point
 
 print("== temperature sensitivity of logit adjustment")
 point = ConditionalPoint([0.05, 0.95], priors=[0.10, 0.90])
@@ -34,7 +32,8 @@ print("== numeric minimization recovers the balanced label and the optimum")
 rng = np.random.default_rng(0)
 for q in (0.0, 0.5):
     point = random_conditional_point(rng, 4, ratio_gap=1e-3)
-    scores, value = minimize_conditional_error(LossSpec("GLA", q=q), point)
+    [(scores, value)] = minimize_conditional_errors(LossSpec("GLA", q=q),
+                                                    [point])
     closed = best_conditional_error("GLA", point, q)
     print(f"  q={q}: argmax label {int(np.argmax(scores)) + 1} "
           f"(balanced {bayes_balanced_label(point)}), "
@@ -48,8 +47,8 @@ for trial in range(6):
     point = random_conditional_point(rng, 3)
     scores = rng.normal(0, 2, 3)
     q = (0.0, 0.5)[trial % 2]
-    for family, check in (("GLA", check_gla_bound), ("GCA", check_gca_bound)):
-        r = check(point, scores, q)
+    for family in ("GLA", "GCA"):
+        [r] = check_regret_bounds(family, [point], [scores], q)
         print(f"  {family:6s} {q:4.1f} {r.target_regret:9.4f} "
               f"{r.surrogate_regret:10.4f} {r.bound_value:9.4f} "
               f"{r.slack:9.4f}")

@@ -26,11 +26,8 @@ from .losses import (
     LossSpec,
     PriorStats,
     default_gca_margins,
-    eval_balanced_loss,
-    eval_csmax,
     eval_grad,
     eval_loss,
-    psi_q,
 )
 from .datagen import (
     Dataset,
@@ -52,19 +49,12 @@ from .theory import (
     bayes_balanced_label,
     bayes_la_label,
     best_conditional_error,
-    check_gca_bound,
-    check_gla_bound,
     check_lamargin,
     check_theorem5_bound,
-    conditional_error,
     empirical_rademacher_linear,
     find_la_disagreement,
-    gca_surrogate_regret,
     gla_pointwise_minimizer,
-    gla_surrogate_regret,
-    margin_loss,
     minimizability_gap_finite,
-    minimize_conditional_error,
     minimize_conditional_errors,
     phi_rho,
 )
@@ -76,7 +66,6 @@ from .trainer import (
     best_in_class_search,
     boundary_angle_degrees,
     cosine_lr,
-    predict,
     train,
 )
 

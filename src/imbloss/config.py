@@ -179,6 +179,9 @@ def load_config(path) -> dict:
         margins = margins.strip()
         loss["margins"] = ("default" if margins == "default"
                            else _parse_floats(margins))
+        if margins != "default" and len(loss["margins"]) != dataset["n"]:
+            raise ConfigError(f"[loss] margins has {len(loss['margins'])} "
+                              f"values, expected n = {dataset['n']}")
     for key, raw in loss_raw.items():
         if key not in _LOSS_GRID_KEYS:
             raise ConfigError(f"unknown loss option {key!r}")

@@ -289,18 +289,20 @@ def write_dataset_csv(dataset: Dataset, csv_path, meta_path=None) -> None:
 
 
 class DatasetShapeError(ValueError):
-    """A split with a non-numeric field, or whose rows or columns disagree
-    with its header or sidecar."""
+    """A split with a non-numeric field, a header not ending in ``label``,
+    a sidecar that is not JSON, or rows or columns that disagree with its
+    header or sidecar."""
 
 
 def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
     """Read a split written by :func:`write_dataset_csv`; every field must
-    be a number, and its shape must match its header and its sidecar's m
-    and d (DatasetShapeError)."""
+    be a number, its header must end in ``label``, its sidecar must parse,
+    and its shape must match its header and the sidecar's m and d
+    (DatasetShapeError)."""
     with open(csv_path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "label":
-            raise ValueError(f"{csv_path}: last column must be 'label'")
+            raise DatasetShapeError(f"{csv_path}: last column must be 'label'")
         d = len(header) - 1
         try:
             raw = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -309,7 +311,10 @@ def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
     meta = {}
     if meta_path is not None:
         with open(meta_path, "r", encoding="ascii") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise DatasetShapeError(f"{meta_path}: {exc}") from None
         n = n if n is not None else meta.get("n")
     if raw.shape != (meta.get("m", len(raw)), d + 1) or meta.get("d", d) != d:
         raise DatasetShapeError(

@@ -17,9 +17,8 @@ Implements closed-form values and analytic score gradients for:
 * ``GCA``    generalized class-aware loss: GCE weighted by 1 / p(y) with
              all scores divided by the true class's confidence margin,
 * ``CSMAX``  cost-sensitive max-margin surrogate
-             c * max_y' Psi((s_y - s_y') / rho) with a comp-sum link
-             (c = 1/p(y) when evaluated through a LossSpec; eval_csmax
-             takes the cost explicitly).
+             c * max_y' Psi((s_y - s_y') / rho) with a comp-sum link,
+             c = 1/p(y).
 
 CE, WCE, LA, CB, LDAM, GCE, GLA and GCA share one code path, weight_y *
 Psi^q(softmax(adjusted scores)_y) with q = 0 and GCA's margin rho = 1 where
@@ -242,23 +241,6 @@ class LossSpec:
 
 # LossSpec's hyperparameter names, in field order.
 HYPERPARAMETERS = tuple(f.name for f in fields(LossSpec))[1:]
-
-
-def psi_q(t: float, q: float) -> float:
-    """Generalized cross-entropy link: -log(t) at q = 0, else (1 - t^q)/q.
-
-    t = 0 is accepted only at q = 0, where the value saturates at
-    -log(1e-300) instead of overflowing.
-    """
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
-    if q == 0.0:
-        if t < 0:
-            raise ValueError(f"t must be in [0, 1] for q = 0, got {t}")
-        return -math.log(max(t, PROB_FLOOR))
-    if t <= 0:
-        raise ValueError(f"t must be positive for q > 0, got {t}")
-    return (1.0 - t**q) / q
 
 
 def default_gca_margins(stats: ClassStats) -> np.ndarray:
@@ -607,36 +589,3 @@ def eval_grad(
         equal_draws=draws, rng=rng,
     )
     return grads[0]
-
-
-def eval_csmax(
-    scores,
-    label: int,
-    cost: float,
-    rho_margin: float,
-    psi_tau: float,
-) -> float:
-    """Cost-sensitive max surrogate c * max_y' Psi((s_y - s_y') / rho).
-
-    The max runs over all y' including the label itself, whose term is
-    Psi(0); with the logistic link (psi_tau = 1) that floor is log 2.
-    """
-    if rho_margin <= 0:
-        raise ValueError(f"rho_margin must be positive, got {rho_margin}")
-    if cost < 0:
-        raise ValueError(f"cost must be >= 0, got {cost}")
-    scores, labels = _check_batch(np.asarray(scores)[None, :], [label])
-    values, _ = _csmax_batch(scores, labels - 1, np.array([cost]),
-                             rho_margin, psi_tau, want_grad=False)
-    return float(values[0])
-
-
-def eval_balanced_loss(prediction: int, label: int, priors) -> float:
-    """Prior-weighted misclassification: 0 if correct, else 1 / p(label)."""
-    priors = as_finite_array(priors, "priors")
-    n = priors.size
-    if not (1 <= label <= n and 1 <= prediction <= n):
-        raise ValueError(f"prediction/label must lie in 1..{n}")
-    if priors[label - 1] <= 0:
-        raise ValueError("label prior must be positive")
-    return 0.0 if prediction == label else float(1.0 / priors[label - 1])

@@ -14,7 +14,7 @@ The key quantities:
   tau (argmax p(y|x)/p(y)^tau) -- these disagree for tau != 1, which is
   what ``find_la_disagreement`` hunts for;
 * conditional errors sum_y p(y|x) loss(scores, y), computed row-wise by
-  one function for ``conditional_error``, the descent below and the
+  one function, ``conditional_errors``, for the descent below and the
   minimizability gap;
 * closed-form best conditional errors of the generalized losses over
   unconstrained scores, cross-checked by an independent gradient-descent
@@ -26,14 +26,12 @@ The key quantities:
   q = 0; with an extra (1-q) correction for q in (0,1)) and by
   sqrt(2 n^q t) / sqrt(p_min) (class-aware family, unit margins), where
   t is the surrogate conditional regret. Both families share one batched
-  check that computes many points row-wise, grouped by n; the one-point
-  checks are its P = 1 call, and a point's report is the same bits
-  either way;
+  check that computes many points row-wise, grouped by n, and a point's
+  report is the same bits alone or among others;
 * margin machinery: the ramp loss Phi_rho, the row-wise cost-sensitive
-  margin loss (runner-up reading; the one-vector form is its one-row
-  call), Monte-Carlo empirical Rademacher complexity of norm-bounded
-  linear scorers, the resulting generalization bound check, and the
-  pointwise logistic upper bound on cost * Phi_rho;
+  margin loss (runner-up reading), Monte-Carlo empirical Rademacher
+  complexity of norm-bounded linear scorers, the resulting generalization
+  bound check, and the pointwise logistic upper bound on cost * Phi_rho;
 * exact minimizability-gap computation for finite hypothesis lists on a
   finite joint.
 
@@ -48,12 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Dataset, DiscreteJoint
-from .losses import (
-    LossSpec,
-    PriorStats,
-    batch_loss_and_grad,
-    eval_balanced_loss,
-)
+from .losses import LossSpec, PriorStats, batch_loss_and_grad
 from .numerics import argmax_highest, as_finite_array, softplus
 from .trainer import predict_batch
 
@@ -153,20 +146,6 @@ def bal_regret(point: ConditionalPoint, predicted: int) -> float:
     return float(ratios[reach].max() - ratios[predicted - 1])
 
 
-def bal_regret_bruteforce(point: ConditionalPoint, predicted: int) -> float:
-    """Independent oracle: conditional balanced error minus the best one,
-    both assembled term by term from the 0/1 loss."""
-    def cond_error(label):
-        return sum(
-            point.cond[y - 1] * eval_balanced_loss(label, y, point.priors)
-            for y in range(1, point.n + 1)
-        )
-    if predicted not in point.reachable:
-        raise ValueError(f"predicted label {predicted} is not reachable")
-    best = min(cond_error(label) for label in point.reachable)
-    return cond_error(predicted) - best
-
-
 def bayes_balanced_label(point: ConditionalPoint) -> int:
     """argmax over reachable labels of p(y|x)/p(y), ties to highest index."""
     return _argmax_highest_restricted(point.ratios, point.reachable)
@@ -196,7 +175,7 @@ def gla_pointwise_minimizer(point: ConditionalPoint, q: float) -> np.ndarray:
     return powered / powered.sum()
 
 
-def _conditional_errors(spec: LossSpec, cond, scores, stats, want_grad=False):
+def conditional_errors(spec: LossSpec, cond, scores, stats, want_grad=False):
     """sum_y cond[y] * loss(scores, y) per row of the (P, n) arrays, and
     its score gradients when want_grad, from one loss call on the (P*n, n)
     tile of every row's labels; ``stats`` holds one marginal or one per
@@ -213,13 +192,6 @@ def _conditional_errors(spec: LossSpec, cond, scores, stats, want_grad=False):
     if not want_grad:
         return errors, None
     return errors, (weights @ grads.reshape(-1, n, n)).reshape(-1, n)
-
-
-def conditional_error(spec: LossSpec, scores, point: ConditionalPoint) -> float:
-    """sum_y p(y|x) * loss(scores, y) with the point's priors as p(y)."""
-    errors, _ = _conditional_errors(spec, point.cond[None, :], np.asarray(
-        scores, dtype=np.float64)[None, :], PriorStats(point.priors))
-    return float(errors[0])
 
 
 def _entropy(p) -> float:
@@ -262,15 +234,16 @@ def best_conditional_error(family: str, point: ConditionalPoint, q: float) -> fl
     raise ValueError(f"unsupported family {family!r}")
 
 
-def minimize_conditional_error(
+def minimize_conditional_errors(
     spec: LossSpec,
-    point: ConditionalPoint,
+    points,
     *,
     max_steps: int = 10_000,
     init_step: float = 0.5,
     tol: float = 1e-15,
 ):
-    """Independent numeric oracle: gradient descent on unconstrained scores.
+    """Independent numeric oracle: gradient descent on unconstrained scores,
+    one (scores, value) per point, in input order.
 
     Backtracking descent starting at step 0.5 with two safeguards: an
     Armijo sufficient-decrease test and a unit cap on the per-iteration
@@ -280,34 +253,15 @@ def minimize_conditional_error(
     step is halved on rejection and grown by 1.5x after a success, so
     flat directions (small posterior entries raised to 1/(1-q)) still
     converge to machine precision within the step budget. Stops when the
-    relative per-step improvement falls below ``tol``. Returns
-    (scores, value).
+    relative per-step improvement falls below ``tol``.
 
-    This is :func:`minimize_conditional_errors` on one point; a point
-    solved there among others gets exactly this result, bit for bit.
-    """
-    return minimize_conditional_errors(spec, [point], max_steps=max_steps,
-                                       init_step=init_step, tol=tol)[0]
-
-
-def minimize_conditional_errors(
-    spec: LossSpec,
-    points,
-    *,
-    max_steps: int = 10_000,
-    init_step: float = 0.5,
-    tol: float = 1e-15,
-):
-    """Run :func:`minimize_conditional_error` on many points in lockstep.
-
-    Returns one (scores, value) per point, in input order. The points are
-    grouped by class count n and each group descends together: one
-    ``batch_loss_and_grad`` call per iteration covers the (P*n, n) tile
-    of every point still descending, each row with its own point's
-    marginal (a (P*n, n) :class:`PriorStats`). Every point keeps its own
-    step, Armijo accept/reject and stopping test, and leaves the group at
-    the iteration where its solo descent stops, so its result equals the
-    solo one bit for bit.
+    The points are grouped by class count n and each group descends
+    together: one ``batch_loss_and_grad`` call per iteration covers the
+    (P*n, n) tile of every point still descending, each row with its own
+    point's marginal (a (P*n, n) :class:`PriorStats`). Every point keeps
+    its own step, Armijo accept/reject and stopping test, and leaves the
+    group at the iteration where its solo descent stops, so its result
+    equals the solo (P = 1) one bit for bit.
     """
     return _solve_by_n(points, lambda members: _descend_group(
         spec, [points[i] for i in members], max_steps, init_step, tol))
@@ -334,7 +288,7 @@ def _descend_group(spec, points, max_steps, init_step, tol):
     The gradient norms are stacked matmuls, (P,1,n) @ (P,n,1), which per
     point make the same BLAS dot call as ``np.linalg.norm`` on that point
     alone; the conditional errors round per point as well
-    (:func:`_conditional_errors`).
+    (:func:`conditional_errors`).
     """
     n = points[0].n
     count = len(points)
@@ -347,8 +301,8 @@ def _descend_group(spec, points, max_steps, init_step, tol):
         nonlocal stats
         if stats is None or len(stats.priors) != len(rows) * n:  # rows shrank
             stats = PriorStats(np.repeat(priors[rows], n, axis=0))
-        return _conditional_errors(spec, cond[rows], scores, stats,
-                                   want_grad=True)
+        return conditional_errors(spec, cond[rows], scores, stats,
+                                  want_grad=True)
 
     active = np.arange(count)
     scores = np.zeros((count, n))
@@ -410,7 +364,7 @@ def _surrogate_regrets(family, cond, priors, scores, q) -> np.ndarray:
     """Surrogate conditional regrets of points sharing n, one per row of
     the (P, n) arrays: sum_y w_y [Psi^q(t_achieved) - Psi^q(t_target)].
 
-    Computing the regret as conditional_error - best_conditional_error
+    Computing the regret as conditional_errors - best_conditional_error
     cancels catastrophically once the achieved softmax saturates: near
     q = 1 the guaranteed regret scales like p_min^(2/(1-q)) and can sit
     fifty orders of magnitude below the two conditional errors. Working
@@ -444,19 +398,6 @@ def _surrogate_regrets(family, cond, priors, scores, q) -> np.ndarray:
                                    np.exp(u_t) - np.exp(u_a))
     regret = np.where(weights > 0.0, terms, 0.0).sum(axis=1)
     return regret if q == 0.0 else regret / q
-
-
-def gla_surrogate_regret(point: ConditionalPoint, scores, q: float) -> float:
-    """Conditional regret of the adjusted generalized loss at the scores:
-    conditional_error - best_conditional_error on a complete hypothesis
-    set, without the cancellation of that difference (_surrogate_regrets)."""
-    return check_regret_bounds("GLA", [point], [scores], q)[0].surrogate_regret
-
-
-def gca_surrogate_regret(point: ConditionalPoint, scores, q: float) -> float:
-    """Conditional regret of the class-aware loss (unit margins), computed
-    like :func:`gla_surrogate_regret`."""
-    return check_regret_bounds("GCA", [point], [scores], q)[0].surrogate_regret
 
 
 def gla_bound_transform(t: float, p_min: float, q: float) -> float:
@@ -512,18 +453,6 @@ def check_regret_bounds(family: str, points, scores, q: float) -> list:
     return _solve_by_n(points, check_group)
 
 
-def check_gla_bound(point: ConditionalPoint, scores, q: float) -> RegretReport:
-    """Conditional-regret bound check for the logit-adjusted family:
-    :func:`check_regret_bounds` on one point."""
-    return check_regret_bounds("GLA", [point], [scores], q)[0]
-
-
-def check_gca_bound(point: ConditionalPoint, scores, q: float) -> RegretReport:
-    """Conditional-regret bound check for the class-aware family (unit
-    margins): :func:`check_regret_bounds` on one point."""
-    return check_regret_bounds("GCA", [point], [scores], q)[0]
-
-
 # ---------------------------------------------------------------------------
 # Margin machinery.
 # ---------------------------------------------------------------------------
@@ -557,13 +486,6 @@ def margin_losses(scores, labels, costs, rho) -> np.ndarray:
     masked = scores.copy()
     masked[rows, labels - 1] = -np.inf
     return costs * phi_rho(own - masked.max(axis=1), rho)
-
-
-def margin_loss(scores, label: int, cost: float, rho: float) -> float:
-    """The cost-sensitive margin loss of one score vector:
-    :func:`margin_losses` on one row."""
-    return float(margin_losses(np.asarray(scores, dtype=np.float64)[None, :],
-                               [label], [cost], rho)[0])
 
 
 def empirical_rademacher_linear(
@@ -691,7 +613,7 @@ def minimizability_gap_finite(
                 f"hypothesis tables must be {(joint.num_x, joint.n)}, "
                 f"got {table.shape}"
             )
-    cond_err, _ = _conditional_errors(
+    cond_err, _ = conditional_errors(
         spec, np.tile(joint.cond_y_given_x, (len(tables), 1)),
         np.concatenate(tables), PriorStats(joint.p_y))
     cond_err = cond_err.reshape(len(tables), joint.num_x)

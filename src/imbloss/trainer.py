@@ -240,13 +240,9 @@ def load_checkpoint(path):
     raise ValueError(f"unknown checkpoint kind {blob['kind']!r}")
 
 
-def predict(model, x) -> int:
-    """1-based predicted class; ties go to the highest class index."""
-    return argmax_highest(model.scores(x)) + 1
-
-
 def predict_batch(model, X) -> np.ndarray:
-    """1-based predicted class of each row of X, ties as in predict."""
+    """1-based predicted class of each row of X; ties go to the highest
+    class index."""
     return argmax_highest(model.scores(X)) + 1
 
 
@@ -319,6 +315,9 @@ def _backward(weights, acts, dscores, bias_grads):
     return wgrads + bgrads
 
 
+# The loop reads non-finite scores and losses as divergence itself, so
+# numpy's overflow and invalid warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def _sgd_lockstep(models, data, spec, cfgs):
     """The SGD loop behind train and train_lockstep.
 

@@ -118,7 +118,7 @@ def domination(rng: np.random.Generator, trials: int):
         cost = float(rng.uniform(0.0, 5.0))
         rho = float(rng.uniform(0.2, 3.0))
         predicted = numerics.argmax_highest(scores) + 1
-        loss = theory.margin_loss(scores, label, cost, rho)
+        (loss,) = theory.margin_losses(scores[None, :], [label], [cost], rho)
         if loss < cost * (predicted != label) - 1e-12:
             failures += 1
             yield {"check": "domination", "trial": trial, "ok": False}

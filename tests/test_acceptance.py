@@ -37,7 +37,6 @@ from imbloss.numerics import finite_diff_gradient, gradient_rel_error
 from imbloss.theory import (
     ConditionalPoint,
     bal_regret,
-    bal_regret_bruteforce,
     bayes_balanced_label,
     bayes_la_label,
     random_conditional_point,
@@ -48,6 +47,7 @@ from imbloss.trainer import (
     TrainingDiverged,
     train_lockstep,
 )
+from oracles import bal_regret_bruteforce
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -151,8 +151,9 @@ class TestConfigParsing:
         ("lr0 = 0.1", "lr0 = fast", "lr0"),
         ("imb_ratio = 10", "imb_ratio = nan", "imb_ratio"),
         ("q = 0.0, 0.3", "q = 0.3, 0.30", "q"),
+        ("family = GLA", "family = GCA\nmargins = 1.0, 2.0", "margins"),
     ], ids=["dataset-int", "train-int", "train-float", "dataset-nan",
-            "repeated-grid-value"])
+            "repeated-grid-value", "margins-length"])
     def test_malformed_scalar_is_config_error(self, tmp_path, old, new, key):
         path = tmp_path / "bad.ini"
         path.write_text(BASE_CONFIG.replace(old, new))
@@ -352,8 +353,6 @@ class TestCommands:
         assert len(trees[0]) == 4 * 3 + 1  # 3 files per run, one summary
         assert trees[0] == trees[1]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_diverged_runs_are_recorded_not_fatal(self, tmp_path):
         # At lr0 = 1e305 the GCA scores of three runs, divided by their
         # margins, overflow: those runs record a non-finite loss, the
@@ -591,7 +590,7 @@ class TestCommands:
         assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                      "synth"]) == 2
 
-    @pytest.mark.parametrize("cut", ["rows", "column"])
+    @pytest.mark.parametrize("cut", ["rows", "column", "header", "sidecar"])
     def test_split_disagreeing_with_its_sidecar_is_config_error(
             self, config_file, tmp_path, capsys, cut):
         out = tmp_path / "o"
@@ -600,8 +599,13 @@ class TestCommands:
         lines = csv.read_text().splitlines()
         if cut == "rows":  # the header and the first half of the rows
             lines = lines[:1 + (len(lines) - 1) // 2]
-        else:  # a consistent file one feature short
+        elif cut == "column":  # a consistent file one feature short
             lines = [line.split(",", 1)[1] for line in lines]
+        elif cut == "header":  # the label column renamed
+            lines[0] = lines[0].replace("label", "class")
+        else:  # a sidecar cut short mid-object
+            sidecar = csv.with_name("train.meta.json")
+            sidecar.write_text(sidecar.read_text()[:20])
         csv.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = main(["--config", str(config_file), "--out", str(out),

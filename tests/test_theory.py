@@ -16,30 +16,26 @@ from imbloss.theory import (
     ConditionalPoint,
     RegretReport,
     bal_regret,
-    bal_regret_bruteforce,
     bayes_balanced_label,
     bayes_la_label,
     best_conditional_error,
-    check_gca_bound,
-    check_gla_bound,
     check_lamargin,
     check_regret_bounds,
     check_theorem5_bound,
-    conditional_error,
+    conditional_errors,
     empirical_rademacher_linear,
     find_la_disagreement,
     gca_bound_transform,
     gla_bound_transform,
     gla_pointwise_minimizer,
-    margin_loss,
     margin_losses,
     minimizability_gap_finite,
-    minimize_conditional_error,
     minimize_conditional_errors,
     phi_rho,
     random_conditional_point,
 )
 from imbloss.trainer import LinearModel, TrainConfig, train
+from oracles import bal_regret_bruteforce
 
 
 class TestBalRegret:
@@ -140,7 +136,8 @@ class TestGlaPointwiseMinimizer:
             n = int(rng.integers(2, 5))
             q = float(rng.choice([0.0, 0.3, 0.7]))
             point = random_conditional_point(rng, n)
-            scores, _ = minimize_conditional_error(LossSpec("GLA", q=q), point)
+            [(scores, _)] = minimize_conditional_errors(LossSpec("GLA", q=q),
+                                                        [point])
             adjusted = scores + np.log(point.priors) / (1.0 - q)
             achieved = np.exp(adjusted - np.max(adjusted))
             achieved /= achieved.sum()
@@ -153,15 +150,16 @@ class TestGlaPointwiseMinimizer:
             n = int(rng.integers(2, 6))
             q = float(rng.choice([0.0, 0.5]))
             point = random_conditional_point(rng, n, ratio_gap=1e-3)
-            scores, _ = minimize_conditional_error(LossSpec("GLA", q=q), point)
+            [(scores, _)] = minimize_conditional_errors(LossSpec("GLA", q=q),
+                                                        [point])
             assert int(np.argmax(scores)) + 1 == bayes_balanced_label(point)
 
 
 def _assert_solo_equal(spec, points, solved, **kwargs):
     assert len(solved) == len(points)
     for point, (scores, value) in zip(points, solved):
-        solo_scores, solo_value = minimize_conditional_error(spec, point,
-                                                             **kwargs)
+        [(solo_scores, solo_value)] = minimize_conditional_errors(
+            spec, [point], **kwargs)
         assert np.array_equal(scores, solo_scores)
         assert value == solo_value and isinstance(value, float)
 
@@ -209,8 +207,8 @@ class TestLockstepMinimizer:
         for spec in specs:
             for _ in range(5):
                 point = random_conditional_point(rng, int(rng.integers(2, 7)))
-                scores, value = minimize_conditional_error(spec, point,
-                                                           max_steps=600)
+                [(scores, value)] = minimize_conditional_errors(
+                    spec, [point], max_steps=600)
                 ref_scores, ref_value = _per_point_descent(spec, point, 600)
                 assert np.array_equal(scores, ref_scores)
                 assert value == ref_value
@@ -263,7 +261,7 @@ class TestLockstepMinimizer:
         solo_calls = []
         for point in points:
             calls.clear()
-            minimize_conditional_error(spec, point, max_steps=1500)
+            minimize_conditional_errors(spec, [point], max_steps=1500)
             solo_calls.append(list(calls))
         counts = [len(c) for c in solo_calls]
         assert counts[0] == 1501 and counts[2] == 1
@@ -316,6 +314,13 @@ def _reference_gap(joint, tables, spec):
     return float(risks.min() - joint.p_x @ cond_err.min(axis=0))
 
 
+def _conditional_error(spec, scores, point):
+    """conditional_errors on one point's row, with its marginal."""
+    errors, _ = conditional_errors(spec, point.cond[None, :], np.asarray(
+        scores, dtype=np.float64)[None, :], PriorStats(point.priors))
+    return errors[0]
+
+
 def _spec_for(family, n):
     return {
         "GLA0": LossSpec("GLA", q=0.0), "GLA": LossSpec("GLA", q=0.6),
@@ -343,7 +348,7 @@ class TestConditionalErrorsEqualTheReference:
             scores = rng.normal(0, 3, n)
             ref = float(point.cond @ _all_label_values(
                 spec, scores, PriorStats(point.priors)))
-            assert conditional_error(spec, scores, point) == ref
+            assert _conditional_error(spec, scores, point) == ref
 
     @pytest.mark.parametrize("family", _REFERENCE_FAMILIES)
     def test_minimizability_gap(self, family):
@@ -364,15 +369,16 @@ class TestConditionalError:
         rng = np.random.default_rng(7)
         for _ in range(20):
             point = random_conditional_point(rng, int(rng.integers(2, 5)))
-            scores, value = minimize_conditional_error(LossSpec("GLA", q=0.0),
-                                                       point)
+            [(scores, value)] = minimize_conditional_errors(
+                LossSpec("GLA", q=0.0), [point])
             entropy = -np.sum(point.cond * np.log(point.cond))
             assert value == pytest.approx(entropy, abs=1e-9)
 
     def test_one_hot_posterior_with_favorable_scores(self):
         point = ConditionalPoint([1.0, 0.0], [0.5, 0.5])
         scores = np.array([30.0, -30.0])
-        assert conditional_error(LossSpec("GLA", q=0.0), scores, point) < 1e-12
+        spec = LossSpec("GLA", q=0.0)
+        assert _conditional_error(spec, scores, point) < 1e-12
 
     def test_matches_direct_weighted_sum(self):
         rng = np.random.default_rng(8)
@@ -387,7 +393,7 @@ class TestConditionalError:
                 point.cond[y - 1] * eval_loss(spec, scores, y, stats)
                 for y in range(1, n + 1)
             )
-            assert conditional_error(spec, scores, point) == pytest.approx(
+            assert _conditional_error(spec, scores, point) == pytest.approx(
                 direct, abs=1e-12)
 
 
@@ -412,7 +418,7 @@ class TestBestConditionalError:
                 point = random_conditional_point(rng, n)
                 spec = (LossSpec("GLA", q=q) if family == "GLA"
                         else LossSpec("GCA", q=q, margins=(1.0,) * n))
-                _, value = minimize_conditional_error(spec, point)
+                [(_, value)] = minimize_conditional_errors(spec, [point])
                 assert value == pytest.approx(
                     best_conditional_error(family, point, q), abs=1e-6)
 
@@ -427,13 +433,35 @@ class TestBestConditionalError:
                 expected, rel=1e-12)
 
 
+def _perturbed_minimizers(q, points, scores, near):
+    """The scores, with each entry where ``near`` holds replaced by the
+    GLA descent's minimizer of its point (150 steps) plus that entry as
+    noise; one descent covers every such point."""
+    scores = list(scores)
+    chosen = [i for i, flag in enumerate(near) if flag]
+    solved = minimize_conditional_errors(
+        LossSpec("GLA", q=q), [points[i] for i in chosen], max_steps=150)
+    for i, (minimizer, _) in zip(chosen, solved):
+        scores[i] = minimizer + scores[i]
+    return scores
+
+
+def _assert_bounds_hold(q, points, scores):
+    """Both families' bounds cover every (point, scores) pair at q."""
+    for family in ("GLA", "GCA"):
+        reports = check_regret_bounds(family, points, scores, q)
+        failed = [i for i, report in enumerate(reports) if not report.holds]
+        assert not failed, (family, q, [points[i] for i in failed])
+
+
 class TestBoundChecks:
     def test_zero_regrets_at_minimizer(self):
         rng = np.random.default_rng(11)
         for q in (0.0, 0.3):
             point = random_conditional_point(rng, 3)
-            scores, _ = minimize_conditional_error(LossSpec("GLA", q=q), point)
-            report = check_gla_bound(point, scores, q)
+            [(scores, _)] = minimize_conditional_errors(LossSpec("GLA", q=q),
+                                                        [point])
+            [report] = check_regret_bounds("GLA", [point], [scores], q)
             assert report.target_regret == 0.0
             assert abs(report.surrogate_regret) < 1e-9
             assert report.holds
@@ -443,28 +471,30 @@ class TestBoundChecks:
         for q in (0.0, 0.3):
             point = random_conditional_point(rng, 3)
             spec = LossSpec("GCA", q=q, margins=(1.0, 1.0, 1.0))
-            scores, _ = minimize_conditional_error(spec, point)
-            report = check_gca_bound(point, scores, q)
+            [(scores, _)] = minimize_conditional_errors(spec, [point])
+            [report] = check_regret_bounds("GCA", [point], [scores], q)
             assert report.target_regret == 0.0
             assert abs(report.surrogate_regret) < 1e-9
             assert report.holds
 
     def test_tie_prediction_goes_to_highest_and_holds(self):
         point = ConditionalPoint([0.6, 0.4], [0.8, 0.2])
-        report = check_gla_bound(point, [0.0, 0.0], 0.0)
+        [report] = check_regret_bounds("GLA", [point], [[0.0, 0.0]], 0.0)
         # argmax tie resolves to class 2, which is balanced-optimal here
         assert report.target_regret == 0.0
         assert report.holds
 
     def test_fuzz_slack_nonnegative(self):
         rng = np.random.default_rng(12)
+        by_q = {}
         for _ in range(1000):
             n = int(rng.integers(2, 7))
             point = random_conditional_point(rng, n, floor=0.03)
             scores = rng.normal(0, 3, n)
             q = float(rng.choice([0.0, 0.3, 0.5, 0.7, 0.9]))
-            assert check_gla_bound(point, scores, q).holds
-            assert check_gca_bound(point, scores, q).holds
+            by_q.setdefault(q, []).append((point, scores))
+        for q, cases in by_q.items():
+            _assert_bounds_hold(q, *zip(*cases))
 
     def test_adversarial_saturation_corners(self):
         # Near q = 1 with tiny class marginals the guaranteed surrogate
@@ -473,6 +503,7 @@ class TestBoundChecks:
         # still resolve it. Spiky posteriors, near-minimizer points, and
         # adversarially wrong predictions all stay covered.
         rng = np.random.default_rng(77)
+        by_q = {}
         for trial in range(1500):
             n = int(rng.integers(2, 7))
             floor = float(rng.choice([0.001, 0.01]))
@@ -486,31 +517,32 @@ class TestBoundChecks:
             if kind == 0:
                 scores = rng.normal(0, 20.0, n)
             elif kind == 1:
-                scores, _ = minimize_conditional_error(
-                    LossSpec("GLA", q=q), point, max_steps=150)
-                scores = scores + rng.normal(0, 1e-4, n)
+                scores = rng.normal(0, 1e-4, n)  # noise on the minimizer
             else:
                 scores = -np.log(point.ratios)  # favor the worst label
-            assert check_gla_bound(point, scores, q).holds
-            assert check_gca_bound(point, scores, q).holds
+            by_q.setdefault(q, []).append((point, scores, kind == 1))
+        for q, cases in by_q.items():
+            points, scores, near = zip(*cases)
+            _assert_bounds_hold(q, points, _perturbed_minimizers(
+                q, points, scores, near))
 
     def test_precise_regret_matches_naive_difference(self):
-        from imbloss.theory import gca_surrogate_regret, gla_surrogate_regret
-
         rng = np.random.default_rng(13)
         for _ in range(300):
             n = int(rng.integers(2, 6))
             point = random_conditional_point(rng, n)
             scores = rng.normal(0, 2, n)
             q = float(rng.choice([0.0, 0.3, 0.7]))
-            naive = (conditional_error(LossSpec("GLA", q=q), scores, point)
+            naive = (_conditional_error(LossSpec("GLA", q=q), scores, point)
                      - best_conditional_error("GLA", point, q))
-            assert gla_surrogate_regret(point, scores, q) == pytest.approx(
+            [report] = check_regret_bounds("GLA", [point], [scores], q)
+            assert report.surrogate_regret == pytest.approx(
                 naive, abs=1e-11)
             spec = LossSpec("GCA", q=q, margins=(1.0,) * n)
-            naive = (conditional_error(spec, scores, point)
+            naive = (_conditional_error(spec, scores, point)
                      - best_conditional_error("GCA", point, q))
-            assert gca_surrogate_regret(point, scores, q) == pytest.approx(
+            [report] = check_regret_bounds("GCA", [point], [scores], q)
+            assert report.surrogate_regret == pytest.approx(
                 naive, abs=1e-9, rel=1e-9)
 
     def test_regret_transforms_exposed(self):
@@ -537,7 +569,7 @@ class TestBoundChecks:
     def test_restricted_point_rejected(self):
         point = ConditionalPoint([0.5, 0.5], [0.5, 0.5], reachable=[2])
         with pytest.raises(ValueError):
-            check_gla_bound(point, [0.0, 0.0], 0.0)
+            check_regret_bounds("GLA", [point], [[0.0, 0.0]], 0.0)
 
 
 def _per_point_log_normalize(logits):
@@ -612,14 +644,13 @@ def _saturation_corners(rng, q, count):
         if trial % 3 == 0:
             s = rng.normal(0, 20.0, n)
         elif trial % 3 == 1:
-            s, _ = minimize_conditional_error(LossSpec("GLA", q=q), point,
-                                              max_steps=150)
-            s = s + rng.normal(0, 1e-4, n)
+            s = rng.normal(0, 1e-4, n)
         else:
             s = -np.log(point.ratios)
         points.append(point)
         scores.append(s)
-    return points, scores
+    near = [trial % 3 == 1 for trial in range(count)]
+    return points, _perturbed_minimizers(q, points, scores, near)
 
 
 class TestBatchedBoundChecks:
@@ -651,11 +682,9 @@ class TestBatchedBoundChecks:
     def test_single_and_empty(self):
         point = ConditionalPoint([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
         scores = [0.5, -0.2, 1.5]
-        for family, check in (("GLA", check_gla_bound),
-                              ("GCA", check_gca_bound)):
+        for family in ("GLA", "GCA"):
             assert check_regret_bounds(family, [], [], 0.3) == []
             report, = check_regret_bounds(family, [point], [scores], 0.3)
-            assert report == check(point, scores, 0.3)
             _assert_reference_equal(family, [point], [scores], 0.3, [report])
 
     def test_rejects_restricted_points_and_bad_inputs(self):
@@ -665,7 +694,7 @@ class TestBatchedBoundChecks:
         with pytest.raises(ValueError, match="reachable"):
             check_regret_bounds("GCA", [regular, restricted], zeros, 0.0)
         with pytest.raises(ValueError, match="reachable"):
-            check_gca_bound(restricted, [0.0, 0.0], 0.5)
+            check_regret_bounds("GCA", [restricted], [[0.0, 0.0]], 0.5)
         with pytest.raises(ValueError, match="family"):
             check_regret_bounds("LA", [regular], zeros[:1], 0.0)
         with pytest.raises(ValueError, match="argument 2 is longer"):
@@ -689,12 +718,12 @@ class TestPhiRho:
 
 class TestMarginLoss:
     def test_zero_cost(self):
-        assert margin_loss([1.0, 0.0], 1, 0.0, 1.0) == 0.0
+        assert margin_losses([[1.0, 0.0]], [1], [0.0], 1.0)[0] == 0.0
 
     def test_conventions_differ_exactly_when_margins_clear_rho(self):
-        scores = [3.0, 0.5, -1.0]
+        scores = [[3.0, 0.5, -1.0]]
         # all competing gaps >= rho: the runner-up reading gives 0
-        assert margin_loss(scores, 1, 2.0, 1.0) == 0.0
+        assert margin_losses(scores, [1], [2.0], 1.0)[0] == 0.0
 
     def test_dominates_cost_weighted_zero_one(self):
         rng = np.random.default_rng(14)
@@ -707,7 +736,8 @@ class TestMarginLoss:
             # ties to highest index, as the predictor does
             predicted = n - int(np.argmax(scores[::-1]))
             zero_one = cost * (predicted != label)
-            assert margin_loss(scores, label, cost, rho) >= zero_one - 1e-12
+            (loss,) = margin_losses(scores[None, :], [label], [cost], rho)
+            assert loss >= zero_one - 1e-12
 
 
 def _reference_margin_loss(scores, label, cost, rho):
@@ -734,8 +764,8 @@ class TestMarginLosses:
                 ref = _reference_margin_loss(scores[i], int(labels[i]),
                                              float(costs[i]), rho)
                 assert rows[i] == ref
-                assert margin_loss(scores[i], int(labels[i]),
-                                   float(costs[i]), rho) == ref
+                assert margin_losses(scores[i:i + 1], labels[i:i + 1],
+                                     costs[i:i + 1], rho)[0] == ref
 
     def test_rejects_bad_input(self):
         scores = np.zeros((2, 3))
@@ -748,7 +778,7 @@ class TestMarginLosses:
         with pytest.raises(ValueError, match="rho"):
             margin_losses(scores, [1, 2], [1.0, 1.0], 0.0)
         with pytest.raises(ValueError, match="finite"):
-            margin_loss([1.0, np.nan], 1, 1.0, 1.0)
+            margin_losses([[1.0, np.nan]], [1], [1.0], 1.0)
 
 
 class TestRademacher:

@@ -25,7 +25,6 @@ from imbloss.trainer import (
     boundary_angle_degrees,
     cosine_lr,
     load_checkpoint,
-    predict,
     predict_batch,
     save_checkpoint,
     train,
@@ -65,9 +64,9 @@ class TestCosineLr:
 class TestPredict:
     def test_examples(self):
         model = LinearModel(np.eye(3), np.zeros(3))
-        assert predict(model, [3.0, 1.0, 2.0]) == 1
+        assert predict_batch(model, [[3.0, 1.0, 2.0]]).tolist() == [1]
         model2 = LinearModel(np.eye(2), np.zeros(2))
-        assert predict(model2, [2.0, 2.0]) == 2
+        assert predict_batch(model2, [[2.0, 2.0]]).tolist() == [2]
 
     def test_all_zero_model_predicts_last_class(self):
         model = LinearModel(np.zeros((4, 3)), np.zeros(4))
@@ -214,7 +213,6 @@ class TestTrain:
         # batching or shuffle order
         assert h1[0] == pytest.approx(h2[0], rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_raises_with_diagnostic(self):
         data = separable_blobs()
         model = LinearModel.init_random(2, 2, seed=9)
@@ -396,8 +394,6 @@ class TestLockstep:
         if not models[0].use_bias:
             assert all(not np.any(trained.biases) for trained, _ in outcomes)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_diverged_runs_leave_the_stack_alone(self):
         data = imbalanced_mixture()
         spec = lockstep_spec("CSMAX", data.stats())
@@ -444,8 +440,6 @@ class TestLockstep:
         assert_lockstep_matches_solo([make(c.seed) for c in cfgs], data,
                                      spec, cfgs)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_own_datasets_diverged_runs_leave_the_stack_alone(self):
         # Runs 1 and 4 leave at the first step, run 3 at the third; the
         # runs that stay read their own stats after each leave.
@@ -485,8 +479,6 @@ class TestLockstep:
             with pytest.raises(ValueError, match="one dataset per model"):
                 train_lockstep(models, own_mixtures(count), spec, cfgs)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("diverged", [False, True])
     @pytest.mark.parametrize("family", ["GCE", "GLA", "GCA"])
     def test_mixed_q_stack_matches_solo_runs(self, family, diverged):
@@ -504,8 +496,7 @@ class TestLockstep:
             assert not any(isinstance(o, TrainingDiverged)
                            for o in outcomes[2:])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # scores / 0.01
     def test_overflowing_adjusted_scores_leave_the_stack(self):
         # Finite scores that GCA's margins divide past the float range give
         # a non-finite loss, not an error: that run leaves, the others go on.
