@@ -32,6 +32,7 @@ from .config import (
     train_config,
 )
 from .datagen import DatasetShapeError, read_dataset_csv, write_dataset_csv
+from .losses import PSI_FAMILIES
 from .metrics import balanced_error, confusion, per_class_error
 from .trainer import (
     LinearModel,
@@ -158,9 +159,8 @@ def _read_metrics(path: Path):
 
 
 def _execute_stack(config, points, splits, out: Path):
-    """Train the pending seeds of grid points whose losses differ only in
-    q as one lockstep stack; returns each run's metrics payload, keyed by
-    (run hash, seed)."""
+    """Train the pending seeds of the given grid points as one lockstep
+    stack; returns each run's metrics payload, keyed by (run hash, seed)."""
     train_set, val_set, test_set = (splits[s] for s in SPLITS)
     tb = config["train"]
     runs = [(gridpoint, seed) for gridpoint, seeds in points for seed in seeds]
@@ -221,11 +221,12 @@ def _stack_worker(args):
 def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     """One run per (grid point x seed); summary with mean +- sd per point.
 
-    The pending runs of grid points whose losses differ only in q train
-    as one lockstep stack; with jobs > 1 each such stack's grid points are
-    split among the workers, and each worker trains its share as one
-    stack. The splits are read once, and only when some run is pending.
-    The best grid point is selected by mean validation balanced error and
+    The pending runs of every grid point of a Psi family train as one
+    lockstep stack, and those of a FOCAL, EQUAL or CSMAX grid point as a
+    stack of their own; with jobs > 1 each stack's grid points are split
+    among the workers, and each worker trains its share as one stack.
+    The splits are read once, and only when some run is pending. The best
+    grid point is selected by mean validation balanced error and
     reported on test. Diverged runs are recorded, not fatal.
     """
     if jobs < 1:
@@ -245,8 +246,8 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
             else:
                 done[run_hash, seed] = payload
         if pending:
-            key = json.dumps({k: v for k, v in gridpoint.items() if k != "q"},
-                             sort_keys=True)
+            key = (None if gridpoint["family"] in PSI_FAMILIES
+                   else json.dumps(gridpoint, sort_keys=True))
             stacks.setdefault(key, []).append((gridpoint, pending))
 
     if stacks:

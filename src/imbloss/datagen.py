@@ -289,16 +289,17 @@ def write_dataset_csv(dataset: Dataset, csv_path, meta_path=None) -> None:
 
 
 class DatasetShapeError(ValueError):
-    """A split with a non-numeric field, a header not ending in ``label``,
-    a sidecar that is not JSON, or rows or columns that disagree with its
-    header or sidecar."""
+    """A split with a non-numeric field, a label that is not a whole
+    number in 1..n, a header not ending in ``label``, a sidecar that is
+    not a JSON object, or rows or columns that disagree with its header
+    or sidecar."""
 
 
 def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
     """Read a split written by :func:`write_dataset_csv`; every field must
-    be a number, its header must end in ``label``, its sidecar must parse,
-    and its shape must match its header and the sidecar's m and d
-    (DatasetShapeError)."""
+    be a number and every label a whole number in 1..n, its header must
+    end in ``label``, its sidecar must be a JSON object, and its shape
+    must match its header and the sidecar's m and d (DatasetShapeError)."""
     with open(csv_path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "label":
@@ -315,13 +316,17 @@ def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
                 meta = json.load(fh)
             except ValueError as exc:
                 raise DatasetShapeError(f"{meta_path}: {exc}") from None
+        if not isinstance(meta, dict):
+            raise DatasetShapeError(f"{meta_path}: not a JSON object")
         n = n if n is not None else meta.get("n")
     if raw.shape != (meta.get("m", len(raw)), d + 1) or meta.get("d", d) != d:
         raise DatasetShapeError(
             f"{csv_path}: {len(raw)} rows of {raw.shape[1]} columns disagree "
             f"with its header or sidecar")
-    features = raw[:, :d]
-    labels = raw[:, d].astype(np.int64)
-    if n is None:
-        n = int(labels.max())
-    return Dataset(features, labels, int(n), meta)
+    labels = raw[:, d]
+    n = labels.max() if n is None else n
+    if not (isinstance(n, (int, float)) and np.all(
+            (labels >= 1) & (labels <= n) & (labels == np.floor(labels)))):
+        raise DatasetShapeError(
+            f"{csv_path}: labels must be whole numbers in 1..{n}")
+    return Dataset(raw[:, :d], labels.astype(np.int64), int(n), meta)

@@ -20,18 +20,18 @@ Implements closed-form values and analytic score gradients for:
              c * max_y' Psi((s_y - s_y') / rho) with a comp-sum link,
              c = 1/p(y).
 
-CE, WCE, LA, CB, LDAM, GCE, GLA and GCA share one code path, weight_y *
-Psi^q(softmax(adjusted scores)_y) with q = 0 and GCA's margin rho = 1 where
-a family has none; multiplying or dividing by 1.0 is exact, so the GLA/LA
-and GCA/WCE identities hold bit for bit. That path is class-major: it
-transposes the adjusted scores once to (n, m), so every reduction and
-broadcast over the classes runs along m-long rows, and it adds the classes
-in the exact order of numpy's last-axis sum over a row: one by one for
-n < 8, numpy's pairwise tree of eight running sums for 8 <= n <= 128, and
-numpy's own sum beyond. Its values and gradients are therefore bit for bit
-those of the row-major log-softmax. Its q is one value, or one per score
-row as the class statistics can be. Adjusted scores that overflow give
-non-finite values, which a caller such as the trainer reads as divergence.
+CE, WCE, LA, CB, LDAM, GCE, GLA and GCA (the Psi families) share one code
+path, weight_y * Psi^q(softmax(adjusted scores)_y): ``loss_table`` turns
+each (LossSpec, class statistics) pair into per-class numbers (shifts, a
+divisor, a weight and q), so one call evaluates any mix of them. That
+path is class-major: it transposes the adjusted scores once to (n, m), so
+every reduction and broadcast over the classes runs along m-long rows,
+and it adds the classes in the exact order of numpy's last-axis sum over
+a row: one by one for n < 8, numpy's pairwise tree of eight running sums
+for 8 <= n <= 128, and numpy's own sum beyond. Its values and gradients
+are therefore bit for bit those of the row-major log-softmax. Adjusted
+scores that overflow give non-finite values, which a caller such as the
+trainer reads as divergence.
 
 Conventions used throughout the package:
 
@@ -61,7 +61,7 @@ FAMILIES = (
     "CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM",
     "GCE", "GLA", "GCA", "CSMAX",
 )
-_PSI_FAMILIES = ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
+PSI_FAMILIES = ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
 
 # Probability floor applied before -log; invisible at test tolerances but
 # keeps the q = 0 link finite for arbitrarily bad score vectors.
@@ -75,28 +75,21 @@ class ClassStats:
     ``priors[k]`` is m_k / m and ``inv_priors[k]`` is m / m_k. The latter
     is the canonical class weight used by every weighted loss so that
     the "1 / p(y)" and "m / m_y" forms coincide exactly.
-
-    ``counts`` is one count vector, or an (m, n) array holding one per
-    score row of the batch it is evaluated with, as for
-    :class:`PriorStats`; every row's statistics are then bit for bit
-    those of its vector alone, and ``total`` and ``p_min`` are per row.
     """
 
     def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim not in (1, 2) or counts.size == 0:
-            raise ValueError("counts must be a non-empty vector or (m, n) array")
+        if counts.ndim != 1 or counts.size == 0:
+            raise ValueError("counts must be a non-empty vector")
         if np.any(counts < 1):
             raise ValueError(f"every class needs at least one example, got {counts}")
         self.counts = counts
-        self.total = (int(counts.sum()) if counts.ndim == 1
-                      else counts.sum(axis=1, keepdims=True))
+        self.total = int(counts.sum())
         self.priors = counts / self.total
         self.inv_priors = self.total / counts
         self.log_priors = np.log(self.priors)
-        self.p_min = (float(self.priors.min()) if counts.ndim == 1
-                      else self.priors.min(axis=1))
-        self.n = int(counts.shape[-1])
+        self.p_min = float(self.priors.min())
+        self.n = counts.size
 
     @classmethod
     def from_labels(cls, labels, n: int | None = None) -> "ClassStats":
@@ -121,29 +114,23 @@ class PriorStats:
     class marginal is a known distribution rather than empirical counts
     (the substrate of all distribution-level consistency checks). Losses
     that need raw integer counts (LDAM) reject PriorStats.
-
-    ``priors`` is one marginal (a vector), or an (m, n) array holding one
-    marginal per score row of the batch it is evaluated with; every
-    statistic then has that shape and ``p_min`` is per row.
     """
 
     counts = None
 
     def __init__(self, priors):
         priors = as_finite_array(priors, "priors")
-        if priors.ndim not in (1, 2) or priors.size == 0:
-            raise ValueError("priors must be a non-empty vector or (m, n) array")
+        if priors.ndim != 1 or priors.size == 0:
+            raise ValueError("priors must be a non-empty vector")
         if np.any(priors <= 0):
             raise ValueError("priors must be strictly positive")
-        sums = priors.sum(axis=-1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
-            raise ValueError(f"priors must sum to 1, got {sums!r}")
+        if abs(priors.sum() - 1.0) > 1e-12:
+            raise ValueError(f"priors must sum to 1, got {priors.sum()!r}")
         self.priors = priors
         self.inv_priors = 1.0 / priors
         self.log_priors = np.log(priors)
-        self.p_min = (float(priors.min()) if priors.ndim == 1
-                      else priors.min(axis=1))
-        self.n = int(priors.shape[-1])
+        self.p_min = float(priors.min())
+        self.n = priors.size
 
     def __repr__(self) -> str:
         return f"PriorStats(priors={self.priors.tolist()})"
@@ -253,6 +240,79 @@ def default_gca_margins(stats: ClassStats) -> np.ndarray:
     return roots / roots.sum()
 
 
+@dataclass(frozen=True, eq=False)
+class LossTable:
+    """Per-class loss parameters of B blocks of score rows, one row per
+    block, as :func:`loss_table` builds them; B * s score rows hold block
+    b in rows b * s to (b + 1) * s - 1.
+
+    A Psi family is weight_y * Psi^q(softmax(s')_y) with s' = (s -
+    neg_shift - label_shift_y e_y) / rho_y, every (B, n) column read at
+    the row's block, and q one per block. ``gate`` marks the classes
+    EQUAL may gate out, ``weight`` is also CSMAX's cost, and ``spec`` is
+    the one spec of a FOCAL, EQUAL or CSMAX table (None for Psi).
+    """
+
+    neg_shift: np.ndarray
+    label_shift: np.ndarray
+    rho: np.ndarray
+    weight: np.ndarray
+    gate: np.ndarray
+    q: np.ndarray
+    spec: LossSpec | None
+
+    def __getitem__(self, blocks) -> "LossTable":
+        """The table of the selected blocks (an index array or a mask)."""
+        return LossTable(*(getattr(self, f.name)[blocks]
+                           for f in fields(self)[:-1]), self.spec)
+
+
+def loss_table(blocks, n: int) -> LossTable:
+    """The LossTable of ``blocks``, (LossSpec, stats) pairs over n classes.
+
+    Any mix of Psi families (CE, WCE, LA, CB, LDAM, GCE, GLA, GCA) may
+    share a table; FOCAL, EQUAL and CSMAX need one spec for every block.
+    A parameter a family lacks is an exact identity: x - 0.0 (which keeps
+    -0.0, where x + 0.0 would not), x / 1.0, x * 1.0 and q = 0.
+    """
+    specs = [spec for spec, _ in blocks]
+    psi = all(spec.family in PSI_FAMILIES for spec in specs)
+    if not psi and any(spec != specs[0] for spec in specs):
+        raise ValueError("FOCAL, EQUAL and CSMAX need one spec per table")
+    zero, one = np.zeros(n), np.ones(n)
+    rows = []
+    for spec, stats in blocks:
+        family = spec.family
+        if stats is None and family not in ("CE", "FOCAL", "GCE"):
+            raise ValueError(f"{family} requires ClassStats")
+        if stats is not None and stats.n != n:
+            raise ValueError(f"stats have {stats.n} classes, expected {n}")
+        q = spec.q or 0.0
+        neg_shift, label_shift, rho, weight, gate = zero, zero, one, one, zero
+        if family == "LA":
+            neg_shift = -(spec.tau * stats.log_priors)
+        elif family == "GLA":
+            neg_shift = -(stats.log_priors / (1.0 - q))
+        elif family == "LDAM":
+            if stats.counts is None:
+                raise ValueError("LDAM needs integer class counts (ClassStats)")
+            label_shift = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
+        elif family == "GCA":
+            rho = np.asarray(spec.margins, dtype=np.float64)
+            if rho.size != n:
+                raise ValueError(
+                    f"margins have length {rho.size}, expected {n}")
+        elif family == "CB":
+            weight = (1.0 - spec.gamma) / (1.0 - spec.gamma ** stats.priors)
+        elif family == "EQUAL":
+            gate = (stats.priors < spec.eq_lambda).astype(np.float64)
+        if family in ("WCE", "GCA", "CSMAX"):
+            weight = stats.inv_priors
+        rows.append((neg_shift, label_shift, rho, weight, gate, q))
+    return LossTable(*(np.array(column) for column in zip(*rows)),
+                     spec=None if psi else specs[0])
+
+
 # ---------------------------------------------------------------------------
 # Batch core. scores is (m, n); labels is (m,) of 1-based ints. All the
 # scalar entry points below are thin wrappers over these so the trainer and
@@ -260,7 +320,7 @@ def default_gca_margins(stats: ClassStats) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_batch(scores, labels, n_expected=None):
+def _check_batch(scores, labels, n_expected):
     scores = as_finite_array(scores, "scores")
     if scores.ndim == 1:
         scores = scores[None, :]
@@ -275,29 +335,6 @@ def _check_batch(scores, labels, n_expected=None):
     if labels.min() < 1 or labels.max() > n:
         raise ValueError(f"labels must lie in 1..{n}")
     return scores, labels
-
-
-def _label_stat(table, rows, idx):
-    """Each row's entry of a per-class statistic at its label (0-based
-    idx): ``table[idx]`` for one marginal, ``table[rows, idx]`` for one
-    marginal per row."""
-    return table[idx] if table.ndim == 1 else table[rows, idx]
-
-
-def _row_q(q, m):
-    """A given GCE exponent as a float, or as an (m,) array, one per row."""
-    arr = np.asarray(q, dtype=np.float64)
-    if arr.shape not in ((), (m,)):
-        raise ValueError(f"q must be one value or {m}, one per score row")
-    if not np.all((arr >= 0.0) & (arr < 1.0)):
-        raise ValueError(f"q must lie in [0, 1), got {q!r}")
-    return float(arr) if arr.ndim == 0 else arr
-
-
-def _class_major(table):
-    """A per-class statistic laid out against class-major (n, m) scores:
-    a column for one marginal, the transpose for one per row."""
-    return table[:, None] if table.ndim == 1 else table.T
 
 
 def _class_sum(values):
@@ -345,62 +382,31 @@ def _exp(x):
     return out
 
 
-def _psi_batch(spec, scores, idx, stats, q, want_grad):
-    """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient.
-
-    The adjusted scores are laid out class-major, (n, m), so every
-    reduction and broadcast over the classes runs along m-long rows; each
-    element is computed by the same float operations as in the row-major
-    log-softmax, and the class sums in the same order (_class_sum), so
-    the values and gradients are bit for bit those of the row-major path.
-    ``q`` is a float or one value per row.
+def _psi_batch(table, scores, idx, at, want_grad):
+    """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient, every
+    column of the table applied to every row. Class-major, (n, m): each
+    element takes the float operations of the row-major log-softmax, and
+    the class sums its order (_class_sum), so the bits are the same.
     """
-    family = spec.family
     m, n = scores.shape
-    rows = np.arange(m)
-    label_at = idx * m + rows  # each row's label in the flat class-major array
+    label_at = idx * m + np.arange(m)  # each label in the flat (n, m) array
     adjusted = scores.T.copy()
-    rho = 1.0
-    if family == "LA":
-        adjusted += _class_major(spec.tau * stats.log_priors)
-    elif family == "GLA":
-        adjusted += _class_major(stats.log_priors) / (1.0 - q)
-    elif family == "LDAM":
-        if stats.counts is None:
-            raise ValueError("LDAM needs integer class counts (ClassStats)")
-        delta = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
-        adjusted.ravel()[label_at] -= _label_stat(delta, rows, idx)
-    elif family == "GCA":
-        margins = np.asarray(spec.margins, dtype=np.float64)
-        if margins.size != n:
-            raise ValueError(
-                f"margins have length {margins.size}, expected {n}")
-        rho = margins[idx]
-        adjusted /= rho
-    if family in ("WCE", "GCA"):
-        weight = _label_stat(stats.inv_priors, rows, idx)
-    elif family == "CB":
-        weight = (1.0 - spec.gamma) / (
-            1.0 - spec.gamma ** _label_stat(stats.priors, rows, idx))
-    else:
-        weight = 1.0
+    by_block = adjusted.reshape(n, len(table.q), -1)  # a view
+    by_block -= table.neg_shift.T[:, :, None]
+    adjusted.ravel()[label_at] -= table.label_shift.ravel()[at]
+    rho = table.rho.ravel()[at]
+    adjusted /= rho
+    weight = table.weight.ravel()[at]
+    q = table.q.repeat(m // len(table.q))
     # log-softmax over the classes, then Psi^q in log space with the
     # 1e-300 floor at q = 0.
     logp = adjusted  # shifted by the class max, in place
     logp -= logp.max(axis=0)
     logp -= np.log(_class_sum(_exp(logp)))
     log_t = logp.ravel()[label_at]
-    if isinstance(q, float):
-        if q == 0.0:
-            psi, t_pow_q = -np.maximum(log_t, _LOG_PROB_FLOOR), 1.0
-        else:
-            t_pow_q = np.exp(q * log_t)
-            psi = (1.0 - t_pow_q) / q
-    else:
-        zero = q == 0.0
-        t_pow_q = np.where(zero, 1.0, np.exp(q * log_t))
-        psi = np.where(zero, -np.maximum(log_t, _LOG_PROB_FLOOR),
-                       (1.0 - t_pow_q) / np.where(zero, 1.0, q))
+    t_pow_q = np.exp(q * log_t)  # exactly 1.0 where q = 0
+    psi = -np.maximum(log_t, _LOG_PROB_FLOOR)  # the q = 0 link
+    np.divide(1.0 - t_pow_q, q, out=psi, where=q != 0.0)
     values = weight * psi
     if not want_grad:
         return values, None
@@ -410,47 +416,49 @@ def _psi_batch(spec, scores, idx, stats, q, want_grad):
     return values, np.ascontiguousarray(probs.T)
 
 
-def draw_equal_gates(spec: LossSpec, rng: np.random.Generator, shape):
-    """EQUAL's Bernoulli(eq_p) gate draws: a 0/1 float array of ``shape``."""
-    return (rng.random(shape) < spec.eq_p).astype(np.float64)
-
-
 def batch_loss_and_grad(
-    spec: LossSpec,
+    spec,
     scores,
     labels,
     stats: ClassStats | None = None,
     *,
-    q=None,
     equal_draws=None,
-    rng: np.random.Generator | None = None,
+    rng=None,
     want_grad: bool = True,
 ):
     """Per-example loss values and score gradients for a batch.
 
+    ``spec`` is a LossSpec with ``stats`` the class statistics it reads,
+    or a :class:`LossTable` whose blocks split the score rows evenly; a
+    caller that evaluates one stack many times builds its table once.
     ``equal_draws`` (an (m, n) 0/1 array) fixes the EQUAL loss's Bernoulli
-    gate; otherwise the draws come from ``rng``. Stats with one row per
-    score row (an (m, n) :class:`ClassStats` or :class:`PriorStats`) give
-    each row its own class statistics. ``q`` overrides the exponent of a
-    GCE, GLA or GCA spec, with one value or one per score row. Returns
-    ``(values, grads)``, grads an (m, n) C-contiguous array or None when
-    want_grad is False.
+    gate; otherwise each block draws its gates from ``rng``, a Generator
+    or one per block. Returns ``(values, grads)``, grads an (m, n)
+    C-contiguous array or None when want_grad is False.
     """
-    family = spec.family
-    needs_stats = family not in ("CE", "FOCAL", "GCE")
-    if needs_stats and stats is None:
-        raise ValueError(f"{family} requires ClassStats")
-    scores, labels = _check_batch(scores, labels, stats.n if stats else None)
+    if isinstance(spec, LossTable):
+        if stats is not None:
+            raise ValueError("a LossTable carries its own class statistics")
+        table = spec
+        scores, labels = _check_batch(scores, labels, table.rho.shape[1])
+    else:
+        scores, labels = _check_batch(scores, labels,
+                                      stats.n if stats else None)
+        table = loss_table([(spec, stats)], scores.shape[1])
     m, n = scores.shape
-    if stats is not None and stats.priors.ndim == 2 and len(stats.priors) != m:
-        raise ValueError(f"stats have {len(stats.priors)} rows, expected {m}")
-    if q is not None and spec.q is None:
-        raise ValueError(f"{family} takes no q")
+    blocks = len(table.q)
+    if m % blocks:
+        raise ValueError(f"{m} score rows do not split into {blocks} blocks")
+    size = m // blocks
     idx = labels - 1
-    if family in _PSI_FAMILIES:
-        q = (spec.q or 0.0) if q is None else _row_q(q, m)
-        return _psi_batch(spec, scores, idx, stats, q, want_grad)
+    # each row's (block, label) entry in a flattened (B, n) table column
+    at = (idx.reshape(blocks, size) + np.arange(0, blocks * n, n)[:, None]
+          ).ravel()
+    if table.spec is None:
+        return _psi_batch(table, scores, idx, at, want_grad)
 
+    spec = table.spec
+    family = spec.family
     rows = np.arange(m)
     onehot = np.zeros((m, n))
     onehot[rows, idx] = 1.0
@@ -484,12 +492,16 @@ def batch_loss_and_grad(
         if equal_draws is None:
             if rng is None:
                 raise ValueError("EQUAL needs equal_draws or an rng")
-            equal_draws = draw_equal_gates(spec, rng, (m, n))
+            gens = [rng] if isinstance(rng, np.random.Generator) else rng
+            equal_draws = np.concatenate([
+                (gen.random((size, n)) < spec.eq_p).astype(np.float64)
+                for gen in gens])
         draws = np.asarray(equal_draws, dtype=np.float64)
         if draws.shape != (m, n):
             raise ValueError(f"equal_draws must be shape {(m, n)}")
-        rare = (stats.priors < spec.eq_lambda).astype(np.float64)
-        weights = 1.0 - draws * rare * (1.0 - onehot)
+        gated = (draws.reshape(blocks, size, n)
+                 * table.gate[:, None, :]).reshape(m, n)
+        weights = 1.0 - gated * (1.0 - onehot)
         # Masked log-sum-exp over classes with weight 1 (weights are 0/1
         # and the true class always has weight 1).
         shifted = scores - scores.max(axis=1, keepdims=True)
@@ -499,12 +511,9 @@ def batch_loss_and_grad(
         grads = masked / denom[:, None] - onehot if want_grad else None
         return values, grads
 
-    if family == "CSMAX":
-        cost = _label_stat(stats.inv_priors, rows, idx)
-        return _csmax_batch(scores, idx, cost, spec.rho_margin, spec.psi_tau,
-                            want_grad)
-
-    raise ValueError(f"unknown loss family {family!r}")
+    # CSMAX, whose cost 1/p(y) is the table's weight
+    return _csmax_batch(scores, idx, table.weight.ravel()[at],
+                        spec.rho_margin, spec.psi_tau, want_grad)
 
 
 def _comp_sum_psi(x, tau):
@@ -521,7 +530,6 @@ def _comp_sum_psi(x, tau):
 
 def _comp_sum_psi_prime(x, tau):
     """d/dx Psi(x) = -e^{-x} (1 + e^{-x})^{-tau}."""
-    x = np.asarray(x, dtype=np.float64)
     return -np.exp(-x - tau * softplus(-x))
 
 
@@ -535,10 +543,10 @@ def _csmax_batch(scores, idx, cost, rho, tau, want_grad):
     attain = scores >= top  # exact-equality tie set
     jstar = np.argmax(attain, axis=1)  # first True = smallest attaining index
     vstar = gaps[rows, jstar]
-    values = np.asarray(cost, dtype=np.float64) * _comp_sum_psi(vstar, tau)
+    values = cost * _comp_sum_psi(vstar, tau)
     grads = None
     if want_grad:
-        slope = np.asarray(cost) * _comp_sum_psi_prime(vstar, tau) / rho
+        slope = cost * _comp_sum_psi_prime(vstar, tau) / rho
         grads = np.zeros((m, n))
         grads[rows, idx] += slope
         grads[rows, jstar] -= slope

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datagen import Dataset, DiscreteJoint
-from .losses import LossSpec, PriorStats, batch_loss_and_grad
+from .losses import LossSpec, PriorStats, batch_loss_and_grad, loss_table
 from .numerics import argmax_highest, as_finite_array, softplus
 from .trainer import predict_batch
 
@@ -175,13 +175,14 @@ def gla_pointwise_minimizer(point: ConditionalPoint, q: float) -> np.ndarray:
     return powered / powered.sum()
 
 
-def conditional_errors(spec: LossSpec, cond, scores, stats, want_grad=False):
+def conditional_errors(spec, cond, scores, stats=None, want_grad=False):
     """sum_y cond[y] * loss(scores, y) per row of the (P, n) arrays, and
     its score gradients when want_grad, from one loss call on the (P*n, n)
-    tile of every row's labels; ``stats`` holds one marginal or one per
-    tile row. The stacked matmuls (P,1,n) @ (P,n,1) and (P,1,n) @ (P,n,n)
-    make per row the BLAS calls of ``cond @ values`` and ``cond @ grads``
-    on that row alone, so they round identically.
+    tile of every row's labels: ``spec`` is a LossSpec with ``stats`` its
+    marginal, or a LossTable of one block per row or one for all. The
+    stacked matmuls (P,1,n) @ (P,n,1) and (P,1,n) @ (P,n,n) make per row
+    the BLAS calls of ``cond @ values`` and ``cond @ grads`` on that row
+    alone, so they round identically.
     """
     count, n = scores.shape
     labels = np.tile(np.arange(1, n + 1), count)
@@ -235,7 +236,7 @@ def best_conditional_error(family: str, point: ConditionalPoint, q: float) -> fl
 
 
 def minimize_conditional_errors(
-    spec: LossSpec,
+    spec,
     points,
     *,
     max_steps: int = 10_000,
@@ -243,7 +244,8 @@ def minimize_conditional_errors(
     tol: float = 1e-15,
 ):
     """Independent numeric oracle: gradient descent on unconstrained scores,
-    one (scores, value) per point, in input order.
+    one (scores, value) per point, in input order; ``spec`` is one LossSpec
+    or a list of one per point, of any mix of Psi families.
 
     Backtracking descent starting at step 0.5 with two safeguards: an
     Armijo sufficient-decrease test and a unit cap on the per-iteration
@@ -257,14 +259,18 @@ def minimize_conditional_errors(
 
     The points are grouped by class count n and each group descends
     together: one ``batch_loss_and_grad`` call per iteration covers the
-    (P*n, n) tile of every point still descending, each row with its own
-    point's marginal (a (P*n, n) :class:`PriorStats`). Every point keeps
-    its own step, Armijo accept/reject and stopping test, and leaves the
-    group at the iteration where its solo descent stops, so its result
+    (P*n, n) tile of every point still descending, each point's rows with
+    its own row of one loss table (its spec and marginal). Every point
+    keeps its own step, Armijo accept/reject and stopping test, and leaves
+    the group at the iteration where its solo descent stops, so its result
     equals the solo (P = 1) one bit for bit.
     """
+    specs = [spec] * len(points) if isinstance(spec, LossSpec) else spec
+    if len(specs) != len(points):
+        raise ValueError("need one loss spec per point")
     return _solve_by_n(points, lambda members: _descend_group(
-        spec, [points[i] for i in members], max_steps, init_step, tol))
+        [specs[i] for i in members], [points[i] for i in members],
+        max_steps, init_step, tol))
 
 
 def _solve_by_n(points, solve):
@@ -281,7 +287,7 @@ def _solve_by_n(points, solve):
     return results
 
 
-def _descend_group(spec, points, max_steps, init_step, tol):
+def _descend_group(specs, points, max_steps, init_step, tol):
     """The descent loop over points that share n; arrays are indexed by
     point, and ``active`` lists the points still descending.
 
@@ -293,15 +299,16 @@ def _descend_group(spec, points, max_steps, init_step, tol):
     n = points[0].n
     count = len(points)
     cond = np.array([p.cond for p in points])
-    priors = np.array([p.priors for p in points])
+    table = loss_table([(spec, PriorStats(p.priors))
+                        for spec, p in zip(specs, points)], n)
     max_move = 1.0
-    stats = None
+    rows_table = table
 
     def value_grad(scores, rows):
-        nonlocal stats
-        if stats is None or len(stats.priors) != len(rows) * n:  # rows shrank
-            stats = PriorStats(np.repeat(priors[rows], n, axis=0))
-        return conditional_errors(spec, cond[rows], scores, stats,
+        nonlocal rows_table
+        if len(rows_table.q) != len(rows):  # the active points shrank
+            rows_table = table[rows]
+        return conditional_errors(rows_table, cond[rows], scores,
                                   want_grad=True)
 
     active = np.arange(count)

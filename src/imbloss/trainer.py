@@ -11,17 +11,17 @@ enforced by projection after every step. Given a seed, a training run is
 bitwise deterministic.
 
 There is one SGD loop, and it trains R runs in lockstep: runs that share
-the loss up to its exponent q and every TrainConfig field but the seed,
-and that train on one shared dataset or each on its own dataset of the
-same shape. Their parameters are stacked along a leading model axis and
-each run keeps its own generator, label statistics and q, so every run's
-model and history are bit for bit those of training it alone. One loss
-call per step covers the whole stack: its class-major core reads one q
-and one set of class statistics per score row. ``train`` is that loop at
-R = 1; ``train_lockstep`` takes every seed of every q of a sweep on
-shared data, as ``imbloss train`` does, or resamples each with its own
-train set, as ``verify margin`` does. There is also one forward pass,
-over such stacks: a model's ``scores`` runs it on a stack of one.
+every TrainConfig field but the seed, and that train on one shared
+dataset or each on its own dataset of the same shape. Their parameters
+are stacked along a leading model axis and each run keeps its own
+generator, loss and label statistics, so every run's model and history
+are bit for bit those of training it alone. One loss call per step covers
+the whole stack; it reads each run's loss from one row of a loss table,
+built once per stack. ``train`` is that loop at R = 1; ``train_lockstep``
+takes every grid point and seed of a sweep on shared data, as ``imbloss
+train`` does, or resamples each with its own train set, as ``verify
+margin`` does. There is also one forward pass, over such stacks: a
+model's ``scores`` runs it on a stack of one.
 
 Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
@@ -44,12 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datagen import Dataset
-from .losses import (
-    ClassStats,
-    LossSpec,
-    batch_loss_and_grad,
-    draw_equal_gates,
-)
+from .losses import LossSpec, batch_loss_and_grad, loss_table
 from .numerics import argmax_highest
 
 
@@ -272,8 +267,7 @@ def train_lockstep(models, data, spec, cfgs):
     ``data`` is one Dataset that every run trains on, or a list of one
     Dataset per model, all with the same m, n and d; each run then draws
     its batches and its label statistics from its own. ``spec`` is one
-    LossSpec for every run, or a list of one per model that differ only
-    in q; each run's loss then reads its own q.
+    LossSpec, or a list of one per model of any Psi families (loss_table).
 
     Returns one outcome per model, in order: ``(model, history)`` as
     :func:`train` returns it, or the TrainingDiverged that train would
@@ -327,10 +321,10 @@ def _sgd_lockstep(models, data, spec, cfgs):
     on each slice as the solo loop acts on its arrays, so each run is
     bitwise identical to training it alone.
 
-    Runs with their own datasets train on them concatenated: each run's
-    permutations are offset to its own rows, and the loss reads per-row
-    ClassStats. Runs with their own q make the loss read one q per row.
-    Both are built again only when the live runs or the batch size change.
+    Runs with their own datasets train on them concatenated, each run's
+    permutations offset to its own rows. The loss table has one row per
+    run, built from its spec and its own label statistics; a run that
+    leaves takes its row with it.
     """
     if len(models) != len(cfgs) or not models:
         raise ValueError("need one config per model, and at least one model")
@@ -340,14 +334,10 @@ def _sgd_lockstep(models, data, spec, cfgs):
     specs = [spec] * len(models) if isinstance(spec, LossSpec) else spec
     if len(specs) != len(models):
         raise ValueError("need one loss spec per model")
-    spec = specs[0]
-    if any(replace(s, q=spec.q) != spec for s in specs):
-        raise ValueError("lockstep loss specs may differ only in q")
-    qs = (np.array([s.q for s in specs])
-          if any(s.q != spec.q for s in specs) else None)
     if isinstance(data, Dataset):
-        features, labels, stats = data.features, data.labels, data.stats()
-        counts = offsets = None
+        features, labels = data.features, data.labels
+        run_stats = [data.stats()] * len(models)
+        offsets = np.zeros(len(models), dtype=np.int64)
     else:
         if len(data) != len(models):
             raise ValueError("need one dataset per model")
@@ -356,7 +346,7 @@ def _sgd_lockstep(models, data, spec, cfgs):
             raise ValueError("lockstep datasets must share m, n and d")
         features = np.concatenate([x.features for x in data])
         labels = np.concatenate([x.labels for x in data])
-        counts = np.stack([x.stats().counts for x in data])
+        run_stats = [x.stats() for x in data]
         offsets = np.arange(len(data)) * data[0].m
         data = data[0]  # for m, n and d, which every dataset shares
     first = models[0]
@@ -371,6 +361,7 @@ def _sgd_lockstep(models, data, spec, cfgs):
                 or model.norm_bound != first.norm_bound
                 or model.use_bias != first.use_bias):
             raise ValueError("lockstep models must share one architecture")
+    table = loss_table(list(zip(specs, run_stats)), data.n)
     models = [model.copy() for model in models]
     depth = len(shapes)
     norm_bound = first.norm_bound
@@ -389,25 +380,20 @@ def _sgd_lockstep(models, data, spec, cfgs):
     live = np.arange(len(models))  # run index of each stack slice
     outcomes = [None] * len(models)
     histories = [[] for _ in models]
-    row_args = {}  # batch size -> the loss's stats and q for the batch rows
 
     def leave(ok, what):
         # Runs outside ``ok`` diverged at this step: record them and drop
         # them from the run state (per-step arrays are the caller's).
-        nonlocal live, rngs, orders, loss_sums, arrays, velocity
-        nonlocal counts, offsets, qs
+        nonlocal live, rngs, orders, loss_sums, offsets, table
+        nonlocal arrays, velocity
         for run in live[~ok]:
             outcomes[run] = TrainingDiverged(
                 f"non-finite {what} at epoch {epoch}, step {step} "
-                f"(family={spec.family}, lr={lr:.6g})")
-        live, rngs, orders, loss_sums = (
-            x[ok] for x in (live, rngs, orders, loss_sums))
+                f"(family={specs[run].family}, lr={lr:.6g})")
+        live, rngs, orders, loss_sums, offsets = (
+            x[ok] for x in (live, rngs, orders, loss_sums, offsets))
         arrays, velocity = ([a[ok] for a in x] for x in (arrays, velocity))
-        if counts is not None:
-            counts, offsets = counts[ok], offsets[ok]
-        if qs is not None:
-            qs = qs[ok]
-        row_args.clear()
+        table = table[ok]
 
     m, n = data.m, data.n
     batches_per_epoch = (m + cfg.batch_size - 1) // cfg.batch_size
@@ -415,8 +401,7 @@ def _sgd_lockstep(models, data, spec, cfgs):
     step = 0
     for epoch in range(cfg.epochs):
         orders = np.stack([rng.permutation(m) for rng in rngs])
-        if offsets is not None:
-            orders += offsets[:, None]
+        orders += offsets[:, None]
         loss_sums = np.zeros(live.size)
         for b in range(batches_per_epoch):
             batch = orders[:, b * cfg.batch_size:(b + 1) * cfg.batch_size]
@@ -437,19 +422,10 @@ def _sgd_lockstep(models, data, spec, cfgs):
                     return outcomes
                 batch, acts = batch[ok], [a[ok] for a in acts]
 
-            draws = None
-            if spec.family == "EQUAL":
-                draws = np.concatenate([draw_equal_gates(spec, rng, (size, n))
-                                        for rng in rngs])
-            if size not in row_args:
-                row_args[size] = (
-                    stats if counts is None
-                    else ClassStats(np.repeat(counts, size, axis=0)),
-                    None if qs is None else np.repeat(qs, size))
-            row_stats, row_q = row_args[size]
+            # each run draws its own EQUAL gates, if any, from its rng
             values, dscores = batch_loss_and_grad(
-                spec, acts[-1].reshape(-1, n), labels[batch].reshape(-1),
-                row_stats, q=row_q, equal_draws=draws)
+                table, acts[-1].reshape(-1, n), labels[batch].reshape(-1),
+                rng=rngs)
             values = values.reshape(live.size, size)
             dscores = dscores.reshape(live.size, size, n)
             if not np.isfinite(values).all():
@@ -511,7 +487,7 @@ class BoundedLinearFamily:
                            norm_bound=self.norm_bound, use_bias=False)
 
 
-def _weighted_loss_and_grad(spec, model, X, labels, weights, stats):
+def _weighted_loss_and_grad(spec, model, X, labels, weights, stats=None):
     # np.sum adds the m terms of a contiguous row in a fixed (pairwise)
     # order; BLAS dot and gemm split the m rows by thread count, so their
     # last bits would follow the BLAS threading.
@@ -592,10 +568,10 @@ def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
     if not isinstance(objective, LossSpec):
         raise ValueError(f"unknown objective {objective!r}")
 
+    table = loss_table([(objective, stats)], data.n)
     model = LinearModel(np.zeros((family.n, family.d)), np.zeros(family.n),
                         bound, use_bias=False)
-    value, grad = _weighted_loss_and_grad(objective, model, X, labels,
-                                          weights, stats)
+    value, grad = _weighted_loss_and_grad(table, model, X, labels, weights)
     lr = 1.0
     for _ in range(_DESCENT_CAP):
         gnorm = np.linalg.norm(grad)
@@ -604,8 +580,8 @@ def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
         trial = model.copy()
         trial.weights -= lr * grad
         trial.project()
-        new_value, new_grad = _weighted_loss_and_grad(
-            objective, trial, X, labels, weights, stats)
+        new_value, new_grad = _weighted_loss_and_grad(table, trial, X,
+                                                      labels, weights)
         if new_value < value:
             model, value, grad = trial, new_value, new_grad
             lr *= 1.5

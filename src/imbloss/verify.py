@@ -34,16 +34,11 @@ def bayes(pairs):
 
     The numerically minimized conditional GLA error must match the closed
     form to 1e-10, and its argmax label must be the balanced-optimal
-    label. The points of each q are solved in one lockstep call.
+    label. Every (point, q) is solved in one lockstep call.
     """
     pairs = list(pairs)
-    solved = [None] * len(pairs)
-    for q in dict.fromkeys(q for _, q in pairs):
-        trials = [t for t, (_, tq) in enumerate(pairs) if tq == q]
-        results = theory.minimize_conditional_errors(
-            LossSpec("GLA", q=q), [pairs[t][0] for t in trials])
-        for t, result in zip(trials, results):
-            solved[t] = result
+    solved = theory.minimize_conditional_errors(
+        [LossSpec("GLA", q=q) for _, q in pairs], [p for p, _ in pairs])
     for trial, ((point, q), (scores, value)) in enumerate(zip(pairs, solved)):
         closed = theory.best_conditional_error("GLA", point, q)
         label = int(np.argmax(scores)) + 1

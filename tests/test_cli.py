@@ -378,6 +378,31 @@ class TestCommands:
         assert [row.split(",")[-7:-5] for row in rows] == [["0", "2"],
                                                            ["1", "1"]]
 
+    @pytest.mark.parametrize("loss, digest", [
+        ("family = GCA\nq = 0.0, 0.5\nmargins = default",
+         "835a363130bab7e212335e4da7238204c50119df9ae4b3c189653168708f8198"),
+        ("family = LA\ntau = 0.5, 1.0, 2.0",
+         "9b6d29cae1947d78f713af63844cffc77faee04f0cdc95576f698a5cea16630c"),
+    ], ids=["gca-q-grid", "la-tau-grid"])
+    def test_train_output_bytes_are_pinned(self, tmp_path, loss, digest):
+        # written when a stack held only grid points that differed in q,
+        # so each tau of the LA grid trained as a stack of its own; the
+        # digest covers the sha256 of every file under runs/
+        path = tmp_path / "pin.ini"
+        path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
+                                            loss))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out),
+                     "synth"]) == 0
+        assert main(["--config", str(path), "--out", str(out),
+                     "train"]) == 0
+        manifest = "".join(
+            f"{p.relative_to(out).as_posix()} "
+            f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+            for p in sorted((out / "runs").rglob("*")) if p.is_file())
+        assert manifest.count("\n") == (13 if "GCA" in loss else 19)
+        assert hashlib.sha256(manifest.encode()).hexdigest() == digest
+
     def test_train_rejects_jobs_below_one(self, config_file, tmp_path):
         out = tmp_path / "o"
         assert main(["--config", str(config_file), "--out", str(out),
@@ -590,7 +615,9 @@ class TestCommands:
         assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                      "synth"]) == 2
 
-    @pytest.mark.parametrize("cut", ["rows", "column", "header", "sidecar"])
+    @pytest.mark.parametrize("cut", [
+        "rows", "column", "header", "sidecar", "sidecar-list", "sidecar-n",
+        "label-range", "label-fraction"])
     def test_split_disagreeing_with_its_sidecar_is_config_error(
             self, config_file, tmp_path, capsys, cut):
         out = tmp_path / "o"
@@ -603,9 +630,16 @@ class TestCommands:
             lines = [line.split(",", 1)[1] for line in lines]
         elif cut == "header":  # the label column renamed
             lines[0] = lines[0].replace("label", "class")
-        else:  # a sidecar cut short mid-object
+        elif cut.startswith("label"):  # a label outside 1..3, or not whole
+            lines[1] = lines[1].rsplit(",", 1)[0] + (
+                ",7" if cut == "label-range" else ",1.5")
+        else:  # a sidecar cut short mid-object, not an object, or with n
+            # not a number
             sidecar = csv.with_name("train.meta.json")
-            sidecar.write_text(sidecar.read_text()[:20])
+            text = sidecar.read_text()
+            sidecar.write_text({"sidecar": text[:20], "sidecar-list": "[1, 2]",
+                                "sidecar-n": text.replace('"n": 3', '"n": "3"')
+                                }[cut])
         csv.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = main(["--config", str(config_file), "--out", str(out),

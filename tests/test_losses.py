@@ -11,10 +11,12 @@ from imbloss.losses import (
     ClassStats,
     LossSpec,
     PriorStats,
+    PSI_FAMILIES,
     batch_loss_and_grad,
     default_gca_margins,
     eval_grad,
     eval_loss,
+    loss_table,
 )
 from imbloss.numerics import (
     finite_diff_gradient,
@@ -68,24 +70,11 @@ class TestClassStats:
         with pytest.raises(ValueError):
             ClassStats([[3, 1], [2, 0]])
 
-    def test_each_row_equals_its_vector_alone(self):
-        rng = np.random.default_rng(5)
-        counts = rng.integers(1, 10**6, (200, 5))
-        counts[:20] = rng.integers(1, 4, (20, 5))
-        rows = ClassStats(counts)
-        assert rows.n == 5
-        for k, row in enumerate(counts):
-            alone = ClassStats(row)
-            assert rows.total[k, 0] == alone.total
-            assert rows.p_min[k] == alone.p_min
-            for name in ("counts", "priors", "inv_priors", "log_priors"):
-                assert np.array_equal(getattr(rows, name)[k],
-                                      getattr(alone, name)), name
-
     @pytest.mark.parametrize("family", FAMILIES)
     def test_row_counts_give_each_row_its_own_loss(self, family):
-        # one loss call over rows with their own counts equals a call per
-        # row with that row's counts alone, values and gradients
+        # one loss call over a table with one block per row, each with its
+        # own counts, equals a call per row with that row's counts alone,
+        # values and gradients
         rng = np.random.default_rng(6)
         m, n = 40, 4
         counts = rng.integers(1, 60, (m, n))
@@ -95,8 +84,8 @@ class TestClassStats:
         spec = random_spec(rng, family, n)
         if family == "EQUAL":  # gates a different class set in each row
             spec = LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.25)
-        values, grads = batch_loss_and_grad(spec, scores, labels,
-                                            ClassStats(counts),
+        table = loss_table([(spec, ClassStats(row)) for row in counts], n)
+        values, grads = batch_loss_and_grad(table, scores, labels,
                                             equal_draws=draws)
         for k in range(m):
             value, grad = batch_loss_and_grad(
@@ -459,13 +448,13 @@ class TestPriorStats:
         with pytest.raises(ValueError):
             PriorStats([1.0, 0.0])
         with pytest.raises(ValueError):
-            PriorStats([[0.5, 0.5], [0.5, 0.4]])
+            PriorStats([[0.5, 0.5], [0.5, 0.5]])  # one marginal only
 
     @pytest.mark.parametrize("family",
                              ["WCE", "LA", "EQUAL", "CB", "GLA", "GCA", "CSMAX"])
     def test_per_row_priors_equal_per_row_calls(self, family):
-        # one marginal per row gives each row, bit for bit, what a call
-        # with that row's 1-d marginal gives it
+        # a table block per row, each with its own marginal, gives each
+        # row, bit for bit, what a call with that marginal alone gives it
         rng = np.random.default_rng(31)
         m, n = 12, 4
         priors = rng.random((m, n)) + 0.05
@@ -476,8 +465,8 @@ class TestPriorStats:
         spec = random_spec(rng, family, n)
         if family == "EQUAL":  # straddle eq_lambda so the rare mask varies
             spec = LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.25)
-        values, grads = batch_loss_and_grad(spec, scores, labels,
-                                            PriorStats(priors),
+        table = loss_table([(spec, PriorStats(row)) for row in priors], n)
+        values, grads = batch_loss_and_grad(table, scores, labels,
                                             equal_draws=draws)
         for i in range(m):
             value, grad = batch_loss_and_grad(
@@ -487,9 +476,9 @@ class TestPriorStats:
             assert np.array_equal(grads[i], grad[0])
 
     def test_per_row_priors_need_one_row_per_score_row(self):
-        with pytest.raises(ValueError):
-            batch_loss_and_grad(LossSpec("WCE"), np.zeros((3, 2)), [1, 2, 1],
-                                PriorStats(np.full((2, 2), 0.5)))
+        table = loss_table([(LossSpec("WCE"), PriorStats([0.5, 0.5]))] * 2, 2)
+        with pytest.raises(ValueError, match="split into 2 blocks"):
+            batch_loss_and_grad(table, np.zeros((3, 2)), [1, 2, 1])
 
 
 def _reference_psi_family(spec, scores, labels, stats):
@@ -502,7 +491,7 @@ def _reference_psi_family(spec, scores, labels, stats):
     onehot[rows, idx] = 1.0
 
     def label_stat(table):
-        return table[idx] if table.ndim == 1 else table[rows, idx]
+        return table[idx]
 
     def gce_core(adjusted, q):
         logp = log_softmax(adjusted)
@@ -543,35 +532,23 @@ def _reference_psi_family(spec, scores, labels, stats):
             (weight / rho * t_pow_q)[:, None] * (probs - onehot))
 
 
-def _row_stats(rng, kind, m, n):
-    """Class statistics of one kind: one count vector or marginal, or one
-    per score row."""
-    if kind == "counts":
+def _block_stats(rng, kind, n):
+    """One count vector (ClassStats) or one marginal (PriorStats)."""
+    if kind.endswith("counts"):
         return ClassStats(rng.integers(1, 500, n))
-    if kind == "row_counts":
-        return ClassStats(rng.integers(1, 500, (m, n)))
-    if kind == "priors":
-        return PriorStats(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
-    return PriorStats(rng.dirichlet(np.ones(n), m) * 0.9 + 0.1 / n)
-
-
-def _stats_rows(stats, rows):
-    """The stats of the score rows selected by the mask ``rows``."""
-    if stats.priors.ndim == 1:
-        return stats
-    if stats.counts is not None:
-        return ClassStats(stats.counts[rows])
-    return PriorStats(stats.priors[rows])
+    return PriorStats(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
 
 
 class TestPsiFamiliesEqualTheReference:
     # The class-major core must reproduce the row-major reference bit for
     # bit on both sides of numpy's 8-class switch in its class sums (and
-    # past its 128-class one), with one q and, for GCE, GLA and GCA, with
-    # one q per row. LDAM needs integer class counts.
+    # past its 128-class one): for one spec with its stats, for a table
+    # with one block per row (kinds row_counts and row_priors), each with
+    # its own stats and, for GCE, GLA and GCA, its own q, and for tables
+    # that mix every family. LDAM needs integer class counts.
     @pytest.mark.parametrize("family,kind", [
         (family, kind)
-        for family in ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
+        for family in PSI_FAMILIES
         for kind in ("counts", "priors", "row_priors", "row_counts")
         if family != "LDAM" or kind.endswith("counts")])
     def test_values_and_grads_are_bit_equal(self, family, kind):
@@ -583,35 +560,73 @@ class TestPsiFamiliesEqualTheReference:
             scores = rng.normal(0, float(rng.choice([1.0, 30.0, 400.0])),
                                 (m, n))
             labels = rng.integers(1, n + 1, m)
-            stats = _row_stats(rng, kind, m, n)
             spec = random_spec(rng, family, n)
-            for q in [None] + ([] if spec.q is None
-                               else [rng.choice([0.0, 0.3, 0.7], m)]):
-                self.assert_bit_equal(spec, scores, labels, stats, q)
+            if not kind.startswith("row_"):
+                blocks = [(spec, _block_stats(rng, kind, n))]
+            else:
+                blocks = [(spec if spec.q is None
+                           else replace(spec, q=float(q)),
+                           _block_stats(rng, kind, n))
+                          for q in rng.choice([0.0, 0.3, 0.7], m)]
+            self.assert_bit_equal(blocks, scores, labels)
+
+    def test_mixed_tables_are_bit_equal(self):
+        # every family twice, in a shuffled order, each block with its own
+        # hyperparameters, q and counts or priors, and several rows
+        rng = np.random.default_rng(33)
+        for n in [*range(2, 21), 130]:
+            blocks = [(random_spec(rng, family, n),
+                       _block_stats(rng, "counts" if family == "LDAM"
+                                    else str(rng.choice(["counts",
+                                                         "priors"])), n))
+                      for family in PSI_FAMILIES * 2]
+            blocks = [blocks[i] for i in rng.permutation(len(blocks))]
+            m = len(blocks) * int(rng.integers(1, 5))
+            scores = rng.normal(0, float(rng.choice([1.0, 30.0, 400.0])),
+                                (m, n))
+            labels = rng.integers(1, n + 1, m)
+            self.assert_bit_equal(blocks, scores, labels)
 
     @staticmethod
-    def assert_bit_equal(spec, scores, labels, stats, q):
+    def assert_bit_equal(blocks, scores, labels):
+        """One loss call, with the LossSpec of a single block or the table
+        of several, against the reference on each block's rows alone."""
         m, n = scores.shape
-        values, grads = batch_loss_and_grad(spec, scores, labels, stats, q=q)
+        size = m // len(blocks)
+        if len(blocks) == 1:
+            (loss, stats), = blocks
+        else:
+            loss, stats = loss_table(blocks, n), None
+        values, grads = batch_loss_and_grad(loss, scores, labels, stats)
         assert grads.flags.c_contiguous
         ref_values, ref_grads = np.empty(m), np.empty((m, n))
-        for value in ([spec.q] if q is None else np.unique(q)):
-            rows = np.full(m, True) if q is None else q == value
-            spec_q = spec if q is None else replace(spec, q=float(value))
+        for b, (spec, block_stats) in enumerate(blocks):
+            rows = slice(b * size, (b + 1) * size)
             ref_values[rows], ref_grads[rows] = _reference_psi_family(
-                spec_q, scores[rows], labels[rows], _stats_rows(stats, rows))
+                spec, scores[rows], labels[rows], block_stats)
         assert np.array_equal(values, ref_values)
         assert np.array_equal(grads, ref_grads)
-        only, none = batch_loss_and_grad(spec, scores, labels, stats, q=q,
+        only, none = batch_loss_and_grad(loss, scores, labels, stats,
                                          want_grad=False)
         assert np.array_equal(only, ref_values) and none is None
 
-    def test_q_is_checked(self):
-        scores, labels = np.zeros((3, 2)), [1, 2, 1]
-        stats = ClassStats([2, 1])
-        for spec, q in [(LossSpec("WCE"), 0.3),
-                        (LossSpec("GCE", q=0.3), [0.3, 0.3]),
-                        (LossSpec("GCE", q=0.3), [0.3, 1.0, 0.3]),
-                        (LossSpec("GLA", q=0.3), -0.1)]:
-            with pytest.raises(ValueError):
-                batch_loss_and_grad(spec, scores, labels, stats, q=q)
+    def test_table_is_checked(self):
+        counts, priors = ClassStats([2, 1]), PriorStats([0.5, 0.5])
+        for blocks, error in [
+                ([(LossSpec("FOCAL", gamma=1.0), None),
+                  (LossSpec("FOCAL", gamma=2.0), None)], "one spec"),
+                ([(LossSpec("CE"), None), (LossSpec("FOCAL", gamma=1.0),
+                                           None)], "one spec"),
+                ([(LossSpec("WCE"), None)], "requires ClassStats"),
+                ([(LossSpec("LDAM", cap_c=1.0), priors)], "integer class"),
+                ([(LossSpec("GCA", q=0.0, margins=(1.0,) * 3), counts)],
+                 "margins have length 3"),
+                ([(LossSpec("LA", tau=1.0), ClassStats([1, 1, 1]))],
+                 "3 classes")]:
+            with pytest.raises(ValueError, match=error):
+                loss_table(blocks, 2)
+        table = loss_table([(LossSpec("WCE"), counts)], 2)
+        with pytest.raises(ValueError, match="its own class statistics"):
+            batch_loss_and_grad(table, np.zeros((3, 2)), [1, 2, 1], counts)
+        with pytest.raises(ValueError, match="3 classes"):
+            batch_loss_and_grad(table, np.zeros((3, 3)), [1, 2, 1])

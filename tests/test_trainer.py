@@ -185,9 +185,9 @@ class TestTrain:
         import imbloss.trainer as tr
         original = tr.batch_loss_and_grad
 
-        def spy(spec, scores, labels, stats, **kwargs):
+        def spy(spec, scores, labels, *args, **kwargs):
             visited.append(np.atleast_2d(scores).copy())
-            return original(spec, scores, labels, stats, **kwargs)
+            return original(spec, scores, labels, *args, **kwargs)
 
         monkeypatch.setattr(tr, "batch_loss_and_grad", spy)
         model = LinearModel(np.eye(2), np.zeros(2))
@@ -496,6 +496,34 @@ class TestLockstep:
             assert not any(isinstance(o, TrainingDiverged)
                            for o in outcomes[2:])
 
+    @pytest.mark.parametrize("diverged", [False, True])
+    def test_mixed_family_stack_matches_solo_runs(self, diverged):
+        # one run of every Psi family, GCE, GLA and GCA at two q each; a
+        # run that leaves takes its row of the loss table with it, and
+        # its message names its own family. Own datasets give each run
+        # its own stats as well.
+        families = ["CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA",
+                    "GCE", "GLA", "GCA"]
+        cfgs = seed_configs(seeds=range(3, 3 + len(families)))
+        specs = [lockstep_spec(f, imbalanced_mixture().stats())
+                 for f in families]
+        specs[-3:] = [replace(s, q=0.0) for s in specs[-3:]]
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        if diverged:  # non-finite scores at the first step
+            models[4].weights *= np.inf
+            models[7].weights *= 3e307
+        for data in (imbalanced_mixture(), own_mixtures(5) * 2 + [
+                imbalanced_mixture()]):
+            outcomes = assert_lockstep_matches_solo(models, data, specs,
+                                                    cfgs)
+            for run in (4, 7):
+                assert isinstance(outcomes[run], TrainingDiverged) == diverged
+            if diverged:
+                assert "(family=LDAM," in str(outcomes[4])
+                assert "(family=GCA," in str(outcomes[7])
+            assert sum(isinstance(o, TrainingDiverged)
+                       for o in outcomes) == 2 * diverged
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")  # scores / 0.01
     def test_overflowing_adjusted_scores_leave_the_stack(self):
         # Finite scores that GCA's margins divide past the float range give
@@ -526,12 +554,14 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one config per model"):
             train_lockstep(models, data, spec, seed_configs(seeds=(0,)))
         cfgs = seed_configs(seeds=(0, 1))
-        with pytest.raises(ValueError, match="only in q"):
-            train_lockstep(models, data, [LossSpec("GCE", q=0.3),
-                                          LossSpec("GLA", q=0.3)], cfgs)
-        with pytest.raises(ValueError, match="only in q"):
-            train_lockstep(models, data, [LossSpec("LA", tau=1.0),
-                                          LossSpec("LA", tau=2.0)], cfgs)
+        # any Psi families may share a stack; the others need one spec
+        with pytest.raises(ValueError, match="one spec"):
+            train_lockstep(models, data, [LossSpec("FOCAL", gamma=1.0),
+                                          LossSpec("FOCAL", gamma=2.0)], cfgs)
+        with pytest.raises(ValueError, match="one spec"):
+            train_lockstep(models, data, [LossSpec("CE"),
+                                          LossSpec("CSMAX", rho_margin=1.0,
+                                                   psi_tau=1.0)], cfgs)
         with pytest.raises(ValueError, match="one loss spec per model"):
             train_lockstep(models, data, [LossSpec("CE")], cfgs)
 
