@@ -16,7 +16,7 @@ from imbloss import (
     longtail_counts,
     per_class_error,
 )
-from imbloss.trainer import LinearModel, TrainConfig, train
+from imbloss.trainer import LinearModel, TrainConfig, train_lockstep
 
 n, d = 6, 10
 rng = np.random.default_rng(42)
@@ -40,10 +40,14 @@ specs = {
         "GCA", q=0.0, margins=tuple(default_gca_margins(stats))),
 }
 
+# The five Psi-family losses train as one lockstep stack, each run as it
+# would alone.
+outcomes = train_lockstep(
+    [LinearModel.init_random(n, d, seed=0) for _ in specs], train_set,
+    list(specs.values()), [cfg] * len(specs))
+
 print(f"{'loss':28s} {'balanced error':>14s}   per-class error rates")
-for name, spec in specs.items():
-    model = LinearModel.init_random(n, d, seed=0)
-    trained, history = train(model, train_set, spec, cfg)
+for name, (trained, history) in zip(specs, outcomes):
     err = balanced_error(trained, test_set)
     rates = np.round(per_class_error(trained, test_set), 2)
     print(f"{name:28s} {err:14.3f}   {rates}")

@@ -14,7 +14,7 @@ from imbloss import (
     empirical_rademacher_linear,
     gaussian_mixture,
 )
-from imbloss.trainer import LinearModel, TrainConfig, train
+from imbloss.trainer import LinearModel, TrainConfig, train_lockstep
 
 rng = np.random.default_rng(3)
 means = rng.normal(0, 2.0, (3, 6))
@@ -29,8 +29,9 @@ print(f"empirical Rademacher complexity (norm {norm_bound} linear family, "
 
 model = LinearModel.init_random(3, 6, seed=0, norm_bound=norm_bound,
                                 use_bias=False)
-model, _ = train(model, train_set, LossSpec("WCE"),
-                 TrainConfig(epochs=20, batch_size=50, lr0=0.05, seed=0))
+((model, _),) = train_lockstep(
+    [model], train_set, LossSpec("WCE"),
+    [TrainConfig(epochs=20, batch_size=50, lr0=0.05, seed=0)])
 
 print(f"\n{'rho':>6s} {'margin risk':>12s} {'complexity':>11s} "
       f"{'deviation':>10s} {'bound rhs':>10s} {'test risk':>10s}  holds")

@@ -66,7 +66,6 @@ from .trainer import (
     best_in_class_search,
     boundary_angle_degrees,
     cosine_lr,
-    train,
 )
 
 __version__ = "0.1.0"

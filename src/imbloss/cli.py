@@ -102,7 +102,8 @@ def _load_splits(config, out: Path):
     target = dataset_dir(config, out)
     try:
         return {name: read_dataset_csv(target / f"{name}.csv",
-                                       target / f"{name}.meta.json")
+                                       target / f"{name}.meta.json",
+                                       config["dataset"]["n"])
                 for name in SPLITS}
     except (FileNotFoundError, DatasetShapeError) as exc:
         raise ConfigError(f"missing or damaged dataset ({exc}); "
@@ -274,21 +275,17 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     for gridpoint in grid:
         run_hash = _run_hash(config, gridpoint)
         runs = [done[run_hash, seed] for seed in seeds]
-        ok = [r for r in runs if r["status"] == "ok"]
         row = {
             "config_hash": run_hash,
             "family": gridpoint["family"],
             "hyperparams": json.dumps(
                 {k: v for k, v in gridpoint.items() if k != "family"},
                 sort_keys=True),
-            "runs_ok": len(ok),
-            "runs_failed": len(runs) - len(ok),
         }
         for split in ("val", "test"):
-            values = [r[f"{split}_balanced_error"] for r in ok]
-            row[f"{split}_mean"] = float(np.mean(values)) if values else ""
-            row[f"{split}_sd"] = (float(np.std(values, ddof=1))
-                                  if len(values) > 1 else 0.0 if values else "")
+            row["runs_ok"], row[f"{split}_mean"], row[f"{split}_sd"] = \
+                _aggregate(runs, split)
+        row["runs_failed"] = len(runs) - row["runs_ok"]
         summary_rows.append(row)
 
     scored = [r for r in summary_rows if r["val_mean"] != ""]
@@ -317,6 +314,18 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
                   f"{best['hyperparams']} test {best['test_mean']:.6g} "
                   f"+- {best['test_sd']:.6g}")
     return summary_path
+
+
+def _aggregate(runs, split):
+    """A group's ok-run count, and the mean and ddof = 1 sd of the
+    ``split`` balanced error over its ok runs: sd 0.0 for one, and both
+    "" for none."""
+    values = [r[f"{split}_balanced_error"] for r in runs
+              if r["status"] == "ok"]
+    if not values:
+        return 0, "", ""
+    sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+    return len(values), float(np.mean(values)), sd
 
 
 def _csv_cell(value) -> str:
@@ -411,14 +420,10 @@ def cmd_report(run_dirs, out: Path):
                  "test_mean,test_sd\n")
         for key in sorted(groups):
             family, hp, profile, ratio = key
-            ok = [r for r in groups[key] if r["status"] == "ok"]
-            values = [r["test_balanced_error"] for r in ok]
-            mean = f"{np.mean(values):.17g}" if values else ""
-            sd = (f"{np.std(values, ddof=1):.17g}" if len(values) > 1
-                  else "0" if values else "")
+            ok, mean, sd = _aggregate(groups[key], "test")
             fh.write(",".join([family, _csv_cell(hp), profile,
-                               f"{ratio:.17g}", str(len(ok)), mean, sd])
-                     + "\n")
+                               f"{ratio:.17g}", str(ok), _csv_cell(mean),
+                               _csv_cell(sd)]) + "\n")
 
     plot_path = out / "plot_data.csv"
     with open(plot_path, "w", encoding="ascii", newline="\n") as fh:

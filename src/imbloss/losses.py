@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import as_finite_array, log_softmax, softplus
+from .numerics import as_finite_array, softplus
 
 FAMILIES = (
     "CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM",
@@ -435,12 +435,21 @@ def batch_loss_and_grad(
     gate; otherwise each block draws its gates from ``rng``, a Generator
     or one per block. Returns ``(values, grads)``, grads an (m, n)
     C-contiguous array or None when want_grad is False.
+
+    The LossSpec form checks its input: finite scores, one label in 1..n
+    per row. The table form is for callers that produce their own (m, n)
+    float64 scores and 1-based int64 labels, and checks their shapes only:
+    the class count, and rows that split into the blocks. There a
+    non-finite score row gives non-finite or floored values and gradients
+    in its own row, and every other row is as without it.
     """
     if isinstance(spec, LossTable):
         if stats is not None:
             raise ValueError("a LossTable carries its own class statistics")
         table = spec
-        scores, labels = _check_batch(scores, labels, table.rho.shape[1])
+        if scores.shape[1] != table.rho.shape[1]:
+            raise ValueError(f"scores have {scores.shape[1]} classes, "
+                             f"expected {table.rho.shape[1]}")
     else:
         scores, labels = _check_batch(scores, labels,
                                       stats.n if stats else None)
@@ -464,7 +473,10 @@ def batch_loss_and_grad(
     onehot[rows, idx] = 1.0
     if family == "FOCAL":
         gamma = spec.gamma
-        logp = log_softmax(scores)
+        # numerics.log_softmax without its finiteness check, which a
+        # diverging run's row would fail for the whole table
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         log_u = logp[rows, idx]
         ce = -np.maximum(log_u, _LOG_PROB_FLOOR)
         u = np.exp(log_u)

@@ -17,10 +17,10 @@ are stacked along a leading model axis and each run keeps its own
 generator, loss and label statistics, so every run's model and history
 are bit for bit those of training it alone. One loss call per step covers
 the whole stack; it reads each run's loss from one row of a loss table,
-built once per stack. ``train`` is that loop at R = 1; ``train_lockstep``
-takes every grid point and seed of a sweep on shared data, as ``imbloss
-train`` does, or resamples each with its own train set, as ``verify
-margin`` does. There is also one forward pass, over such stacks: a
+built once per stack. That loop, ``train_lockstep``, takes every grid
+point and seed of a sweep on shared data, as ``imbloss train`` does,
+resamples each with its own train set, as ``verify margin`` does, or one
+run as a stack of one. There is also one forward pass, over such stacks: a
 model's ``scores`` runs it on a stack of one.
 
 Prediction always uses the raw scores h(x, .): the prior-based logit
@@ -242,42 +242,8 @@ def predict_batch(model, X) -> np.ndarray:
 
 
 class TrainingDiverged(RuntimeError):
-    """A batch produced non-finite scores or loss: raised by train,
-    returned as the run's outcome by train_lockstep."""
-
-
-def train(model, data: Dataset, spec: LossSpec, cfg: TrainConfig):
-    """Mini-batch SGD with Nesterov momentum; returns (model, history).
-
-    ``history`` is the per-epoch mean training loss (averaged over the
-    examples visited in the epoch, evaluated at the lookahead point where
-    gradients are computed). The input model is not mutated. Raises
-    TrainingDiverged at the first non-finite score or loss.
-    """
-    (outcome,) = _sgd_lockstep([model], data, spec, [cfg])
-    if isinstance(outcome, TrainingDiverged):
-        raise outcome
-    return outcome
-
-
-def train_lockstep(models, data, spec, cfgs):
-    """Train several models in lockstep, one per config; cfgs may differ
-    only in their seed, and the models must share one architecture.
-
-    ``data`` is one Dataset that every run trains on, or a list of one
-    Dataset per model, all with the same m, n and d; each run then draws
-    its batches and its label statistics from its own. ``spec`` is one
-    LossSpec, or a list of one per model of any Psi families (loss_table).
-
-    Returns one outcome per model, in order: ``(model, history)`` as
-    :func:`train` returns it, or the TrainingDiverged that train would
-    raise for that run alone. Each outcome is bit for bit what train
-    gives for that model and config; a diverged run leaves the stack and
-    the others go on.
-    """
-    # train and train_lockstep share a private loop rather than one
-    # calling the other, so a profile of either shows the loop as its own.
-    return _sgd_lockstep(models, data, spec, cfgs)
+    """A batch produced non-finite scores or loss: returned by
+    train_lockstep as that run's outcome."""
 
 
 def _forward(weights, biases, X):
@@ -310,18 +276,31 @@ def _backward(weights, acts, dscores, bias_grads):
 
 
 # The loop reads non-finite scores and losses as divergence itself, so
-# numpy's overflow and invalid warnings would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
-def _sgd_lockstep(models, data, spec, cfgs):
-    """The SGD loop behind train and train_lockstep.
+# numpy's divide, overflow and invalid warnings would only repeat it.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def train_lockstep(models, data, spec, cfgs):
+    """Mini-batch SGD with Nesterov momentum for several models in
+    lockstep, one per config; cfgs may differ only in their seed, and the
+    models must share one architecture. The input models are not mutated.
+
+    ``data`` is one Dataset that every run trains on, or a list of one
+    Dataset per model, all with the same m, n and d; each run then draws
+    its batches and its label statistics from its own. ``spec`` is one
+    LossSpec, or a list of one per model of any Psi families (loss_table).
+
+    Returns one outcome per model, in order: ``(model, history)``, where
+    ``history`` is the per-epoch mean training loss (averaged over the
+    examples visited in the epoch, evaluated at the lookahead point where
+    gradients are computed), or the TrainingDiverged of a run whose
+    scores or loss turned non-finite: that run leaves the stack at that
+    step and the others go on.
 
     The R parameter sets are stacked along a leading model axis, and each
     run keeps its own generator, which draws its epoch permutations and
     EQUAL gates in the order a solo run draws them. Every operation acts
-    on each slice as the solo loop acts on its arrays, so each run is
-    bitwise identical to training it alone.
-
-    Runs with their own datasets train on them concatenated, each run's
+    on each slice as the solo loop acts on its arrays, so each outcome is
+    bit for bit that of training the run in a stack of its own. Runs with
+    their own datasets train on them concatenated, each run's
     permutations offset to its own rows. The loss table has one row per
     run, built from its spec and its own label statistics; a run that
     leaves takes its row with it.
@@ -381,20 +360,6 @@ def _sgd_lockstep(models, data, spec, cfgs):
     outcomes = [None] * len(models)
     histories = [[] for _ in models]
 
-    def leave(ok, what):
-        # Runs outside ``ok`` diverged at this step: record them and drop
-        # them from the run state (per-step arrays are the caller's).
-        nonlocal live, rngs, orders, loss_sums, offsets, table
-        nonlocal arrays, velocity
-        for run in live[~ok]:
-            outcomes[run] = TrainingDiverged(
-                f"non-finite {what} at epoch {epoch}, step {step} "
-                f"(family={specs[run].family}, lr={lr:.6g})")
-        live, rngs, orders, loss_sums, offsets = (
-            x[ok] for x in (live, rngs, orders, loss_sums, offsets))
-        arrays, velocity = ([a[ok] for a in x] for x in (arrays, velocity))
-        table = table[ok]
-
     m, n = data.m, data.n
     batches_per_epoch = (m + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * batches_per_epoch
@@ -413,28 +378,31 @@ def _sgd_lockstep(models, data, spec, cfgs):
             for p, v in zip(arrays, velocity):
                 p += cfg.momentum * v
             acts = _forward(arrays[:depth], arrays[depth:], features[batch])
-            # Diverged runs leave before the shared loss call, which
-            # rejects non-finite scores for the whole stack.
-            if not np.isfinite(acts[-1]).all():
-                ok = np.isfinite(acts[-1]).all(axis=(1, 2))
-                leave(ok, "scores")
-                if not live.size:
-                    return outcomes
-                batch, acts = batch[ok], [a[ok] for a in acts]
-
             # each run draws its own EQUAL gates, if any, from its rng
             values, dscores = batch_loss_and_grad(
                 table, acts[-1].reshape(-1, n), labels[batch].reshape(-1),
                 rng=rngs)
             values = values.reshape(live.size, size)
             dscores = dscores.reshape(live.size, size, n)
-            if not np.isfinite(values).all():
-                ok = np.isfinite(values).all(axis=1)
-                leave(ok, "loss")
+            # Non-finite scores need not give a non-finite loss (a -inf
+            # score of a class other than the label does not), so both are
+            # read.
+            if not (np.isfinite(values).all()
+                    and np.isfinite(acts[-1]).all()):
+                finite = np.isfinite(acts[-1]).all(axis=(1, 2))
+                ok = finite & np.isfinite(values).all(axis=1)
+                for r in np.flatnonzero(~ok):
+                    outcomes[live[r]] = TrainingDiverged(
+                        f"non-finite {'loss' if finite[r] else 'scores'} "
+                        f"at epoch {epoch}, step {step} "
+                        f"(family={specs[live[r]].family}, lr={lr:.6g})")
+                live, rngs, orders, loss_sums, offsets = (
+                    x[ok] for x in (live, rngs, orders, loss_sums, offsets))
                 if not live.size:
                     return outcomes
-                values, dscores = values[ok], dscores[ok]
-                acts = [a[ok] for a in acts]
+                arrays, velocity, acts = (
+                    [a[ok] for a in x] for x in (arrays, velocity, acts))
+                values, dscores, table = values[ok], dscores[ok], table[ok]
             loss_sums += values.sum(axis=1)
             grads = _backward(arrays[:depth], acts, dscores / size,
                               first.use_bias)

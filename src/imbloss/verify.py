@@ -139,8 +139,7 @@ def margin_bound(rng: np.random.Generator, resamples: int):
     3-class Gaussian task: one record per resample, then the rate, which
     must reach 85%. The resamples of each block of ``_MARGIN_BLOCK`` are
     trained in one lockstep call, each on its own train set; a resample
-    that diverges raises the TrainingDiverged that ``trainer.train`` would
-    raise for it."""
+    that diverges raises the TrainingDiverged that call returns for it."""
     probs = [0.6, 0.3, 0.1]
     # the sampling distribution is fixed; only train/test draws resample
     means = np.random.default_rng(123).normal(0, 2.0, (3, 6))

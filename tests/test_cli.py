@@ -617,14 +617,22 @@ class TestCommands:
 
     @pytest.mark.parametrize("cut", [
         "rows", "column", "header", "sidecar", "sidecar-list", "sidecar-n",
-        "label-range", "label-fraction"])
+        "label-range", "label-fraction", "sidecar-n-4", "class-missing",
+        "val-class-missing", "test-class-missing"])
     def test_split_disagreeing_with_its_sidecar_is_config_error(
             self, config_file, tmp_path, capsys, cut):
         out = tmp_path / "o"
         main(["--config", str(config_file), "--out", str(out), "synth"])
-        csv = next((out / "datasets").rglob("train.csv"))
+        split = cut.split("-")[0] if cut.startswith(("val", "test")) \
+            else "train"
+        csv = next((out / "datasets").rglob(f"{split}.csv"))
+        sidecar = csv.with_name(f"{split}.meta.json")
         lines = csv.read_text().splitlines()
-        if cut == "rows":  # the header and the first half of the rows
+        if cut.endswith("class-missing"):  # class 3's rows, and m to match
+            lines = [line for line in lines if not line.endswith(",3")]
+            meta = json.loads(sidecar.read_text())
+            sidecar.write_text(json.dumps(dict(meta, m=len(lines) - 1)))
+        elif cut == "rows":  # the header and the first half of the rows
             lines = lines[:1 + (len(lines) - 1) // 2]
         elif cut == "column":  # a consistent file one feature short
             lines = [line.split(",", 1)[1] for line in lines]
@@ -634,11 +642,11 @@ class TestCommands:
             lines[1] = lines[1].rsplit(",", 1)[0] + (
                 ",7" if cut == "label-range" else ",1.5")
         else:  # a sidecar cut short mid-object, not an object, or with n
-            # not a number
-            sidecar = csv.with_name("train.meta.json")
+            # not a number or not the config's n
             text = sidecar.read_text()
             sidecar.write_text({"sidecar": text[:20], "sidecar-list": "[1, 2]",
-                                "sidecar-n": text.replace('"n": 3', '"n": "3"')
+                                "sidecar-n": text.replace('"n": 3', '"n": "3"'),
+                                "sidecar-n-4": text.replace('"n": 3', '"n": 4')
                                 }[cut])
         csv.write_text("\n".join(lines) + "\n")
         capsys.readouterr()

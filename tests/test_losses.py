@@ -630,3 +630,44 @@ class TestPsiFamiliesEqualTheReference:
             batch_loss_and_grad(table, np.zeros((3, 2)), [1, 2, 1], counts)
         with pytest.raises(ValueError, match="3 classes"):
             batch_loss_and_grad(table, np.zeros((3, 3)), [1, 2, 1])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_non_finite_block_leaves_the_others_bit_equal(family):
+    # The table form trusts its caller's scores: a block whose scores hold
+    # inf or nan gives every other block, values and gradients, what a call
+    # without it gives. The spec form still checks them.
+    rng = np.random.default_rng(34)
+    n, size, bad = 5, 6, 2
+    spec = random_spec(rng, family, n)
+    blocks = [(spec if spec.q is None else replace(spec, q=float(q)),
+               ClassStats(rng.integers(1, 60, n)))
+              for q in rng.choice([0.0, 0.3, 0.7], 5)]
+    scores = rng.normal(0, 3, (len(blocks) * size, n))
+    labels = rng.integers(1, n + 1, len(scores))
+    draws = (rng.random(scores.shape) < 0.5).astype(np.float64)
+    rows = slice(bad * size, (bad + 1) * size)
+    block = scores[rows]  # a view
+    block[0, labels[rows][0] - 1] = np.inf
+    block[1, labels[rows][1] % n] = -np.inf  # a class other than the label
+    block[2, labels[rows][2] - 1] = -np.inf
+    block[3, 0] = np.nan
+    block[4] = np.inf
+    keep = np.arange(len(scores)) // size != bad
+    table = loss_table(blocks, n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values, grads = batch_loss_and_grad(table, scores, labels,
+                                            equal_draws=draws)
+    want_values, want_grads = batch_loss_and_grad(
+        table[np.arange(len(blocks)) != bad], scores[keep], labels[keep],
+        equal_draws=draws[keep])
+    assert np.array_equal(values[keep], want_values)
+    assert np.array_equal(grads[keep], want_grads)
+    spec, stats = blocks[bad]
+    with pytest.raises(ValueError, match="scores must be finite"):
+        batch_loss_and_grad(spec, block, labels[rows], stats,
+                            equal_draws=draws[rows])
+    for label in (0, n + 1):
+        with pytest.raises(ValueError, match=f"labels must lie in 1..{n}"):
+            batch_loss_and_grad(spec, scores[:1], [label], stats,
+                                equal_draws=draws[:1])

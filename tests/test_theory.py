@@ -34,7 +34,7 @@ from imbloss.theory import (
     phi_rho,
     random_conditional_point,
 )
-from imbloss.trainer import LinearModel, TrainConfig, train
+from imbloss.trainer import LinearModel, TrainConfig, train_lockstep
 from oracles import bal_regret_bruteforce
 
 
@@ -853,7 +853,8 @@ class TestTheorem5Bound:
             test_set = self._task(200 + rep, m=300)
             model = LinearModel.init_random(3, 4, seed=rep, norm_bound=1.0,
                                             use_bias=False)
-            model, _ = train(model, train_set, LossSpec("WCE"), model_cfg)
+            ((model, _),) = train_lockstep([model], train_set,
+                                           LossSpec("WCE"), [model_cfg])
             report = check_theorem5_bound(model, train_set, test_set, rho=0.5,
                                           norm_bound=1.0, delta=0.1,
                                           trials=30, seed=rep)

@@ -27,7 +27,6 @@ from imbloss.trainer import (
     load_checkpoint,
     predict_batch,
     save_checkpoint,
-    train,
     train_lockstep,
 )
 from imbloss.trainer import _weighted_balanced_error, _weighted_loss_and_grad
@@ -113,13 +112,20 @@ class TestScores:
                                   reference_scores(model, x)[0])
 
 
+def solo(model, data, spec, cfg):
+    """One run as a stack of one: (model, history), or its
+    TrainingDiverged."""
+    (outcome,) = train_lockstep([model], data, spec, [cfg])
+    return outcome
+
+
 class TestTrain:
     def test_zero_lr_leaves_model_unchanged(self):
         data = separable_blobs()
         model = LinearModel.init_random(2, 2, seed=1)
         cfg = TrainConfig(epochs=3, batch_size=16, lr0=0.0, momentum=0.9,
                           weight_decay=0.1, seed=0)
-        trained, history = train(model, data, LossSpec("CE"), cfg)
+        trained, history = solo(model, data, LossSpec("CE"), cfg)
         np.testing.assert_array_equal(trained.weights, model.weights)
         assert history[0] == pytest.approx(history[-1])
 
@@ -128,7 +134,7 @@ class TestTrain:
         model = LinearModel.init_random(2, 2, seed=2)
         cfg = TrainConfig(epochs=1, batch_size=2, lr0=0.05, momentum=0.0,
                           weight_decay=0.0, seed=0, schedule="constant")
-        trained, _ = train(model, data, LossSpec("CE"), cfg)
+        trained, _ = solo(model, data, LossSpec("CE"), cfg)
         stats = data.stats()
         grad_w = np.zeros_like(model.weights)
         for x, y in zip(data.features, data.labels):
@@ -143,7 +149,7 @@ class TestTrain:
         model = LinearModel.init_random(2, 2, seed=3)
         cfg = TrainConfig(epochs=50, batch_size=16, lr0=0.5, momentum=0.9,
                           seed=1)
-        trained, history = train(model, data, LossSpec("CE"), cfg)
+        trained, history = solo(model, data, LossSpec("CE"), cfg)
         preds = predict_batch(trained, data.features)
         assert np.mean(preds != data.labels) == 0.0
         assert history[-1] < history[0]
@@ -153,8 +159,8 @@ class TestTrain:
         model = LinearModel.init_random(2, 2, seed=4)
         cfg = TrainConfig(epochs=5, batch_size=8, lr0=0.1, momentum=0.9,
                           weight_decay=1e-3, seed=9)
-        a, ha = train(model, data, LossSpec("GLA", q=0.3), cfg)
-        b, hb = train(model, data, LossSpec("GLA", q=0.3), cfg)
+        a, ha = solo(model, data, LossSpec("GLA", q=0.3), cfg)
+        b, hb = solo(model, data, LossSpec("GLA", q=0.3), cfg)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.biases, b.biases)
         assert ha == hb
@@ -164,7 +170,7 @@ class TestTrain:
         bound = 0.3
         model = LinearModel.init_random(2, 2, seed=5, norm_bound=bound)
         cfg = TrainConfig(epochs=5, batch_size=16, lr0=1.0, momentum=0.9, seed=2)
-        trained, _ = train(model, data, LossSpec("WCE"), cfg)
+        trained, _ = solo(model, data, LossSpec("WCE"), cfg)
         norms = np.linalg.norm(trained.weights, axis=1)
         assert np.all(norms <= bound + 1e-12)
 
@@ -172,9 +178,9 @@ class TestTrain:
         data = separable_blobs()
         model = LinearModel.init_random(2, 2, seed=6)
         base = TrainConfig(epochs=2, batch_size=16, lr0=0.0, seed=3)
-        _, h0 = train(model, data, LossSpec("CE"), base)
+        _, h0 = solo(model, data, LossSpec("CE"), base)
         tiny = TrainConfig(epochs=2, batch_size=16, lr0=1e-9, seed=3)
-        _, h1 = train(model, data, LossSpec("CE"), tiny)
+        _, h1 = solo(model, data, LossSpec("CE"), tiny)
         assert h1[-1] == pytest.approx(h0[0], rel=1e-6)
 
     def test_epoch_shuffle_visits_exactly_the_dataset(self, monkeypatch):
@@ -192,7 +198,7 @@ class TestTrain:
         monkeypatch.setattr(tr, "batch_loss_and_grad", spy)
         model = LinearModel(np.eye(2), np.zeros(2))
         cfg = TrainConfig(epochs=2, batch_size=6, lr0=0.0, seed=4)
-        train(model, data, LossSpec("CE"), cfg)
+        solo(model, data, LossSpec("CE"), cfg)
         per_epoch = np.split(np.concatenate(visited), 2)
         expected = sorted(map(tuple, data.features))
         for epoch_scores in per_epoch:
@@ -206,28 +212,30 @@ class TestTrain:
         data = separable_blobs(counts=(9, 9))
         model = LinearModel.init_random(2, 2, seed=8)
         cfg = TrainConfig(epochs=1, batch_size=4, lr0=0.0, seed=5)
-        _, h1 = train(model, data, LossSpec("CE"), cfg)
+        _, h1 = solo(model, data, LossSpec("CE"), cfg)
         cfg2 = TrainConfig(epochs=1, batch_size=18, lr0=0.0, seed=6)
-        _, h2 = train(model, data, LossSpec("CE"), cfg2)
+        _, h2 = solo(model, data, LossSpec("CE"), cfg2)
         # zero lr: epoch mean equals the full-data mean regardless of
         # batching or shuffle order
         assert h1[0] == pytest.approx(h2[0], rel=1e-12)
 
-    def test_divergence_raises_with_diagnostic(self):
+    def test_divergence_returns_a_diagnostic(self):
         data = separable_blobs()
         model = LinearModel.init_random(2, 2, seed=9)
         model.weights *= 1e308  # score overflow on the first forward pass
         cfg = TrainConfig(epochs=1, batch_size=16, lr0=0.1, seed=7)
-        with pytest.raises(TrainingDiverged, match="epoch 0"):
-            train(model, data, LossSpec("CE"), cfg)
+        outcome = solo(model, data, LossSpec("CE"), cfg)
+        assert isinstance(outcome, TrainingDiverged)
+        assert str(outcome) == ("non-finite scores at epoch 0, step 0 "
+                                "(family=CE, lr=0.1)")
 
     def test_mlp_trains_and_is_deterministic(self):
         data = separable_blobs()
         model = MlpModel.init_random([2, 16, 2], seed=10)
         cfg = TrainConfig(epochs=30, batch_size=16, lr0=0.2, momentum=0.9,
                           seed=8)
-        a, _ = train(model, data, LossSpec("CE"), cfg)
-        b, _ = train(model, data, LossSpec("CE"), cfg)
+        a, _ = solo(model, data, LossSpec("CE"), cfg)
+        b, _ = solo(model, data, LossSpec("CE"), cfg)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         preds = predict_batch(a, data.features)
@@ -261,14 +269,6 @@ def lockstep_spec(family, stats):
         "CSMAX": {"rho_margin": 1.0, "psi_tau": 1.0},
     }[family]
     return LossSpec(family, **params)
-
-
-def solo(model, data, spec, cfg):
-    """train() for one run, with divergence as a returned outcome."""
-    try:
-        return train(model, data, spec, cfg)
-    except TrainingDiverged as exc:
-        return exc
 
 
 def assert_same_outcome(got, want):
@@ -359,11 +359,16 @@ class TestLockstep:
         "CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM",
         "GCE", "GLA", "GCA", "CSMAX"])
     def test_every_family_matches_solo_runs(self, family):
+        # solo runs are stacks of one, so the 2-d reference loop is what
+        # ties each family's training to the loss's LossSpec form
         data = imbalanced_mixture()
         spec = lockstep_spec(family, data.stats())
         cfgs = seed_configs()
         models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
-        assert_lockstep_matches_solo(models, data, spec, cfgs)
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        for model, cfg, outcome in zip(models, cfgs, outcomes):
+            assert_same_outcome(outcome,
+                                reference_train(model, data, spec, cfg))
 
     @pytest.mark.parametrize("make, overrides", [
         (lambda s: LinearModel.init_random(3, 4, s, norm_bound=0.4), {}),
@@ -538,6 +543,39 @@ class TestLockstep:
         assert not np.isfinite(scores / 0.01).all()
         outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
         assert "non-finite loss at epoch 0, step 0 " in str(outcomes[1])
+        assert not isinstance(outcomes[0], TrainingDiverged)
+        assert not isinstance(outcomes[2], TrainingDiverged)
+
+    def test_scores_and_loss_diverging_at_one_step_leave_together(self):
+        # At step 0 run 1's scores are finite but GCA's margins divide them
+        # past the float range, and run 2's scores are not finite: one
+        # divergence check after the loss call tells the two apart.
+        data = imbalanced_mixture()
+        spec = LossSpec("GCA", q=0.3, margins=(0.01, 0.01, 0.01))
+        cfgs = seed_configs(seeds=(0, 1, 2, 3))
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        models[1].weights *= 5e306
+        models[2].weights *= np.inf
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        assert [str(outcomes[run]) for run in (1, 2)] == [
+            f"non-finite {what} at epoch 0, step 0 (family=GCA, lr=0.2)"
+            for what in ("loss", "scores")]
+        assert not isinstance(outcomes[0], TrainingDiverged)
+        assert not isinstance(outcomes[3], TrainingDiverged)
+
+    def test_minus_inf_label_score_leaves_without_a_warning(self):
+        # Run 1 scores class 1 at -inf: where EQUAL gates classes 2 and 3
+        # out of a class-1 row, its softmax denominator is 0 and its log
+        # divides by zero, a warning the loop silences with the others.
+        data = imbalanced_mixture()
+        spec = LossSpec("EQUAL", eq_p=0.9, eq_lambda=0.3)
+        cfgs = seed_configs(seeds=(0, 1, 2))
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        models[1].weights[0] = 0.0
+        models[1].biases[0] = -np.inf
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        assert str(outcomes[1]).startswith(
+            "non-finite scores at epoch 0, step 0 ")
         assert not isinstance(outcomes[0], TrainingDiverged)
         assert not isinstance(outcomes[2], TrainingDiverged)
 
