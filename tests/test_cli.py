@@ -544,6 +544,26 @@ class TestCommands:
         ).hexdigest() == ("bdb0af257f7d5dd162f63deb02c221ee"
                           "d512dcce898c1b9ed29bb6f6c69e0656")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("suite, budget, digest", [
+        # the default budgets; bounds crosses 40 blocks of its trials.
+        # Written by one ConditionalPoint per drawn trial, the same under
+        # 1 and 2 BLAS threads
+        ("bayes", 500, "22acabae487c106212ce40b5b0c2c1f7"
+                       "1cd4f4f411e36c7885799c671e391f92"),
+        ("bounds", 10_000, "8e9a5104b3f63cb4ed8a79e470138f9e"
+                           "b3beda40135c69b6ca85594b889c11d6"),
+    ], ids=["bayes", "bounds"])
+    def test_full_budget_evidence_bytes_are_pinned(self, tmp_path, suite,
+                                                   budget, digest, threads):
+        done = run_python(["-m", "imbloss.cli", "--out", "v", "--seed", "0",
+                           "verify", suite, "--budget", str(budget)],
+                          tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(
+            (tmp_path / "v" / f"verify_{suite}.jsonl").read_bytes()
+        ).hexdigest() == digest
+
     @pytest.mark.parametrize("suite, budget, seed, code, digest", [
         # written by the per-point descent before the lockstep loop
         ("bayes", 30, 0, 0, "75b7f71e1518faaa02eea5b8f30c6e0d"
