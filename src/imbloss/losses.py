@@ -513,11 +513,13 @@ def batch_loss_and_grad(
             raise ValueError(f"equal_draws must be shape {(m, n)}")
         gated = (draws.reshape(blocks, size, n)
                  * table.gate[:, None, :]).reshape(m, n)
-        weights = 1.0 - gated * (1.0 - onehot)
-        # Masked log-sum-exp over classes with weight 1 (weights are 0/1
-        # and the true class always has weight 1).
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        masked = np.exp(shifted) * weights
+        live = gated * (1.0 - onehot) == 0.0
+        # Log-sum-exp over the classes left ungated (the true class always
+        # is), shifted by their max: a gated class scoring far above them
+        # would underflow every ungated term to 0 and the loss to -inf.
+        shifted = scores - np.where(live, scores, -np.inf).max(axis=1,
+                                                               keepdims=True)
+        masked = np.exp(np.where(live, shifted, -np.inf))
         denom = masked.sum(axis=1)
         values = np.log(denom) - shifted[rows, idx]
         grads = masked / denom[:, None] - onehot if want_grad else None

@@ -281,6 +281,18 @@ class TestBaselines:
         true_kept = eval_loss(spec, scores, 2, stats, equal_draws=[1.0, 1.0])
         assert true_kept == pytest.approx(math.log(2), abs=1e-15)
 
+    def test_equal_gated_class_far_above_the_label_gives_zero_loss(self):
+        # Classes 2 and 3 (priors 1/12 < lambda 0.5) are gated out, so only
+        # the label remains: the loss is 0 and so are its gradients. A
+        # shift by the max over all classes underflowed the label's term
+        # to 0, a -inf loss and NaN gradients.
+        spec = LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.5)
+        values, grads = batch_loss_and_grad(
+            spec, np.array([[-800.0, 5.0, 3.0]]), np.array([1]),
+            ClassStats([10, 1, 1]), equal_draws=np.ones((1, 3)))
+        assert values.tolist() == [0.0]
+        assert grads.tolist() == [[0.0, 0.0, 0.0]]
+
     def test_equal_draws_from_seeded_stream(self):
         stats = ClassStats([8, 2])
         spec = LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.5)

@@ -565,8 +565,9 @@ class TestLockstep:
 
     def test_minus_inf_label_score_leaves_without_a_warning(self):
         # Run 1 scores class 1 at -inf: where EQUAL gates classes 2 and 3
-        # out of a class-1 row, its softmax denominator is 0 and its log
-        # divides by zero, a warning the loop silences with the others.
+        # out of a class-1 row, its log-sum-exp shift is -inf and
+        # -inf - -inf is invalid, a warning the loop silences with the
+        # others.
         data = imbalanced_mixture()
         spec = LossSpec("EQUAL", eq_p=0.9, eq_lambda=0.3)
         cfgs = seed_configs(seeds=(0, 1, 2))
@@ -578,6 +579,19 @@ class TestLockstep:
             "non-finite scores at epoch 0, step 0 ")
         assert not isinstance(outcomes[0], TrainingDiverged)
         assert not isinstance(outcomes[2], TrainingDiverged)
+
+    def test_equal_gated_class_far_above_the_label_is_not_divergence(self):
+        # Run 1 scores class 1 near -800. Where EQUAL gates classes 2 and 3
+        # out of a class-1 row, only the label remains and the loss is 0;
+        # a shift by the max over all classes made it -inf, and the run
+        # was recorded as diverged.
+        data = imbalanced_mixture()
+        spec = LossSpec("EQUAL", eq_p=0.9, eq_lambda=0.3)
+        cfgs = seed_configs(seeds=(0, 1))
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        models[1].biases[0] = -800.0
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        assert not any(isinstance(o, TrainingDiverged) for o in outcomes)
 
     def test_rejects_stacks_that_differ_beyond_the_seed(self):
         data = imbalanced_mixture()
