@@ -63,14 +63,11 @@ class ConditionalPoint:
     """
 
     def __init__(self, cond, priors, reachable=None):
-        cond = as_finite_array(cond, "cond")
-        priors = as_finite_array(priors, "priors")
+        cond = np.asarray(cond, dtype=np.float64)
+        priors = np.asarray(priors, dtype=np.float64)
         if cond.shape != priors.shape or cond.ndim != 1 or cond.size < 2:
             raise ValueError("cond and priors must be equal-length vectors, n >= 2")
-        if np.any(cond < 0) or abs(cond.sum() - 1.0) > 1e-12:
-            raise ValueError("cond must be a probability vector")
-        if np.any(priors <= 0) or abs(priors.sum() - 1.0) > 1e-12:
-            raise ValueError("priors must be a strictly positive probability vector")
+        check_point_rows(cond, priors)
         self.cond = cond
         self.priors = priors
         self.n = cond.size
@@ -98,6 +95,23 @@ class ConditionalPoint:
     def __repr__(self) -> str:
         return (f"ConditionalPoint(cond={self.cond.tolist()}, "
                 f"priors={self.priors.tolist()}, reachable={self.reachable})")
+
+
+def check_point_rows(cond, priors, valid=True) -> None:
+    """Raise ValueError unless each row (last axis) of ``cond`` and
+    ``priors`` makes a :class:`ConditionalPoint`: both finite, cond >= 0,
+    priors > 0, each summing to 1 within 1e-12. Entries where ``valid``
+    is False, the padding past a row's class count, are not read.
+    """
+    for name, arr in (("cond", cond), ("priors", priors)):
+        if not np.isfinite(arr).all(where=valid):
+            raise ValueError(f"{name} must be finite, got {arr!r}")
+    if ((cond < 0).any(where=valid)
+            or (abs(cond.sum(axis=-1, where=valid) - 1.0) > 1e-12).any()):
+        raise ValueError("cond must be a probability vector")
+    if ((priors <= 0).any(where=valid)
+            or (abs(priors.sum(axis=-1, where=valid) - 1.0) > 1e-12).any()):
+        raise ValueError("priors must be a strictly positive probability vector")
 
 
 @dataclass(frozen=True)
@@ -185,7 +199,7 @@ def conditional_errors(spec, cond, scores, stats=None, want_grad=False):
     alone, so they round identically.
     """
     count, n = scores.shape
-    labels = np.tile(np.arange(1, n + 1), count)
+    labels = np.arange(1, n + 1)[None].repeat(count, axis=0).ravel()
     values, grads = batch_loss_and_grad(
         spec, np.repeat(scores, n, axis=0), labels, stats, want_grad=want_grad)
     weights = cond[:, None, :]
@@ -288,8 +302,10 @@ def _solve_by_n(points, solve):
 
 
 def _descend_group(specs, points, max_steps, init_step, tol):
-    """The descent loop over points that share n; arrays are indexed by
-    point, and ``active`` lists the points still descending.
+    """The descent loop over points that share n. Its arrays hold one row
+    per point still descending, ``ids`` their input positions; a point
+    that stops writes its result and the arrays drop its row, so an
+    iteration in which no point stops gathers and scatters nothing.
 
     The gradient norms are stacked matmuls, (P,1,n) @ (P,n,1), which per
     point make the same BLAS dot call as ``np.linalg.norm`` on that point
@@ -297,55 +313,54 @@ def _descend_group(specs, points, max_steps, init_step, tol):
     (:func:`conditional_errors`).
     """
     n = points[0].n
-    count = len(points)
     cond = np.array([p.cond for p in points])
     table = loss_table([(spec, PriorStats(p.priors))
                         for spec, p in zip(specs, points)], n)
     max_move = 1.0
-    rows_table = table
+    results = [None] * len(points)
+    ids = np.arange(len(points))
+    scores = np.zeros((len(points), n))
+    value, grad = conditional_errors(table, cond, scores, want_grad=True)
+    step = np.full(len(points), init_step)
 
-    def value_grad(scores, rows):
-        nonlocal rows_table
-        if len(rows_table.q) != len(rows):  # the active points shrank
-            rows_table = table[rows]
-        return conditional_errors(rows_table, cond[rows], scores,
-                                  want_grad=True)
+    def leave(stay):
+        """Write the results of the rows ``stay`` drops; the kept state."""
+        for i in np.flatnonzero(~stay).tolist():
+            results[ids[i]] = (scores[i].copy(), float(value[i]))
+        return [a[stay] for a in (ids, cond, table, scores, value, grad, step)]
 
-    active = np.arange(count)
-    scores = np.zeros((count, n))
-    value, grad = value_grad(scores, active)
-    step = np.full(count, init_step)
     for _ in range(max_steps):
-        g = grad[active]
-        gnorm = np.sqrt((g[:, None, :] @ g[:, :, None]).reshape(-1))
+        gnorm = np.sqrt((grad[:, None, :] @ grad[:, :, None]).reshape(-1))
         moving = ~(gnorm < 1e-13)
-        active, gnorm, g = active[moving], gnorm[moving], g[moving]
-        if active.size == 0:
-            break
-        used = np.minimum(step[active], max_move / gnorm)
-        candidate = scores[active] - used[:, None] * g
-        cand_value, cand_grad = value_grad(candidate, active)
+        if not moving.all():
+            ids, cond, table, scores, value, grad, step = leave(moving)
+            gnorm = gnorm[moving]
+            if ids.size == 0:
+                break
+        used = np.minimum(step, max_move / gnorm)
+        candidate = scores - used[:, None] * grad
+        cand_value, cand_grad = conditional_errors(table, cond, candidate,
+                                                   want_grad=True)
         # gnorm**2 on Python floats, as the per-point loop always computed
         # it: libm pow differs from gnorm * gnorm in the last bit for
         # about 0.1% of inputs, which could flip an Armijo decision.
         gnorm_sq = np.array([g**2 for g in gnorm.tolist()])
-        old_value = value[active]
-        accept = cand_value <= old_value - 0.1 * used * gnorm_sq
-        grown = np.minimum(step[active] * 1.5, 1e6)
+        accept = cand_value <= value - 0.1 * used * gnorm_sq
         halved = used * 0.5
         done = np.where(
             accept,
-            old_value - cand_value < tol * np.maximum(1.0, np.abs(cand_value)),
+            value - cand_value < tol * np.maximum(1.0, np.abs(cand_value)),
             halved < 1e-14)
-        step[active] = np.where(accept, grown, halved)
-        took = active[accept]
-        scores[took] = candidate[accept]
-        value[took] = cand_value[accept]
-        grad[took] = cand_grad[accept]
-        active = active[~done]
-        if active.size == 0:
-            break
-    return [(scores[i].copy(), float(value[i])) for i in range(count)]
+        step = np.where(accept, np.minimum(step * 1.5, 1e6), halved)
+        scores = np.where(accept[:, None], candidate, scores)
+        value = np.where(accept, cand_value, value)
+        grad = np.where(accept[:, None], cand_grad, grad)
+        if done.any():
+            ids, cond, table, scores, value, grad, step = leave(~done)
+            if ids.size == 0:
+                break
+    leave(np.zeros(ids.size, dtype=bool))
+    return results
 
 
 def _log_normalize(logits) -> np.ndarray:
@@ -421,6 +436,28 @@ def gca_bound_transform(t: float, p_min: float, n: int, q: float) -> float:
     return math.sqrt(2.0 * n**q * t) / math.sqrt(p_min)
 
 
+def regret_reports(family: str, cond, priors, scores, q: float) -> list:
+    """The row-wise core of :func:`check_regret_bounds`: one
+    :class:`RegretReport` per row of the (P, n) float64 arrays, for
+    points of one n with all labels reachable. The caller has checked
+    the rows (:func:`check_point_rows`, finite scores) and ``family``.
+    Every row sum runs left to right, so a row's report is the same bits
+    alone or among others.
+    """
+    n = cond.shape[1]
+    ratios = cond / priors
+    predicted = argmax_highest(scores)
+    targets = ratios.max(axis=1) - ratios[np.arange(len(cond)), predicted]
+    surrogates = _surrogate_regrets(family, cond, priors, scores, q)
+    reports = []
+    for target, t, p_min in zip(targets.tolist(), surrogates.tolist(),
+                                priors.min(axis=1).tolist()):
+        bound = (gla_bound_transform(t, p_min, q) if family == "GLA"
+                 else gca_bound_transform(t, p_min, n, q))
+        reports.append(RegretReport(target, t, bound))
+    return reports
+
+
 def check_regret_bounds(family: str, points, scores, q: float) -> list:
     """Conditional-regret bound checks of one family at one q: one
     :class:`RegretReport` per (point, score vector), in input order.
@@ -428,9 +465,9 @@ def check_regret_bounds(family: str, points, scores, q: float) -> list:
     ``family`` is "GLA" (logit-adjusted) or "GCA" (class-aware, unit
     margins); every point needs all labels reachable. The balanced regret
     of argmax(scores), ties to the highest label, must not exceed the
-    family's bound transform of the surrogate conditional regret. Points
-    sharing n are computed together, row-wise; every row sum runs left to
-    right, so a point's report equals its solo one bit for bit.
+    family's bound transform of the surrogate conditional regret. The
+    points are grouped by n, and each group's checked score rows go to
+    :func:`regret_reports` in one call.
     """
     if family not in ("GLA", "GCA"):
         raise ValueError(f"unsupported family {family!r}")
@@ -439,23 +476,14 @@ def check_regret_bounds(family: str, points, scores, q: float) -> list:
         raise ValueError("bound check requires all labels reachable")
 
     def check_group(members):
-        n = points[members[0]].n
         cond = np.array([points[i].cond for i in members])
-        priors = np.array([points[i].priors for i in members])
         group_scores = as_finite_array([scores[i] for i in members], "scores")
         if group_scores.shape != cond.shape:
-            raise ValueError(f"scores must have {n} entries per point")
-        ratios = cond / priors
-        predicted = argmax_highest(group_scores)
-        targets = ratios.max(axis=1) - ratios[np.arange(len(members)), predicted]
-        surrogates = _surrogate_regrets(family, cond, priors, group_scores, q)
-        reports = []
-        for target, t, p_min in zip(targets.tolist(), surrogates.tolist(),
-                                    priors.min(axis=1).tolist()):
-            bound = (gla_bound_transform(t, p_min, q) if family == "GLA"
-                     else gca_bound_transform(t, p_min, n, q))
-            reports.append(RegretReport(target, t, bound))
-        return reports
+            raise ValueError(f"scores must have {cond.shape[1]} entries "
+                             f"per point")
+        return regret_reports(
+            family, cond, np.array([points[i].priors for i in members]),
+            group_scores, q)
 
     return _solve_by_n(points, check_group)
 
@@ -465,16 +493,18 @@ def check_regret_bounds(family: str, points, scores, q: float) -> list:
 # ---------------------------------------------------------------------------
 
 
-def phi_rho(u, rho: float):
-    """Ramp loss min(1, max(0, 1 - u/rho)): 1 at margin 0, 0 at margin rho."""
-    if rho <= 0:
+def phi_rho(u, rho):
+    """Ramp loss min(1, max(0, 1 - u/rho)): 1 at margin 0, 0 at margin rho;
+    ``rho`` is one value or an array broadcasting against ``u``."""
+    if np.any(np.asarray(rho) <= 0):
         raise ValueError(f"rho must be positive, got {rho}")
     return np.clip(1.0 - np.asarray(u, dtype=np.float64) / rho, 0.0, 1.0)
 
 
 def margin_losses(scores, labels, costs, rho) -> np.ndarray:
     """Cost-sensitive margin loss cost * max_{y' != y} Phi_rho(s_y - s_y')
-    of each row of the (m, n) scores, with 1-based labels.
+    of each row of the (m, n) scores, with 1-based labels, one cost per
+    row and ``rho`` one value or one per row.
 
     The max runs over the competing labels only (the runner-up reading,
     under which the loss dominates cost * 1[argmax != y]). Phi_rho is
@@ -633,6 +663,16 @@ def minimizability_gap_finite(
 # ---------------------------------------------------------------------------
 
 
+def floored_simplex(w, n, floor: float) -> np.ndarray:
+    """floor + (1 - n floor) w / sum(w) along the last axis: non-negative
+    weights onto the simplex of n classes, every entry >= floor. ``n`` is
+    the class count, one per row when ``w`` is 2-d; zero weights padding
+    a row past its n become ``floor`` there.
+    """
+    n = np.asarray(n)[..., None]
+    return floor + (1.0 - n * floor) * (w / w.sum(axis=-1, keepdims=True))
+
+
 def random_conditional_point(
     rng: np.random.Generator,
     n: int,
@@ -648,11 +688,8 @@ def random_conditional_point(
     if not (0.0 < floor < 1.0 / n):
         raise ValueError(f"floor must lie in (0, 1/{n})")
     while True:
-        w = rng.random(n)
-        cond = floor + (1.0 - n * floor) * (w / w.sum())
-        w = rng.random(n)
-        priors = floor + (1.0 - n * floor) * (w / w.sum())
-        point = ConditionalPoint(cond, priors)
+        cond = floored_simplex(rng.random(n), n, floor)
+        point = ConditionalPoint(cond, floored_simplex(rng.random(n), n, floor))
         if ratio_gap > 0.0:
             top = np.sort(point.ratios)[::-1]
             if (top[0] - top[1]) / top[0] < ratio_gap:

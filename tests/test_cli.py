@@ -494,10 +494,55 @@ class TestCommands:
         from imbloss import verify
 
         whole = list(verify.bounds(np.random.default_rng(3), 23))
-        monkeypatch.setattr(verify, "_BOUNDS_BLOCK", 5)
-        assert list(verify.bounds(np.random.default_rng(3), 23)) == whole
+        for block in (5, 7):  # 7: q follows the trial, not its block offset
+            monkeypatch.setattr(verify, "_BOUNDS_BLOCK", block)
+            assert list(verify.bounds(np.random.default_rng(3), 23)) == whole
         assert [r["trial"] for r in whole] == [t for t in range(23)
                                                for _ in range(2)]
+
+    def test_bounds_suite_validates_every_block(self, monkeypatch):
+        from imbloss import theory, verify
+
+        floored_simplex = theory.floored_simplex
+        monkeypatch.setattr(verify, "_BOUNDS_BLOCK", 5)
+        monkeypatch.setattr(theory, "floored_simplex",
+                            lambda w, n, floor: floored_simplex(w, n, floor)
+                            * (1.0 + 1e-11 * (len(w) < 5)))
+        records = verify.bounds(np.random.default_rng(3), 13)
+        assert [next(records)["trial"] for _ in range(20)] == [
+            t for t in range(10) for _ in range(2)]
+        with pytest.raises(ValueError, match="cond must be a probability"):
+            next(records)
+
+    def test_domination_records_equal_the_per_trial_loop(self,
+                                                         monkeypatch):
+        # with the margin loss halved, every trial whose prediction misses
+        # its label fails; the array path reports the trials that a
+        # margin_losses call per trial finds, in trial order
+        from imbloss import numerics, theory, verify
+
+        margin_losses = theory.margin_losses
+        monkeypatch.setattr(theory, "margin_losses",
+                            lambda *args: 0.5 * margin_losses(*args))
+        rng = np.random.default_rng(6)
+        failing = []
+        for trial in range(300):
+            n = int(rng.integers(2, 6))
+            scores = rng.normal(0, 2, n)
+            label = int(rng.integers(1, n + 1))
+            cost = float(rng.uniform(0.0, 5.0))
+            rho = float(rng.uniform(0.2, 3.0))
+            predicted = numerics.argmax_highest(scores) + 1
+            (loss,) = theory.margin_losses(scores[None, :], [label], [cost],
+                                           rho)
+            if loss < cost * (predicted != label) - 1e-12:
+                failing.append(trial)
+        assert len(failing) > 100
+        assert list(verify.domination(np.random.default_rng(6), 300)) == [
+            *({"check": "domination", "trial": t, "ok": False}
+              for t in failing),
+            {"check": "domination", "trials": 300, "failures": len(failing),
+             "ok": False}]
 
     def test_margin_records_do_not_depend_on_the_block_size(self,
                                                             monkeypatch):

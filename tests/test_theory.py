@@ -20,11 +20,13 @@ from imbloss.theory import (
     bayes_la_label,
     best_conditional_error,
     check_lamargin,
+    check_point_rows,
     check_regret_bounds,
     check_theorem5_bound,
     conditional_errors,
     empirical_rademacher_linear,
     find_la_disagreement,
+    floored_simplex,
     gca_bound_transform,
     gla_bound_transform,
     gla_pointwise_minimizer,
@@ -68,6 +70,50 @@ class TestBalRegret:
         point = ConditionalPoint([0.5, 0.5], [0.5, 0.5], reachable=[1])
         with pytest.raises(ValueError):
             bal_regret(point, 2)
+
+
+class TestPointRows:
+    def test_random_point_is_the_transform_of_its_draws(self):
+        rng = np.random.default_rng(5)
+        point = random_conditional_point(np.random.default_rng(5), 4, 0.03)
+        for got in (point.cond, point.priors):
+            w = rng.random(4)
+            assert got.tolist() == (0.03 + 0.88 * (w / w.sum())).tolist()
+
+    def test_a_padded_row_is_its_point_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        n = rng.integers(2, 7, 40)
+        w = np.zeros((40, 6))
+        for i, k in enumerate(n.tolist()):
+            w[i, :k] = rng.random(k)
+        rows = floored_simplex(w, n, 0.03)
+        check_point_rows(rows, rows, np.arange(6) < n[:, None])
+        for i, k in enumerate(n.tolist()):
+            assert (rows[i, :k].tolist()
+                    == floored_simplex(w[i, :k], k, 0.03).tolist())
+
+    @pytest.mark.parametrize("cond, priors, match", [
+        ([0.5, np.nan], [0.5, 0.5], "cond must be finite"),
+        ([0.5, 0.5], [np.inf, 0.5], "priors must be finite"),
+        ([1.2, -0.2], [0.5, 0.5], "cond must be a probability"),
+        ([0.5, 0.5 + 1e-11], [0.5, 0.5], "cond must be a probability"),
+        ([0.5, 0.5], [1.0, 0.0], "priors must be a strictly positive"),
+        ([0.5, 0.5], [0.5, 0.5 - 1e-11], "priors must be a strictly positive"),
+    ], ids=["cond-nan", "priors-inf", "cond-negative", "cond-sum",
+            "priors-zero", "priors-sum"])
+    def test_rejects_what_a_conditional_point_rejects(self, cond, priors,
+                                                      match):
+        with pytest.raises(ValueError, match=match):
+            ConditionalPoint(cond, priors)
+        # the bad row among good ones, padded past its n with entries that
+        # would fail every check if they were read
+        good = [0.2, 0.3, 0.5]
+        valid = np.array([[True, True, True], [True, True, False]])
+        with pytest.raises(ValueError, match=match):
+            check_point_rows(np.array([good, [*cond, -np.inf]]),
+                             np.array([good, [*priors, 0.0]]), valid)
+        check_point_rows(np.array([good, [0.5, 0.5, -np.inf]]),
+                         np.array([good, [0.5, 0.5, 0.0]]), valid)
 
 
 class TestBayesLabels:
@@ -766,6 +812,20 @@ class TestMarginLosses:
                 assert rows[i] == ref
                 assert margin_losses(scores[i:i + 1], labels[i:i + 1],
                                      costs[i:i + 1], rho)[0] == ref
+
+    def test_a_rho_per_row_equals_each_row_alone(self):
+        rng = np.random.default_rng(17)
+        scores = rng.normal(0, 2, (30, 4))
+        labels = rng.integers(1, 5, 30)
+        costs = rng.uniform(0, 5, 30)
+        rhos = rng.uniform(0.2, 3.0, 30)
+        rows = margin_losses(scores, labels, costs, rhos)
+        assert rows.tolist() == [
+            margin_losses(scores[i:i + 1], labels[i:i + 1], costs[i:i + 1],
+                          float(rhos[i]))[0] for i in range(30)]
+        with pytest.raises(ValueError, match="rho"):
+            margin_losses(scores, labels, costs, np.where(
+                np.arange(30) == 3, 0.0, rhos))
 
     def test_rejects_bad_input(self):
         scores = np.zeros((2, 3))
