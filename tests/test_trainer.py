@@ -1,5 +1,6 @@
 """Tests for models, the SGD loop, and the best-in-class search."""
 
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -7,7 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imbloss.datagen import figure1_distribution, gaussian_mixture
+from imbloss.datagen import (
+    figure1_distribution,
+    gaussian_mixture,
+    longtail_counts,
+)
 from imbloss.losses import (
     ClassStats,
     LossSpec,
@@ -616,6 +621,42 @@ class TestLockstep:
                                                    psi_tau=1.0)], cfgs)
         with pytest.raises(ValueError, match="one loss spec per model"):
             train_lockstep(models, data, [LossSpec("CE")], cfgs)
+
+    def test_saturated_gca_stack_bytes_are_pinned(self, monkeypatch):
+        # The README sweep's shape at 10 epochs: a 10-class long tail of
+        # 1242 rows (19 batches of 64 and a last one of 26) and GCA at
+        # three q's x two seeds. Its cube-root margins, 0.03 to 0.2, blow
+        # the scores up so that most loss rows' log-sum-exp is exactly 0.0
+        # and the softmax saturates; some rows are not saturated.
+        n, d = 10, 20
+        means = 0.8 * np.random.default_rng(1).standard_normal((n, d))
+        data = gaussian_mixture(n, d, longtail_counts(n, 500, 100), means,
+                                np.ones(n), 2)
+        rho = default_gca_margins(data.stats())
+        specs = [LossSpec("GCA", q=q, margins=tuple(rho))
+                 for q in (0.0, 0.3, 0.5) for _ in range(2)]
+        cfgs = seed_configs(seeds=(0, 1) * 3, epochs=10, batch_size=64,
+                            lr0=0.1)
+        models = [LinearModel.init_random(n, d, c.seed) for c in cfgs]
+        rows = []
+
+        def spy(table, scores, labels, **kwargs):
+            adjusted = scores / rho[labels - 1][:, None]
+            adjusted -= adjusted.max(axis=1, keepdims=True)
+            rows.append(np.log(np.exp(adjusted).sum(axis=1)) == 0.0)
+            return batch_loss_and_grad(table, scores, labels, **kwargs)
+
+        monkeypatch.setattr("imbloss.trainer.batch_loss_and_grad", spy)
+        outcomes = train_lockstep(models, data, specs, cfgs)
+        saturated = np.concatenate(rows)
+        assert saturated.size == 6 * 10 * data.m
+        assert 0.75 < saturated.mean() < 0.95
+        digest = hashlib.sha256()
+        for model, history in outcomes:
+            for array in (model.weights, model.biases, np.array(history)):
+                digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "d0482eecb5e22a735dd424856422971c652709b98435ccbd87d3c8c9623a9d7e")
 
 
 class TestCheckpoint:
