@@ -23,15 +23,18 @@ Implements closed-form values and analytic score gradients for:
 CE, WCE, LA, CB, LDAM, GCE, GLA and GCA (the Psi families) share one code
 path, weight_y * Psi^q(softmax(adjusted scores)_y): ``loss_table`` turns
 each (LossSpec, class statistics) pair into per-class numbers (shifts, a
-divisor, a weight and q), so one call evaluates any mix of them. That
+divisor, a weight and q), so one call evaluates any mix of them; a
+shift, divisor or weight that no block of a table uses is skipped. That
 path is class-major: it transposes the adjusted scores once to (n, m), so
 every reduction and broadcast over the classes runs along m-long rows,
 and it adds the classes in the exact order of numpy's last-axis sum over
 a row: one by one for n < 8, numpy's pairwise tree of eight running sums
 for 8 <= n <= 128, and numpy's own sum beyond. Its values and gradients
-are therefore bit for bit those of the row-major log-softmax. Adjusted
-scores that overflow give non-finite values, which a caller such as the
-trainer reads as divergence.
+are therefore bit for bit those of the row-major log-softmax. It takes
+one exp per call where the softmax saturates (a log-sum-exp of exactly
+0), a second one only over the rows where it does not. Adjusted scores
+that overflow give non-finite values, which a caller such as the trainer
+reads as divergence.
 
 Conventions used throughout the package:
 
@@ -248,23 +251,25 @@ class LossTable:
 
     A Psi family is weight_y * Psi^q(softmax(s')_y) with s' = (s -
     neg_shift - label_shift_y e_y) / rho_y, every (B, n) column read at
-    the row's block, and q one per block. ``gate`` marks the classes
-    EQUAL may gate out, ``weight`` is also CSMAX's cost, and ``spec`` is
-    the one spec of a FOCAL, EQUAL or CSMAX table (None for Psi).
+    the row's block, and q one per block; a shift, divisor or weight
+    column that no block sets is None. ``gate`` marks the classes EQUAL
+    may gate out, ``weight`` is also CSMAX's cost, and ``spec`` is the
+    one spec of a FOCAL, EQUAL or CSMAX table (None for Psi).
     """
 
-    neg_shift: np.ndarray
-    label_shift: np.ndarray
-    rho: np.ndarray
-    weight: np.ndarray
+    neg_shift: np.ndarray | None
+    label_shift: np.ndarray | None
+    rho: np.ndarray | None
+    weight: np.ndarray | None
     gate: np.ndarray
     q: np.ndarray
     spec: LossSpec | None
 
     def __getitem__(self, blocks) -> "LossTable":
         """The table of the selected blocks (an index array or a mask)."""
-        return LossTable(*(getattr(self, f.name)[blocks]
-                           for f in fields(self)[:-1]), self.spec)
+        columns = (getattr(self, f.name) for f in fields(self)[:-1])
+        return LossTable(*(c if c is None else c[blocks] for c in columns),
+                         self.spec)
 
 
 def loss_table(blocks, n: int) -> LossTable:
@@ -273,7 +278,9 @@ def loss_table(blocks, n: int) -> LossTable:
     Any mix of Psi families (CE, WCE, LA, CB, LDAM, GCE, GLA, GCA) may
     share a table; FOCAL, EQUAL and CSMAX need one spec for every block.
     A parameter a family lacks is an exact identity: x - 0.0 (which keeps
-    -0.0, where x + 0.0 would not), x / 1.0, x * 1.0 and q = 0.
+    -0.0, where x + 0.0 would not), x / 1.0, x * 1.0 and q = 0. A shift,
+    divisor or weight column that no block sets is None, decided here once
+    per table, and skipped.
     """
     specs = [spec for spec, _ in blocks]
     psi = all(spec.family in PSI_FAMILIES for spec in specs)
@@ -309,7 +316,11 @@ def loss_table(blocks, n: int) -> LossTable:
         if family in ("WCE", "GCA", "CSMAX"):
             weight = stats.inv_priors
         rows.append((neg_shift, label_shift, rho, weight, gate, q))
-    return LossTable(*(np.array(column) for column in zip(*rows)),
+    # a column that no block sets holds only the shared zero or one
+    unset = (zero, zero, one, one, None, None)
+    return LossTable(*(None if all(c is u for c in column)
+                       else np.array(column)
+                       for column, u in zip(zip(*rows), unset)),
                      spec=None if psi else specs[0])
 
 
@@ -382,37 +393,74 @@ def _exp(x):
     return out
 
 
-def _psi_batch(table, scores, idx, at, want_grad):
+def _label_entries(idx, blocks, n):
+    """Each row's (block, label) entry in a flattened (B, n) table column."""
+    return (idx.reshape(blocks, -1) + np.arange(0, blocks * n, n)[:, None]
+            ).ravel()
+
+
+def _psi_batch(table, scores, idx, want_grad):
     """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient, every
-    column of the table applied to every row. Class-major, (n, m): each
-    element takes the float operations of the row-major log-softmax, and
-    the class sums its order (_class_sum), so the bits are the same.
+    column of the table applied to every row (a None column is skipped,
+    being an identity). Class-major, (n, m): each element takes the float
+    operations of the row-major log-softmax, and the class sums its order
+    (_class_sum), so the bits are the same.
+
+    One exp serves both the log-sum-exp and, in a saturated row, the
+    gradient's softmax. A row is saturated when its class sum is exactly
+    1.0: the max class's exp(0) = 1 and the others vanish next to it.
+    Its log-sum-exp is then exactly 0.0, so logp = shifted - 0.0 is
+    shifted bit for bit (-0.0 included) and exp(logp) is the first exp.
+    GCA's division by margins of 0.03 to 0.2 saturates most rows of a
+    trained model. Only the other rows take a second exp, gathered when
+    they are fewer than half, else as one exp over every row.
     """
     m, n = scores.shape
+    blocks = len(table.q)
     label_at = idx * m + np.arange(m)  # each label in the flat (n, m) array
     adjusted = scores.T.copy()
-    by_block = adjusted.reshape(n, len(table.q), -1)  # a view
-    by_block -= table.neg_shift.T[:, :, None]
-    adjusted.ravel()[label_at] -= table.label_shift.ravel()[at]
-    rho = table.rho.ravel()[at]
-    adjusted /= rho
-    weight = table.weight.ravel()[at]
-    q = table.q.repeat(m // len(table.q))
+    if table.neg_shift is not None:
+        by_block = adjusted.reshape(n, blocks, -1)  # a view
+        by_block -= table.neg_shift.T[:, :, None]
+    if (table.label_shift is not None or table.rho is not None
+            or table.weight is not None):
+        at = _label_entries(idx, blocks, n)
+    if table.label_shift is not None:
+        adjusted.ravel()[label_at] -= table.label_shift.ravel()[at]
+    rho = weight = 1.0
+    if table.rho is not None:
+        rho = table.rho.ravel()[at]
+        adjusted /= rho
+    if table.weight is not None:
+        weight = table.weight.ravel()[at]
+    q = table.q.repeat(m // blocks)
     # log-softmax over the classes, then Psi^q in log space with the
     # 1e-300 floor at q = 0.
     logp = adjusted  # shifted by the class max, in place
     logp -= logp.max(axis=0)
-    logp -= np.log(_class_sum(_exp(logp)))
+    expd = _exp(logp)
+    lse = np.log(_class_sum(expd))
+    logp -= lse
     log_t = logp.ravel()[label_at]
     t_pow_q = np.exp(q * log_t)  # exactly 1.0 where q = 0
     psi = -np.maximum(log_t, _LOG_PROB_FLOOR)  # the q = 0 link
     np.divide(1.0 - t_pow_q, q, out=psi, where=q != 0.0)
-    values = weight * psi
+    values = psi if table.weight is None else weight * psi
     if not want_grad:
         return values, None
-    probs = _exp(logp)
+    rest = np.flatnonzero(lse != 0.0)  # the rows that are not saturated
+    if 2 * rest.size > m:
+        del expd  # not alive through the second exp: a lower peak
+        probs = _exp(logp)
+    else:
+        probs = expd
+        # few entries: numpy's slow path on their underflows costs less
+        # than _exp's passes over them
+        probs[:, rest] = np.exp(logp.take(rest, axis=1))
     probs.ravel()[label_at] -= 1.0
-    probs *= weight / rho * t_pow_q
+    if table.rho is not None or table.weight is not None:
+        t_pow_q = weight / rho * t_pow_q
+    probs *= t_pow_q
     return values, np.ascontiguousarray(probs.T)
 
 
@@ -447,9 +495,9 @@ def batch_loss_and_grad(
         if stats is not None:
             raise ValueError("a LossTable carries its own class statistics")
         table = spec
-        if scores.shape[1] != table.rho.shape[1]:
+        if scores.shape[1] != table.gate.shape[1]:
             raise ValueError(f"scores have {scores.shape[1]} classes, "
-                             f"expected {table.rho.shape[1]}")
+                             f"expected {table.gate.shape[1]}")
     else:
         scores, labels = _check_batch(scores, labels,
                                       stats.n if stats else None)
@@ -460,11 +508,8 @@ def batch_loss_and_grad(
         raise ValueError(f"{m} score rows do not split into {blocks} blocks")
     size = m // blocks
     idx = labels - 1
-    # each row's (block, label) entry in a flattened (B, n) table column
-    at = (idx.reshape(blocks, size) + np.arange(0, blocks * n, n)[:, None]
-          ).ravel()
     if table.spec is None:
-        return _psi_batch(table, scores, idx, at, want_grad)
+        return _psi_batch(table, scores, idx, want_grad)
 
     spec = table.spec
     family = spec.family
@@ -526,7 +571,8 @@ def batch_loss_and_grad(
         return values, grads
 
     # CSMAX, whose cost 1/p(y) is the table's weight
-    return _csmax_batch(scores, idx, table.weight.ravel()[at],
+    return _csmax_batch(scores, idx,
+                        table.weight.ravel()[_label_entries(idx, blocks, n)],
                         spec.rho_margin, spec.psi_tau, want_grad)
 
 

@@ -269,7 +269,12 @@ def _backward(weights, acts, dscores, bias_grads):
     for i in range(len(weights) - 1, -1, -1):
         wgrads.insert(0, np.matmul(delta.transpose(0, 2, 1), acts[i]))
         if bias_grads:
-            bgrads.insert(0, delta.sum(axis=1, keepdims=True))
+            # A bias gradient adds the batch's samples one by one, as a
+            # solo run's axis-0 sum over its (B, out) delta does; numpy
+            # adds the leading axis of a contiguous (B, R, out) copy in
+            # that order, and faster than axis 1 of (R, B, out).
+            bgrads.insert(0, np.ascontiguousarray(
+                delta.transpose(1, 0, 2)).sum(axis=0)[:, None])
         if i:
             delta = np.matmul(delta, weights[i]) * (acts[i] > 0)
     return wgrads + bgrads

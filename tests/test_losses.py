@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from imbloss.datagen import longtail_counts
 from imbloss.losses import (
     FAMILIES,
     ClassStats,
     LossSpec,
     PriorStats,
     PSI_FAMILIES,
+    _class_sum,
     batch_loss_and_grad,
     default_gca_margins,
     eval_grad,
@@ -598,6 +600,57 @@ class TestPsiFamiliesEqualTheReference:
                                 (m, n))
             labels = rng.integers(1, n + 1, m)
             self.assert_bit_equal(blocks, scores, labels)
+
+    @pytest.mark.parametrize("gaps, share", [
+        ((800.0, 1000.0), (1.0, 1.0)), ((1e-3, 1e-2), (0.0, 0.0)),
+        ((20.0, 2000.0), (0.5, 1.0)), ((0.1, 60.0), (0.0, 0.5))],
+        ids=["all-saturated", "none-saturated", "mostly-saturated",
+             "few-saturated"])
+    @pytest.mark.parametrize("loss", ["GCA", "CE", "mixed"])
+    def test_saturated_rows_are_bit_equal(self, loss, gaps, share,
+                                          monkeypatch):
+        # A row whose class sum is exactly 1.0 (log-sum-exp 0.0) takes its
+        # softmax from the log-sum-exp's exp; the others take a second exp,
+        # gathered when they are fewer than half. Each row's top adjusted
+        # score leads the others by gap to 2 * gap, gap drawn log-uniform
+        # over ``gaps``; the observed share of sums at 1.0 must lie within
+        # ``share``. GCA has long-tail cube-root margins, 0.03 to 0.2.
+        sums = []
+
+        def spy(values):
+            sums.append(_class_sum(values))
+            return sums[-1]
+
+        monkeypatch.setattr("imbloss.losses._class_sum", spy)
+        rng = np.random.default_rng(35)
+        for n in (2, 3, 7, 8, 10, 20, 130):
+            counts = ClassStats(longtail_counts(n, 500, 100))
+            gca = LossSpec("GCA", q=0.3,
+                           margins=tuple(default_gca_margins(counts)))
+            if loss == "GCA":
+                blocks = [(gca, counts)]
+            elif loss == "CE":
+                blocks = [(LossSpec("CE"), None)]
+            else:
+                blocks = [(random_spec(rng, family, n), counts)
+                          for family in PSI_FAMILIES] + [(gca, counts)]
+            m = len(blocks) * 40
+            labels = rng.integers(1, n + 1, m)
+            gap = np.exp(rng.uniform(*np.log(gaps), (m, 1)))
+            scores = -gap * rng.uniform(1.0, 2.0, (m, n))
+            scores[np.arange(m), rng.integers(0, n, m)] = 0.0
+            for b, (spec, _) in enumerate(blocks):
+                if spec.family == "GCA":  # the gaps are of scores / rho_y
+                    rows = slice(b * 40, (b + 1) * 40)
+                    scores[rows] *= np.asarray(spec.margins)[
+                        labels[rows] - 1, None]
+            scores += rng.normal(0, 3, (m, 1))
+            sums.clear()
+            self.assert_bit_equal(blocks, scores, labels)
+            saturated = np.mean(sums[0] == 1.0)
+            low, high = share
+            assert low <= saturated <= high
+            assert (saturated in (0.0, 1.0)) == (low == high)
 
     @staticmethod
     def assert_bit_equal(blocks, scores, labels):

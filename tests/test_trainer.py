@@ -34,7 +34,12 @@ from imbloss.trainer import (
     save_checkpoint,
     train_lockstep,
 )
-from imbloss.trainer import _weighted_balanced_error, _weighted_loss_and_grad
+from imbloss.trainer import (
+    _backward,
+    _forward,
+    _weighted_balanced_error,
+    _weighted_loss_and_grad,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -657,6 +662,28 @@ class TestLockstep:
                 digest.update(array.tobytes())
         assert digest.hexdigest() == (
             "d0482eecb5e22a735dd424856422971c652709b98435ccbd87d3c8c9623a9d7e")
+
+
+@pytest.mark.parametrize("size", [64, 26])  # the sweep's full and last batch
+@pytest.mark.parametrize("widths", [(20, 10), (20, 16, 12, 10)],
+                         ids=["linear", "mlp"])
+def test_bias_gradients_add_the_samples_in_order(widths, size):
+    # A solo run's bias gradient adds its batch's rows one by one; a
+    # pairwise sum, as over the contiguous last axis, rounds differently.
+    rng = np.random.default_rng(36)
+    runs = 15
+    weights = [rng.normal(0, 1, (runs, out, inp))
+               for inp, out in zip(widths[:-1], widths[1:])]
+    biases = [rng.normal(0, 1, (runs, 1, out)) for out in widths[1:]]
+    acts = _forward(weights, biases, rng.normal(0, 1, (runs, size, widths[0])))
+    delta = rng.normal(0, 1, (runs, size, widths[-1])) / size
+    grads = _backward(weights, acts, delta, True)
+    for i in reversed(range(len(weights))):
+        total = delta[:, 0]
+        for b in range(1, size):
+            total = total + delta[:, b]
+        assert np.array_equal(grads[len(weights) + i], total[:, None])
+        delta = np.matmul(delta, weights[i]) * (acts[i] > 0)
 
 
 class TestCheckpoint:
