@@ -413,7 +413,7 @@ def _psi_batch(table, scores, idx, want_grad):
     shifted bit for bit (-0.0 included) and exp(logp) is the first exp.
     GCA's division by margins of 0.03 to 0.2 saturates most rows of a
     trained model. Only the other rows take a second exp, gathered when
-    they are fewer than half, else as one exp over every row.
+    they are at most half of the rows, else as one exp over every row.
     """
     m, n = scores.shape
     blocks = len(table.q)

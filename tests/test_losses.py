@@ -611,7 +611,7 @@ class TestPsiFamiliesEqualTheReference:
                                           monkeypatch):
         # A row whose class sum is exactly 1.0 (log-sum-exp 0.0) takes its
         # softmax from the log-sum-exp's exp; the others take a second exp,
-        # gathered when they are fewer than half. Each row's top adjusted
+        # gathered when they are at most half. Each row's top adjusted
         # score leads the others by gap to 2 * gap, gap drawn log-uniform
         # over ``gaps``; the observed share of sums at 1.0 must lie within
         # ``share``. GCA has long-tail cube-root margins, 0.03 to 0.2.
@@ -634,14 +634,15 @@ class TestPsiFamiliesEqualTheReference:
             else:
                 blocks = [(random_spec(rng, family, n), counts)
                           for family in PSI_FAMILIES] + [(gca, counts)]
-            m = len(blocks) * 40
+            size = 40
+            m = len(blocks) * size
             labels = rng.integers(1, n + 1, m)
             gap = np.exp(rng.uniform(*np.log(gaps), (m, 1)))
             scores = -gap * rng.uniform(1.0, 2.0, (m, n))
             scores[np.arange(m), rng.integers(0, n, m)] = 0.0
             for b, (spec, _) in enumerate(blocks):
                 if spec.family == "GCA":  # the gaps are of scores / rho_y
-                    rows = slice(b * 40, (b + 1) * 40)
+                    rows = slice(b * size, (b + 1) * size)
                     scores[rows] *= np.asarray(spec.margins)[
                         labels[rows] - 1, None]
             scores += rng.normal(0, 3, (m, 1))
