@@ -270,10 +270,35 @@ class TestLockstepMinimizer:
     ], ids=lambda spec: f"{spec.family}{spec.hyperparams()}")
     def test_mixed_n_equals_solo_bit_for_bit(self, spec):
         rng = np.random.default_rng(41)
-        points = [random_conditional_point(rng, int(rng.integers(2, 6)))
-                  for _ in range(8)]
+        points = [random_conditional_point(rng, int(rng.integers(2, 7)))
+                  for _ in range(14)]
+        assert {p.n for p in points} == {2, 3, 4, 5, 6}
         solved = minimize_conditional_errors(spec, points, max_steps=400)
         _assert_solo_equal(spec, points, solved, max_steps=400)
+
+    def test_mixed_specs_and_n_equal_solo_bit_for_bit(self):
+        # one spec per point, each family setting its own table columns
+        # (GLA a shift and q, GCA divisors and weights, LA a shift, CB and
+        # WCE weights, CE none); LDAM needs integer class counts, which a
+        # conditional point does not have
+        rng = np.random.default_rng(45)
+        points, specs = [], []
+        for i in range(30):  # every (family, n) pair once
+            n = 2 + i % 5
+            points.append(random_conditional_point(rng, n))
+            specs.append([
+                LossSpec("GLA", q=0.7),
+                LossSpec("GCA", q=0.3,
+                         margins=tuple(rng.uniform(0.3, 2.0, n))),
+                LossSpec("LA", tau=0.5), LossSpec("CB", gamma=0.9),
+                LossSpec("WCE"), LossSpec("CE")][i % 6])
+        solved = minimize_conditional_errors(specs, points, max_steps=400)
+        assert len(solved) == len(points)
+        for spec, point, (scores, value) in zip(specs, points, solved):
+            [(solo_scores, solo_value)] = minimize_conditional_errors(
+                spec, [point], max_steps=400)
+            assert np.array_equal(scores, solo_scores)
+            assert value == solo_value
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.7])
     def test_gca_equals_solo_bit_for_bit(self, q):
