@@ -381,9 +381,10 @@ def _exp(x):
     that holds an entry below about -707.5, where its result nears the
     subnormals (numpy 2.4, AVX-512); trained scores put many there. Such entries are set
     apart: below -746 the result is exactly 0.0, and the few in between
-    are computed on their own.
+    are computed on their own; -inf (padding) takes numpy's quick 0.0.
     """
-    if x.min() >= -700.0:
+    if (lo := x.min()) >= -700.0 or (lo == -np.inf and x.min(
+            initial=np.inf, where=x != lo) >= -700.0):
         return np.exp(x)
     low = x < -700.0
     out = np.exp(np.maximum(x, -700.0))

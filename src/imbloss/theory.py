@@ -18,16 +18,16 @@ The key quantities:
   minimizability gap;
 * closed-form best conditional errors of the generalized losses over
   unconstrained scores, cross-checked by an independent gradient-descent
-  minimizer; it descends many points in lockstep (one loss call per
-  iteration for all of them), and each point's result equals its solo
-  descent bit for bit;
+  minimizer; it descends many points of any n in lockstep, padded to the
+  widest (one loss call per iteration for all of them), and each point's
+  result equals its solo descent bit for bit;
 * conditional-regret bound checks: the balanced regret of any score
   vector must be covered by sqrt(2 t) / p_min (logit-adjusted family,
   q = 0; with an extra (1-q) correction for q in (0,1)) and by
   sqrt(2 n^q t) / sqrt(p_min) (class-aware family, unit margins), where
   t is the surrogate conditional regret. Both families share one batched
-  check that computes many points row-wise, grouped by n, and a point's
-  report is the same bits alone or among others;
+  check that computes many points of any n and q row-wise, padded to the
+  widest n, and a point's report is the same bits alone or among others;
 * margin machinery: the ramp loss Phi_rho, the row-wise cost-sensitive
   margin loss (runner-up reading), Monte-Carlo empirical Rademacher
   complexity of norm-bounded linear scorers, the resulting generalization
@@ -41,7 +41,7 @@ All computations are pure; fuzzing helpers take explicit generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,24 +189,39 @@ def gla_pointwise_minimizer(point: ConditionalPoint, q: float) -> np.ndarray:
     return powered / powered.sum()
 
 
-def conditional_errors(spec, cond, scores, stats=None, want_grad=False):
-    """sum_y cond[y] * loss(scores, y) per row of the (P, n) arrays, and
-    its score gradients when want_grad, from one loss call on the (P*n, n)
+def conditional_errors(spec, cond, scores, stats=None, want_grad=False,
+                       spans=None):
+    """sum_y cond[y] * loss(scores, y) per row of the (P, N) arrays, and
+    its score gradients when want_grad, from one loss call on the (P*N, N)
     tile of every row's labels: ``spec`` is a LossSpec with ``stats`` its
-    marginal, or a LossTable of one block per row or one for all. The
-    stacked matmuls (P,1,n) @ (P,n,1) and (P,1,n) @ (P,n,n) make per row
-    the BLAS calls of ``cond @ values`` and ``cond @ grads`` on that row
-    alone, so they round identically.
+    marginal, or a LossTable of one block per row or one for all.
+
+    ``spans`` lists (n, start, stop) per run of rows of n classes (one
+    run of N by default). A LossTable's rows may be padded past n with
+    -inf scores: the loss core adds their exp, 0.0, after the real
+    classes, and the padded label rows (label n) and cond past n go
+    unread. Per span, the stacked matmuls (P,1,n) @ (P,n,1) and
+    (P,1,n) @ (P,n,n) make per row the BLAS calls of ``cond @ values``
+    and ``cond @ grads`` on that row alone, so they round identically.
     """
-    count, n = scores.shape
-    labels = np.arange(1, n + 1)[None].repeat(count, axis=0).ravel()
+    count, width = scores.shape
+    spans = spans or [(width, 0, count)]
+    labels = np.arange(1, width + 1)[None].repeat(count, axis=0)
+    for n, start, stop in spans:
+        labels[start:stop, n:] = n
     values, grads = batch_loss_and_grad(
-        spec, np.repeat(scores, n, axis=0), labels, stats, want_grad=want_grad)
-    weights = cond[:, None, :]
-    errors = (weights @ values.reshape(-1, n, 1)).reshape(-1)
-    if not want_grad:
-        return errors, None
-    return errors, (weights @ grads.reshape(-1, n, n)).reshape(-1, n)
+        spec, np.repeat(scores, width, axis=0), labels.ravel(), stats,
+        want_grad=want_grad)
+    values = values.reshape(count, width, 1)
+    errors = np.empty(count)
+    grad = np.zeros((count, width)) if want_grad else None
+    for n, start, stop in spans:
+        weights = cond[start:stop, None, :n]
+        errors[start:stop] = (weights @ values[start:stop, :n]).reshape(-1)
+        if want_grad:
+            grad[start:stop, :n] = (weights @ grads.reshape(
+                count, width, width)[start:stop, :n, :n]).reshape(-1, n)
+    return errors, grad
 
 
 def _entropy(p) -> float:
@@ -271,76 +286,59 @@ def minimize_conditional_errors(
     converge to machine precision within the step budget. Stops when the
     relative per-step improvement falls below ``tol``.
 
-    The points are grouped by class count n and each group descends
-    together: one ``batch_loss_and_grad`` call per iteration covers the
-    (P*n, n) tile of every point still descending, each point's rows with
-    its own row of one loss table (its spec and marginal). Every point
-    keeps its own step, Armijo accept/reject and stopping test, and leaves
-    the group at the iteration where its solo descent stops, so its result
-    equals the solo (P = 1) one bit for bit.
+    The points descend together, sorted by n and padded to the widest N
+    with scores of -inf: one ``batch_loss_and_grad`` call per iteration
+    covers the (P*N, N) tile of every point still descending, each point's
+    rows with its own row of one loss table (its spec and marginal,
+    identities past its n). Every point keeps its own step, Armijo test
+    and stopping test, and leaves at the iteration where its solo descent
+    stops, so its result equals the solo (P = 1) one bit for bit. Each
+    gradient norm is a per-n stacked matmul, (P,1,n) @ (P,n,1): per point
+    the BLAS dot call of ``np.linalg.norm`` on that point alone.
     """
     specs = [spec] * len(points) if isinstance(spec, LossSpec) else spec
     if len(specs) != len(points):
         raise ValueError("need one loss spec per point")
-    return _solve_by_n(points, lambda members: _descend_group(
-        [specs[i] for i in members], [points[i] for i in members],
-        max_steps, init_step, tol))
-
-
-def _solve_by_n(points, solve):
-    """Group the points by class count n and call ``solve`` on the list
-    of indices of each group; returns its per-index results in input
-    order."""
-    results = [None] * len(points)
-    groups: dict[int, list[int]] = {}
-    for i, point in enumerate(points):
-        groups.setdefault(point.n, []).append(i)
-    for members in groups.values():
-        for i, result in zip(members, solve(members)):
-            results[i] = result
-    return results
-
-
-def _descend_group(specs, points, max_steps, init_step, tol):
-    """The descent loop over points that share n. Its arrays hold one row
-    per point still descending, ``ids`` their input positions; a point
-    that stops writes its result and the arrays drop its row, so an
-    iteration in which no point stops gathers and scatters nothing.
-
-    The gradient norms are stacked matmuls, (P,1,n) @ (P,n,1), which per
-    point make the same BLAS dot call as ``np.linalg.norm`` on that point
-    alone; the conditional errors round per point as well
-    (:func:`conditional_errors`).
-    """
-    n = points[0].n
-    cond = np.array([p.cond for p in points])
-    table = loss_table([(spec, PriorStats(p.priors))
-                        for spec, p in zip(specs, points)], n)
+    if not points:
+        return []
+    ids = np.argsort([p.n for p in points], kind="stable")
+    ns = np.array([points[i].n for i in ids])
+    spans, width = _spans(ns), int(ns[-1])
+    cond = np.zeros((len(points), width))
+    for row, i in enumerate(ids.tolist()):
+        cond[row, :ns[row]] = points[i].cond
+    scores = np.where(np.arange(width) < ns[:, None], 0.0, -np.inf)
+    table = _padded_table([(specs[i], PriorStats(points[i].priors))
+                           for i in ids.tolist()], spans, width)
     max_move = 1.0
     results = [None] * len(points)
-    ids = np.arange(len(points))
-    scores = np.zeros((len(points), n))
-    value, grad = conditional_errors(table, cond, scores, want_grad=True)
+    value, grad = conditional_errors(table, cond, scores, want_grad=True,
+                                     spans=spans)
     step = np.full(len(points), init_step)
 
     def leave(stay):
         """Write the results of the rows ``stay`` drops; the kept state."""
         for i in np.flatnonzero(~stay).tolist():
-            results[ids[i]] = (scores[i].copy(), float(value[i]))
-        return [a[stay] for a in (ids, cond, table, scores, value, grad, step)]
+            results[ids[i]] = (scores[i, :ns[i]].copy(), float(value[i]))
+        kept = [a[stay] for a in (ids, ns, cond, table, scores, value, grad,
+                                  step)]
+        return kept + [_spans(kept[1])]
 
     for _ in range(max_steps):
-        gnorm = np.sqrt((grad[:, None, :] @ grad[:, :, None]).reshape(-1))
+        gnorm = np.sqrt(np.concatenate([
+            (g[:, None, :] @ g[:, :, None]).reshape(-1)
+            for g in (grad[start:stop, :n] for n, start, stop in spans)]))
         moving = ~(gnorm < 1e-13)
         if not moving.all():
-            ids, cond, table, scores, value, grad, step = leave(moving)
+            ids, ns, cond, table, scores, value, grad, step, spans = leave(
+                moving)
             gnorm = gnorm[moving]
             if ids.size == 0:
                 break
         used = np.minimum(step, max_move / gnorm)
         candidate = scores - used[:, None] * grad
-        cand_value, cand_grad = conditional_errors(table, cond, candidate,
-                                                   want_grad=True)
+        cand_value, cand_grad = conditional_errors(
+            table, cond, candidate, want_grad=True, spans=spans)
         # gnorm**2 on Python floats, as the per-point loop always computed
         # it: libm pow differs from gnorm * gnorm in the last bit for
         # about 0.1% of inputs, which could flip an Armijo decision.
@@ -356,11 +354,38 @@ def _descend_group(specs, points, max_steps, init_step, tol):
         value = np.where(accept, cand_value, value)
         grad = np.where(accept[:, None], cand_grad, grad)
         if done.any():
-            ids, cond, table, scores, value, grad, step = leave(~done)
+            ids, ns, cond, table, scores, value, grad, step, spans = leave(
+                ~done)
             if ids.size == 0:
                 break
     leave(np.zeros(ids.size, dtype=bool))
     return results
+
+
+def _spans(ns):
+    """(n, start, stop) of each run of equal class counts in sorted ``ns``."""
+    cuts = [0, *(np.flatnonzero(np.diff(ns)) + 1).tolist(), len(ns)]
+    return [(int(ns[a]), a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _padded_table(blocks, spans, width):
+    """The ``loss_table`` of each span's (LossSpec, stats) blocks, stacked
+    into one LossTable over ``width`` classes: past its n, a column holds
+    its identity (shift 0, divisor 1, weight 1, no gate)."""
+    tables = [loss_table(blocks[start:stop], n) for n, start, stop in spans]
+    if len({t.spec for t in tables}) > 1:
+        raise ValueError("FOCAL, EQUAL and CSMAX need one spec per table")
+    columns = {}
+    for name, pad in (("neg_shift", 0.0), ("label_shift", 0.0), ("rho", 1.0),
+                      ("weight", 1.0), ("gate", 0.0)):
+        parts = [getattr(t, name) for t in tables]
+        columns[name] = None if all(c is None for c in parts) else (
+            np.full((len(blocks), width), pad))
+        for (n, start, stop), part in zip(spans, parts):
+            if part is not None:
+                columns[name][start:stop, :n] = part
+    return replace(tables[0], **columns,
+                   q=np.concatenate([t.q for t in tables]))
 
 
 def _log_normalize(logits) -> np.ndarray:
@@ -383,8 +408,8 @@ def _log_normalize(logits) -> np.ndarray:
 
 
 def _surrogate_regrets(family, cond, priors, scores, q) -> np.ndarray:
-    """Surrogate conditional regrets of points sharing n, one per row of
-    the (P, n) arrays: sum_y w_y [Psi^q(t_achieved) - Psi^q(t_target)].
+    """Surrogate conditional regrets, one per row of the (P, N) arrays
+    with ``q`` one per row: sum_y w_y [Psi^q(t_achieved) - Psi^q(t_target)].
 
     Computing the regret as conditional_errors - best_conditional_error
     cancels catastrophically once the achieved softmax saturates: near
@@ -394,11 +419,14 @@ def _surrogate_regrets(family, cond, priors, scores, q) -> np.ndarray:
     the t -> 0 and t -> 1 ends (exp for small t^q, expm1 for large).
     For GCA (unit margins) the prior-ratio weights reduce the regret to
     the plain generalized cross-entropy regret under the reweighted
-    posterior, scaled by the normalizer. The terms of zero-weight entries
-    (impossible labels, cond 0) are zeroed; adding 0.0 keeps a row sum
-    exact.
+    posterior, scaled by the normalizer. Both the q = 0 and the q > 0
+    terms are computed for every row, and each row takes its own. The
+    terms of zero-weight entries (impossible labels, cond 0, and padding
+    past a row's n) are zeroed; adding 0.0 keeps a row sum exact.
     """
-    with np.errstate(divide="ignore"):  # log 0 = -inf at impossible labels
+    q = q[:, None]
+    # log 0 = -inf at zero weights, then 0 * -inf and -inf - -inf there
+    with np.errstate(divide="ignore", invalid="ignore"):
         if family == "GLA":
             weights = cond
             log_achieved = _log_normalize(scores + np.log(priors) / (1.0 - q))
@@ -407,19 +435,16 @@ def _surrogate_regrets(family, cond, priors, scores, q) -> np.ndarray:
             weights = cond / priors
             log_achieved = _log_normalize(scores)
             log_dist = np.log(weights / weights.sum(axis=1, keepdims=True))
-    log_target = _log_normalize((1.0 / (1.0 - q)) * log_dist)
-    if q == 0.0:
-        with np.errstate(invalid="ignore"):  # 0 * -inf at impossible labels
-            terms = weights * (log_target - log_achieved)
-    else:
+        log_target = _log_normalize((1.0 / (1.0 - q)) * log_dist)
         u_t = q * log_target
         u_a = q * log_achieved
         big = (u_t > -0.693) & (u_a > -0.693)  # both t^q above ~1/2
-        terms = weights * np.where(big,
-                                   np.expm1(u_t) - np.expm1(u_a),
-                                   np.exp(u_t) - np.exp(u_a))
+        terms = weights * np.where(
+            q == 0.0, log_target - log_achieved,
+            np.where(big, np.expm1(u_t) - np.expm1(u_a),
+                     np.exp(u_t) - np.exp(u_a)))
     regret = np.where(weights > 0.0, terms, 0.0).sum(axis=1)
-    return regret if q == 0.0 else regret / q
+    return np.divide(regret, q[:, 0], out=regret, where=q[:, 0] != 0.0)
 
 
 def gla_bound_transform(t: float, p_min: float, q: float) -> float:
@@ -436,26 +461,28 @@ def gca_bound_transform(t: float, p_min: float, n: int, q: float) -> float:
     return math.sqrt(2.0 * n**q * t) / math.sqrt(p_min)
 
 
-def regret_reports(family: str, cond, priors, scores, q: float) -> list:
+def regret_reports(family: str, cond, priors, scores, q, n=None) -> list:
     """The row-wise core of :func:`check_regret_bounds`: one
-    :class:`RegretReport` per row of the (P, n) float64 arrays, for
-    points of one n with all labels reachable. The caller has checked
-    the rows (:func:`check_point_rows`, finite scores) and ``family``.
-    Every row sum runs left to right, so a row's report is the same bits
-    alone or among others.
+    :class:`RegretReport` per row of the (P, N) float64 arrays, all labels
+    reachable; ``q`` and the class count ``n`` (default N) are one value
+    or one per row, a row padded past its n with cond 0, priors 1 and
+    scores -inf. The caller has checked the rows (:func:`check_point_rows`,
+    finite scores) and ``family``. Every row sum runs left to right,
+    padding last, so a row's report is the same bits alone or among others.
     """
-    n = cond.shape[1]
+    count, width = cond.shape
+    q = np.broadcast_to(np.asarray(q, dtype=np.float64), (count,))
+    n = np.broadcast_to(width if n is None else n, (count,))
     ratios = cond / priors
     predicted = argmax_highest(scores)
-    targets = ratios.max(axis=1) - ratios[np.arange(len(cond)), predicted]
+    targets = ratios.max(axis=1) - ratios[np.arange(count), predicted]
     surrogates = _surrogate_regrets(family, cond, priors, scores, q)
-    reports = []
-    for target, t, p_min in zip(targets.tolist(), surrogates.tolist(),
-                                priors.min(axis=1).tolist()):
-        bound = (gla_bound_transform(t, p_min, q) if family == "GLA"
-                 else gca_bound_transform(t, p_min, n, q))
-        reports.append(RegretReport(target, t, bound))
-    return reports
+    return [RegretReport(target, t, (
+                gla_bound_transform(t, p_min, q_k) if family == "GLA"
+                else gca_bound_transform(t, p_min, k, q_k)))
+            for target, t, p_min, q_k, k in zip(
+                targets.tolist(), surrogates.tolist(),
+                priors.min(axis=1).tolist(), q.tolist(), n.tolist())]
 
 
 def check_regret_bounds(family: str, points, scores, q: float) -> list:
@@ -466,26 +493,24 @@ def check_regret_bounds(family: str, points, scores, q: float) -> list:
     margins); every point needs all labels reachable. The balanced regret
     of argmax(scores), ties to the highest label, must not exceed the
     family's bound transform of the surrogate conditional regret. The
-    points are grouped by n, and each group's checked score rows go to
-    :func:`regret_reports` in one call.
+    checked rows, padded to the widest n, go to :func:`regret_reports`
+    in one call.
     """
     if family not in ("GLA", "GCA"):
         raise ValueError(f"unsupported family {family!r}")
     if not all(point.is_regular for point, _ in zip(points, scores,
                                                     strict=True)):
         raise ValueError("bound check requires all labels reachable")
-
-    def check_group(members):
-        cond = np.array([points[i].cond for i in members])
-        group_scores = as_finite_array([scores[i] for i in members], "scores")
-        if group_scores.shape != cond.shape:
-            raise ValueError(f"scores must have {cond.shape[1]} entries "
-                             f"per point")
-        return regret_reports(
-            family, cond, np.array([points[i].priors for i in members]),
-            group_scores, q)
-
-    return _solve_by_n(points, check_group)
+    n = np.array([point.n for point in points], dtype=np.int64)
+    cond, priors, rows = np.zeros((3, len(points), n.max(initial=2)))
+    priors[:], rows[:] = 1.0, -np.inf
+    for i, (point, row) in enumerate(zip(points, scores)):
+        row = as_finite_array(row, "scores")
+        if row.shape != (point.n,):
+            raise ValueError(f"scores must have {point.n} entries per point")
+        cond[i, :point.n], priors[i, :point.n] = point.cond, point.priors
+        rows[i, :point.n] = row
+    return regret_reports(family, cond, priors, rows, q, n)
 
 
 # ---------------------------------------------------------------------------

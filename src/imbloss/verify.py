@@ -53,8 +53,9 @@ def bayes(pairs):
 
 
 # Trials per block of the bounds suite, whose draws are padded to six
-# classes. Checking all 10,000 default trials at once adds 12 MB of peak
-# memory; a block of 1000 adds 0.8 MB and saves about 0.1 s of 1.3 s.
+# classes. Checking all 10,000 default trials at once adds 11 MB of peak
+# memory and a block of 1000 adds 1.4 MB; neither saves time measurably
+# (about 1.0 s for the command, one BLAS thread).
 _BOUNDS_BLOCK = 250
 
 
@@ -66,8 +67,9 @@ def bounds(rng: np.random.Generator, trials: int):
     ``theory.random_conditional_point`` (floor 0.03) draws, then its
     scores. A block of ``_BOUNDS_BLOCK`` trials goes into padded
     (block, 6) arrays, which ``theory.floored_simplex`` maps onto the
-    simplex and ``theory.check_point_rows`` validates once; each
-    (n, family, q) slice then takes one ``theory.regret_reports`` call.
+    simplex and ``theory.check_point_rows`` validates once. Padded with
+    cond 0, priors 1 and scores -inf, the block then takes one
+    ``theory.regret_reports`` call per family, with an n and a q per row.
     Every record has the bits of checking its trial's point alone.
     """
     qs = (0.0, 0.3, 0.5, 0.7, 0.9)
@@ -84,26 +86,20 @@ def bounds(rng: np.random.Generator, trials: int):
             scores[i, :k] = rng.normal(0, 3, k)
         cond = theory.floored_simplex(w_cond, n, floor)
         priors = theory.floored_simplex(w_prior, n, floor)
-        theory.check_point_rows(cond, priors,
-                                np.arange(max_n) < n[:, None])
+        pad = np.arange(max_n) >= n[:, None]
+        theory.check_point_rows(cond, priors, ~pad)
         numerics.as_finite_array(scores, "scores")
-        q_index = (start + np.arange(size)) % len(qs)
-        reports = {}  # (family, row of the block) -> its RegretReport
-        for k in range(2, max_n + 1):
-            for j, q in enumerate(qs):
-                rows = np.flatnonzero((n == k) & (q_index == j))
-                for family in families:
-                    reports.update(zip(
-                        ((family, i) for i in rows.tolist()),
-                        theory.regret_reports(
-                            family, cond[rows, :k], priors[rows, :k],
-                            scores[rows, :k], q)))
+        cond[pad], priors[pad], scores[pad] = 0.0, 1.0, -np.inf
+        q = np.take(qs, (start + np.arange(size)) % len(qs))
+        reports = {family: theory.regret_reports(family, cond, priors,
+                                                 scores, q, n)
+                   for family in families}
         for i, k in enumerate(n.tolist()):
             point = {"cond": cond[i, :k].tolist(),
                      "priors": priors[i, :k].tolist(),
                      "scores": scores[i, :k].tolist()}
             for family in families:
-                report = reports[family, i]
+                report = reports[family][i]
                 yield {
                     "trial": start + i, "family": family, "n": k,
                     "q": qs[(start + i) % len(qs)], **point,

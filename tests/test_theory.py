@@ -35,6 +35,7 @@ from imbloss.theory import (
     minimize_conditional_errors,
     phi_rho,
     random_conditional_point,
+    regret_reports,
 )
 from imbloss.trainer import LinearModel, TrainConfig, train_lockstep
 from oracles import bal_regret_bruteforce
@@ -299,6 +300,10 @@ class TestLockstepMinimizer:
                 spec, [point], max_steps=400)
             assert np.array_equal(scores, solo_scores)
             assert value == solo_value
+        # padded into one table, FOCAL cannot share it with another spec
+        with pytest.raises(ValueError, match="one spec per table"):
+            minimize_conditional_errors(
+                [LossSpec("FOCAL", gamma=2.0), LossSpec("CE")], points[:2])
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.7])
     def test_gca_equals_solo_bit_for_bit(self, q):
@@ -342,6 +347,57 @@ class TestLockstepMinimizer:
         assert len(calls) == 1501
         assert sum(calls) == sum(sum(c) for c in solo_calls)
         _assert_solo_equal(spec, points, solved, max_steps=1500)
+
+    def test_mixed_n_points_leave_at_their_own_iteration(self,
+                                                         monkeypatch):
+        # padded to six classes, points of every n descend in one series
+        # of loss calls, as many as the longest solo descent makes; each
+        # call carries six label rows for every point whose solo descent
+        # makes a call at that iteration
+        import imbloss.theory as theory
+
+        calls = []
+        real = theory.batch_loss_and_grad
+
+        def counting(spec, scores, *args, **kwargs):
+            calls.append(len(scores))
+            return real(spec, scores, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "batch_loss_and_grad", counting)
+        spec = LossSpec("GLA", q=0.7)
+        points = [
+            ConditionalPoint([0.3, 0.25, 0.2, 0.15, 0.1], [0.2] * 5),
+            ConditionalPoint([0.5, 0.5, 0.0], [0.25, 0.25, 0.5]),
+            ConditionalPoint([1 / 6] * 6, [1 / 6] * 6),
+            ConditionalPoint([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]),
+            ConditionalPoint([0.5, 0.5], [0.5, 0.5]),
+            ConditionalPoint([0.3, 0.2, 0.2, 0.1, 0.1, 0.1],
+                             [0.1, 0.1, 0.2, 0.2, 0.2, 0.2]),
+            ConditionalPoint([0.96, 0.02, 0.02], [0.05, 0.05, 0.9])]
+        counts = []
+        for point in points:
+            calls.clear()
+            minimize_conditional_errors(spec, [point], max_steps=1500)
+            counts.append(len(calls))
+        assert counts[1] == 1501 and counts[2] == counts[4] == 1
+        assert len(set(counts)) == 6
+        calls.clear()
+        solved = minimize_conditional_errors(spec, points, max_steps=1500)
+        assert calls == [6 * sum(c > j for c in counts)
+                         for j in range(1501)]
+        _assert_solo_equal(spec, points, solved, max_steps=1500)
+
+    def test_padding_raises_no_floating_point_error(self):
+        # -inf scores past a point's n: the loss core, the reductions and
+        # the step take them without a divide, overflow or invalid
+        rng = np.random.default_rng(47)
+        points = [random_conditional_point(rng, 2 + i % 5) for i in range(10)]
+        specs = [LossSpec("GLA", q=0.7) if i % 2 else
+                 LossSpec("GCA", q=0.3, margins=(0.5,) * point.n)
+                 for i, point in enumerate(points)]
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            solved = minimize_conditional_errors(specs, points, max_steps=200)
+        assert all(np.isfinite(scores).all() for scores, _ in solved)
 
     def test_empty_and_single(self):
         assert minimize_conditional_errors(LossSpec("GLA", q=0.3), []) == []
@@ -757,6 +813,45 @@ class TestBatchedBoundChecks:
             assert check_regret_bounds(family, [], [], 0.3) == []
             report, = check_regret_bounds(family, [point], [scores], 0.3)
             _assert_reference_equal(family, [point], [scores], 0.3, [report])
+
+    @pytest.mark.parametrize("family", ["GLA", "GCA"])
+    def test_padded_block_equals_one_call_per_n_and_q(self, family):
+        # one regret_reports call on a block padded to six classes (cond
+        # 0, priors 1, scores -inf), with an n and a q per row, gives the
+        # bits of check_regret_bounds on each (n, q) slice of it
+        rng = np.random.default_rng(46)
+        qs = (0.0, 0.3, 0.5, 0.7, 0.9)
+        points, scores = [], []
+        for i in range(150):
+            point = random_conditional_point(rng, int(rng.integers(2, 7)),
+                                             floor=0.03)
+            points.append(point)
+            scores.append(-np.log(point.ratios) if i % 3 == 2
+                          else rng.normal(0, (3.0, 20.0)[i % 3], point.n))
+        n = np.array([point.n for point in points])
+        q = np.array([qs[i % 5] for i in range(150)])
+        cond, priors = np.zeros((150, 6)), np.ones((150, 6))
+        padded = np.full((150, 6), -np.inf)
+        for i, (point, s) in enumerate(zip(points, scores)):
+            cond[i, :point.n], priors[i, :point.n] = point.cond, point.priors
+            padded[i, :point.n] = s
+        reports = regret_reports(family, cond, priors, padded, q, n)
+        assert len(reports) == 150
+        bits = [tuple(float(f).hex() for f in (r.target_regret,
+                                               r.surrogate_regret,
+                                               r.bound_value))
+                for r in reports]
+        for k in range(2, 7):
+            for q_k in qs:
+                rows = np.flatnonzero((n == k) & (q == q_k)).tolist()
+                assert rows
+                alone = check_regret_bounds(family, [points[i] for i in rows],
+                                            [scores[i] for i in rows], q_k)
+                assert [bits[i] for i in rows] == [
+                    tuple(f.hex() for f in (r.target_regret,
+                                            r.surrogate_regret,
+                                            r.bound_value))
+                    for r in alone]
 
     def test_rejects_restricted_points_and_bad_inputs(self):
         regular = ConditionalPoint([0.5, 0.5], [0.5, 0.5])
