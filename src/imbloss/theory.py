@@ -461,18 +461,18 @@ def gca_bound_transform(t: float, p_min: float, n: int, q: float) -> float:
     return math.sqrt(2.0 * n**q * t) / math.sqrt(p_min)
 
 
-def regret_reports(family: str, cond, priors, scores, q, n=None) -> list:
+def regret_reports(family: str, cond, priors, scores, q, n) -> list:
     """The row-wise core of :func:`check_regret_bounds`: one
     :class:`RegretReport` per row of the (P, N) float64 arrays, all labels
-    reachable; ``q`` and the class count ``n`` (default N) are one value
-    or one per row, a row padded past its n with cond 0, priors 1 and
-    scores -inf. The caller has checked the rows (:func:`check_point_rows`,
-    finite scores) and ``family``. Every row sum runs left to right,
-    padding last, so a row's report is the same bits alone or among others.
+    reachable; ``q`` and the class count ``n`` are one value or one per
+    row, a row padded past its n with cond 0, priors 1 and scores -inf.
+    The caller has checked the rows (:func:`check_point_rows`, finite
+    scores) and ``family``. Every row sum runs left to right, padding
+    last, so a row's report is the same bits alone or among others.
     """
-    count, width = cond.shape
+    count = len(cond)
     q = np.broadcast_to(np.asarray(q, dtype=np.float64), (count,))
-    n = np.broadcast_to(width if n is None else n, (count,))
+    n = np.broadcast_to(n, (count,))
     ratios = cond / priors
     predicted = argmax_highest(scores)
     targets = ratios.max(axis=1) - ratios[np.arange(count), predicted]

@@ -277,22 +277,27 @@ class TestLockstepMinimizer:
         solved = minimize_conditional_errors(spec, points, max_steps=400)
         _assert_solo_equal(spec, points, solved, max_steps=400)
 
-    def test_mixed_specs_and_n_equal_solo_bit_for_bit(self):
+    @pytest.mark.parametrize("pick", ["every_pair", "two_per_n"])
+    def test_mixed_specs_and_n_equal_solo_bit_for_bit(self, pick):
         # one spec per point, each family setting its own table columns
         # (GLA a shift and q, GCA divisors and weights, LA a shift, CB and
-        # WCE weights, CE none); LDAM needs integer class counts, which a
-        # conditional point does not have
+        # WCE weights, CE none): every (family, n) pair once, or two
+        # families per n, so that each column one n sets is unset at
+        # another; LDAM needs integer class counts, which a point lacks
+        two_per_n = {2: (0, 2), 3: (1, 5), 4: (3, 0), 5: (4, 2), 6: (5, 1)}
         rng = np.random.default_rng(45)
         points, specs = [], []
-        for i in range(30):  # every (family, n) pair once
+        for i in range(30):
             n = 2 + i % 5
+            family = (i % 6 if pick == "every_pair"
+                      else two_per_n[n][i // 5 % 2])
             points.append(random_conditional_point(rng, n))
             specs.append([
                 LossSpec("GLA", q=0.7),
                 LossSpec("GCA", q=0.3,
                          margins=tuple(rng.uniform(0.3, 2.0, n))),
                 LossSpec("LA", tau=0.5), LossSpec("CB", gamma=0.9),
-                LossSpec("WCE"), LossSpec("CE")][i % 6])
+                LossSpec("WCE"), LossSpec("CE")][family])
         solved = minimize_conditional_errors(specs, points, max_steps=400)
         assert len(solved) == len(points)
         for spec, point, (scores, value) in zip(specs, points, solved):
