@@ -378,16 +378,26 @@ class TestCommands:
         assert [row.split(",")[-7:-5] for row in rows] == [["0", "2"],
                                                            ["1", "1"]]
 
-    @pytest.mark.parametrize("loss, digest", [
-        ("family = GCA\nq = 0.0, 0.5\nmargins = default",
+    @pytest.mark.parametrize("loss, jobs, digest", [
+        ("family = GCA\nq = 0.0, 0.5\nmargins = default", "1",
          "835a363130bab7e212335e4da7238204c50119df9ae4b3c189653168708f8198"),
-        ("family = LA\ntau = 0.5, 1.0, 2.0",
+        ("family = LA\ntau = 0.5, 1.0, 2.0", "1",
          "9b6d29cae1947d78f713af63844cffc77faee04f0cdc95576f698a5cea16630c"),
-    ], ids=["gca-q-grid", "la-tau-grid"])
-    def test_train_output_bytes_are_pinned(self, tmp_path, loss, digest):
+        ("family = FOCAL\ngamma = 0.0, 0.5, 2.0", "1",
+         "7527f3f2a772e57b122a36cd0aa956d1a23fd354dfa3e8f451096b404e87102d"),
+        ("family = FOCAL\ngamma = 0.0, 0.5, 2.0", "2",
+         "7527f3f2a772e57b122a36cd0aa956d1a23fd354dfa3e8f451096b404e87102d"),
+        ("family = EQUAL\neq_p = 0.3, 0.7\neq_lambda = 0.2, 0.5", "1",
+         "76ece5c34fb2fc8508de0a4779285aaed384a3a952828ba1941f55da869d3030"),
+    ], ids=["gca-q-grid", "la-tau-grid", "focal-gamma-grid",
+            "focal-gamma-grid-jobs-2", "equal-grid"])
+    def test_train_output_bytes_are_pinned(self, tmp_path, loss, jobs,
+                                           digest):
         # written when a stack held only grid points that differed in q,
-        # so each tau of the LA grid trained as a stack of its own; the
-        # digest covers the sha256 of every file under runs/
+        # so each tau of the LA grid, gamma of the FOCAL grid and point of
+        # the EQUAL grid trained as a stack of its own; --jobs 2 writes the
+        # serial bytes. The digest covers the sha256 of every file under
+        # runs/
         path = tmp_path / "pin.ini"
         path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
                                             loss))
@@ -395,12 +405,14 @@ class TestCommands:
         assert main(["--config", str(path), "--out", str(out),
                      "synth"]) == 0
         assert main(["--config", str(path), "--out", str(out),
-                     "train"]) == 0
+                     "--jobs", jobs, "train"]) == 0
         manifest = "".join(
             f"{p.relative_to(out).as_posix()} "
             f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
             for p in sorted((out / "runs").rglob("*")) if p.is_file())
-        assert manifest.count("\n") == (13 if "GCA" in loss else 19)
+        # three files per run, two seeds per grid point, one summary
+        points = len(loss_grid_points(load_config(path)))
+        assert manifest.count("\n") == 3 * 2 * points + 1
         assert hashlib.sha256(manifest.encode()).hexdigest() == digest
 
     def test_train_rejects_jobs_below_one(self, config_file, tmp_path):
