@@ -32,7 +32,6 @@ from .config import (
     train_config,
 )
 from .datagen import DatasetShapeError, read_dataset_csv, write_dataset_csv
-from .losses import PSI_FAMILIES
 from .metrics import balanced_error, confusion, per_class_error
 from .trainer import (
     LinearModel,
@@ -222,9 +221,9 @@ def _stack_worker(args):
 def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     """One run per (grid point x seed); summary with mean +- sd per point.
 
-    The pending runs of every grid point of a Psi family train as one
-    lockstep stack, and those of a FOCAL, EQUAL or CSMAX grid point as a
-    stack of their own; with jobs > 1 each stack's grid points are split
+    The pending runs of every grid point of any family but CSMAX train
+    as one lockstep stack, and those of a CSMAX grid point as a stack of
+    their own; with jobs > 1 each stack's grid points are split
     among the workers, and each worker trains its share as one stack.
     The splits are read once, and only when some run is pending. The best
     grid point is selected by mean validation balanced error and
@@ -247,8 +246,8 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
             else:
                 done[run_hash, seed] = payload
         if pending:
-            key = (None if gridpoint["family"] in PSI_FAMILIES
-                   else json.dumps(gridpoint, sort_keys=True))
+            key = (json.dumps(gridpoint, sort_keys=True)
+                   if gridpoint["family"] == "CSMAX" else None)
             stacks.setdefault(key, []).append((gridpoint, pending))
 
     if stacks:

@@ -20,15 +20,16 @@ Implements closed-form values and analytic score gradients for:
              c * max_y' Psi((s_y - s_y') / rho) with a comp-sum link,
              c = 1/p(y).
 
-CE, WCE, LA, CB, LDAM, GCE, GLA and GCA (the Psi families) share one code
-path, weight_y * Psi^q(softmax(adjusted scores)_y): ``loss_table`` turns
-each (LossSpec, class statistics) pair into per-class numbers (shifts, a
-divisor, a weight and q), so one call evaluates any mix of them; a
-shift, divisor or weight that no block of a table uses is skipped. That
-path is class-major: it transposes the adjusted scores once to (n, m), so
-every reduction and broadcast over the classes runs along m-long rows,
-and it adds the classes in the exact order of numpy's last-axis sum over
-a row: one by one for n < 8, numpy's pairwise tree of eight running sums
+Every family but CSMAX shares one code path, weight_y *
+Psi^q(softmax(adjusted scores)_y), FOCAL's times (1 - softmax_y)^gamma,
+EQUAL's with its gated classes at -inf: ``loss_table`` turns each
+(LossSpec, class statistics) pair into table columns (shifts, a divisor,
+a weight, q, gamma and EQUAL's gates), so one call evaluates any mix of
+them; a column that no block of a table uses is skipped. That path is
+class-major: it transposes the adjusted scores once to (n, m), so every
+reduction and broadcast over the classes runs along m-long rows, and it
+adds the classes in the exact order of numpy's last-axis sum over a
+row: one by one for n < 8, numpy's pairwise tree of eight running sums
 for 8 <= n <= 128, and numpy's own sum beyond. Its values and gradients
 are therefore bit for bit those of the row-major log-softmax. It takes
 one exp per call where the softmax saturates (a log-sum-exp of exactly
@@ -42,7 +43,7 @@ Conventions used throughout the package:
 * every loss is evaluated in log space (log-softmax) wherever a log
   follows a softmax, so large logits never cancel catastrophically;
 * softmax probabilities are floored at 1e-300 before -log so the q = 0
-  link saturates instead of overflowing;
+  link saturates instead of overflowing (EQUAL's are not);
 * the class weight for weighted losses is the single canonical array
   ``ClassStats.inv_priors`` (m / m_k), so "1 / prior" and "m / m_k" are
   the same float everywhere.
@@ -64,7 +65,6 @@ FAMILIES = (
     "CE", "WCE", "LA", "EQUAL", "CB", "FOCAL", "LDAM",
     "GCE", "GLA", "GCA", "CSMAX",
 )
-PSI_FAMILIES = ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
 
 # Probability floor applied before -log; invisible at test tolerances but
 # keeps the q = 0 link finite for arbitrarily bad score vectors.
@@ -206,7 +206,7 @@ class LossSpec:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.family == "CB" and not (0.0 < self.gamma < 1.0):
             raise ValueError(f"CB gamma must lie in (0, 1), got {self.gamma}")
-        if self.family == "FOCAL" and self.gamma < 0:
+        if self.family == "FOCAL" and not self.gamma >= 0:
             raise ValueError(f"FOCAL gamma must be >= 0, got {self.gamma}")
         if self.cap_c is not None and self.cap_c <= 0:
             raise ValueError(f"cap_c must be positive, got {self.cap_c}")
@@ -249,12 +249,13 @@ class LossTable:
     block, as :func:`loss_table` builds them; B * s score rows hold block
     b in rows b * s to (b + 1) * s - 1.
 
-    A Psi family is weight_y * Psi^q(softmax(s')_y) with s' = (s -
+    A row's loss is weight_y * Psi^q(softmax(s')_y) with s' = (s -
     neg_shift - label_shift_y e_y) / rho_y, every (B, n) column read at
-    the row's block, and q one per block; a shift, divisor or weight
-    column that no block sets is None. ``gate`` marks the classes EQUAL
-    may gate out, ``weight`` is also CSMAX's cost, and ``spec`` is the
-    one spec of a FOCAL, EQUAL or CSMAX table (None for Psi).
+    the row's block, and q, gamma and eq_p one per block; a column other
+    than gate and q that no block sets is None. ``gate`` marks the
+    classes EQUAL gates out with probability eq_p, FOCAL's gamma is as in
+    (1 - softmax_y)^gamma, and other families hold NaN in both. ``weight``
+    is also CSMAX's cost, and ``spec`` the one spec of a CSMAX table.
     """
 
     neg_shift: np.ndarray | None
@@ -263,6 +264,8 @@ class LossTable:
     weight: np.ndarray | None
     gate: np.ndarray
     q: np.ndarray
+    gamma: np.ndarray | None
+    eq_p: np.ndarray | None
     spec: LossSpec | None
 
     def __getitem__(self, blocks) -> "LossTable":
@@ -275,18 +278,17 @@ class LossTable:
 def loss_table(blocks, n: int) -> LossTable:
     """The LossTable of ``blocks``, (LossSpec, stats) pairs over n classes.
 
-    Any mix of Psi families (CE, WCE, LA, CB, LDAM, GCE, GLA, GCA) may
-    share a table; FOCAL, EQUAL and CSMAX need one spec for every block.
-    A parameter a family lacks is an exact identity: x - 0.0 (which keeps
-    -0.0, where x + 0.0 would not), x / 1.0, x * 1.0 and q = 0. A shift,
-    divisor or weight column that no block sets is None, decided here once
-    per table, and skipped.
+    Any mix of families but CSMAX may share a table; CSMAX needs one spec
+    for every block. A parameter a family lacks is an exact identity: x -
+    0.0 (which keeps -0.0, where x + 0.0 would not), x / 1.0, x * 1.0 and
+    q = 0, or NaN for gamma and eq_p. A column that no block sets is
+    None, decided here once per table, and skipped.
     """
     specs = [spec for spec, _ in blocks]
-    psi = all(spec.family in PSI_FAMILIES for spec in specs)
-    if not psi and any(spec != specs[0] for spec in specs):
-        raise ValueError("FOCAL, EQUAL and CSMAX need one spec per table")
-    zero, one = np.zeros(n), np.ones(n)
+    csmax = any(spec.family == "CSMAX" for spec in specs)
+    if csmax and any(spec != specs[0] for spec in specs):
+        raise ValueError("CSMAX needs one spec per table")
+    zero, one, nan = np.zeros(n), np.ones(n), math.nan
     rows = []
     for spec, stats in blocks:
         family = spec.family
@@ -295,6 +297,8 @@ def loss_table(blocks, n: int) -> LossTable:
         if stats is not None and stats.n != n:
             raise ValueError(f"stats have {stats.n} classes, expected {n}")
         q = spec.q or 0.0
+        gamma = spec.gamma if family == "FOCAL" else nan
+        eq_p = nan if spec.eq_p is None else spec.eq_p
         neg_shift, label_shift, rho, weight, gate = zero, zero, one, one, zero
         if family == "LA":
             neg_shift = -(spec.tau * stats.log_priors)
@@ -315,13 +319,14 @@ def loss_table(blocks, n: int) -> LossTable:
             gate = (stats.priors < spec.eq_lambda).astype(np.float64)
         if family in ("WCE", "GCA", "CSMAX"):
             weight = stats.inv_priors
-        rows.append((neg_shift, label_shift, rho, weight, gate, q))
-    # a column that no block sets holds only the shared zero or one
-    unset = (zero, zero, one, one, None, None)
+        rows.append((neg_shift, label_shift, rho, weight, gate, q, gamma,
+                     eq_p))
+    # a column that no block sets holds only the shared zero, one or NaN
+    unset = (zero, zero, one, one, None, None, nan, nan)
     return LossTable(*(None if all(c is u for c in column)
                        else np.array(column)
                        for column, u in zip(zip(*rows), unset)),
-                     spec=None if psi else specs[0])
+                     spec=specs[0] if csmax else None)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +405,46 @@ def _label_entries(idx, blocks, n):
             ).ravel()
 
 
-def _psi_batch(table, scores, idx, want_grad):
+def _pow(base, exponent):
+    """base ** exponent, one exponent per entry, bit for bit numpy's power
+    with each as a scalar, which is square, sqrt or reciprocal at 2, 0.5
+    or -1."""
+    out = np.power(base, exponent)
+    for at, fast in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
+        hit = exponent == at
+        if hit.any():
+            out[hit] = fast(base[hit])
+    return out
+
+
+def _gated(table, idx, equal_draws, rng):
+    """The (m, n) mask of the classes EQUAL gates out of its rows: marked
+    by the block's gate, drawn, and not the label. Only EQUAL blocks draw
+    from their generators, which may serve other draws as well."""
+    m, (blocks, n) = len(idx), table.gate.shape
+    size = m // blocks
+    if equal_draws is None:
+        if rng is None:
+            raise ValueError("EQUAL needs equal_draws or an rng")
+        gens = [rng] * blocks if isinstance(rng, np.random.Generator) else rng
+        equal_draws = np.zeros((m, n))
+        for b in np.flatnonzero(~np.isnan(table.eq_p)):
+            equal_draws[b * size:(b + 1) * size] = (
+                gens[b].random((size, n)) < table.eq_p[b])
+    elif np.shape(equal_draws) != (m, n):
+        raise ValueError(f"equal_draws must be shape {(m, n)}")
+    gated = equal_draws * table.gate.repeat(size, axis=0) != 0.0
+    gated[np.arange(m), idx] = False
+    return gated
+
+
+def _psi_batch(table, scores, idx, equal_draws, rng, want_grad):
     """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient, every
     column of the table applied to every row (a None column is skipped,
-    being an identity). Class-major, (n, m): each element takes the float
-    operations of the row-major log-softmax, and the class sums its order
-    (_class_sum), so the bits are the same.
+    being an identity), and EQUAL's gated classes at -inf. Class-major,
+    (n, m): each element takes the float operations of the row-major
+    log-softmax, and the class sums its order (_class_sum), so the bits
+    are the same.
 
     One exp serves both the log-sum-exp and, in a saturated row, the
     gradient's softmax. A row is saturated when its class sum is exactly
@@ -415,9 +454,13 @@ def _psi_batch(table, scores, idx, want_grad):
     GCA's division by margins of 0.03 to 0.2 saturates most rows of a
     trained model. Only the other rows take a second exp, gathered when
     they are at most half of the rows, else as one exp over every row.
+    EQUAL's softmax is the first exp over the class sum, and its loss
+    takes no 1e-300 floor. FOCAL's gradient takes u = softmax_y, then
+    -dL/du, as two products, as in the row-major chain rule.
     """
     m, n = scores.shape
     blocks = len(table.q)
+    size = m // blocks
     label_at = idx * m + np.arange(m)  # each label in the flat (n, m) array
     adjusted = scores.T.copy()
     if table.neg_shift is not None:
@@ -434,31 +477,57 @@ def _psi_batch(table, scores, idx, want_grad):
         adjusted /= rho
     if table.weight is not None:
         weight = table.weight.ravel()[at]
-    q = table.q.repeat(m // blocks)
+    equal, floor = None, _LOG_PROB_FLOOR
+    if table.eq_p is not None:  # EQUAL: no floor
+        adjusted[_gated(table, idx, equal_draws, rng).T] = -np.inf
+        equal = ~np.isnan(table.eq_p).repeat(size)
+        floor = np.where(equal, -np.inf, floor)
+    q = table.q.repeat(size)
     # log-softmax over the classes, then Psi^q in log space with the
     # 1e-300 floor at q = 0.
     logp = adjusted  # shifted by the class max, in place
     logp -= logp.max(axis=0)
     expd = _exp(logp)
-    lse = np.log(_class_sum(expd))
+    sums = _class_sum(expd)
+    lse = np.log(sums)
     logp -= lse
     log_t = logp.ravel()[label_at]
     t_pow_q = np.exp(q * log_t)  # exactly 1.0 where q = 0
-    psi = -np.maximum(log_t, _LOG_PROB_FLOOR)  # the q = 0 link
+    psi = -np.maximum(log_t, floor)  # the q = 0 link
     np.divide(1.0 - t_pow_q, q, out=psi, where=q != 0.0)
     values = psi if table.weight is None else weight * psi
+    if table.gamma is not None:  # FOCAL: (1 - u)^gamma * psi, u = t
+        gamma = table.gamma.repeat(size)
+        focal = ~np.isnan(gamma)
+        u = np.exp(log_t)
+        one_minus_u = np.maximum(1.0 - u, 0.0)
+        modulation = np.where(focal, _pow(one_minus_u, gamma), 1.0)
+        values = modulation * values  # weight 1.0 in a FOCAL row
     if not want_grad:
         return values, None
-    rest = np.flatnonzero(lse != 0.0)  # the rows that are not saturated
-    if 2 * rest.size > m:
+    rest = lse != 0.0  # the rows that are not saturated
+    if equal is not None:  # the other rows' sums are 1.0 or go unread
+        rest &= ~equal
+        expd /= sums
+    rest = np.flatnonzero(rest)
+    if 2 * rest.size > m and equal is None:
         del expd  # not alive through the second exp: a lower peak
         probs = _exp(logp)
     else:
         probs = expd
-        # few entries: numpy's slow path on their underflows costs less
-        # than _exp's passes over them
+        # few entries, or EQUAL rows to keep: numpy's slow path on their
+        # underflows costs less than _exp's passes over them
         probs[:, rest] = np.exp(logp.take(rest, axis=1))
     probs.ravel()[label_at] -= 1.0
+    if table.gamma is not None:
+        # dL/du with the u -> 1 limit handled explicitly (both terms -> 0)
+        floored_u = np.maximum(u, PROB_FLOOR)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dl_du = np.where(one_minus_u > 0.0, -gamma * _pow(
+                one_minus_u, gamma - 1.0) * psi - modulation / floored_u, 0.0)
+        dl_du = np.where(gamma == 0.0, -1.0 / floored_u, dl_du)
+        probs *= np.where(focal, u, 1.0)
+        t_pow_q = np.where(focal, -dl_du, t_pow_q)
     if table.rho is not None or table.weight is not None:
         t_pow_q = weight / rho * t_pow_q
     probs *= t_pow_q
@@ -481,9 +550,10 @@ def batch_loss_and_grad(
     or a :class:`LossTable` whose blocks split the score rows evenly; a
     caller that evaluates one stack many times builds its table once.
     ``equal_draws`` (an (m, n) 0/1 array) fixes the EQUAL loss's Bernoulli
-    gate; otherwise each block draws its gates from ``rng``, a Generator
-    or one per block. Returns ``(values, grads)``, grads an (m, n)
-    C-contiguous array or None when want_grad is False.
+    gate; otherwise each EQUAL block draws its gates from ``rng``, a
+    Generator or one per block, and the blocks of other families draw
+    nothing. Returns ``(values, grads)``, grads an (m, n) C-contiguous
+    array or None when want_grad is False.
 
     The LossSpec form checks its input: finite scores, one label in 1..n
     per row. The table form is for callers that produce their own (m, n)
@@ -507,74 +577,12 @@ def batch_loss_and_grad(
     blocks = len(table.q)
     if m % blocks:
         raise ValueError(f"{m} score rows do not split into {blocks} blocks")
-    size = m // blocks
     idx = labels - 1
-    if table.spec is None:
-        return _psi_batch(table, scores, idx, want_grad)
-
-    spec = table.spec
-    family = spec.family
-    rows = np.arange(m)
-    onehot = np.zeros((m, n))
-    onehot[rows, idx] = 1.0
-    if family == "FOCAL":
-        gamma = spec.gamma
-        # numerics.log_softmax without its finiteness check, which a
-        # diverging run's row would fail for the whole table
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        log_u = logp[rows, idx]
-        ce = -np.maximum(log_u, _LOG_PROB_FLOOR)
-        u = np.exp(log_u)
-        one_minus_u = np.maximum(1.0 - u, 0.0)
-        values = one_minus_u**gamma * ce
-        if not want_grad:
-            return values, None
-        probs = np.exp(logp)
-        # dL/du with the u -> 1 limit handled explicitly (both terms -> 0).
-        if gamma == 0.0:
-            dl_du = -1.0 / np.maximum(u, PROB_FLOOR)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dl_du = np.where(
-                    one_minus_u > 0.0,
-                    -gamma * one_minus_u ** (gamma - 1.0) * ce
-                    - one_minus_u**gamma / np.maximum(u, PROB_FLOOR),
-                    0.0,
-                )
-        du_ds = u[:, None] * (onehot - probs)
-        grads = dl_du[:, None] * du_ds
-        return values, grads
-
-    if family == "EQUAL":
-        if equal_draws is None:
-            if rng is None:
-                raise ValueError("EQUAL needs equal_draws or an rng")
-            gens = [rng] if isinstance(rng, np.random.Generator) else rng
-            equal_draws = np.concatenate([
-                (gen.random((size, n)) < spec.eq_p).astype(np.float64)
-                for gen in gens])
-        draws = np.asarray(equal_draws, dtype=np.float64)
-        if draws.shape != (m, n):
-            raise ValueError(f"equal_draws must be shape {(m, n)}")
-        gated = (draws.reshape(blocks, size, n)
-                 * table.gate[:, None, :]).reshape(m, n)
-        live = gated * (1.0 - onehot) == 0.0
-        # Log-sum-exp over the classes left ungated (the true class always
-        # is), shifted by their max: a gated class scoring far above them
-        # would underflow every ungated term to 0 and the loss to -inf.
-        shifted = scores - np.where(live, scores, -np.inf).max(axis=1,
-                                                               keepdims=True)
-        masked = np.exp(np.where(live, shifted, -np.inf))
-        denom = masked.sum(axis=1)
-        values = np.log(denom) - shifted[rows, idx]
-        grads = masked / denom[:, None] - onehot if want_grad else None
-        return values, grads
-
-    # CSMAX, whose cost 1/p(y) is the table's weight
-    return _csmax_batch(scores, idx,
-                        table.weight.ravel()[_label_entries(idx, blocks, n)],
-                        spec.rho_margin, spec.psi_tau, want_grad)
+    if table.spec is not None:  # CSMAX, whose cost 1/p(y) is the weight
+        return _csmax_batch(
+            scores, idx, table.weight.ravel()[_label_entries(idx, blocks, n)],
+            table.spec.rho_margin, table.spec.psi_tau, want_grad)
+    return _psi_batch(table, scores, idx, equal_draws, rng, want_grad)
 
 
 def _comp_sum_psi(x, tau):

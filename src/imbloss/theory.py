@@ -274,7 +274,7 @@ def minimize_conditional_errors(
 ):
     """Independent numeric oracle: gradient descent on unconstrained scores,
     one (scores, value) per point, in input order; ``spec`` is one LossSpec
-    or a list of one per point, of any mix of Psi families.
+    or a list of one per point, of any mix of families but CSMAX.
 
     Backtracking descent starting at step 0.5 with two safeguards: an
     Armijo sufficient-decrease test and a unit cap on the per-iteration
@@ -371,10 +371,11 @@ def _spans(ns):
 def _padded_table(blocks, spans, width):
     """The ``loss_table`` of each span's (LossSpec, stats) blocks, stacked
     into one LossTable over ``width`` classes: past its n, a column holds
-    its identity (shift 0, divisor 1, weight 1, no gate)."""
+    its identity (shift 0, divisor 1, weight 1, no gate), and a span with
+    no FOCAL or EQUAL block holds NaN gamma or eq_p."""
     tables = [loss_table(blocks[start:stop], n) for n, start, stop in spans]
     if len({t.spec for t in tables}) > 1:
-        raise ValueError("FOCAL, EQUAL and CSMAX need one spec per table")
+        raise ValueError("CSMAX needs one spec per table")
     columns = {}
     for name, pad in (("neg_shift", 0.0), ("label_shift", 0.0), ("rho", 1.0),
                       ("weight", 1.0), ("gate", 0.0)):
@@ -384,8 +385,12 @@ def _padded_table(blocks, spans, width):
         for (n, start, stop), part in zip(spans, parts):
             if part is not None:
                 columns[name][start:stop, :n] = part
-    return replace(tables[0], **columns,
-                   q=np.concatenate([t.q for t in tables]))
+    for name in ("q", "gamma", "eq_p"):  # one per block; q is never None
+        parts = [getattr(t, name) for t in tables]
+        columns[name] = None if all(c is None for c in parts) else (
+            np.concatenate([np.full(len(t.q), np.nan) if c is None else c
+                            for c, t in zip(parts, tables)]))
+    return replace(tables[0], **columns)
 
 
 def _log_normalize(logits) -> np.ndarray:

@@ -291,7 +291,7 @@ def train_lockstep(models, data, spec, cfgs):
     ``data`` is one Dataset that every run trains on, or a list of one
     Dataset per model, all with the same m, n and d; each run then draws
     its batches and its label statistics from its own. ``spec`` is one
-    LossSpec, or a list of one per model of any Psi families (loss_table).
+    LossSpec, or a list of one per model of any families but CSMAX.
 
     Returns one outcome per model, in order: ``(model, history)``, where
     ``history`` is the per-epoch mean training loss (averaged over the
@@ -301,8 +301,8 @@ def train_lockstep(models, data, spec, cfgs):
     step and the others go on.
 
     The R parameter sets are stacked along a leading model axis, and each
-    run keeps its own generator, which draws its epoch permutations and
-    EQUAL gates in the order a solo run draws them. Every operation acts
+    run keeps its own generator, which draws its epoch permutations and,
+    for an EQUAL run only, its gates, in the order a solo run draws them. Every operation acts
     on each slice as the solo loop acts on its arrays, so each outcome is
     bit for bit that of training the run in a stack of its own. Runs with
     their own datasets train on them concatenated, each run's

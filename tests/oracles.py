@@ -1,6 +1,9 @@
 """Independent reference oracles the tests compare the library against,
 each assembled term by term from its definition."""
 
+import numpy as np
+
+from imbloss.losses import _LOG_PROB_FLOOR, PROB_FLOOR
 from imbloss.numerics import as_finite_array
 
 
@@ -27,3 +30,63 @@ def bal_regret_bruteforce(point, predicted: int) -> float:
         raise ValueError(f"predicted label {predicted} is not reachable")
     best = min(cond_error(label) for label in point.reachable)
     return cond_error(predicted) - best
+
+
+def focal_loss_and_grad(gamma, scores, labels, want_grad=True):
+    """FOCAL values (1 - u)^gamma * -log u, u the label's softmax floored at
+    1e-300 under the log, and their score gradients, row-major on one
+    (m, n) block: the loss core's FOCAL branch before it read FOCAL from
+    its table."""
+    m, n = scores.shape
+    rows, idx = np.arange(m), labels - 1
+    onehot = np.zeros((m, n))
+    onehot[rows, idx] = 1.0
+    # numerics.log_softmax without its finiteness check, which a
+    # diverging run's row would fail for the whole table
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_u = logp[rows, idx]
+    ce = -np.maximum(log_u, _LOG_PROB_FLOOR)
+    u = np.exp(log_u)
+    one_minus_u = np.maximum(1.0 - u, 0.0)
+    values = one_minus_u**gamma * ce
+    if not want_grad:
+        return values, None
+    probs = np.exp(logp)
+    # dL/du with the u -> 1 limit handled explicitly (both terms -> 0).
+    if gamma == 0.0:
+        dl_du = -1.0 / np.maximum(u, PROB_FLOOR)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dl_du = np.where(
+                one_minus_u > 0.0,
+                -gamma * one_minus_u ** (gamma - 1.0) * ce
+                - one_minus_u**gamma / np.maximum(u, PROB_FLOOR),
+                0.0,
+            )
+    du_ds = u[:, None] * (onehot - probs)
+    grads = dl_du[:, None] * du_ds
+    return values, grads
+
+
+def equal_loss_and_grad(gated, scores, labels, want_grad=True):
+    """EQUAL values -log of the label's softmax over the classes that
+    ``gated`` (an (m, n) 0/1 array: the drawn gates times the block's
+    rare-class mask) leaves in, the label always in, and their score
+    gradients, row-major on one (m, n) block: the loss core's EQUAL branch
+    before it read EQUAL from its table."""
+    m, n = scores.shape
+    rows, idx = np.arange(m), labels - 1
+    onehot = np.zeros((m, n))
+    onehot[rows, idx] = 1.0
+    live = gated * (1.0 - onehot) == 0.0
+    # Log-sum-exp over the classes left ungated (the true class always
+    # is), shifted by their max: a gated class scoring far above them
+    # would underflow every ungated term to 0 and the loss to -inf.
+    shifted = scores - np.where(live, scores, -np.inf).max(axis=1,
+                                                           keepdims=True)
+    masked = np.exp(np.where(live, shifted, -np.inf))
+    denom = masked.sum(axis=1)
+    values = np.log(denom) - shifted[rows, idx]
+    grads = masked / denom[:, None] - onehot if want_grad else None
+    return values, grads

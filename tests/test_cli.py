@@ -19,6 +19,7 @@ from imbloss.config import (
     synthesize_splits,
 )
 from imbloss.losses import ClassStats
+from imbloss.trainer import train_lockstep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -414,6 +415,26 @@ class TestCommands:
         points = len(loss_grid_points(load_config(path)))
         assert manifest.count("\n") == 3 * 2 * points + 1
         assert hashlib.sha256(manifest.encode()).hexdigest() == digest
+
+    def test_focal_grid_trains_as_one_stack(self, tmp_path, monkeypatch):
+        # every gamma of a FOCAL grid, and every seed, in one lockstep call
+        calls = []
+
+        def counting(models, *args):
+            calls.append(len(models))
+            return train_lockstep(models, *args)
+
+        monkeypatch.setattr("imbloss.cli.train_lockstep", counting)
+        path = tmp_path / "focal.ini"
+        path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
+                                            "family = FOCAL\n"
+                                            "gamma = 0.0, 0.5, 2.0"))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out),
+                     "synth"]) == 0
+        assert main(["--config", str(path), "--out", str(out),
+                     "train"]) == 0
+        assert calls == [6]
 
     def test_train_rejects_jobs_below_one(self, config_file, tmp_path):
         out = tmp_path / "o"

@@ -12,7 +12,6 @@ from imbloss.losses import (
     ClassStats,
     LossSpec,
     PriorStats,
-    PSI_FAMILIES,
     _class_sum,
     batch_loss_and_grad,
     default_gca_margins,
@@ -25,7 +24,15 @@ from imbloss.numerics import (
     gradient_rel_error,
     log_softmax,
 )
-from oracles import eval_balanced_loss
+from oracles import (
+    equal_loss_and_grad,
+    eval_balanced_loss,
+    focal_loss_and_grad,
+)
+
+PSI_FAMILIES = ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
+# every family the class-major core evaluates: all but CSMAX
+CORE_FAMILIES = PSI_FAMILIES + ("FOCAL", "EQUAL")
 
 
 def random_spec(rng, family, n):
@@ -119,6 +126,10 @@ class TestLossSpecValidation:
             LossSpec("GCA", q=0.0, margins=(1.0, -1.0))
         with pytest.raises(ValueError):
             LossSpec("CSMAX", rho_margin=0.0, psi_tau=1.0)
+        # a loss table reads a NaN gamma as a block of another family
+        for gamma in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="FOCAL gamma"):
+                LossSpec("FOCAL", gamma=gamma)
 
 
 class TestPsiQ:
@@ -546,6 +557,16 @@ def _reference_psi_family(spec, scores, labels, stats):
             (weight / rho * t_pow_q)[:, None] * (probs - onehot))
 
 
+def _reference_family(spec, scores, labels, stats, gated):
+    """The row-major reference of any family but CSMAX on one block's rows;
+    ``gated`` is EQUAL's drawn gates times its rare-class mask."""
+    if spec.family == "FOCAL":
+        return focal_loss_and_grad(spec.gamma, scores, labels)
+    if spec.family == "EQUAL":
+        return equal_loss_and_grad(gated, scores, labels)
+    return _reference_psi_family(spec, scores, labels, stats)
+
+
 def _block_stats(rng, kind, n):
     """One count vector (ClassStats) or one marginal (PriorStats)."""
     if kind.endswith("counts"):
@@ -558,11 +579,13 @@ class TestPsiFamiliesEqualTheReference:
     # bit on both sides of numpy's 8-class switch in its class sums (and
     # past its 128-class one): for one spec with its stats, for a table
     # with one block per row (kinds row_counts and row_priors), each with
-    # its own stats and, for GCE, GLA and GCA, its own q, and for tables
-    # that mix every family. LDAM needs integer class counts.
+    # its own stats and, for GCE, GLA and GCA, its own q, for FOCAL its
+    # own gamma, and for tables that mix every family but CSMAX. LDAM
+    # needs integer class counts. EQUAL's gates come from fixed draws and
+    # from one generator per block.
     @pytest.mark.parametrize("family,kind", [
         (family, kind)
-        for family in PSI_FAMILIES
+        for family in CORE_FAMILIES
         for kind in ("counts", "priors", "row_priors", "row_counts")
         if family != "LDAM" or kind.endswith("counts")])
     def test_values_and_grads_are_bit_equal(self, family, kind):
@@ -577,29 +600,41 @@ class TestPsiFamiliesEqualTheReference:
             spec = random_spec(rng, family, n)
             if not kind.startswith("row_"):
                 blocks = [(spec, _block_stats(rng, kind, n))]
+            elif family == "FOCAL":  # gammas numpy's power takes apart
+                blocks = [(replace(spec, gamma=float(gamma)),
+                           _block_stats(rng, kind, n))
+                          for gamma in rng.choice([0.0, 0.5, 1.5, 2.0, 3.0,
+                                                   4.5], m)]
             else:
                 blocks = [(spec if spec.q is None
                            else replace(spec, q=float(q)),
                            _block_stats(rng, kind, n))
                           for q in rng.choice([0.0, 0.3, 0.7], m)]
-            self.assert_bit_equal(blocks, scores, labels)
+            self.assert_bit_equal(blocks, scores, labels, rng)
 
     def test_mixed_tables_are_bit_equal(self):
-        # every family twice, in a shuffled order, each block with its own
-        # hyperparameters, q and counts or priors, and several rows
+        # every family but CSMAX twice, in a shuffled order, each block
+        # with its own hyperparameters, q and counts or priors, and several
+        # rows; wide scores give EQUAL losses past the floor's 690.78
         rng = np.random.default_rng(33)
+        past_floor = 0
         for n in [*range(2, 21), 130]:
             blocks = [(random_spec(rng, family, n),
                        _block_stats(rng, "counts" if family == "LDAM"
                                     else str(rng.choice(["counts",
                                                          "priors"])), n))
-                      for family in PSI_FAMILIES * 2]
+                      for family in CORE_FAMILIES * 2]
             blocks = [blocks[i] for i in rng.permutation(len(blocks))]
-            m = len(blocks) * int(rng.integers(1, 5))
+            size = int(rng.integers(1, 5))
             scores = rng.normal(0, float(rng.choice([1.0, 30.0, 400.0])),
-                                (m, n))
-            labels = rng.integers(1, n + 1, m)
-            self.assert_bit_equal(blocks, scores, labels)
+                                (len(blocks) * size, n))
+            labels = rng.integers(1, n + 1, len(scores))
+            values = self.assert_bit_equal(blocks, scores, labels, rng)
+            past_floor += sum(np.sum(values[b * size:(b + 1) * size]
+                                     > -math.log(1e-300))
+                              for b, (spec, _) in enumerate(blocks)
+                              if spec.family == "EQUAL")
+        assert past_floor > 0
 
     @pytest.mark.parametrize("gaps, share", [
         ((800.0, 1000.0), (1.0, 1.0)), ((1e-3, 1e-2), (0.0, 0.0)),
@@ -611,10 +646,12 @@ class TestPsiFamiliesEqualTheReference:
                                           monkeypatch):
         # A row whose class sum is exactly 1.0 (log-sum-exp 0.0) takes its
         # softmax from the log-sum-exp's exp; the others take a second exp,
-        # gathered when they are at most half. Each row's top adjusted
-        # score leads the others by gap to 2 * gap, gap drawn log-uniform
-        # over ``gaps``; the observed share of sums at 1.0 must lie within
-        # ``share``. GCA has long-tail cube-root margins, 0.03 to 0.2.
+        # gathered when they are at most half, except EQUAL's, which divide
+        # the first exp by their class sum. Each row's top adjusted
+        # score (EQUAL's label) leads the others by gap to 2 * gap, gap
+        # drawn log-uniform over ``gaps``; the observed share of sums at 1.0
+        # must lie within ``share``. GCA has long-tail cube-root margins,
+        # 0.03 to 0.2.
         sums = []
 
         def spy(values):
@@ -633,13 +670,17 @@ class TestPsiFamiliesEqualTheReference:
                 blocks = [(LossSpec("CE"), None)]
             else:
                 blocks = [(random_spec(rng, family, n), counts)
-                          for family in PSI_FAMILIES] + [(gca, counts)]
+                          for family in CORE_FAMILIES] + [(gca, counts)]
             size = 40
             m = len(blocks) * size
             labels = rng.integers(1, n + 1, m)
             gap = np.exp(rng.uniform(*np.log(gaps), (m, 1)))
             scores = -gap * rng.uniform(1.0, 2.0, (m, n))
-            scores[np.arange(m), rng.integers(0, n, m)] = 0.0
+            # EQUAL's top is its label, which no gate takes out
+            family = np.repeat([spec.family for spec, _ in blocks], size)
+            top = np.where(family == "EQUAL", labels - 1,
+                           rng.integers(0, n, m))
+            scores[np.arange(m), top] = 0.0
             for b, (spec, _) in enumerate(blocks):
                 if spec.family == "GCA":  # the gaps are of scores / rho_y
                     rows = slice(b * size, (b + 1) * size)
@@ -647,42 +688,75 @@ class TestPsiFamiliesEqualTheReference:
                         labels[rows] - 1, None]
             scores += rng.normal(0, 3, (m, 1))
             sums.clear()
-            self.assert_bit_equal(blocks, scores, labels)
-            saturated = np.mean(sums[0] == 1.0)
+            self.assert_bit_equal(blocks, scores, labels, rng)
+            # the share leaves EQUAL out: a row whose gates leave only its
+            # label is saturated whatever the gap
+            saturated = np.mean(sums[0][family != "EQUAL"] == 1.0)
             low, high = share
             assert low <= saturated <= high
             assert (saturated in (0.0, 1.0)) == (low == high)
 
     @staticmethod
-    def assert_bit_equal(blocks, scores, labels):
-        """One loss call, with the LossSpec of a single block or the table
-        of several, against the reference on each block's rows alone."""
+    def assert_bit_equal(blocks, scores, labels, rng):
+        """Loss calls, with the LossSpec of a single block or the table of
+        several, against the reference on each block's rows alone; EQUAL
+        draws its gates once from fixed draws, once from one generator per
+        block (a lone spec's one generator), and the blocks of other
+        families leave theirs untouched. Returns the values."""
         m, n = scores.shape
         size = m // len(blocks)
         if len(blocks) == 1:
             (loss, stats), = blocks
         else:
             loss, stats = loss_table(blocks, n), None
-        values, grads = batch_loss_and_grad(loss, scores, labels, stats)
-        assert grads.flags.c_contiguous
-        ref_values, ref_grads = np.empty(m), np.empty((m, n))
-        for b, (spec, block_stats) in enumerate(blocks):
-            rows = slice(b * size, (b + 1) * size)
-            ref_values[rows], ref_grads[rows] = _reference_psi_family(
-                spec, scores[rows], labels[rows], block_stats)
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(grads, ref_grads)
-        only, none = batch_loss_and_grad(loss, scores, labels, stats,
-                                         want_grad=False)
-        assert np.array_equal(only, ref_values) and none is None
+        seeds = rng.integers(0, 2**32, len(blocks))
+        gens = [np.random.default_rng(seed) for seed in seeds]
+        fixed = (rng.random((m, n)) < 0.5).astype(np.float64)
+        for draws in (fixed, None):
+            given = ({"equal_draws": draws} if draws is not None else
+                     {"rng": gens[0] if len(blocks) == 1 else gens})
+            values, grads = batch_loss_and_grad(loss, scores, labels, stats,
+                                                **given)
+            assert grads.flags.c_contiguous
+            ref_values, ref_grads = np.empty(m), np.empty((m, n))
+            for b, (spec, block_stats) in enumerate(blocks):
+                rows = slice(b * size, (b + 1) * size)
+                gated = None
+                if spec.family == "EQUAL":
+                    drawn = draws[rows] if draws is not None else (
+                        np.random.default_rng(seeds[b]).random((size, n))
+                        < spec.eq_p)
+                    gated = drawn * (block_stats.priors < spec.eq_lambda)
+                ref_values[rows], ref_grads[rows] = _reference_family(
+                    spec, scores[rows], labels[rows], block_stats, gated)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(grads, ref_grads)
+            only, none = batch_loss_and_grad(loss, scores, labels, stats,
+                                             equal_draws=fixed,
+                                             want_grad=False)
+            if draws is not None:
+                assert np.array_equal(only, ref_values) and none is None
+        for seed, gen, (spec, _) in zip(seeds, gens, blocks):
+            fresh = np.random.default_rng(seed)
+            if spec.family == "EQUAL":
+                fresh.random((size, n))
+            assert gen.random() == fresh.random()
+        return values
 
     def test_table_is_checked(self):
         counts, priors = ClassStats([2, 1]), PriorStats([0.5, 0.5])
+        csmax = LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0)
+        # FOCAL and EQUAL share a table with any family but CSMAX
+        for blocks in ([(LossSpec("FOCAL", gamma=1.0), None),
+                        (LossSpec("FOCAL", gamma=2.0), None)],
+                       [(LossSpec("CE"), None),
+                        (LossSpec("FOCAL", gamma=1.0), None)]):
+            assert loss_table(blocks, 2).spec is None
         for blocks, error in [
-                ([(LossSpec("FOCAL", gamma=1.0), None),
-                  (LossSpec("FOCAL", gamma=2.0), None)], "one spec"),
-                ([(LossSpec("CE"), None), (LossSpec("FOCAL", gamma=1.0),
-                                           None)], "one spec"),
+                ([(csmax, counts), (replace(csmax, psi_tau=0.5), counts)],
+                 "CSMAX needs one spec"),
+                ([(LossSpec("CE"), None), (csmax, counts)],
+                 "CSMAX needs one spec"),
                 ([(LossSpec("WCE"), None)], "requires ClassStats"),
                 ([(LossSpec("LDAM", cap_c=1.0), priors)], "integer class"),
                 ([(LossSpec("GCA", q=0.0, margins=(1.0,) * 3), counts)],

@@ -305,10 +305,20 @@ class TestLockstepMinimizer:
                 spec, [point], max_steps=400)
             assert np.array_equal(scores, solo_scores)
             assert value == solo_value
-        # padded into one table, FOCAL cannot share it with another spec
-        with pytest.raises(ValueError, match="one spec per table"):
+        # padded into one table, FOCAL shares it with another spec and
+        # CSMAX does not, here across two class counts
+        mixed = [LossSpec("FOCAL", gamma=2.0), LossSpec("CE")]
+        solved = minimize_conditional_errors(mixed, points[:2],
+                                             max_steps=400)
+        for spec, point, (scores, value) in zip(mixed, points, solved):
+            [(solo_scores, solo_value)] = minimize_conditional_errors(
+                spec, [point], max_steps=400)
+            assert np.array_equal(scores, solo_scores)
+            assert value == solo_value
+        with pytest.raises(ValueError, match="CSMAX needs one spec per table"):
             minimize_conditional_errors(
-                [LossSpec("FOCAL", gamma=2.0), LossSpec("CE")], points[:2])
+                [LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
+                 LossSpec("CE")], points[:2])
 
     @pytest.mark.parametrize("q", [0.0, 0.3, 0.7])
     def test_gca_equals_solo_bit_for_bit(self, q):

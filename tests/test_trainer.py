@@ -539,6 +539,21 @@ class TestLockstep:
             assert sum(isinstance(o, TrainingDiverged)
                        for o in outcomes) == 2 * diverged
 
+    @pytest.mark.parametrize("own", [False, True])
+    def test_focal_and_equal_share_a_stack_with_other_families(self, own):
+        # CE, FOCAL, two EQUAL points and GCA in one stack: each EQUAL run
+        # draws its gates from its own generator, and the other runs draw
+        # none from theirs, which also draw their epoch permutations
+        cfgs = seed_configs(seeds=(3, 4, 5, 6, 7))
+        data = own_mixtures(len(cfgs)) if own else imbalanced_mixture()
+        specs = [LossSpec("CE"), LossSpec("FOCAL", gamma=2.0),
+                 LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.2),
+                 LossSpec("EQUAL", eq_p=0.9, eq_lambda=0.5),
+                 lockstep_spec("GCA", imbalanced_mixture().stats())]
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        outcomes = assert_lockstep_matches_solo(models, data, specs, cfgs)
+        assert not any(isinstance(o, TrainingDiverged) for o in outcomes)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")  # scores / 0.01
     def test_overflowing_adjusted_scores_leave_the_stack(self):
         # Finite scores that GCA's margins divide past the float range give
@@ -616,10 +631,10 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one config per model"):
             train_lockstep(models, data, spec, seed_configs(seeds=(0,)))
         cfgs = seed_configs(seeds=(0, 1))
-        # any Psi families may share a stack; the others need one spec
-        with pytest.raises(ValueError, match="one spec"):
-            train_lockstep(models, data, [LossSpec("FOCAL", gamma=1.0),
-                                          LossSpec("FOCAL", gamma=2.0)], cfgs)
+        # any families but CSMAX may share a stack; CSMAX needs one spec
+        assert_lockstep_matches_solo(models, data,
+                                     [LossSpec("FOCAL", gamma=1.0),
+                                      LossSpec("FOCAL", gamma=2.0)], cfgs)
         with pytest.raises(ValueError, match="one spec"):
             train_lockstep(models, data, [LossSpec("CE"),
                                           LossSpec("CSMAX", rho_margin=1.0,
