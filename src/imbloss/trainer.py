@@ -302,13 +302,13 @@ def train_lockstep(models, data, spec, cfgs):
 
     The R parameter sets are stacked along a leading model axis, and each
     run keeps its own generator, which draws its epoch permutations and,
-    for an EQUAL run only, its gates, in the order a solo run draws them. Every operation acts
-    on each slice as the solo loop acts on its arrays, so each outcome is
-    bit for bit that of training the run in a stack of its own. Runs with
-    their own datasets train on them concatenated, each run's
-    permutations offset to its own rows. The loss table has one row per
-    run, built from its spec and its own label statistics; a run that
-    leaves takes its row with it.
+    for an EQUAL run only, its gates, in the order a solo run draws them.
+    Every operation acts on each slice as the solo loop acts on its
+    arrays, so each outcome is bit for bit that of training the run in a
+    stack of its own. Runs with their own datasets train on them
+    concatenated, each run's permutations offset to its own rows. The
+    loss table has one row per run, built from its spec and its own label
+    statistics; a run that leaves takes its row with it.
     """
     if len(models) != len(cfgs) or not models:
         raise ValueError("need one config per model, and at least one model")

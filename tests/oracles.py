@@ -35,8 +35,8 @@ def bal_regret_bruteforce(point, predicted: int) -> float:
 def focal_loss_and_grad(gamma, scores, labels, want_grad=True):
     """FOCAL values (1 - u)^gamma * -log u, u the label's softmax floored at
     1e-300 under the log, and their score gradients, row-major on one
-    (m, n) block: the loss core's FOCAL branch before it read FOCAL from
-    its table."""
+    (m, n) block: the reference the class-major loss core reproduces bit
+    for bit."""
     m, n = scores.shape
     rows, idx = np.arange(m), labels - 1
     onehot = np.zeros((m, n))
@@ -73,8 +73,8 @@ def equal_loss_and_grad(gated, scores, labels, want_grad=True):
     """EQUAL values -log of the label's softmax over the classes that
     ``gated`` (an (m, n) 0/1 array: the drawn gates times the block's
     rare-class mask) leaves in, the label always in, and their score
-    gradients, row-major on one (m, n) block: the loss core's EQUAL branch
-    before it read EQUAL from its table."""
+    gradients, row-major on one (m, n) block: the reference the
+    class-major loss core reproduces bit for bit."""
     m, n = scores.shape
     rows, idx = np.arange(m), labels - 1
     onehot = np.zeros((m, n))

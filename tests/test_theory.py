@@ -310,7 +310,7 @@ class TestLockstepMinimizer:
         mixed = [LossSpec("FOCAL", gamma=2.0), LossSpec("CE")]
         solved = minimize_conditional_errors(mixed, points[:2],
                                              max_steps=400)
-        for spec, point, (scores, value) in zip(mixed, points, solved):
+        for spec, point, (scores, value) in zip(mixed, points[:2], solved):
             [(solo_scores, solo_value)] = minimize_conditional_errors(
                 spec, [point], max_steps=400)
             assert np.array_equal(scores, solo_scores)
