@@ -3,17 +3,18 @@ multi-class classification.
 
 The package is organized as a numpy library:
 
-* :mod:`imbloss.numerics` -- stable log-sum-exp/softmax primitives and
-  the finite-difference gradient oracle;
+* :mod:`imbloss.numerics` -- the finiteness check, softplus, the
+  finite-difference gradient oracle and a ties-to-highest argmax;
 * :mod:`imbloss.losses` -- every loss family (values and analytic
   gradients), class statistics, loss specifications;
 * :mod:`imbloss.datagen` -- long-tail / step / Gaussian / two-class
-  synthetic data and finite joint distributions, plus the CSV format;
+  synthetic data, plus the CSV format;
 * :mod:`imbloss.trainer` -- linear and MLP scorers, SGD with Nesterov
   momentum, norm-bounded best-in-class search;
-* :mod:`imbloss.metrics` -- balanced error and friends;
+* :mod:`imbloss.metrics` -- balanced error, per-class error and the
+  confusion counts;
 * :mod:`imbloss.theory` -- numeric oracles for pointwise-optimal labels,
-  conditional-regret bounds, margin bounds, and minimizability gaps;
+  conditional-regret bounds and margin bounds;
 * :mod:`imbloss.verify` -- the checks behind ``imbloss verify`` and the
   acceptance suite, as pure functions returning evidence records;
 * :mod:`imbloss.cli` -- the ``imbloss`` command (synth/train/verify/report).
@@ -31,17 +32,14 @@ from .losses import (
 )
 from .datagen import (
     Dataset,
-    DiscreteJoint,
     figure1_distribution,
     gaussian_mixture,
     imbalance_ratio,
     longtail_counts,
-    random_discrete_joint,
     step_counts,
-    subsample,
 )
-from .metrics import ConfusionMatrix, balanced_error, confusion, per_class_error
-from .numerics import finite_diff_gradient, log_softmax, log_sum_exp, softmax
+from .metrics import balanced_error, confusion, per_class_error
+from .numerics import finite_diff_gradient
 from .theory import (
     ConditionalPoint,
     RegretReport,
@@ -53,8 +51,6 @@ from .theory import (
     check_theorem5_bound,
     empirical_rademacher_linear,
     find_la_disagreement,
-    gla_pointwise_minimizer,
-    minimizability_gap_finite,
     minimize_conditional_errors,
     phi_rho,
 )

@@ -201,8 +201,7 @@ def _execute_stack(config, points, splits, out: Path):
             payload["test_per_class_error"] = per_class_error(
                 trained, test_set).tolist()
         if "confusion" in metrics:
-            payload["test_confusion"] = confusion(
-                trained, test_set).counts.tolist()
+            payload["test_confusion"] = confusion(trained, test_set).tolist()
         save_checkpoint(trained, run_dir / "model.json")
         with open(run_dir / "history.csv", "w", encoding="ascii",
                   newline="\n") as fh:

@@ -1,12 +1,7 @@
-"""Synthetic imbalanced datasets and finite joint distributions.
+"""Synthetic imbalanced datasets and their CSV format.
 
-Two substrates live here:
-
-* :class:`Dataset` -- feature vectors with 1-based integer labels plus
-  provenance metadata, written/read as CSV with a JSON sidecar;
-* :class:`DiscreteJoint` -- a finite joint distribution p(x, y) on an
-  abstract grid of inputs, the ground truth for all the consistency
-  oracles.
+:class:`Dataset` holds feature vectors with 1-based integer labels plus
+provenance metadata, written/read as CSV with a JSON sidecar.
 
 Counts follow the usual long-tail / step protocols: long-tailed counts
 decay exponentially across sorted classes, step counts split the classes
@@ -83,46 +78,6 @@ class Dataset:
         return ClassStats(self.class_counts())
 
 
-class DiscreteJoint:
-    """Finite joint distribution p(x_i, y_j) with derived marginals.
-
-    The joint is a (num_x, n) matrix of non-negative entries summing to
-    one; every class marginal and every input marginal must be positive
-    so the conditionals exist.
-    """
-
-    def __init__(self, joint):
-        joint = np.asarray(joint, dtype=np.float64)
-        if joint.ndim != 2 or joint.shape[1] < 2:
-            raise ValueError("joint must be (num_x, n) with n >= 2")
-        if np.any(joint < 0):
-            raise ValueError("joint entries must be >= 0")
-        total = joint.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"joint must sum to 1, got {total!r}")
-        self.joint = joint
-        self.p_x = joint.sum(axis=1)
-        self.p_y = joint.sum(axis=0)
-        if np.any(self.p_y <= 0):
-            raise ValueError("every class marginal must be positive")
-        if np.any(self.p_x <= 0):
-            raise ValueError("every input marginal must be positive")
-        self.cond_y_given_x = joint / self.p_x[:, None]
-        self.cond_x_given_y = joint / self.p_y[None, :]
-
-    @property
-    def num_x(self) -> int:
-        return self.joint.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.joint.shape[1]
-
-    @property
-    def p_min(self) -> float:
-        return float(self.p_y.min())
-
-
 def longtail_counts(n: int, m_max: int, imb_ratio: float) -> np.ndarray:
     """Exponentially decaying counts m_k = m_max * ratio^(-(k-1)/(n-1)).
 
@@ -162,35 +117,6 @@ def imbalance_ratio(counts) -> float:
     if np.any(counts < 1):
         raise ValueError("counts must be >= 1")
     return float(counts.max() / counts.min())
-
-
-def subsample(dataset: Dataset, target_counts, seed) -> Dataset:
-    """Uniform without-replacement per-class subsample, seeded.
-
-    Feature-label pairing is preserved (rows are selected whole); the
-    selected rows keep their original relative order.
-    """
-    target = np.asarray(target_counts, dtype=np.int64)
-    if target.shape != (dataset.n,):
-        raise ValueError(f"target_counts must have length {dataset.n}")
-    available = dataset.class_counts()
-    if np.any(target > available):
-        bad = int(np.argmax(target > available)) + 1
-        raise ValueError(
-            f"class {bad} has {available[bad - 1]} examples, "
-            f"need {target[bad - 1]}"
-        )
-    if np.any(target < 1):
-        raise ValueError("target counts must be >= 1")
-    rng = _rng(seed)
-    keep = []
-    for k in range(1, dataset.n + 1):
-        rows = np.flatnonzero(dataset.labels == k)
-        keep.append(rng.choice(rows, size=target[k - 1], replace=False))
-    keep = np.sort(np.concatenate(keep))
-    meta = dict(dataset.meta)
-    meta.update(subsample_seed=_seed_repr(seed), counts=target.tolist())
-    return Dataset(dataset.features[keep], dataset.labels[keep], dataset.n, meta)
 
 
 def gaussian_mixture(
@@ -242,27 +168,6 @@ def figure1_distribution(m: int, seed) -> Dataset:
         "counts": np.bincount(labels - 1, minlength=2).tolist(),
     }
     return Dataset(np.column_stack([x1, x2]), labels, 2, meta)
-
-
-def random_discrete_joint(
-    num_x: int, n: int, p_min_floor: float, seed
-) -> DiscreteJoint:
-    """Random finite joint whose class marginals all reach p_min_floor.
-
-    Class marginals are floor + (1 - n * floor) * (random simplex point);
-    each class's conditional p(x | y) is positive random mass normalized
-    over the grid, so every cell is strictly positive.
-    """
-    if num_x < 1 or n < 2:
-        raise ValueError("need num_x >= 1 and n >= 2")
-    if not (0.0 < p_min_floor < 1.0 / n):
-        raise ValueError(f"p_min_floor must lie in (0, 1/{n})")
-    rng = _rng(seed)
-    w = rng.uniform(0.2, 1.0, size=n)
-    marginals = p_min_floor + (1.0 - n * p_min_floor) * (w / w.sum())
-    cond = rng.uniform(0.05, 1.0, size=(num_x, n))
-    cond /= cond.sum(axis=0, keepdims=True)
-    return DiscreteJoint(cond * marginals[None, :])
 
 
 # ---------------------------------------------------------------------------

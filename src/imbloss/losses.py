@@ -94,18 +94,6 @@ class ClassStats:
         self.p_min = float(self.priors.min())
         self.n = counts.size
 
-    @classmethod
-    def from_labels(cls, labels, n: int | None = None) -> "ClassStats":
-        """Build stats from 1-based labels; every class in 1..n must occur."""
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size == 0:
-            raise ValueError("labels must be non-empty")
-        n = int(n if n is not None else labels.max())
-        if labels.min() < 1 or labels.max() > n:
-            raise ValueError(f"labels must lie in 1..{n}")
-        counts = np.bincount(labels - 1, minlength=n)
-        return cls(counts)
-
     def __repr__(self) -> str:
         return f"ClassStats(counts={self.counts.tolist()})"
 
@@ -336,7 +324,7 @@ def loss_table(blocks, n: int) -> LossTable:
 # ---------------------------------------------------------------------------
 
 
-def _check_batch(scores, labels, n_expected):
+def _check_batch(scores, labels):
     scores = as_finite_array(scores, "scores")
     if scores.ndim == 1:
         scores = scores[None, :]
@@ -346,8 +334,6 @@ def _check_batch(scores, labels, n_expected):
     if labels.shape[0] != scores.shape[0]:
         raise ValueError("scores and labels must have the same length")
     n = scores.shape[1]
-    if n_expected is not None and n != n_expected:
-        raise ValueError(f"scores have {n} classes, expected {n_expected}")
     if labels.min() < 1 or labels.max() > n:
         raise ValueError(f"labels must lie in 1..{n}")
     return scores, labels
@@ -570,8 +556,7 @@ def batch_loss_and_grad(
             raise ValueError(f"scores have {scores.shape[1]} classes, "
                              f"expected {table.gate.shape[1]}")
     else:
-        scores, labels = _check_batch(scores, labels,
-                                      stats.n if stats else None)
+        scores, labels = _check_batch(scores, labels)
         table = loss_table([(spec, stats)], scores.shape[1])
     m, n = scores.shape
     blocks = len(table.q)

@@ -8,35 +8,10 @@ set's own empirical class priors. Its range is [0, n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datagen import Dataset
 from .trainer import predict_batch
-
-
-@dataclass
-class ConfusionMatrix:
-    """counts[i, j] = number of true-class-(i+1) examples predicted (j+1)."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise ValueError("counts must be a square matrix")
-
-    @property
-    def n(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts) / self.total)
 
 
 def _check_all_classes_present(test: Dataset) -> np.ndarray:
@@ -47,12 +22,13 @@ def _check_all_classes_present(test: Dataset) -> np.ndarray:
     return counts
 
 
-def confusion(model, test: Dataset) -> ConfusionMatrix:
-    """Tally predictions; trace / m is the plain accuracy."""
+def confusion(model, test: Dataset) -> np.ndarray:
+    """(n, n) int64 counts: [i, j] is the number of true-class-(i+1)
+    examples predicted (j+1); trace / m is the plain accuracy."""
     preds = predict_batch(model, test.features)
     counts = np.zeros((test.n, test.n), dtype=np.int64)
     np.add.at(counts, (test.labels - 1, preds - 1), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
 def per_class_error(model, test: Dataset) -> np.ndarray:

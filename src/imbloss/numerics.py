@@ -26,43 +26,6 @@ def as_finite_array(values, name: str = "input") -> np.ndarray:
     return arr
 
 
-def log_sum_exp(scores) -> float | np.ndarray:
-    """log(sum(exp(scores))) along the last axis, shifted by the max.
-
-    Satisfies max(v) <= log_sum_exp(v) <= max(v) + log(n) and the shift
-    identity log_sum_exp(v + c) = log_sum_exp(v) + c up to rounding.
-    """
-    arr = as_finite_array(scores, "scores")
-    if arr.shape[-1] == 0:
-        raise ValueError("scores must have at least one entry")
-    m = np.max(arr, axis=-1, keepdims=True)
-    out = np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(arr - m), axis=-1))
-    return float(out) if out.ndim == 0 else out
-
-
-def softmax(scores) -> np.ndarray:
-    """Softmax along the last axis.
-
-    Entry i equals exp(v_i - log_sum_exp(v)); computed as exp(v - max)
-    normalized by its own sum so the output sums to 1 to within a few
-    ulps even for entries as large as +-700.
-    """
-    arr = as_finite_array(scores, "scores")
-    if arr.shape[-1] == 0:
-        raise ValueError("scores must have at least one entry")
-    e = np.exp(arr - np.max(arr, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def log_softmax(scores) -> np.ndarray:
-    """log(softmax(scores)) along the last axis, without forming exp(v)."""
-    arr = as_finite_array(scores, "scores")
-    if arr.shape[-1] == 0:
-        raise ValueError("scores must have at least one entry")
-    shifted = arr - np.max(arr, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-
-
 def softplus(x) -> float | np.ndarray:
     """log(1 + exp(x)), stable for large |x|."""
     arr = np.asarray(x, dtype=np.float64)
@@ -98,20 +61,6 @@ def finite_diff_gradient(
             )
         grad[i] = (f_plus - f_minus) / (2.0 * step)
     return grad
-
-
-def gradient_rel_error(analytic, reference) -> float:
-    """Worst per-coordinate |a - r| / max(1, |a|).
-
-    The denominator floor of 1 keeps tiny coordinates from inflating the
-    error; this is the comparison used by every gradient check here.
-    """
-    a = np.asarray(analytic, dtype=np.float64)
-    r = np.asarray(reference, dtype=np.float64)
-    if a.shape != r.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {r.shape}")
-    denom = np.maximum(1.0, np.abs(a))
-    return float(np.max(np.abs(a - r) / denom))
 
 
 def argmax_highest(values):

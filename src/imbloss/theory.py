@@ -14,8 +14,7 @@ The key quantities:
   tau (argmax p(y|x)/p(y)^tau) -- these disagree for tau != 1, which is
   what ``find_la_disagreement`` hunts for;
 * conditional errors sum_y p(y|x) loss(scores, y), computed row-wise by
-  one function, ``conditional_errors``, for the descent below and the
-  minimizability gap;
+  one function, ``conditional_errors``, for the descent below;
 * closed-form best conditional errors of the generalized losses over
   unconstrained scores, cross-checked by an independent gradient-descent
   minimizer; it descends many points of any n in lockstep, padded to the
@@ -31,9 +30,7 @@ The key quantities:
 * margin machinery: the ramp loss Phi_rho, the row-wise cost-sensitive
   margin loss (runner-up reading), Monte-Carlo empirical Rademacher
   complexity of norm-bounded linear scorers, the resulting generalization
-  bound check, and the pointwise logistic upper bound on cost * Phi_rho;
-* exact minimizability-gap computation for finite hypothesis lists on a
-  finite joint.
+  bound check, and the pointwise logistic upper bound on cost * Phi_rho.
 
 All computations are pure; fuzzing helpers take explicit generators.
 """
@@ -45,7 +42,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datagen import Dataset, DiscreteJoint
+from .datagen import Dataset
 from .losses import LossSpec, PriorStats, batch_loss_and_grad, loss_table
 from .numerics import argmax_highest, as_finite_array, softplus
 from .trainer import predict_batch
@@ -177,24 +174,11 @@ def bayes_la_label(point: ConditionalPoint, tau: float) -> int:
         point.cond / point.priors**tau, point.reachable)
 
 
-def gla_pointwise_minimizer(point: ConditionalPoint, q: float) -> np.ndarray:
-    """Adjusted-softmax target of the logit-adjusted generalized loss.
-
-    The minimizing adjusted softmax puts mass proportional to
-    p(y|x)^(1/(1-q)); at q = 0 it is the posterior itself.
-    """
-    if not (0.0 <= q < 1.0):
-        raise ValueError(f"q must lie in [0, 1), got {q}")
-    powered = point.cond ** (1.0 / (1.0 - q))
-    return powered / powered.sum()
-
-
-def conditional_errors(spec, cond, scores, stats=None, want_grad=False,
-                       spans=None):
+def conditional_errors(table, cond, scores, want_grad=False, spans=None):
     """sum_y cond[y] * loss(scores, y) per row of the (P, N) arrays, and
     its score gradients when want_grad, from one loss call on the (P*N, N)
-    tile of every row's labels: ``spec`` is a LossSpec with ``stats`` its
-    marginal, or a LossTable of one block per row or one for all.
+    tile of every row's labels under ``table``, a LossTable of one block
+    per row or one for all.
 
     ``spans`` lists (n, start, stop) per run of rows of n classes (one
     run of N by default). A LossTable's rows may be padded past n with
@@ -210,7 +194,7 @@ def conditional_errors(spec, cond, scores, stats=None, want_grad=False,
     for n, start, stop in spans:
         labels[start:stop, n:] = n
     values, grads = batch_loss_and_grad(
-        spec, np.repeat(scores, width, axis=0), labels.ravel(), stats,
+        table, np.repeat(scores, width, axis=0), labels.ravel(),
         want_grad=want_grad)
     values = values.reshape(count, width, 1)
     errors = np.empty(count)
@@ -659,33 +643,6 @@ def check_lamargin(
         rhs = c_max_const * softplus(log_ratio - v / rho)
         worst = min(worst, float(np.min(rhs - lhs)))
     return worst
-
-
-def minimizability_gap_finite(
-    joint: DiscreteJoint, hypotheses, spec: LossSpec
-) -> float:
-    """Exact minimizability gap of a finite hypothesis list.
-
-    Each hypothesis is a (num_x, n) score table. The gap is the best full
-    risk minus the expectation over x of the best per-x conditional
-    error, both computed by enumeration; it is always >= 0 and vanishes
-    when the list contains every combination of per-x minimizers.
-    """
-    tables = [np.asarray(h, dtype=np.float64) for h in hypotheses]
-    if not tables:
-        raise ValueError("need at least one hypothesis")
-    for table in tables:
-        if table.shape != (joint.num_x, joint.n):
-            raise ValueError(
-                f"hypothesis tables must be {(joint.num_x, joint.n)}, "
-                f"got {table.shape}"
-            )
-    cond_err, _ = conditional_errors(
-        spec, np.tile(joint.cond_y_given_x, (len(tables), 1)),
-        np.concatenate(tables), PriorStats(joint.p_y))
-    cond_err = cond_err.reshape(len(tables), joint.num_x)
-    risks = cond_err @ joint.p_x
-    return float(risks.min() - joint.p_x @ cond_err.min(axis=0))
 
 
 # ---------------------------------------------------------------------------

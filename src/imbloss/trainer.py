@@ -460,12 +460,12 @@ class BoundedLinearFamily:
                            norm_bound=self.norm_bound, use_bias=False)
 
 
-def _weighted_loss_and_grad(spec, model, X, labels, weights, stats=None):
+def _weighted_loss_and_grad(table, model, X, labels, weights):
     # np.sum adds the m terms of a contiguous row in a fixed (pairwise)
     # order; BLAS dot and gemm split the m rows by thread count, so their
     # last bits would follow the BLAS threading.
     scores = model.scores(X)
-    values, dscores = batch_loss_and_grad(spec, scores, labels, stats)
+    values, dscores = batch_loss_and_grad(table, scores, labels)
     weighted = np.multiply(dscores.T, weights, order="C")  # (n, m)
     grad_w = np.sum(weighted[:, None, :] * np.ascontiguousarray(X.T), axis=2)
     return float(np.sum(weights * values)), grad_w

@@ -7,6 +7,41 @@ from imbloss.losses import _LOG_PROB_FLOOR, PROB_FLOOR
 from imbloss.numerics import as_finite_array
 
 
+def log_softmax(scores) -> np.ndarray:
+    """log(softmax(scores)) along the last axis, without forming exp(v)."""
+    arr = as_finite_array(scores, "scores")
+    if arr.shape[-1] == 0:
+        raise ValueError("scores must have at least one entry")
+    shifted = arr - np.max(arr, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def gradient_rel_error(analytic, reference) -> float:
+    """Worst per-coordinate |a - r| / max(1, |a|).
+
+    The denominator floor of 1 keeps tiny coordinates from inflating the
+    error; this is the comparison used by every gradient check here.
+    """
+    a = np.asarray(analytic, dtype=np.float64)
+    r = np.asarray(reference, dtype=np.float64)
+    if a.shape != r.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {r.shape}")
+    denom = np.maximum(1.0, np.abs(a))
+    return float(np.max(np.abs(a - r) / denom))
+
+
+def gla_pointwise_minimizer(point, q: float) -> np.ndarray:
+    """Adjusted-softmax target of the logit-adjusted generalized loss.
+
+    The minimizing adjusted softmax puts mass proportional to
+    p(y|x)^(1/(1-q)); at q = 0 it is the posterior itself.
+    """
+    if not (0.0 <= q < 1.0):
+        raise ValueError(f"q must lie in [0, 1), got {q}")
+    powered = point.cond ** (1.0 / (1.0 - q))
+    return powered / powered.sum()
+
+
 def eval_balanced_loss(prediction: int, label: int, priors) -> float:
     """Prior-weighted misclassification: 0 if correct, else 1 / p(label)."""
     priors = as_finite_array(priors, "priors")
@@ -41,7 +76,7 @@ def focal_loss_and_grad(gamma, scores, labels, want_grad=True):
     rows, idx = np.arange(m), labels - 1
     onehot = np.zeros((m, n))
     onehot[rows, idx] = 1.0
-    # numerics.log_softmax without its finiteness check, which a
+    # log_softmax without its finiteness check, which a
     # diverging run's row would fail for the whole table
     shifted = scores - scores.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -33,7 +33,7 @@ from imbloss.losses import (
     eval_loss,
 )
 from imbloss.metrics import balanced_error
-from imbloss.numerics import finite_diff_gradient, gradient_rel_error
+from imbloss.numerics import finite_diff_gradient
 from imbloss.theory import (
     ConditionalPoint,
     bal_regret,
@@ -47,7 +47,7 @@ from imbloss.trainer import (
     TrainingDiverged,
     train_lockstep,
 )
-from oracles import bal_regret_bruteforce
+from oracles import bal_regret_bruteforce, gradient_rel_error
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

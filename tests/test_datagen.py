@@ -5,15 +5,12 @@ import pytest
 
 from imbloss.datagen import (
     Dataset,
-    DiscreteJoint,
     figure1_distribution,
     gaussian_mixture,
     imbalance_ratio,
     longtail_counts,
-    random_discrete_joint,
     read_dataset_csv,
     step_counts,
-    subsample,
     write_dataset_csv,
 )
 
@@ -74,43 +71,6 @@ class TestImbalanceRatio:
         assert imbalance_ratio([100, 10, 1]) == 100.0
 
 
-class TestSubsample:
-    def _blob(self, counts, seed=0):
-        n = len(counts)
-        means = np.arange(n, dtype=float)[:, None] * np.ones(3)
-        return gaussian_mixture(n, 3, counts, means, np.ones(n), seed)
-
-    def test_identity_counts_preserve_multiset(self):
-        data = self._blob([20, 10])
-        out = subsample(data, [20, 10], seed=5)
-        assert sorted(map(tuple, out.features)) == sorted(map(tuple, data.features))
-
-    def test_cardinality_contract(self):
-        data = self._blob([100, 100])
-        out = subsample(data, [100, 1], seed=1)
-        np.testing.assert_array_equal(out.class_counts(), [100, 1])
-
-    def test_determinism_and_seed_sensitivity(self):
-        data = self._blob([50, 50])
-        a = subsample(data, [10, 10], seed=3)
-        b = subsample(data, [10, 10], seed=3)
-        c = subsample(data, [10, 10], seed=4)
-        np.testing.assert_array_equal(a.features, b.features)
-        assert not np.array_equal(a.features, c.features)
-
-    def test_pairs_preserved(self):
-        data = self._blob([30, 30, 30])
-        out = subsample(data, [5, 9, 2], seed=7)
-        pairs = {(tuple(f), l) for f, l in zip(data.features, data.labels)}
-        for f, l in zip(out.features, out.labels):
-            assert (tuple(f), l) in pairs
-
-    def test_insufficient_examples_rejected(self):
-        data = self._blob([5, 5])
-        with pytest.raises(ValueError):
-            subsample(data, [6, 1], seed=0)
-
-
 class TestGaussianMixture:
     def test_counts_honored(self):
         means = np.zeros((3, 2))
@@ -156,31 +116,6 @@ class TestFigure1Distribution:
             tc = t[data.labels[keep] == cls]
             assert abs(tc.mean() - center) < 5.0 / np.sqrt(tc.size)
             assert abs(tc.var() - 1.0) < 0.05
-
-
-class TestDiscreteJoint:
-    def test_contract(self):
-        joint = random_discrete_joint(6, 3, 0.2, seed=5)
-        assert np.all(joint.p_y >= 0.2)
-        assert abs(joint.joint.sum() - 1.0) <= 1e-12
-
-    def test_determinism(self):
-        a = random_discrete_joint(4, 2, 0.3, seed=9)
-        b = random_discrete_joint(4, 2, 0.3, seed=9)
-        np.testing.assert_array_equal(a.joint, b.joint)
-
-    def test_conditionals_factorize(self):
-        joint = random_discrete_joint(8, 4, 0.05, seed=6)
-        recon = joint.cond_y_given_x * joint.p_x[:, None]
-        np.testing.assert_allclose(recon, joint.joint, atol=1e-12)
-
-    def test_infeasible_floor_rejected(self):
-        with pytest.raises(ValueError):
-            random_discrete_joint(3, 2, 0.6, seed=0)
-
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            DiscreteJoint(np.full((2, 2), 0.3))
 
 
 class TestCsvRoundTrip:

@@ -93,22 +93,21 @@ class TestConfusion:
     def test_perfect_is_diagonal(self):
         data = toy_test_set()
         model = _Oracle(data.labels, data.n)
-        mat = confusion(model, data)
-        np.testing.assert_array_equal(mat.counts, np.diag([40, 10]))
-        assert mat.accuracy() == 1.0
+        counts = confusion(model, data)
+        np.testing.assert_array_equal(counts, np.diag([40, 10]))
+        assert counts.dtype == np.int64
 
     def test_total_and_row_sums(self):
         data = toy_test_set(counts=(12, 18), seed=7)
         model = LinearModel.init_random(2, 2, seed=8)
-        mat = confusion(model, data)
-        assert mat.total == data.m
-        np.testing.assert_array_equal(mat.counts.sum(axis=1),
-                                      data.class_counts())
+        counts = confusion(model, data)
+        assert counts.sum() == data.m
+        np.testing.assert_array_equal(counts.sum(axis=1), data.class_counts())
 
     def test_per_class_error_derivable_from_rows(self):
         data = toy_test_set(counts=(9, 21), seed=9)
         model = LinearModel.init_random(2, 2, seed=10)
-        mat = confusion(model, data)
+        counts = confusion(model, data)
         rates = per_class_error(model, data)
-        derived = 1.0 - np.diag(mat.counts) / mat.counts.sum(axis=1)
+        derived = 1.0 - np.diag(counts) / counts.sum(axis=1)
         np.testing.assert_allclose(rates, derived, atol=0.0)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from imbloss.datagen import Dataset, gaussian_mixture, random_discrete_joint
+from imbloss.datagen import Dataset, gaussian_mixture
 from imbloss.losses import (
     LossSpec,
     PriorStats,
     batch_loss_and_grad,
     eval_loss,
+    loss_table,
 )
 from imbloss.theory import (
     ConditionalPoint,
@@ -29,16 +30,14 @@ from imbloss.theory import (
     floored_simplex,
     gca_bound_transform,
     gla_bound_transform,
-    gla_pointwise_minimizer,
     margin_losses,
-    minimizability_gap_finite,
     minimize_conditional_errors,
     phi_rho,
     random_conditional_point,
     regret_reports,
 )
 from imbloss.trainer import LinearModel, TrainConfig, train_lockstep
-from oracles import bal_regret_bruteforce
+from oracles import bal_regret_bruteforce, gla_pointwise_minimizer
 
 
 class TestBalRegret:
@@ -444,22 +443,11 @@ def _all_label_values(spec, scores, stats):
     return values
 
 
-def _reference_gap(joint, tables, spec):
-    """minimizability_gap_finite as a loop over (hypothesis, x)."""
-    stats = PriorStats(joint.p_y)
-    cond_err = np.empty((len(tables), joint.num_x))
-    for hi, table in enumerate(tables):
-        for xi in range(joint.num_x):
-            cond_err[hi, xi] = (joint.cond_y_given_x[xi]
-                                @ _all_label_values(spec, table[xi], stats))
-    risks = cond_err @ joint.p_x
-    return float(risks.min() - joint.p_x @ cond_err.min(axis=0))
-
-
 def _conditional_error(spec, scores, point):
     """conditional_errors on one point's row, with its marginal."""
-    errors, _ = conditional_errors(spec, point.cond[None, :], np.asarray(
-        scores, dtype=np.float64)[None, :], PriorStats(point.priors))
+    table = loss_table([(spec, PriorStats(point.priors))], point.n)
+    errors, _ = conditional_errors(table, point.cond[None, :], np.asarray(
+        scores, dtype=np.float64)[None, :])
     return errors[0]
 
 
@@ -482,28 +470,20 @@ _REFERENCE_FAMILIES = ("GLA0", "GLA", "GCE", "LA", "WCE", "CE", "CB",
 class TestConditionalErrorsEqualTheReference:
     @pytest.mark.parametrize("family", _REFERENCE_FAMILIES)
     def test_conditional_error(self, family):
+        # several points per call, each its own block of one loss table
         rng = np.random.default_rng(44)
-        for _ in range(30):
-            n = int(rng.integers(2, 7))
-            spec = _spec_for(family, n)
-            point = random_conditional_point(rng, n)
-            scores = rng.normal(0, 3, n)
-            ref = float(point.cond @ _all_label_values(
-                spec, scores, PriorStats(point.priors)))
-            assert _conditional_error(spec, scores, point) == ref
-
-    @pytest.mark.parametrize("family", _REFERENCE_FAMILIES)
-    def test_minimizability_gap(self, family):
-        rng = np.random.default_rng(45)
         for _ in range(10):
-            num_x, n = int(rng.integers(1, 5)), int(rng.integers(2, 5))
-            joint = random_discrete_joint(num_x, n, 0.05,
-                                          seed=int(rng.integers(1e6)))
-            tables = [rng.normal(0, 2, (num_x, n))
-                      for _ in range(int(rng.integers(1, 5)))]
+            n, count = int(rng.integers(2, 7)), int(rng.integers(1, 6))
             spec = _spec_for(family, n)
-            assert (minimizability_gap_finite(joint, tables, spec)
-                    == _reference_gap(joint, tables, spec))
+            points = [random_conditional_point(rng, n) for _ in range(count)]
+            scores = rng.normal(0, 3, (count, n))
+            table = loss_table([(spec, PriorStats(p.priors)) for p in points],
+                               n)
+            errors, _ = conditional_errors(
+                table, np.array([p.cond for p in points]), scores)
+            for point, row, error in zip(points, scores, errors):
+                assert error == float(point.cond @ _all_label_values(
+                    spec, row, PriorStats(point.priors)))
 
 
 class TestConditionalError:
@@ -1028,9 +1008,9 @@ class TestTheorem5Bound:
         assert report.holds
 
     def test_terms_shrink_with_m(self):
-        from imbloss.datagen import subsample
         big = self._task(4, m=400)
-        small = subsample(big, big.class_counts() // 4, seed=7)
+        # every fourth row of each class: the rows are grouped by class
+        small = Dataset(big.features[::4], big.labels[::4], big.n)
         model = LinearModel.init_random(3, 4, seed=5, norm_bound=1.0,
                                         use_bias=False)
         r_small = check_theorem5_bound(model, small, small, 1.0, 1.0, 0.1,
@@ -1082,68 +1062,3 @@ class TestLaMarginInequality:
     def test_rejects_inconsistent_cost_bounds(self):
         with pytest.raises(ValueError):
             check_lamargin(0.5, 2.0, 1.0, 2.0, [0.0], [1.0])
-
-
-class TestMinimizabilityGap:
-    def test_singleton_hypothesis_set(self):
-        joint = random_discrete_joint(5, 3, 0.1, seed=0)
-        rng = np.random.default_rng(1)
-        table = rng.normal(0, 1, (5, 3))
-        gap = minimizability_gap_finite(joint, [table], LossSpec("GCE", q=0.3))
-        assert gap == pytest.approx(0.0, abs=1e-15)
-
-    def test_combination_closed_set_has_zero_gap(self):
-        joint = random_discrete_joint(3, 2, 0.2, seed=2)
-        rng = np.random.default_rng(3)
-        rows = rng.normal(0, 1, (4, 2))  # candidate score rows
-        # every per-x combination of candidate rows
-        tables = [
-            np.stack([rows[i], rows[j], rows[k]])
-            for i in range(4) for j in range(4) for k in range(4)
-        ]
-        gap = minimizability_gap_finite(joint, tables, LossSpec("GLA", q=0.0))
-        assert gap == pytest.approx(0.0, abs=1e-12)
-
-    def test_nonnegative_on_random_draws(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            num_x = int(rng.integers(2, 5))
-            n = int(rng.integers(2, 4))
-            joint = random_discrete_joint(num_x, n, 0.05,
-                                          seed=int(rng.integers(1e6)))
-            tables = [rng.normal(0, 2, (num_x, n))
-                      for _ in range(int(rng.integers(1, 6)))]
-            q = float(rng.choice([0.0, 0.5]))
-            gap = minimizability_gap_finite(joint, tables, LossSpec("GCE", q=q))
-            assert gap >= -1e-12
-
-    def test_bounded_by_approximation_error(self):
-        # Dense per-x-closed stand-in whose rows include the finite set's
-        # rows: its best risk lower-bounds the per-x best, so the gap
-        # cannot exceed the approximation error against it.
-        joint = random_discrete_joint(3, 2, 0.15, seed=5)
-        rng = np.random.default_rng(6)
-        tables = [rng.normal(0, 1.5, (3, 2)) for _ in range(4)]
-        spec = LossSpec("GLA", q=0.3)
-        gap = minimizability_gap_finite(joint, tables, spec)
-
-        grid = np.linspace(-4, 4, 9)
-        rows = [np.array([a, b]) for a in grid for b in grid]
-        rows += [t[x] for t in tables for x in range(3)]
-        stats = PriorStats(joint.p_y)
-        per_x_best = np.array([
-            min(float(joint.cond_y_given_x[x] @ _all_label_values(spec, r, stats))
-                for r in rows)
-            for x in range(3)
-        ])
-        dense_best_risk = float(joint.p_x @ per_x_best)
-        finite_best_risk = min(
-            float(sum(
-                joint.p_x[x] * joint.cond_y_given_x[x]
-                @ _all_label_values(spec, t[x], stats)
-                for x in range(3)
-            ))
-            for t in tables
-        )
-        approx_error = finite_best_risk - dense_best_risk
-        assert -1e-12 <= gap <= approx_error + 1e-12

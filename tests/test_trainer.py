@@ -19,6 +19,7 @@ from imbloss.losses import (
     batch_loss_and_grad,
     default_gca_margins,
     eval_grad,
+    loss_table,
 )
 from imbloss.trainer import (
     BoundedLinearFamily,
@@ -728,10 +729,11 @@ class TestBestInClassSearch:
         model, value = best_in_class_search(family, data, spec)
         rng = np.random.default_rng(1)
         X, labels, weights, stats = sample_problem(data)
+        table = loss_table([(spec, stats)], data.n)
         for _ in range(10):
             probe = family.random_model(rng)
-            probe_value, _ = _weighted_loss_and_grad(spec, probe, X, labels,
-                                                     weights, stats)
+            probe_value, _ = _weighted_loss_and_grad(table, probe, X, labels,
+                                                     weights)
             assert value <= probe_value + 1e-9
 
     def test_balanced_objective_on_separable_data_reaches_zero(self):
@@ -796,8 +798,8 @@ class TestBestInClassSearch:
         family = BoundedLinearFamily(n=2, d=2, norm_bound=norm_bound)
         model, value = best_in_class_search(family, data, spec)
         X, labels, weights, stats = sample_problem(data)
-        at, grad = _weighted_loss_and_grad(spec, model, X, labels, weights,
-                                           stats)
+        at, grad = _weighted_loss_and_grad(
+            loss_table([(spec, stats)], data.n), model, X, labels, weights)
         assert at == value
         stepped = model.copy()
         stepped.weights -= grad
