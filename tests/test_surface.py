@@ -19,7 +19,7 @@ PACKAGE = ROOT / "src" / "imbloss"
 ALLOWED = {"load_checkpoint"}
 
 
-def _callers():
+def _sources():
     modules = [p for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"]
     others = [p for folder in ("demos", "tools", "perfbench")
@@ -54,7 +54,7 @@ def _definitions(tree):
 
 
 def test_every_public_name_has_a_caller():
-    modules, others = _callers()
+    modules, others = _sources()
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in modules + others}
     total = sum((_references(t) for t in trees.values()), Counter())
