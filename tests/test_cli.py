@@ -379,29 +379,32 @@ class TestCommands:
         assert [row.split(",")[-7:-5] for row in rows] == [["0", "2"],
                                                            ["1", "1"]]
 
-    @pytest.mark.parametrize("loss, jobs, digest", [
-        ("family = GCA\nq = 0.0, 0.5\nmargins = default", "1",
+    @pytest.mark.parametrize("loss, model, jobs, digest", [
+        ("family = GCA\nq = 0.0, 0.5\nmargins = default", "", "1",
          "835a363130bab7e212335e4da7238204c50119df9ae4b3c189653168708f8198"),
-        ("family = LA\ntau = 0.5, 1.0, 2.0", "1",
+        ("family = GCA\nq = 0.0, 0.5\nmargins = default",
+         "model = mlp\nhidden = 8, 4\n", "1",
+         "836e3ad2dce2630b3cb837de6e56c8ebb0e6d830fed0ccbb7883e9b21c4c7f42"),
+        ("family = LA\ntau = 0.5, 1.0, 2.0", "", "1",
          "9b6d29cae1947d78f713af63844cffc77faee04f0cdc95576f698a5cea16630c"),
-        ("family = FOCAL\ngamma = 0.0, 0.5, 2.0", "1",
+        ("family = FOCAL\ngamma = 0.0, 0.5, 2.0", "", "1",
          "7527f3f2a772e57b122a36cd0aa956d1a23fd354dfa3e8f451096b404e87102d"),
-        ("family = FOCAL\ngamma = 0.0, 0.5, 2.0", "2",
+        ("family = FOCAL\ngamma = 0.0, 0.5, 2.0", "", "2",
          "7527f3f2a772e57b122a36cd0aa956d1a23fd354dfa3e8f451096b404e87102d"),
-        ("family = EQUAL\neq_p = 0.3, 0.7\neq_lambda = 0.2, 0.5", "1",
+        ("family = EQUAL\neq_p = 0.3, 0.7\neq_lambda = 0.2, 0.5", "", "1",
          "76ece5c34fb2fc8508de0a4779285aaed384a3a952828ba1941f55da869d3030"),
-    ], ids=["gca-q-grid", "la-tau-grid", "focal-gamma-grid",
-            "focal-gamma-grid-jobs-2", "equal-grid"])
-    def test_train_output_bytes_are_pinned(self, tmp_path, loss, jobs,
+    ], ids=["gca-q-grid", "gca-q-grid-mlp", "la-tau-grid",
+            "focal-gamma-grid", "focal-gamma-grid-jobs-2", "equal-grid"])
+    def test_train_output_bytes_are_pinned(self, tmp_path, loss, model, jobs,
                                            digest):
         # written when a stack held only grid points that differed in q,
         # so each tau of the LA grid, gamma of the FOCAL grid and point of
         # the EQUAL grid trained as a stack of its own; --jobs 2 writes the
-        # serial bytes. The digest covers the sha256 of every file under
-        # runs/
+        # serial bytes. ``model`` ends the [train] section. The digest
+        # covers the sha256 of every file under runs/
         path = tmp_path / "pin.ini"
         path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
-                                            loss))
+                                            loss) + model)
         out = tmp_path / "o"
         assert main(["--config", str(path), "--out", str(out),
                      "synth"]) == 0

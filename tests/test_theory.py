@@ -978,6 +978,22 @@ class TestRademacher:
         b, _ = empirical_rademacher_linear(data, 2.0, 16, seed=3)
         assert b == 2.0 * a
 
+    @pytest.mark.parametrize("counts", [(5, 6, 7), (5, 6, 8)],
+                             ids=["even-mn", "odd-mn"])
+    def test_equals_the_per_trial_loop(self, counts):
+        # one sign matrix and one product per trial, drawn in trial order:
+        # the estimate and its error, bit for bit, at m * n = 54 and 57
+        data = gaussian_mixture(3, 4, list(counts), np.zeros((3, 4)),
+                                np.ones(3), seed=6)
+        rng, trials = np.random.default_rng(7), 9
+        draws = np.empty(trials)
+        for t in range(trials):
+            eps = 2.0 * rng.integers(0, 2, size=(data.m, data.n)) - 1.0
+            draws[t] = 1.5 * np.linalg.norm(data.features.T @ eps,
+                                            axis=0).sum() / data.m
+        assert empirical_rademacher_linear(data, 1.5, trials, seed=7) == (
+            float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(trials)))
+
     def test_decays_with_sample_size(self):
         big = gaussian_mixture(2, 3, [400, 400], np.zeros((2, 3)),
                                np.ones(2), seed=4)

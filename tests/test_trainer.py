@@ -312,6 +312,18 @@ def seed_configs(seeds=(3, 4, 5, 6), **kwargs):
     return [TrainConfig(seed=seed, **base) for seed in seeds]
 
 
+def saturated_gca_problem():
+    """The README sweep's shape: a 10-class long tail of 1242 rows in 20
+    dimensions (19 batches of 64 and a last one of 26), and its cube-root
+    GCA margins, 0.03 to 0.2, which blow the scores up so that the
+    softmax saturates."""
+    n, d = 10, 20
+    means = 0.8 * np.random.default_rng(1).standard_normal((n, d))
+    data = gaussian_mixture(n, d, longtail_counts(n, 500, 100), means,
+                            np.ones(n), 2)
+    return data, default_gca_margins(data.stats())
+
+
 def reference_train(model, data, spec, cfg):
     """Per-run SGD written out on 2-d arrays: the loop the lockstep trainer
     must reproduce bit for bit at R = 1."""
@@ -644,16 +656,11 @@ class TestLockstep:
             train_lockstep(models, data, [LossSpec("CE")], cfgs)
 
     def test_saturated_gca_stack_bytes_are_pinned(self, monkeypatch):
-        # The README sweep's shape at 10 epochs: a 10-class long tail of
-        # 1242 rows (19 batches of 64 and a last one of 26) and GCA at
-        # three q's x two seeds. Its cube-root margins, 0.03 to 0.2, blow
-        # the scores up so that most loss rows' log-sum-exp is exactly 0.0
-        # and the softmax saturates; some rows are not saturated.
-        n, d = 10, 20
-        means = 0.8 * np.random.default_rng(1).standard_normal((n, d))
-        data = gaussian_mixture(n, d, longtail_counts(n, 500, 100), means,
-                                np.ones(n), 2)
-        rho = default_gca_margins(data.stats())
+        # GCA at three q's x two seeds on saturated_gca_problem(); most
+        # loss rows' log-sum-exp is exactly 0.0 and the softmax
+        # saturates; some rows are not saturated.
+        data, rho = saturated_gca_problem()
+        n, d = data.n, data.d
         specs = [LossSpec("GCA", q=q, margins=tuple(rho))
                  for q in (0.0, 0.3, 0.5) for _ in range(2)]
         cfgs = seed_configs(seeds=(0, 1) * 3, epochs=10, batch_size=64,
@@ -678,6 +685,36 @@ class TestLockstep:
                 digest.update(array.tobytes())
         assert digest.hexdigest() == (
             "d0482eecb5e22a735dd424856422971c652709b98435ccbd87d3c8c9623a9d7e")
+
+    @pytest.mark.parametrize("make", [
+        lambda s: LinearModel.init_random(10, 20, s),
+        lambda s: MlpModel.init_random([20, 12, 10], s),
+    ], ids=["linear", "mlp"])
+    def test_saturated_gca_stack_matches_the_reference(self, make,
+                                                       monkeypatch):
+        # Late steps of a saturated GCA stack give gradient entries below
+        # the smallest normal float; each run must still be bit for bit
+        # the 2-d reference loop's.
+        data, rho = saturated_gca_problem()
+        specs = [LossSpec("GCA", q=q, margins=tuple(rho))
+                 for q in (0.0, 0.5)]
+        cfgs = seed_configs(seeds=(0, 1), epochs=10, batch_size=64,
+                            lr0=0.1)
+        subnormal = []
+
+        def spy(*args, **kwargs):
+            values, grads = batch_loss_and_grad(*args, **kwargs)
+            tiny = np.abs(grads) < np.finfo(np.float64).tiny
+            subnormal.append(np.count_nonzero(tiny & (grads != 0.0)))
+            return values, grads
+
+        monkeypatch.setattr("imbloss.trainer.batch_loss_and_grad", spy)
+        models = [make(c.seed) for c in cfgs]
+        outcomes = train_lockstep(models, data, specs, cfgs)
+        assert sum(subnormal) > 0
+        for model, spec, cfg, outcome in zip(models, specs, cfgs, outcomes):
+            assert_same_outcome(outcome,
+                                reference_train(model, data, spec, cfg))
 
 
 @pytest.mark.parametrize("size", [64, 26])  # the sweep's full and last batch
