@@ -71,8 +71,12 @@ def _dump_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+# json.dumps(record, sort_keys=True) without building an encoder per record
+_JSONL = json.JSONEncoder(sort_keys=True)
+
+
 def _append_jsonl(fh, record) -> None:
-    fh.write(json.dumps(record, sort_keys=True) + "\n")
+    fh.write(_JSONL.encode(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

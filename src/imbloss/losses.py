@@ -26,12 +26,16 @@ EQUAL's with its gated classes at -inf: ``loss_table`` turns each
 (LossSpec, class statistics) pair into table columns (shifts, a divisor,
 a weight, q, gamma and EQUAL's gates), so one call evaluates any mix of
 them; a column that no block of a table uses is skipped. That path is
-class-major: it transposes the adjusted scores once to (n, m), so every
-reduction and broadcast over the classes runs along m-long rows, and it
-adds the classes in the exact order of numpy's last-axis sum over a
-row: one by one for n < 8, numpy's pairwise tree of eight running sums
-for 8 <= n <= 128, and numpy's own sum beyond. Its values and gradients
-are therefore bit for bit those of the row-major log-softmax. It takes
+class-major, (n, m), so every reduction and broadcast over the classes
+runs along m-long rows. ``batch_loss_and_grad`` takes row-major (m, n)
+scores, which it transposes once on the way in and the gradient once on
+the way out, or, with a table, class-major (n, blocks, size) scores, as
+the trainer's forward pass writes them, which it reads in place and
+answers with a gradient of that layout. The path adds the classes in
+the exact order of numpy's last-axis sum over a row: one by one for
+n < 8, numpy's pairwise tree of eight running sums for 8 <= n <= 128,
+and numpy's own sum beyond. Its values and gradients are therefore bit
+for bit those of the row-major log-softmax in either layout. It takes
 one exp per call where the softmax saturates (a log-sum-exp of exactly
 0), a second one only over the rows where it does not. Adjusted scores
 that overflow give non-finite values, which a caller such as the trainer
@@ -318,7 +322,8 @@ def loss_table(blocks, n: int) -> LossTable:
 
 
 # ---------------------------------------------------------------------------
-# Batch core. scores is (m, n); labels is (m,) of 1-based ints. All the
+# Batch core. scores is (m, n), or class-major (n, blocks, size) with a
+# table; labels is (m,) of 1-based ints. All the
 # scalar entry points below are thin wrappers over these so the trainer and
 # the per-example API cannot drift apart.
 # ---------------------------------------------------------------------------
@@ -391,46 +396,50 @@ def _label_entries(idx, blocks, n):
             ).ravel()
 
 
-def _pow(base, exponent):
-    """base ** exponent, one exponent per entry, bit for bit numpy's power
-    with each as a scalar, which is square, sqrt or reciprocal at 2, 0.5
-    or -1."""
-    out = np.power(base, exponent)
+def _pow(base, exponent, size):
+    """base ** exponent, one exponent per block of ``size`` entries of
+    base, bit for bit numpy's power with each as a scalar, which is
+    square, sqrt or reciprocal at 2, 0.5 or -1. One exponent for every
+    block is that scalar power."""
+    if (exponent == exponent[0]).all():
+        return base ** float(exponent[0])
+    out = np.power(base, exponent.repeat(size))
     for at, fast in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
         hit = exponent == at
         if hit.any():
-            out[hit] = fast(base[hit])
+            rows = hit.repeat(size)
+            out[rows] = fast(base[rows])
     return out
 
 
-def _gated(table, idx, equal_draws, rng):
-    """The (m, n) mask of the classes EQUAL gates out of its rows: marked
-    by the block's gate, drawn, and not the label. Only EQUAL blocks draw
-    from their generators, which may serve other draws as well."""
+def _gated(table, idx, draws, rng):
+    """The mask of the classes EQUAL gates out of its rows, marked by the
+    block's gate, drawn, and not the label, as a class-major (n, m) view.
+    ``draws`` is row-major (m, n); without it only EQUAL blocks draw, from
+    their generators, which may serve other draws as well."""
     m, (blocks, n) = len(idx), table.gate.shape
     size = m // blocks
-    if equal_draws is None:
+    if draws is None:
         if rng is None:
             raise ValueError("EQUAL needs equal_draws or an rng")
         gens = [rng] * blocks if isinstance(rng, np.random.Generator) else rng
-        equal_draws = np.zeros((m, n))
+        draws = np.zeros((m, n))
         for b in np.flatnonzero(~np.isnan(table.eq_p)):
-            equal_draws[b * size:(b + 1) * size] = (
+            draws[b * size:(b + 1) * size] = (
                 gens[b].random((size, n)) < table.eq_p[b])
-    elif np.shape(equal_draws) != (m, n):
-        raise ValueError(f"equal_draws must be shape {(m, n)}")
-    gated = equal_draws * table.gate.repeat(size, axis=0) != 0.0
+    gated = draws * table.gate.repeat(size, axis=0) != 0.0
     gated[np.arange(m), idx] = False
-    return gated
+    return gated.T
 
 
-def _psi_batch(table, scores, idx, equal_draws, rng, want_grad):
+def _psi_batch(table, scores, idx, draws, rng, want_grad):
     """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient, every
     column of the table applied to every row (a None column is skipped,
-    being an identity), and EQUAL's gated classes at -inf. Class-major,
-    (n, m): each element takes the float operations of the row-major
-    log-softmax, and the class sums its order (_class_sum), so the bits
-    are the same.
+    being an identity), and EQUAL's gated classes at -inf. Class-major:
+    scores is a C-contiguous (n, m) array, which is read and not written,
+    and the gradient is returned as a new one. Each element takes the
+    float operations of the row-major log-softmax, and the class sums its
+    order (_class_sum), so the bits are the same.
 
     One exp serves both the log-sum-exp and, in a saturated row, the
     gradient's softmax. A row is saturated when its class sum is exactly
@@ -442,37 +451,48 @@ def _psi_batch(table, scores, idx, equal_draws, rng, want_grad):
     they are at most half of the rows, else as one exp over every row.
     EQUAL's softmax is the first exp over the class sum, and its loss
     takes no 1e-300 floor. FOCAL's gradient takes u = softmax_y, then
-    -dL/du, as two products, as in the row-major chain rule.
+    -dL/du, as two products, as in the row-major chain rule. A table of
+    FOCAL blocks only, or of EQUAL blocks only, takes no per-row mask of
+    its family.
     """
-    m, n = scores.shape
+    n, m = scores.shape
     blocks = len(table.q)
     size = m // blocks
     label_at = idx * m + np.arange(m)  # each label in the flat (n, m) array
-    adjusted = scores.T.copy()
+    # adjusted is the caller's scores until the first step that changes
+    # them writes a new array; the steps after it write in place
+    adjusted = scores
     if table.neg_shift is not None:
-        by_block = adjusted.reshape(n, blocks, -1)  # a view
-        by_block -= table.neg_shift.T[:, :, None]
+        adjusted = (scores.reshape(n, blocks, size)
+                    - table.neg_shift.T[:, :, None]).reshape(n, m)
     if (table.label_shift is not None or table.rho is not None
             or table.weight is not None):
         at = _label_entries(idx, blocks, n)
     if table.label_shift is not None:
+        if adjusted is scores:
+            adjusted = scores.copy()
         adjusted.ravel()[label_at] -= table.label_shift.ravel()[at]
     rho = weight = 1.0
     if table.rho is not None:
         rho = table.rho.ravel()[at]
-        adjusted /= rho
+        adjusted = np.divide(adjusted, rho,
+                             out=None if adjusted is scores else adjusted)
     if table.weight is not None:
         weight = table.weight.ravel()[at]
     equal, floor = None, _LOG_PROB_FLOOR
     if table.eq_p is not None:  # EQUAL: no floor
-        adjusted[_gated(table, idx, equal_draws, rng).T] = -np.inf
-        equal = ~np.isnan(table.eq_p).repeat(size)
-        floor = np.where(equal, -np.inf, floor)
+        gated = _gated(table, idx, draws, rng)
+        if adjusted is scores:
+            adjusted = scores.copy()
+        adjusted[gated] = -np.inf
+        equal = ~np.isnan(table.eq_p)  # per block
+        floor = (-np.inf if equal.all()
+                 else np.where(equal.repeat(size), -np.inf, floor))
     q = table.q.repeat(size)
     # log-softmax over the classes, then Psi^q in log space with the
     # 1e-300 floor at q = 0.
-    logp = adjusted  # shifted by the class max, in place
-    logp -= logp.max(axis=0)
+    logp = np.subtract(adjusted, adjusted.max(axis=0),
+                       out=None if adjusted is scores else adjusted)
     expd = _exp(logp)
     sums = _class_sum(expd)
     lse = np.log(sums)
@@ -483,17 +503,21 @@ def _psi_batch(table, scores, idx, equal_draws, rng, want_grad):
     np.divide(1.0 - t_pow_q, q, out=psi, where=q != 0.0)
     values = psi if table.weight is None else weight * psi
     if table.gamma is not None:  # FOCAL: (1 - u)^gamma * psi, u = t
-        gamma = table.gamma.repeat(size)
-        focal = ~np.isnan(gamma)
+        focal = ~np.isnan(table.gamma)  # per block
+        mixed = not focal.all()
+        if mixed:
+            focal = focal.repeat(size)
         u = np.exp(log_t)
         one_minus_u = np.maximum(1.0 - u, 0.0)
-        modulation = np.where(focal, _pow(one_minus_u, gamma), 1.0)
+        modulation = _pow(one_minus_u, table.gamma, size)
+        if mixed:
+            modulation = np.where(focal, modulation, 1.0)
         values = modulation * values  # weight 1.0 in a FOCAL row
     if not want_grad:
         return values, None
     rest = lse != 0.0  # the rows that are not saturated
     if equal is not None:  # the other rows' sums are 1.0 or go unread
-        rest &= ~equal
+        rest.reshape(blocks, size)[equal] = False
         expd /= sums
     rest = np.flatnonzero(rest)
     if 2 * rest.size > m and equal is None:
@@ -503,21 +527,29 @@ def _psi_batch(table, scores, idx, equal_draws, rng, want_grad):
         probs = expd
         # few entries, or EQUAL rows to keep: numpy's slow path on their
         # underflows costs less than _exp's passes over them
-        probs[:, rest] = np.exp(logp.take(rest, axis=1))
+        if rest.size:
+            probs[:, rest] = np.exp(logp.take(rest, axis=1))
     probs.ravel()[label_at] -= 1.0
     if table.gamma is not None:
         # dL/du with the u -> 1 limit handled explicitly (both terms -> 0)
         floored_u = np.maximum(u, PROB_FLOOR)
         with np.errstate(divide="ignore", invalid="ignore"):
-            dl_du = np.where(one_minus_u > 0.0, -gamma * _pow(
-                one_minus_u, gamma - 1.0) * psi - modulation / floored_u, 0.0)
-        dl_du = np.where(gamma == 0.0, -1.0 / floored_u, dl_du)
-        probs *= np.where(focal, u, 1.0)
-        t_pow_q = np.where(focal, -dl_du, t_pow_q)
+            dl_du = np.where(one_minus_u > 0.0, -table.gamma.repeat(size)
+                             * _pow(one_minus_u, table.gamma - 1.0, size)
+                             * psi - modulation / floored_u, 0.0)
+        plain = table.gamma == 0.0
+        if plain.any():
+            dl_du = np.where(plain.repeat(size), -1.0 / floored_u, dl_du)
+        if mixed:
+            probs *= np.where(focal, u, 1.0)
+            t_pow_q = np.where(focal, -dl_du, t_pow_q)
+        else:
+            probs *= u
+            t_pow_q = -dl_du
     if table.rho is not None or table.weight is not None:
         t_pow_q = weight / rho * t_pow_q
     probs *= t_pow_q
-    return values, np.ascontiguousarray(probs.T)
+    return values, probs
 
 
 def batch_loss_and_grad(
@@ -535,39 +567,74 @@ def batch_loss_and_grad(
     ``spec`` is a LossSpec with ``stats`` the class statistics it reads,
     or a :class:`LossTable` whose blocks split the score rows evenly; a
     caller that evaluates one stack many times builds its table once.
-    ``equal_draws`` (an (m, n) 0/1 array) fixes the EQUAL loss's Bernoulli
-    gate; otherwise each EQUAL block draws its gates from ``rng``, a
-    Generator or one per block, and the blocks of other families draw
-    nothing. Returns ``(values, grads)``, grads an (m, n) C-contiguous
-    array or None when want_grad is False.
+    ``equal_draws`` (a 0/1 array shaped as the scores) fixes the EQUAL
+    loss's Bernoulli gate; otherwise each EQUAL block draws its gates from
+    ``rng``, a Generator or one per block, as a (size, n) array, and the
+    blocks of other families draw nothing. Returns ``(values, grads)``:
+    values one per row (m,), and grads a C-contiguous array in the
+    layout of the scores, or None when want_grad is False.
+
+    Scores come in one of two layouts, told apart by their dimensions:
+    row-major (m, n), or, in the table form only, class-major (n, blocks,
+    size), where row s of block b is scores[:, b, s]. Labels are (m,) in
+    either, row b * size + s for that row. The loss core works class-major,
+    so the row-major form costs one transposing copy in and one out, and
+    the class-major form neither; its scores are not written.
 
     The LossSpec form checks its input: finite scores, one label in 1..n
-    per row. The table form is for callers that produce their own (m, n)
-    float64 scores and 1-based int64 labels, and checks their shapes only:
-    the class count, and rows that split into the blocks. There a
-    non-finite score row gives non-finite or floored values and gradients
-    in its own row, and every other row is as without it.
+    per row. The table form is for callers that produce their own float64
+    scores and 1-based int64 labels, and checks their shapes only: the
+    class count, and rows that split into the blocks. There a non-finite
+    score row gives non-finite or floored values and gradients in its own
+    row, and every other row is as without it.
     """
     if isinstance(spec, LossTable):
         if stats is not None:
             raise ValueError("a LossTable carries its own class statistics")
         table = spec
-        if scores.shape[1] != table.gate.shape[1]:
-            raise ValueError(f"scores have {scores.shape[1]} classes, "
+        classes = scores.shape[0 if scores.ndim == 3 else 1]
+        if classes != table.gate.shape[1]:
+            raise ValueError(f"scores have {classes} classes, "
                              f"expected {table.gate.shape[1]}")
     else:
         scores, labels = _check_batch(scores, labels)
         table = loss_table([(spec, stats)], scores.shape[1])
-    m, n = scores.shape
     blocks = len(table.q)
-    if m % blocks:
-        raise ValueError(f"{m} score rows do not split into {blocks} blocks")
+    class_major = scores.ndim == 3
+    if class_major:
+        n, m = scores.shape[0], scores.shape[1] * scores.shape[2]
+        if scores.shape[1] != blocks:
+            raise ValueError(f"scores have {scores.shape[1]} blocks, "
+                             f"expected {blocks}")
+    else:
+        m, n = scores.shape
+        if m % blocks:
+            raise ValueError(
+                f"{m} score rows do not split into {blocks} blocks")
     idx = labels - 1
     if table.spec is not None:  # CSMAX, whose cost 1/p(y) is the weight
-        return _csmax_batch(
-            scores, idx, table.weight.ravel()[_label_entries(idx, blocks, n)],
+        values, grads = _csmax_batch(
+            scores.reshape(n, m).T if class_major else scores, idx,
+            table.weight.ravel()[_label_entries(idx, blocks, n)],
             table.spec.rho_margin, table.spec.psi_tau, want_grad)
-    return _psi_batch(table, scores, idx, equal_draws, rng, want_grad)
+        if class_major and grads is not None:
+            grads = np.ascontiguousarray(grads.T).reshape(scores.shape)
+        return values, grads
+    draws = None
+    if equal_draws is not None and table.eq_p is not None:
+        if np.shape(equal_draws) != scores.shape:
+            raise ValueError(f"equal_draws must be shape {scores.shape}")
+        draws = np.asarray(equal_draws)
+        if class_major:
+            draws = draws.reshape(n, m).T
+    if class_major:
+        values, grads = _psi_batch(
+            table, np.ascontiguousarray(scores).reshape(n, m), idx, draws,
+            rng, want_grad)
+        return values, None if grads is None else grads.reshape(scores.shape)
+    values, grads = _psi_batch(table, np.ascontiguousarray(scores.T), idx,
+                               draws, rng, want_grad)
+    return values, None if grads is None else np.ascontiguousarray(grads.T)
 
 
 def _comp_sum_psi(x, tau):

@@ -554,10 +554,11 @@ def empirical_rademacher_linear(
     X = sample.features
     m, n = X.shape[0], sample.n
     rng = np.random.default_rng(seed)
-    draws = np.empty(trials)
-    for t in range(trials):
-        eps = 2.0 * rng.integers(0, 2, size=(m, n)) - 1.0
-        draws[t] = norm_bound * np.linalg.norm(X.T @ eps, axis=0).sum() / m
+    # every trial's (m, n) signs in one draw, in trial order, and one
+    # product per trial, as X.T @ eps
+    eps = 2.0 * rng.integers(0, 2, size=(trials, m, n)) - 1.0
+    draws = norm_bound * np.linalg.norm(np.matmul(X.T, eps),
+                                        axis=1).sum(axis=1) / m
     stderr = float(draws.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return float(draws.mean()), stderr
 

@@ -23,6 +23,14 @@ resamples each with its own train set, as ``verify margin`` does, or one
 run as a stack of one. There is also one forward pass, over such stacks: a
 model's ``scores`` runs it on a stack of one.
 
+The scores and their gradient change layout once per step. The forward
+pass writes the scores class-major, (n, R, B), which the loss core reads
+as they are, and the loss returns its gradient in that layout; one
+division by the batch size writes it batch-major, (B, R, n), the one
+array from which the backward pass takes the bias sums and the weight
+products. Each of these computes every number as the solo run's 2-d
+arrays do.
+
 Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
 applied at prediction time.
@@ -110,7 +118,7 @@ class _Model:
         layers = self._layers()
         out = _forward([w[None] for w, _ in layers],
                        [b[None, None] for _, b in layers],
-                       X.reshape(1, -1, X.shape[-1]))[-1][0]
+                       X.reshape(1, -1, X.shape[-1]))[-1][:, 0].T
         return out[0] if X.ndim == 1 else out
 
 
@@ -250,33 +258,44 @@ def _forward(weights, biases, X):
     """Activations of stacked rectifier networks; the last are the scores.
 
     Every array carries a leading model axis: X is (R, B, d), weights[i]
-    is (R, out, in) and biases[i] is (R, 1, out). A linear model is one
-    layer. Batched matmul computes each slice as the 2-d product would.
+    is (R, out, in), biases[i] is (R, 1, out) and each hidden activation
+    is rectified, (R, B, out). A linear model is one layer. Batched matmul
+    computes each slice as the 2-d product would. The scores are
+    class-major, (n, R, B), the layout the loss core reads: the last
+    layer writes each run's W A^T into them, whose entries are the dot
+    products of A W^T, bit for bit.
     """
     acts = [X]
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if i:  # the input of every layer but the first is rectified
-            acts[i] = np.maximum(acts[i], 0.0)
-        acts.append(np.matmul(acts[i], w.transpose(0, 2, 1)) + b)
+    for w, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(np.matmul(acts[-1], w.transpose(0, 2, 1)) + b,
+                               0.0))
+    w, b = weights[-1], biases[-1]
+    scores = np.empty((w.shape[1],) + X.shape[:2])
+    np.matmul(w, acts[-1].transpose(0, 2, 1), out=scores.transpose(1, 0, 2))
+    scores += b.transpose(2, 0, 1)
+    acts.append(scores)
     return acts
 
 
-def _backward(weights, acts, dscores, bias_grads):
+def _backward(weights, acts, delta, bias_grads):
     """Gradients of the stacked layers: weights first, then biases unless
-    bias_grads is False."""
+    bias_grads is False. ``delta`` is the scores' gradient as a contiguous
+    (B, R, n) array.
+
+    A bias gradient adds the batch's samples one by one, as a solo run's
+    axis-0 sum over its (B, out) delta does; numpy adds the leading axis of
+    a contiguous (B, R, out) array in that order. The weight gradient reads
+    the same array, transposed, as the solo run's delta^T A does.
+    """
     wgrads, bgrads = [], []
-    delta = dscores
     for i in range(len(weights) - 1, -1, -1):
-        wgrads.insert(0, np.matmul(delta.transpose(0, 2, 1), acts[i]))
+        wgrads.insert(0, np.matmul(delta.transpose(1, 2, 0), acts[i]))
         if bias_grads:
-            # A bias gradient adds the batch's samples one by one, as a
-            # solo run's axis-0 sum over its (B, out) delta does; numpy
-            # adds the leading axis of a contiguous (B, R, out) copy in
-            # that order, and faster than axis 1 of (R, B, out).
-            bgrads.insert(0, np.ascontiguousarray(
-                delta.transpose(1, 0, 2)).sum(axis=0)[:, None])
+            bgrads.insert(0, delta.sum(axis=0)[:, None])
         if i:
-            delta = np.matmul(delta, weights[i]) * (acts[i] > 0)
+            back = np.matmul(delta.transpose(1, 0, 2), weights[i])
+            delta = np.multiply(back.transpose(1, 0, 2),
+                                acts[i].transpose(1, 0, 2) > 0, order="C")
     return wgrads + bgrads
 
 
@@ -379,22 +398,25 @@ def train_lockstep(models, data, spec, cfgs):
             lr = (cosine_lr(step, total_steps, cfg.lr0)
                   if cfg.schedule == "cosine" else cfg.lr0)
 
-            # Lookahead: evaluate the gradient at w + mu * v.
-            for p, v in zip(arrays, velocity):
-                p += cfg.momentum * v
-            acts = _forward(arrays[:depth], arrays[depth:], features[batch])
-            # each run draws its own EQUAL gates, if any, from its rng
+            # Lookahead: evaluate the gradient at w + mu * v; the update
+            # reads the same mu * v.
+            ahead = [cfg.momentum * v for v in velocity]
+            for p, step_ahead in zip(arrays, ahead):
+                p += step_ahead
+            acts = _forward(arrays[:depth], arrays[depth:],
+                            np.take(features, batch, axis=0))
+            scores = acts.pop()  # class-major (n, R, B)
+            # each run draws its own EQUAL gates, if any, from its rng;
+            # the gradient comes back class-major as well
             values, dscores = batch_loss_and_grad(
-                table, acts[-1].reshape(-1, n), labels[batch].reshape(-1),
-                rng=rngs)
+                table, scores, np.take(labels, batch).reshape(-1), rng=rngs)
             values = values.reshape(live.size, size)
-            dscores = dscores.reshape(live.size, size, n)
             # Non-finite scores need not give a non-finite loss (a -inf
             # score of a class other than the label does not), so both are
             # read.
             if not (np.isfinite(values).all()
-                    and np.isfinite(acts[-1]).all()):
-                finite = np.isfinite(acts[-1]).all(axis=(1, 2))
+                    and np.isfinite(scores).all()):
+                finite = np.isfinite(scores).all(axis=(0, 2))
                 ok = finite & np.isfinite(values).all(axis=1)
                 for r in np.flatnonzero(~ok):
                     outcomes[live[r]] = TrainingDiverged(
@@ -405,16 +427,17 @@ def train_lockstep(models, data, spec, cfgs):
                     x[ok] for x in (live, rngs, orders, loss_sums, offsets))
                 if not live.size:
                     return outcomes
-                arrays, velocity, acts = (
-                    [a[ok] for a in x] for x in (arrays, velocity, acts))
-                values, dscores, table = values[ok], dscores[ok], table[ok]
+                arrays, velocity, ahead, acts = (
+                    [a[ok] for a in x]
+                    for x in (arrays, velocity, ahead, acts))
+                values, dscores, table = values[ok], dscores[:, ok], table[ok]
             loss_sums += values.sum(axis=1)
-            grads = _backward(arrays[:depth], acts, dscores / size,
-                              first.use_bias)
-            for i, (p, v, g) in enumerate(zip(arrays, velocity, grads)):
-                v_new = cfg.momentum * v - lr * g
-                p += v_new - cfg.momentum * v
-                v[...] = v_new
+            delta = np.empty((size, live.size, n))
+            np.divide(dscores.transpose(2, 1, 0), size, out=delta)
+            grads = _backward(arrays[:depth], acts, delta, first.use_bias)
+            for i, (p, step_ahead, g) in enumerate(zip(arrays, ahead, grads)):
+                velocity[i] = step_ahead - lr * g
+                p += velocity[i] - step_ahead
                 if i < depth and cfg.weight_decay > 0.0:
                     p *= 1.0 - lr * cfg.weight_decay
             if norm_bound is not None:

@@ -765,6 +765,68 @@ class TestPsiFamiliesEqualTheReference:
             batch_loss_and_grad(table, np.zeros((3, 2)), [1, 2, 1], counts)
         with pytest.raises(ValueError, match="3 classes"):
             batch_loss_and_grad(table, np.zeros((3, 3)), [1, 2, 1])
+        # class-major (n, blocks, size) scores: the table form only
+        with pytest.raises(ValueError, match="3 classes, expected 2"):
+            batch_loss_and_grad(table, np.zeros((3, 1, 3)), [1, 2, 1])
+        with pytest.raises(ValueError, match="3 blocks, expected 1"):
+            batch_loss_and_grad(table, np.zeros((2, 3, 1)), [1, 2, 1])
+        with pytest.raises(ValueError, match="must be \\(m, n\\)"):
+            batch_loss_and_grad(LossSpec("WCE"), np.zeros((2, 1, 3)),
+                                [1, 2, 1], counts)
+        equal = loss_table([(LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.9),
+                             counts)], 2)
+        with pytest.raises(ValueError, match="must be shape \\(2, 1, 3\\)"):
+            batch_loss_and_grad(equal, np.zeros((2, 1, 3)),
+                                np.array([1, 2, 1]),
+                                equal_draws=np.zeros((3, 2)))
+
+
+def class_major(rows, blocks):
+    """Row-major (m, n) rows as the class-major (n, blocks, size) array."""
+    m, n = rows.shape
+    return np.ascontiguousarray(
+        rows.reshape(blocks, m // blocks, n).transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_class_major_scores_give_the_row_major_bits(family):
+    # The table form takes class-major (n, blocks, size) scores beside
+    # (m, n) ones: the same values, the gradient in the scores' layout,
+    # bit for bit, on both sides of the 8- and 128-class switches of the
+    # class sums. EQUAL's gates come from fixed draws, in the scores'
+    # layout, and from one generator per block. The class-major scores
+    # are not written.
+    rng = np.random.default_rng(37)
+    for n in [*range(2, 21), 130]:
+        blocks, size = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        spec = random_spec(rng, family, n)
+        # each block its own counts and, where the family has one, q
+        table = loss_table(
+            [(spec if spec.q is None else replace(spec, q=float(q)),
+              ClassStats(rng.integers(1, 500, n)))
+             for q in rng.choice([0.0, 0.3, 0.7], blocks)], n)
+        rows = rng.normal(0, float(rng.choice([1.0, 30.0, 400.0])),
+                          (blocks * size, n))
+        labels = rng.integers(1, n + 1, blocks * size)
+        fixed = (rng.random(rows.shape) < 0.5).astype(np.float64)
+        seeds = rng.integers(0, 2**32, blocks)
+        scores = class_major(rows, blocks)
+        before = scores.copy()
+        for draws in (fixed, None):
+            def given(layout):
+                if draws is None:
+                    return {"rng": [np.random.default_rng(s) for s in seeds]}
+                return {"equal_draws": layout(draws)}
+            with np.errstate(over="ignore"):  # CSMAX's link at wide gaps
+                values, grads = batch_loss_and_grad(
+                    table, scores, labels,
+                    **given(lambda d: class_major(d, blocks)))
+                want_values, want_grads = batch_loss_and_grad(
+                    table, rows, labels, **given(lambda d: d))
+            assert np.array_equal(values, want_values)
+            assert grads.shape == scores.shape and grads.flags.c_contiguous
+            assert np.array_equal(grads, class_major(want_grads, blocks))
+        assert np.array_equal(scores, before)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -203,7 +203,8 @@ class TestTrain:
         original = tr.batch_loss_and_grad
 
         def spy(spec, scores, labels, *args, **kwargs):
-            visited.append(np.atleast_2d(scores).copy())
+            # class-major (n, 1, B) scores, one row per example
+            visited.append(scores.reshape(len(scores), -1).T.copy())
             return original(spec, scores, labels, *args, **kwargs)
 
         monkeypatch.setattr(tr, "batch_loss_and_grad", spy)
@@ -669,7 +670,8 @@ class TestLockstep:
         rows = []
 
         def spy(table, scores, labels, **kwargs):
-            adjusted = scores / rho[labels - 1][:, None]
+            # class-major (n, R, B) scores, one (m, n) row per example
+            adjusted = scores.reshape(n, -1).T / rho[labels - 1][:, None]
             adjusted -= adjusted.max(axis=1, keepdims=True)
             rows.append(np.log(np.exp(adjusted).sum(axis=1)) == 0.0)
             return batch_loss_and_grad(table, scores, labels, **kwargs)
@@ -730,7 +732,9 @@ def test_bias_gradients_add_the_samples_in_order(widths, size):
     biases = [rng.normal(0, 1, (runs, 1, out)) for out in widths[1:]]
     acts = _forward(weights, biases, rng.normal(0, 1, (runs, size, widths[0])))
     delta = rng.normal(0, 1, (runs, size, widths[-1])) / size
-    grads = _backward(weights, acts, delta, True)
+    # the scores' gradient as the trainer hands it over, (B, R, n)
+    grads = _backward(weights, acts,
+                      np.ascontiguousarray(delta.transpose(1, 0, 2)), True)
     for i in reversed(range(len(weights))):
         total = delta[:, 0]
         for b in range(1, size):
