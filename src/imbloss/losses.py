@@ -592,10 +592,6 @@ def batch_loss_and_grad(
         if stats is not None:
             raise ValueError("a LossTable carries its own class statistics")
         table = spec
-        classes = scores.shape[0 if scores.ndim == 3 else 1]
-        if classes != table.gate.shape[1]:
-            raise ValueError(f"scores have {classes} classes, "
-                             f"expected {table.gate.shape[1]}")
     else:
         scores, labels = _check_batch(scores, labels)
         table = loss_table([(spec, stats)], scores.shape[1])
@@ -603,14 +599,16 @@ def batch_loss_and_grad(
     class_major = scores.ndim == 3
     if class_major:
         n, m = scores.shape[0], scores.shape[1] * scores.shape[2]
-        if scores.shape[1] != blocks:
-            raise ValueError(f"scores have {scores.shape[1]} blocks, "
-                             f"expected {blocks}")
     else:
         m, n = scores.shape
-        if m % blocks:
-            raise ValueError(
-                f"{m} score rows do not split into {blocks} blocks")
+    if n != table.gate.shape[1]:
+        raise ValueError(
+            f"scores have {n} classes, expected {table.gate.shape[1]}")
+    if class_major and scores.shape[1] != blocks:
+        raise ValueError(
+            f"scores have {scores.shape[1]} blocks, expected {blocks}")
+    if m % blocks:
+        raise ValueError(f"{m} score rows do not split into {blocks} blocks")
     idx = labels - 1
     if table.spec is not None:  # CSMAX, whose cost 1/p(y) is the weight
         values, grads = _csmax_batch(

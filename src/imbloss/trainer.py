@@ -401,8 +401,8 @@ def train_lockstep(models, data, spec, cfgs):
             # Lookahead: evaluate the gradient at w + mu * v; the update
             # reads the same mu * v.
             ahead = [cfg.momentum * v for v in velocity]
-            for p, step_ahead in zip(arrays, ahead):
-                p += step_ahead
+            for p, mv in zip(arrays, ahead):
+                p += mv
             acts = _forward(arrays[:depth], arrays[depth:],
                             np.take(features, batch, axis=0))
             scores = acts.pop()  # class-major (n, R, B)
@@ -432,12 +432,11 @@ def train_lockstep(models, data, spec, cfgs):
                     for x in (arrays, velocity, ahead, acts))
                 values, dscores, table = values[ok], dscores[:, ok], table[ok]
             loss_sums += values.sum(axis=1)
-            delta = np.empty((size, live.size, n))
-            np.divide(dscores.transpose(2, 1, 0), size, out=delta)
+            delta = np.divide(dscores.transpose(2, 1, 0), size, order="C")
             grads = _backward(arrays[:depth], acts, delta, first.use_bias)
-            for i, (p, step_ahead, g) in enumerate(zip(arrays, ahead, grads)):
-                velocity[i] = step_ahead - lr * g
-                p += velocity[i] - step_ahead
+            for i, (p, mv, g) in enumerate(zip(arrays, ahead, grads)):
+                velocity[i] = mv - lr * g
+                p += velocity[i] - mv
                 if i < depth and cfg.weight_decay > 0.0:
                     p *= 1.0 - lr * cfg.weight_decay
             if norm_bound is not None:
