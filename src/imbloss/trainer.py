@@ -277,25 +277,22 @@ def _forward(weights, biases, X):
     return acts
 
 
-def _backward(weights, acts, delta, bias_grads):
+def _backward(weights, acts, dscores, bias_grads):
     """Gradients of the stacked layers: weights first, then biases unless
-    bias_grads is False. ``delta`` is the scores' gradient as a contiguous
-    (B, R, n) array.
-
-    A bias gradient adds the batch's samples one by one, as a solo run's
-    axis-0 sum over its (B, out) delta does; numpy adds the leading axis of
-    a contiguous (B, R, out) array in that order. The weight gradient reads
-    the same array, transposed, as the solo run's delta^T A does.
-    """
+    bias_grads is False."""
     wgrads, bgrads = [], []
+    delta = dscores
     for i in range(len(weights) - 1, -1, -1):
-        wgrads.insert(0, np.matmul(delta.transpose(1, 2, 0), acts[i]))
+        wgrads.insert(0, np.matmul(delta.transpose(0, 2, 1), acts[i]))
         if bias_grads:
-            bgrads.insert(0, delta.sum(axis=0)[:, None])
+            # A bias gradient adds the batch's samples one by one, as a
+            # solo run's axis-0 sum over its (B, out) delta does; numpy
+            # adds the leading axis of a contiguous (B, R, out) copy in
+            # that order, and faster than axis 1 of (R, B, out).
+            bgrads.insert(0, np.ascontiguousarray(
+                delta.transpose(1, 0, 2)).sum(axis=0)[:, None])
         if i:
-            back = np.matmul(delta.transpose(1, 0, 2), weights[i])
-            delta = np.multiply(back.transpose(1, 0, 2),
-                                acts[i].transpose(1, 0, 2) > 0, order="C")
+            delta = np.matmul(delta, weights[i]) * (acts[i] > 0)
     return wgrads + bgrads
 
 
@@ -432,7 +429,8 @@ def train_lockstep(models, data, spec, cfgs):
                     for x in (arrays, velocity, ahead, acts))
                 values, dscores, table = values[ok], dscores[:, ok], table[ok]
             loss_sums += values.sum(axis=1)
-            delta = np.divide(dscores.transpose(2, 1, 0), size, order="C")
+            # each run's rows of the gradient n apart, as a solo run's
+            delta = np.divide(dscores.transpose(1, 2, 0), size, order="C")
             grads = _backward(arrays[:depth], acts, delta, first.use_bias)
             for i, (p, mv, g) in enumerate(zip(arrays, ahead, grads)):
                 velocity[i] = mv - lr * g

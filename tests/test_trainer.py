@@ -423,6 +423,23 @@ class TestLockstep:
         if not models[0].use_bias:
             assert all(not np.any(trained.biases) for trained, _ in outcomes)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_one_feature_matches_solo_runs(self, n):
+        # At d = 1 a weight gradient is numpy's matrix-vector product,
+        # whose BLAS sum order can follow the stride between the rows of
+        # the scores' gradient: every run of a stack must see its rows n
+        # apart, as a solo run does.
+        means = np.arange(n, dtype=np.float64)[:, None]
+        data = gaussian_mixture(n, 1, [30, 20, 13, 9, 7][:n], means,
+                                np.ones(n), 1)
+        spec = LossSpec("WCE")
+        cfgs = seed_configs()
+        models = [LinearModel.init_random(n, 1, c.seed) for c in cfgs]
+        outcomes = assert_lockstep_matches_solo(models, data, spec, cfgs)
+        for model, cfg, outcome in zip(models, cfgs, outcomes):
+            assert_same_outcome(outcome,
+                                reference_train(model, data, spec, cfg))
+
     def test_diverged_runs_leave_the_stack_alone(self):
         data = imbalanced_mixture()
         spec = lockstep_spec("CSMAX", data.stats())
@@ -732,9 +749,7 @@ def test_bias_gradients_add_the_samples_in_order(widths, size):
     biases = [rng.normal(0, 1, (runs, 1, out)) for out in widths[1:]]
     acts = _forward(weights, biases, rng.normal(0, 1, (runs, size, widths[0])))
     delta = rng.normal(0, 1, (runs, size, widths[-1])) / size
-    # the scores' gradient as the trainer hands it over, (B, R, n)
-    grads = _backward(weights, acts,
-                      np.ascontiguousarray(delta.transpose(1, 0, 2)), True)
+    grads = _backward(weights, acts, delta, True)
     for i in reversed(range(len(weights))):
         total = delta[:, 0]
         for b in range(1, size):
