@@ -23,13 +23,13 @@ resamples each with its own train set, as ``verify margin`` does, or one
 run as a stack of one. There is also one forward pass, over such stacks: a
 model's ``scores`` runs it on a stack of one.
 
-The scores and their gradient change layout once per step. The forward
-pass writes the scores class-major, (n, R, B), which the loss core reads
-as they are, and the loss returns its gradient in that layout; one
-division by the batch size writes it batch-major, (B, R, n), the one
-array from which the backward pass takes the bias sums and the weight
-products. Each of these computes every number as the solo run's 2-d
-arrays do.
+The forward pass writes the scores class-major, (n, R, B), the layout
+the loss core reads, and the loss returns its gradient in that layout.
+One division by the batch size lays it out as (R, B, n), each run's rows
+n apart as in a solo run, for the weight products: BLAS's matrix-vector
+product, which numpy takes for a layer of width 1, may round otherwise
+at another row stride. Each of these computes every number as the solo
+run's 2-d arrays do.
 
 Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
@@ -335,7 +335,10 @@ def train_lockstep(models, data, spec, cfgs):
     if len(specs) != len(models):
         raise ValueError("need one loss spec per model")
     if isinstance(data, Dataset):
-        features, labels = data.features, data.labels
+        # take() copies a strided array whole before each gather, and
+        # the features of a split read from CSV are such a view
+        features, labels = (np.ascontiguousarray(x)
+                            for x in (data.features, data.labels))
         run_stats = [data.stats()] * len(models)
         offsets = np.zeros(len(models), dtype=np.int64)
     else:
@@ -401,12 +404,12 @@ def train_lockstep(models, data, spec, cfgs):
             for p, mv in zip(arrays, ahead):
                 p += mv
             acts = _forward(arrays[:depth], arrays[depth:],
-                            np.take(features, batch, axis=0))
+                            features.take(batch, axis=0))
             scores = acts.pop()  # class-major (n, R, B)
             # each run draws its own EQUAL gates, if any, from its rng;
             # the gradient comes back class-major as well
             values, dscores = batch_loss_and_grad(
-                table, scores, np.take(labels, batch).reshape(-1), rng=rngs)
+                table, scores, labels.take(batch).reshape(-1), rng=rngs)
             values = values.reshape(live.size, size)
             # Non-finite scores need not give a non-finite loss (a -inf
             # score of a class other than the label does not), so both are
