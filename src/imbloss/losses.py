@@ -610,29 +610,27 @@ def batch_loss_and_grad(
     if m % blocks:
         raise ValueError(f"{m} score rows do not split into {blocks} blocks")
     idx = labels - 1
+    rows = scores.reshape(n, m).T if class_major else scores  # (m, n)
     if table.spec is not None:  # CSMAX, whose cost 1/p(y) is the weight
         values, grads = _csmax_batch(
-            scores.reshape(n, m).T if class_major else scores, idx,
-            table.weight.ravel()[_label_entries(idx, blocks, n)],
+            rows, idx, table.weight.ravel()[_label_entries(idx, blocks, n)],
             table.spec.rho_margin, table.spec.psi_tau, want_grad)
-        if class_major and grads is not None:
-            grads = np.ascontiguousarray(grads.T).reshape(scores.shape)
-        return values, grads
-    draws = None
-    if equal_draws is not None and table.eq_p is not None:
-        if np.shape(equal_draws) != scores.shape:
-            raise ValueError(f"equal_draws must be shape {scores.shape}")
-        draws = np.asarray(equal_draws)
-        if class_major:
-            draws = draws.reshape(n, m).T
+        grads = None if grads is None else grads.T
+    else:
+        draws = equal_draws
+        if draws is not None and table.eq_p is not None:
+            if np.shape(draws) != scores.shape:
+                raise ValueError(f"equal_draws must be shape {scores.shape}")
+            draws = np.asarray(draws)
+            draws = draws.reshape(n, m).T if class_major else draws
+        # class-major scores as they are, row-major ones copied in
+        values, grads = _psi_batch(table, np.ascontiguousarray(rows.T), idx,
+                                   draws, rng, want_grad)
+    if grads is None:
+        return values, None
     if class_major:
-        values, grads = _psi_batch(
-            table, np.ascontiguousarray(scores).reshape(n, m), idx, draws,
-            rng, want_grad)
-        return values, None if grads is None else grads.reshape(scores.shape)
-    values, grads = _psi_batch(table, np.ascontiguousarray(scores.T), idx,
-                               draws, rng, want_grad)
-    return values, None if grads is None else np.ascontiguousarray(grads.T)
+        return values, np.ascontiguousarray(grads).reshape(scores.shape)
+    return values, np.ascontiguousarray(grads.T)
 
 
 def _comp_sum_psi(x, tau):

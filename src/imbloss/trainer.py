@@ -384,7 +384,7 @@ def train_lockstep(models, data, spec, cfgs):
     outcomes = [None] * len(models)
     histories = [[] for _ in models]
 
-    m, n = data.m, data.n
+    m = data.m
     batches_per_epoch = (m + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * batches_per_epoch
     step = 0
