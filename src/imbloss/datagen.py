@@ -243,4 +243,7 @@ def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
         raise DatasetShapeError(
             f"{csv_path}: labels must be whole numbers in 1..{n}, "
             f"every class present")
-    return Dataset(raw[:, :d], labels.astype(np.int64), int(n), meta)
+    # contiguous features: a column slice of raw would keep raw alive, and
+    # the trainer's batch gathers want contiguous rows
+    return Dataset(np.ascontiguousarray(raw[:, :d]), labels.astype(np.int64),
+                   int(n), meta)

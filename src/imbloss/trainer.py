@@ -335,8 +335,7 @@ def train_lockstep(models, data, spec, cfgs):
     if len(specs) != len(models):
         raise ValueError("need one loss spec per model")
     if isinstance(data, Dataset):
-        # take() copies a strided array whole before each gather, and
-        # the features of a split read from CSV are such a view
+        # take() copies a strided source whole before each gather
         features, labels = (np.ascontiguousarray(x)
                             for x in (data.features, data.labels))
         run_stats = [data.stats()] * len(models)
@@ -431,6 +430,7 @@ def train_lockstep(models, data, spec, cfgs):
                     [a[ok] for a in x]
                     for x in (arrays, velocity, ahead, acts))
                 values, dscores, table = values[ok], dscores[:, ok], table[ok]
+            del scores  # not alive through the backward pass: a lower peak
             loss_sums += values.sum(axis=1)
             # each run's rows of the gradient n apart, as a solo run's
             delta = np.divide(dscores.transpose(1, 2, 0), size, order="C")
