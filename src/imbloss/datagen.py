@@ -43,7 +43,12 @@ def _round_half_up(x) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Feature matrix (m, d) with 1-based labels in 1..n and metadata."""
+    """Feature matrix (m, d) with 1-based labels in 1..n and metadata.
+
+    Both arrays are stored C-contiguous: the trainer gathers batches from
+    their rows with ``take``, which copies a strided source whole, and a
+    strided view, such as a column slice of a CSV array, is copied once
+    here instead, which also frees the array behind it."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -51,8 +56,8 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.features = np.asarray(self.features, np.float64, order="C")
+        self.labels = np.asarray(self.labels, np.int64, order="C")
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array")
         if self.labels.shape != (self.features.shape[0],):
@@ -243,7 +248,4 @@ def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
         raise DatasetShapeError(
             f"{csv_path}: labels must be whole numbers in 1..{n}, "
             f"every class present")
-    # contiguous features: a column slice of raw would keep raw alive, and
-    # the trainer's batch gathers want contiguous rows
-    return Dataset(np.ascontiguousarray(raw[:, :d]), labels.astype(np.int64),
-                   int(n), meta)
+    return Dataset(raw[:, :d], labels.astype(np.int64), int(n), meta)

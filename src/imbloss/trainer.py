@@ -335,9 +335,7 @@ def train_lockstep(models, data, spec, cfgs):
     if len(specs) != len(models):
         raise ValueError("need one loss spec per model")
     if isinstance(data, Dataset):
-        # take() copies a strided source whole before each gather
-        features, labels = (np.ascontiguousarray(x)
-                            for x in (data.features, data.labels))
+        features, labels = data.features, data.labels
         run_stats = [data.stats()] * len(models)
         offsets = np.zeros(len(models), dtype=np.int64)
     else:
