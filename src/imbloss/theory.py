@@ -539,6 +539,11 @@ def margin_losses(scores, labels, costs, rho) -> np.ndarray:
     return costs * phi_rho(own - masked.max(axis=1), rho)
 
 
+# Sign entries per block of Rademacher trials, 4 MB of draws and signs:
+# every trial of ``verify margin`` (30 of 500 x 3) fits in one block.
+_RADEMACHER_BLOCK = 1 << 18
+
+
 def empirical_rademacher_linear(
     sample: Dataset, norm_bound: float, trials: int, seed
 ):
@@ -554,11 +559,15 @@ def empirical_rademacher_linear(
     X = sample.features
     m, n = X.shape[0], sample.n
     rng = np.random.default_rng(seed)
-    # every trial's (m, n) signs in one draw, in trial order, and one
-    # product per trial, as X.T @ eps
-    eps = 2.0 * rng.integers(0, 2, size=(trials, m, n)) - 1.0
-    draws = norm_bound * np.linalg.norm(np.matmul(X.T, eps),
-                                        axis=1).sum(axis=1) / m
+    # a block of trials' (m, n) signs in one draw, in trial order, and one
+    # product per trial, as X.T @ eps; the blocks bound the memory
+    block = max(1, _RADEMACHER_BLOCK // (m * n))
+    draws = np.empty(trials)
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        eps = 2.0 * rng.integers(0, 2, size=(size, m, n)) - 1.0
+        draws[start:start + size] = norm_bound * np.linalg.norm(
+            np.matmul(X.T, eps), axis=1).sum(axis=1) / m
     stderr = float(draws.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return float(draws.mean()), stderr
 

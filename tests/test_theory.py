@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from imbloss import theory
 from imbloss.datagen import Dataset, gaussian_mixture
 from imbloss.losses import (
     LossSpec,
@@ -980,9 +981,10 @@ class TestRademacher:
 
     @pytest.mark.parametrize("counts", [(5, 6, 7), (5, 6, 8)],
                              ids=["even-mn", "odd-mn"])
-    def test_equals_the_per_trial_loop(self, counts):
+    def test_equals_the_per_trial_loop(self, counts, monkeypatch):
         # one sign matrix and one product per trial, drawn in trial order:
-        # the estimate and its error, bit for bit, at m * n = 54 and 57
+        # the estimate and its error, bit for bit, at m * n = 54 and 57,
+        # all 9 trials in one block, or in blocks of 2 and a last of 1
         data = gaussian_mixture(3, 4, list(counts), np.zeros((3, 4)),
                                 np.ones(3), seed=6)
         rng, trials = np.random.default_rng(7), 9
@@ -991,8 +993,11 @@ class TestRademacher:
             eps = 2.0 * rng.integers(0, 2, size=(data.m, data.n)) - 1.0
             draws[t] = 1.5 * np.linalg.norm(data.features.T @ eps,
                                             axis=0).sum() / data.m
-        assert empirical_rademacher_linear(data, 1.5, trials, seed=7) == (
-            float(draws.mean()), float(draws.std(ddof=1) / np.sqrt(trials)))
+        expected = (float(draws.mean()),
+                    float(draws.std(ddof=1) / np.sqrt(trials)))
+        assert empirical_rademacher_linear(data, 1.5, trials, 7) == expected
+        monkeypatch.setattr(theory, "_RADEMACHER_BLOCK", 2 * data.m * data.n)
+        assert empirical_rademacher_linear(data, 1.5, trials, 7) == expected
 
     def test_decays_with_sample_size(self):
         big = gaussian_mixture(2, 3, [400, 400], np.zeros((2, 3)),
