@@ -30,8 +30,8 @@ class-major, (n, m), so every reduction and broadcast over the classes
 runs along m-long rows. ``batch_loss_and_grad`` takes row-major (m, n)
 scores, which it transposes once on the way in and the gradient once on
 the way out, or, with a table, class-major (n, blocks, size) scores, as
-the trainer's forward pass writes them, which it reads in place and
-answers with a gradient of that layout. The path adds the classes in
+the trainer's forward pass writes them, which it copies without a
+transpose and answers with a gradient of that layout. The path adds the classes in
 the exact order of numpy's last-axis sum over a row: one by one for
 n < 8, numpy's pairwise tree of eight running sums for 8 <= n <= 128,
 and numpy's own sum beyond. Its values and gradients are therefore bit
@@ -433,10 +433,10 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient, every
     column of the table applied to every row (a None column is skipped,
     being an identity), and EQUAL's gated classes at -inf. Class-major:
-    scores is a C-contiguous (n, m) array, which is read and not written,
-    and the gradient is returned as a new one. Each element takes the
-    float operations of the row-major log-softmax, and the class sums its
-    order (_class_sum), so the bits are the same.
+    scores is an (n, m) array of any strides, which is copied once and
+    not written, and the gradient is a new C-contiguous (n, m) array. Each
+    element takes the float operations of the row-major log-softmax, and
+    the class sums its order (_class_sum), so the bits are the same.
 
     One exp serves both the log-sum-exp and, in a saturated row, the
     gradient's softmax. A row is saturated when its class sum is exactly
@@ -456,41 +456,32 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     blocks = len(table.q)
     size = m // blocks
     label_at = idx * m + np.arange(m)  # each label in the flat (n, m) array
-    # adjusted is the caller's scores until the first step that changes
-    # them writes a new array, which saves copying them first; the steps
-    # after it write in place
-    adjusted = scores
+    adjusted = scores.copy()  # C-contiguous, adjusted in place
     if table.neg_shift is not None:
-        adjusted = (scores.reshape(n, blocks, size)
-                    - table.neg_shift.T[:, :, None]).reshape(n, m)
+        by_block = adjusted.reshape(n, blocks, size)  # a view
+        by_block -= table.neg_shift.T[:, :, None]
     if (table.label_shift is not None or table.rho is not None
             or table.weight is not None):
         at = _label_entries(idx, blocks, n)
     if table.label_shift is not None:
-        if adjusted is scores:
-            adjusted = scores.copy()
         adjusted.ravel()[label_at] -= table.label_shift.ravel()[at]
     rho = weight = 1.0
     if table.rho is not None:
         rho = table.rho.ravel()[at]
-        adjusted = np.divide(adjusted, rho,
-                             out=None if adjusted is scores else adjusted)
+        adjusted /= rho
     if table.weight is not None:
         weight = table.weight.ravel()[at]
     equal, floor = None, _LOG_PROB_FLOOR
     if table.eq_p is not None:  # EQUAL: no floor
-        gated = _gated(table, idx, draws, rng)
-        if adjusted is scores:
-            adjusted = scores.copy()
-        adjusted[gated] = -np.inf
+        adjusted[_gated(table, idx, draws, rng)] = -np.inf
         equal = ~np.isnan(table.eq_p)  # per block
         floor = (-np.inf if equal.all()
                  else np.where(equal.repeat(size), -np.inf, floor))
     q = table.q.repeat(size)
     # log-softmax over the classes, then Psi^q in log space with the
     # 1e-300 floor at q = 0.
-    logp = np.subtract(adjusted, adjusted.max(axis=0),
-                       out=None if adjusted is scores else adjusted)
+    logp = adjusted  # shifted by the class max, in place
+    logp -= logp.max(axis=0)
     expd = _exp(logp)
     sums = _class_sum(expd)
     lse = np.log(sums)
@@ -575,9 +566,10 @@ def batch_loss_and_grad(
     Scores come in one of two layouts, told apart by their dimensions:
     row-major (m, n), or, in the table form only, class-major (n, blocks,
     size), where row s of block b is scores[:, b, s]. Labels are (m,) in
-    either, row b * size + s for that row. The loss core works class-major,
-    so the row-major form costs one transposing copy in and one out, and
-    the class-major form neither; its scores are not written.
+    either, row b * size + s for that row. The loss core works class-major
+    on one copy of the scores, which are not written: the row-major form
+    costs a transposing copy in and one out, the class-major form a plain
+    copy in and none out.
 
     The LossSpec form checks its input: finite scores, one label in 1..n
     per row. The table form is for callers that produce their own float64
@@ -621,9 +613,8 @@ def batch_loss_and_grad(
                 raise ValueError(f"equal_draws must be shape {scores.shape}")
             draws = np.asarray(draws)
             draws = draws.reshape(n, m).T if class_major else draws
-        # class-major scores as they are, row-major ones copied in
-        values, grads = _psi_batch(table, np.ascontiguousarray(rows.T), idx,
-                                   draws, rng, want_grad)
+        values, grads = _psi_batch(table, rows.T, idx, draws, rng,
+                                   want_grad)
     if grads is None:
         return values, None
     if class_major:
