@@ -4,7 +4,7 @@ each assembled term by term from its definition."""
 import numpy as np
 
 from imbloss.losses import _LOG_PROB_FLOOR, PROB_FLOOR
-from imbloss.numerics import as_finite_array
+from imbloss.numerics import as_finite_array, softplus
 
 
 def log_softmax(scores) -> np.ndarray:
@@ -124,4 +124,45 @@ def equal_loss_and_grad(gated, scores, labels, want_grad=True):
     denom = masked.sum(axis=1)
     values = np.log(denom) - shifted[rows, idx]
     grads = masked / denom[:, None] - onehot if want_grad else None
+    return values, grads
+
+
+def _comp_sum_psi(x, tau):
+    """Psi(x) = Phi^tau(e^{-x}) with the comp-sum transform Phi^tau.
+
+    Phi^tau(u) = log(1 + u) at tau = 1, ((1 + u)^(1 - tau) - 1) / (1 - tau)
+    otherwise; decreasing in x, with Psi(0) = log 2 at tau = 1.
+    """
+    sp = softplus(-np.asarray(x, dtype=np.float64))  # log(1 + e^{-x})
+    if tau == 1.0:
+        return sp
+    return np.expm1((1.0 - tau) * sp) / (1.0 - tau)
+
+
+def _comp_sum_psi_prime(x, tau):
+    """d/dx Psi(x) = -e^{-x} (1 + e^{-x})^{-tau}."""
+    return -np.exp(-x - tau * softplus(-x))
+
+
+def csmax_loss_and_grad(scores, idx, cost, rho, tau, want_grad):
+    """CSMAX values cost * Psi((s_y - s_j*) / rho), j* the smallest index of
+    the top score, and their score (sub)gradients, row-major on one (m, n)
+    block with 0-based labels ``idx`` and one cost per row: the reference
+    the class-major loss core reproduces bit for bit."""
+    m, n = scores.shape
+    rows = np.arange(m)
+    gaps = (scores[rows, idx][:, None] - scores) / rho
+    # Psi is strictly decreasing, so the max over y' is attained where the
+    # competing score is largest; ties resolve to the smallest index.
+    top = scores.max(axis=1, keepdims=True)
+    attain = scores >= top  # exact-equality tie set
+    jstar = np.argmax(attain, axis=1)  # first True = smallest attaining index
+    vstar = gaps[rows, jstar]
+    values = cost * _comp_sum_psi(vstar, tau)
+    grads = None
+    if want_grad:
+        slope = cost * _comp_sum_psi_prime(vstar, tau) / rho
+        grads = np.zeros((m, n))
+        grads[rows, idx] += slope
+        grads[rows, jstar] -= slope
     return values, grads

@@ -393,14 +393,19 @@ class TestCommands:
          "7527f3f2a772e57b122a36cd0aa956d1a23fd354dfa3e8f451096b404e87102d"),
         ("family = EQUAL\neq_p = 0.3, 0.7\neq_lambda = 0.2, 0.5", "", "1",
          "76ece5c34fb2fc8508de0a4779285aaed384a3a952828ba1941f55da869d3030"),
+        ("family = CSMAX\nrho_margin = 0.5, 1.0\npsi_tau = 0.5, 1.0", "", "1",
+         "6dada791ec6cfa45e7e1cd647d7073ebc6b9031462314cefb8c169dfbc4668b5"),
+        ("family = CSMAX\nrho_margin = 0.5, 1.0\npsi_tau = 0.5, 1.0", "", "2",
+         "6dada791ec6cfa45e7e1cd647d7073ebc6b9031462314cefb8c169dfbc4668b5"),
     ], ids=["gca-q-grid", "gca-q-grid-mlp", "la-tau-grid",
-            "focal-gamma-grid", "focal-gamma-grid-jobs-2", "equal-grid"])
+            "focal-gamma-grid", "focal-gamma-grid-jobs-2", "equal-grid",
+            "csmax-grid", "csmax-grid-jobs-2"])
     def test_train_output_bytes_are_pinned(self, tmp_path, loss, model, jobs,
                                            digest):
         # written when a stack held only grid points that differed in q,
         # so each tau of the LA grid, gamma of the FOCAL grid and point of
-        # the EQUAL grid trained as a stack of its own; --jobs 2 writes the
-        # serial bytes. ``model`` ends the [train] section. The digest
+        # the EQUAL grid trained as a stack of its own, as did each point
+        # of the CSMAX grid; --jobs 2 writes the serial bytes. ``model`` ends the [train] section. The digest
         # covers the sha256 of every file under runs/
         path = tmp_path / "pin.ini"
         path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
@@ -414,9 +419,14 @@ class TestCommands:
             f"{p.relative_to(out).as_posix()} "
             f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
             for p in sorted((out / "runs").rglob("*")) if p.is_file())
-        # three files per run, two seeds per grid point, one summary
+        # two seeds per grid point; three files per run, only metrics.json
+        # for a diverged one (the CSMAX grid's at psi_tau = 0.5); one summary
         points = len(loss_grid_points(load_config(path)))
-        assert manifest.count("\n") == 3 * 2 * points + 1
+        status = [json.loads(p.read_text())["status"]
+                  for p in (out / "runs").rglob("metrics.json")]
+        assert len(status) == 2 * points
+        assert manifest.count("\n") == (3 * status.count("ok")
+                                        + status.count("diverged") + 1)
         assert hashlib.sha256(manifest.encode()).hexdigest() == digest
 
     def test_focal_grid_trains_as_one_stack(self, tmp_path, monkeypatch):
