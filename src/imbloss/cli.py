@@ -224,20 +224,19 @@ def _stack_worker(args):
 def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     """One run per (grid point x seed); summary with mean +- sd per point.
 
-    The pending runs of every grid point of any family but CSMAX train
-    as one lockstep stack, and those of a CSMAX grid point as a stack of
-    their own; with jobs > 1 each stack's grid points are split
-    among the workers, and each worker trains its share as one stack.
-    The splits are read once, and only when some run is pending. The best
-    grid point is selected by mean validation balanced error and
-    reported on test. Diverged runs are recorded, not fatal.
+    The pending runs of every grid point train as one lockstep stack;
+    with jobs > 1 its grid points are split among the workers, and each
+    worker trains its share as one stack. The splits are read once, and
+    only when some run is pending. The best grid point is selected by
+    mean validation balanced error and reported on test. Diverged runs
+    are recorded, not fatal.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     grid = loss_grid_points(config)
     seeds = [config["train"]["seed"] + i
              for i in range(config["train"]["repeats"])]
-    done, stacks = {}, {}
+    done, stack = {}, []
     for gridpoint in grid:
         run_hash = _run_hash(config, gridpoint)
         pending = []
@@ -249,19 +248,15 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
             else:
                 done[run_hash, seed] = payload
         if pending:
-            key = (json.dumps(gridpoint, sort_keys=True)
-                   if gridpoint["family"] == "CSMAX" else None)
-            stacks.setdefault(key, []).append((gridpoint, pending))
+            stack.append((gridpoint, pending))
 
-    if stacks:
+    if stack:
         splits = _load_splits(config, out)
-        tasks = []
-        for points in stacks.values():
-            parts = min(jobs, len(points))
-            tasks += [(config, points[len(points) * i // parts:
-                                      len(points) * (i + 1) // parts],
-                       splits, out) for i in range(parts)]
-        if jobs > 1 and len(tasks) > 1:
+        parts = min(jobs, len(stack))
+        tasks = [(config, stack[len(stack) * i // parts:
+                                len(stack) * (i + 1) // parts], splits, out)
+                 for i in range(parts)]
+        if len(tasks) > 1:
             # imported here: it loads multiprocessing, which nothing else
             # needs
             from concurrent.futures import ProcessPoolExecutor

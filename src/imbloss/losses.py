@@ -20,24 +20,26 @@ Implements closed-form values and analytic score gradients for:
              c * max_y' Psi((s_y - s_y') / rho) with a comp-sum link,
              c = 1/p(y).
 
-Every family but CSMAX shares one code path, weight_y *
-Psi^q(softmax(adjusted scores)_y), FOCAL's times (1 - softmax_y)^gamma,
-EQUAL's with its gated classes at -inf: ``loss_table`` turns each
-(LossSpec, class statistics) pair into table columns (shifts, a divisor,
-a weight, q, gamma and EQUAL's gates), so one call evaluates any mix of
-them; a column that no block of a table uses is skipped. That path is
+``loss_table`` turns each (LossSpec, class statistics) pair into table
+columns (shifts, a divisor, a weight, q, gamma, EQUAL's gates and CSMAX's
+psi_tau), so one call evaluates any mix of families; a column that no
+block of a table uses is skipped. A table's CSMAX blocks take a short
+code path of their own, and the other families one shared path,
+weight_y * Psi^q(softmax(adjusted scores)_y), FOCAL's times
+(1 - softmax_y)^gamma, EQUAL's with its gated classes at -inf. Both are
 class-major, (n, m), so every reduction and broadcast over the classes
 runs along m-long rows. ``batch_loss_and_grad`` takes row-major (m, n)
 scores, which it transposes once on the way in and the gradient once on
 the way out, or, with a table, class-major (n, blocks, size) scores, as
 the trainer's forward pass writes them, which it copies without a
-transpose and answers with a gradient of that layout. The path adds the classes in
-the exact order of numpy's last-axis sum over a row: one by one for
-n < 8, numpy's pairwise tree of eight running sums for 8 <= n <= 128,
-and numpy's own sum beyond. Its values and gradients are therefore bit
-for bit those of the row-major log-softmax in either layout. It takes
-one exp per call where the softmax saturates (a log-sum-exp of exactly
-0), a second one only over the rows where it does not. Adjusted scores
+transpose and answers with a gradient of that layout. The shared path
+adds the classes in the exact order of numpy's last-axis sum over a
+row: one by one for n < 8, numpy's pairwise tree of eight running sums
+for 8 <= n <= 128, and numpy's own sum beyond. Its values and gradients
+are therefore bit for bit those of the row-major log-softmax in either
+layout. It takes one exp per call where the softmax saturates (a
+log-sum-exp of exactly 0), a second one only over the rows where it
+does not. Adjusted scores
 that overflow give non-finite values, which a caller such as the trainer
 reads as divergence.
 
@@ -206,9 +208,10 @@ class LossSpec:
             raise ValueError(f"eq_p must lie in (0, 1), got {self.eq_p}")
         if self.eq_lambda is not None and not (0.0 < self.eq_lambda < 1.0):
             raise ValueError(f"eq_lambda must lie in (0, 1), got {self.eq_lambda}")
-        if self.rho_margin is not None and self.rho_margin <= 0:
+        if self.rho_margin is not None and not self.rho_margin > 0:
             raise ValueError(f"rho_margin must be positive, got {self.rho_margin}")
-        if self.psi_tau is not None and self.psi_tau < 0:
+        # a loss table reads a NaN psi_tau as a block of another family
+        if self.psi_tau is not None and not self.psi_tau >= 0:
             raise ValueError(f"psi_tau must be >= 0, got {self.psi_tau}")
 
     def hyperparams(self) -> dict:
@@ -243,11 +246,13 @@ class LossTable:
 
     A row's loss is weight_y * Psi^q(softmax(s')_y) with s' = (s -
     neg_shift - label_shift_y e_y) / rho_y, every (B, n) column read at
-    the row's block, and q, gamma and eq_p one per block; a column other
-    than gate and q that no block sets is None. ``gate`` marks the
-    classes EQUAL gates out with probability eq_p, FOCAL's gamma is as in
-    (1 - softmax_y)^gamma, and other families hold NaN in both. ``weight``
-    is also CSMAX's cost, and ``spec`` the one spec of a CSMAX table.
+    the row's block, and q, gamma, eq_p and psi_tau one per block; a
+    column other than gate and q that no block sets is None. ``gate``
+    marks the classes EQUAL gates out with probability eq_p, FOCAL's gamma
+    is as in (1 - softmax_y)^gamma, and other families hold NaN in both.
+    A CSMAX block's loss is _csmax_batch's, its weight the cost 1/p(y),
+    its rho its rho_margin at every class, and its psi_tau the link's,
+    which other families hold as NaN.
     """
 
     neg_shift: np.ndarray | None
@@ -258,28 +263,23 @@ class LossTable:
     q: np.ndarray
     gamma: np.ndarray | None
     eq_p: np.ndarray | None
-    spec: LossSpec | None
+    psi_tau: np.ndarray | None
 
     def __getitem__(self, blocks) -> "LossTable":
         """The table of the selected blocks (an index array or a mask)."""
-        columns = (getattr(self, f.name) for f in fields(self)[:-1])
-        return LossTable(*(c if c is None else c[blocks] for c in columns),
-                         self.spec)
+        columns = (getattr(self, f.name) for f in fields(self))
+        return LossTable(*(c if c is None else c[blocks] for c in columns))
 
 
 def loss_table(blocks, n: int) -> LossTable:
     """The LossTable of ``blocks``, (LossSpec, stats) pairs over n classes.
 
-    Any mix of families but CSMAX may share a table; CSMAX needs one spec
-    for every block. A parameter a family lacks is an exact identity: x -
-    0.0 (which keeps -0.0, where x + 0.0 would not), x / 1.0, x * 1.0 and
-    q = 0, or NaN for gamma and eq_p. A column that no block sets is
-    None, decided here once per table, and skipped.
+    Any mix of families may share a table. A parameter a family lacks is
+    an exact identity: x - 0.0 (which keeps -0.0, where x + 0.0 would
+    not), x / 1.0, x * 1.0 and q = 0, or NaN for gamma, eq_p and psi_tau.
+    A column that no block sets is None, decided here once per table, and
+    skipped.
     """
-    specs = [spec for spec, _ in blocks]
-    csmax = any(spec.family == "CSMAX" for spec in specs)
-    if csmax and any(spec != specs[0] for spec in specs):
-        raise ValueError("CSMAX needs one spec per table")
     zero, one, nan = np.zeros(n), np.ones(n), math.nan
     rows = []
     for spec, stats in blocks:
@@ -291,6 +291,7 @@ def loss_table(blocks, n: int) -> LossTable:
         q = spec.q or 0.0
         gamma = spec.gamma if family == "FOCAL" else nan
         eq_p = nan if spec.eq_p is None else spec.eq_p
+        psi_tau = nan if spec.psi_tau is None else spec.psi_tau
         neg_shift, label_shift, rho, weight, gate = zero, zero, one, one, zero
         if family == "LA":
             neg_shift = -(spec.tau * stats.log_priors)
@@ -309,16 +310,17 @@ def loss_table(blocks, n: int) -> LossTable:
             weight = (1.0 - spec.gamma) / (1.0 - spec.gamma ** stats.priors)
         elif family == "EQUAL":
             gate = (stats.priors < spec.eq_lambda).astype(np.float64)
+        elif family == "CSMAX":
+            rho = np.full(n, spec.rho_margin)
         if family in ("WCE", "GCA", "CSMAX"):
             weight = stats.inv_priors
         rows.append((neg_shift, label_shift, rho, weight, gate, q, gamma,
-                     eq_p))
+                     eq_p, psi_tau))
     # a column that no block sets holds only the shared zero, one or NaN
-    unset = (zero, zero, one, one, None, None, nan, nan)
+    unset = (zero, zero, one, one, None, None, nan, nan, nan)
     return LossTable(*(None if all(c is u for c in column)
                        else np.array(column)
-                       for column, u in zip(zip(*rows), unset)),
-                     spec=specs[0] if csmax else None)
+                       for column, u in zip(zip(*rows), unset)))
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +589,8 @@ def batch_loss_and_grad(
         table = loss_table([(spec, stats)], scores.shape[1])
     blocks = len(table.q)
     class_major = scores.ndim == 3
-    if class_major:
-        n, m = scores.shape[0], scores.shape[1] * scores.shape[2]
-    else:
-        m, n = scores.shape
+    n, m = ((scores.shape[0], math.prod(scores.shape[1:])) if class_major
+            else scores.shape[::-1])
     if n != table.gate.shape[1]:
         raise ValueError(
             f"scores have {n} classes, expected {table.gate.shape[1]}")
@@ -600,62 +600,61 @@ def batch_loss_and_grad(
     if m % blocks:
         raise ValueError(f"{m} score rows do not split into {blocks} blocks")
     idx = labels - 1
-    rows = scores.reshape(n, m).T if class_major else scores  # (m, n)
-    if table.spec is not None:  # CSMAX, whose cost 1/p(y) is the weight
-        values, grads = _csmax_batch(
-            rows, idx, table.weight.ravel()[_label_entries(idx, blocks, n)],
-            table.spec.rho_margin, table.spec.psi_tau, want_grad)
-        grads = None if grads is None else grads.T
-    else:
-        draws = equal_draws
-        if draws is not None and table.eq_p is not None:
-            if np.shape(draws) != scores.shape:
-                raise ValueError(f"equal_draws must be shape {scores.shape}")
-            draws = np.asarray(draws)
-            draws = draws.reshape(n, m).T if class_major else draws
-        values, grads = _psi_batch(table, rows.T, idx, draws, rng,
-                                   want_grad)
+    cols = scores.reshape(n, m) if class_major else scores.T  # (n, m)
+    draws = None
+    if equal_draws is not None and table.eq_p is not None:
+        if np.shape(equal_draws) != scores.shape:
+            raise ValueError(f"equal_draws must be shape {scores.shape}")
+        draws = np.asarray(equal_draws)
+        draws = draws.reshape(n, m).T if class_major else draws
+    if table.psi_tau is None:  # no CSMAX block
+        values, grads = _psi_batch(table, cols, idx, draws, rng, want_grad)
+    else:  # each path on its blocks' rows alone, answered in block order
+        csmax = ~np.isnan(table.psi_tau)
+        values, grads = np.empty(m), np.empty((n, m)) if want_grad else None
+        if not (rng is None or isinstance(rng, np.random.Generator)):
+            rng = [rng[b] for b in np.flatnonzero(~csmax)]
+        for part in (p for p in (csmax, ~csmax) if p.any()):
+            at = np.flatnonzero(part.repeat(m // blocks))
+            sub = table[part], cols[:, at], idx[at]
+            part_values, part_grads = (
+                _csmax_batch(*sub, want_grad) if part is csmax else
+                _psi_batch(*sub, None if draws is None else draws[at], rng,
+                           want_grad))
+            values[at] = part_values
+            if want_grad:
+                grads[:, at] = part_grads
     if grads is None:
         return values, None
     if class_major:
-        return values, np.ascontiguousarray(grads).reshape(scores.shape)
+        return values, grads.reshape(scores.shape)
     return values, np.ascontiguousarray(grads.T)
 
 
-def _comp_sum_psi(x, tau):
-    """Psi(x) = Phi^tau(e^{-x}) with the comp-sum transform Phi^tau.
-
-    Phi^tau(u) = log(1 + u) at tau = 1, ((1 + u)^(1 - tau) - 1) / (1 - tau)
-    otherwise; decreasing in x, with Psi(0) = log 2 at tau = 1.
-    """
-    sp = softplus(-np.asarray(x, dtype=np.float64))  # log(1 + e^{-x})
-    if tau == 1.0:
-        return sp
-    return np.expm1((1.0 - tau) * sp) / (1.0 - tau)
-
-
-def _comp_sum_psi_prime(x, tau):
-    """d/dx Psi(x) = -e^{-x} (1 + e^{-x})^{-tau}."""
-    return -np.exp(-x - tau * softplus(-x))
-
-
-def _csmax_batch(scores, idx, cost, rho, tau, want_grad):
-    m, n = scores.shape
-    rows = np.arange(m)
-    gaps = (scores[rows, idx][:, None] - scores) / rho
-    # Psi is strictly decreasing, so the max over y' is attained where the
-    # competing score is largest; ties resolve to the smallest index.
-    top = scores.max(axis=1, keepdims=True)
-    attain = scores >= top  # exact-equality tie set
-    jstar = np.argmax(attain, axis=1)  # first True = smallest attaining index
-    vstar = gaps[rows, jstar]
-    values = cost * _comp_sum_psi(vstar, tau)
-    grads = None
-    if want_grad:
-        slope = cost * _comp_sum_psi_prime(vstar, tau) / rho
-        grads = np.zeros((m, n))
-        grads[rows, idx] += slope
-        grads[rows, jstar] -= slope
+def _csmax_batch(table, scores, idx, want_grad):
+    """CSMAX's weight_y * Psi((s_y - s_j) / rho_y) and its subgradient, j
+    the first top score, Psi(x) = log(1 + e^{-x}) at psi_tau = 1, else
+    ((1 + e^{-x})^(1 - tau) - 1) / (1 - tau). Class-major, as _psi_batch,
+    in the float operations of the row-major form, so with its bits."""
+    n, m = scores.shape
+    at = _label_entries(idx, len(table.q), n)
+    cost, rho = table.weight.ravel()[at], table.rho.ravel()[at]
+    tau, cols = table.psi_tau.repeat(m // len(table.q)), np.arange(m)
+    # Psi is strictly decreasing, so the max over j is attained where the
+    # competing score is largest; argmax takes the first of a tie.
+    top = np.argmax(scores >= scores.max(axis=0), axis=0)
+    gap = (scores[idx, cols] - scores[top, cols]) / rho
+    softplus_gap = softplus(-gap)  # log(1 + e^{-gap})
+    with np.errstate(divide="ignore", invalid="ignore"):  # at tau = 1
+        link = np.expm1((1.0 - tau) * softplus_gap) / (1.0 - tau)
+    values = cost * np.where(tau == 1.0, softplus_gap, link)
+    if not want_grad:
+        return values, None
+    # d/dx Psi(x) = -e^{-x} (1 + e^{-x})^{-tau}
+    slope = cost * -np.exp(-gap - tau * softplus_gap) / rho
+    grads = np.zeros((n, m))
+    grads[idx, cols] += slope
+    grads[top, cols] -= slope
     return values, grads
 
 

@@ -258,7 +258,7 @@ def minimize_conditional_errors(
 ):
     """Independent numeric oracle: gradient descent on unconstrained scores,
     one (scores, value) per point, in input order; ``spec`` is one LossSpec
-    or a list of one per point, of any mix of families but CSMAX.
+    or a list of one per point, of any mix of families.
 
     Backtracking descent starting at step 0.5 with two safeguards: an
     Armijo sufficient-decrease test and a unit cap on the per-iteration
@@ -356,10 +356,8 @@ def _padded_table(blocks, spans, width):
     """The ``loss_table`` of each span's (LossSpec, stats) blocks, stacked
     into one LossTable over ``width`` classes: past its n, a column holds
     its identity (shift 0, divisor 1, weight 1, no gate), and a span with
-    no FOCAL or EQUAL block holds NaN gamma or eq_p."""
+    no FOCAL, EQUAL or CSMAX block holds NaN gamma, eq_p or psi_tau."""
     tables = [loss_table(blocks[start:stop], n) for n, start, stop in spans]
-    if len({t.spec for t in tables}) > 1:
-        raise ValueError("CSMAX needs one spec per table")
     columns = {}
     for name, pad in (("neg_shift", 0.0), ("label_shift", 0.0), ("rho", 1.0),
                       ("weight", 1.0), ("gate", 0.0)):
@@ -369,7 +367,7 @@ def _padded_table(blocks, spans, width):
         for (n, start, stop), part in zip(spans, parts):
             if part is not None:
                 columns[name][start:stop, :n] = part
-    for name in ("q", "gamma", "eq_p"):  # one per block; q is never None
+    for name in ("q", "gamma", "eq_p", "psi_tau"):  # q is never None
         parts = [getattr(t, name) for t in tables]
         columns[name] = None if all(c is None for c in parts) else (
             np.concatenate([np.full(len(t.q), np.nan) if c is None else c

@@ -285,12 +285,14 @@ def _backward(weights, acts, dscores, bias_grads):
     for i in range(len(weights) - 1, -1, -1):
         wgrads.insert(0, np.matmul(delta.transpose(0, 2, 1), acts[i]))
         if bias_grads:
-            # A bias gradient adds the batch's samples one by one, as a
-            # solo run's axis-0 sum over its (B, out) delta does; numpy
-            # adds the leading axis of a contiguous (B, R, out) copy in
-            # that order, and faster than axis 1 of (R, B, out).
-            bgrads.insert(0, np.ascontiguousarray(
-                delta.transpose(1, 0, 2)).sum(axis=0)[:, None])
+            # A bias gradient adds the batch's samples in the order of a
+            # solo run's axis-0 sum over its (B, out) delta: one by one,
+            # as numpy adds the leading axis of a contiguous (B, R, out)
+            # copy, faster than axis 1 of (R, B, out); but pairwise at
+            # out = 1, as numpy sums each run's (B, 1) column of delta.
+            bgrads.insert(0, delta.sum(axis=1, keepdims=True)
+                          if delta.shape[2] == 1 else np.ascontiguousarray(
+                              delta.transpose(1, 0, 2)).sum(axis=0)[:, None])
         if i:
             delta = np.matmul(delta, weights[i]) * (acts[i] > 0)
     return wgrads + bgrads
@@ -307,7 +309,7 @@ def train_lockstep(models, data, spec, cfgs):
     ``data`` is one Dataset that every run trains on, or a list of one
     Dataset per model, all with the same m, n and d; each run then draws
     its batches and its label statistics from its own. ``spec`` is one
-    LossSpec, or a list of one per model of any families but CSMAX.
+    LossSpec, or a list of one per model of any families.
 
     Returns one outcome per model, in order: ``(model, history)``, where
     ``history`` is the per-epoch mean training loss (averaged over the

@@ -405,8 +405,9 @@ class TestCommands:
         # written when a stack held only grid points that differed in q,
         # so each tau of the LA grid, gamma of the FOCAL grid and point of
         # the EQUAL grid trained as a stack of its own, as did each point
-        # of the CSMAX grid; --jobs 2 writes the serial bytes. ``model`` ends the [train] section. The digest
-        # covers the sha256 of every file under runs/
+        # of the CSMAX grid, which now train as one stack each; --jobs 2
+        # writes the serial bytes. ``model`` ends the [train] section. The
+        # digest covers the sha256 of every file under runs/
         path = tmp_path / "pin.ini"
         path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
                                             loss) + model)
@@ -430,7 +431,8 @@ class TestCommands:
         assert hashlib.sha256(manifest.encode()).hexdigest() == digest
 
     def test_focal_grid_trains_as_one_stack(self, tmp_path, monkeypatch):
-        # every gamma of a FOCAL grid, and every seed, in one lockstep call
+        # every gamma of a FOCAL grid, or every point of a 2x2 CSMAX grid,
+        # and every seed, in one lockstep call
         calls = []
 
         def counting(models, *args):
@@ -438,16 +440,20 @@ class TestCommands:
             return train_lockstep(models, *args)
 
         monkeypatch.setattr("imbloss.cli.train_lockstep", counting)
-        path = tmp_path / "focal.ini"
-        path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
-                                            "family = FOCAL\n"
-                                            "gamma = 0.0, 0.5, 2.0"))
-        out = tmp_path / "o"
-        assert main(["--config", str(path), "--out", str(out),
-                     "synth"]) == 0
-        assert main(["--config", str(path), "--out", str(out),
-                     "train"]) == 0
-        assert calls == [6]
+        for name, loss, size in [
+                ("focal", "family = FOCAL\ngamma = 0.0, 0.5, 2.0", 6),
+                ("csmax", "family = CSMAX\nrho_margin = 0.5, 1.0\n"
+                          "psi_tau = 0.5, 1.0", 8)]:
+            path = tmp_path / f"{name}.ini"
+            path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
+                                                loss))
+            out = tmp_path / name
+            assert main(["--config", str(path), "--out", str(out),
+                         "synth"]) == 0
+            calls.clear()
+            assert main(["--config", str(path), "--out", str(out),
+                         "train"]) == 0
+            assert calls == [size]
 
     def test_train_rejects_jobs_below_one(self, config_file, tmp_path):
         out = tmp_path / "o"

@@ -21,6 +21,7 @@ from imbloss.losses import (
 )
 from imbloss.numerics import finite_diff_gradient
 from oracles import (
+    csmax_loss_and_grad,
     equal_loss_and_grad,
     eval_balanced_loss,
     focal_loss_and_grad,
@@ -29,8 +30,8 @@ from oracles import (
 )
 
 PSI_FAMILIES = ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
-# every family the class-major core evaluates: all but CSMAX
-CORE_FAMILIES = PSI_FAMILIES + ("FOCAL", "EQUAL")
+# every family, in the order the class-major core's tests draw them
+CORE_FAMILIES = PSI_FAMILIES + ("FOCAL", "EQUAL", "CSMAX")
 
 
 def random_spec(rng, family, n):
@@ -118,10 +119,15 @@ class TestLossSpecValidation:
             LossSpec("GCA", q=0.0, margins=(1.0, -1.0))
         with pytest.raises(ValueError):
             LossSpec("CSMAX", rho_margin=0.0, psi_tau=1.0)
-        # a loss table reads a NaN gamma as a block of another family
+        # a loss table reads a NaN gamma or psi_tau as a block of another
+        # family
         for gamma in (-0.5, math.nan):
             with pytest.raises(ValueError, match="FOCAL gamma"):
                 LossSpec("FOCAL", gamma=gamma)
+            with pytest.raises(ValueError, match="psi_tau"):
+                LossSpec("CSMAX", rho_margin=1.0, psi_tau=gamma)
+        with pytest.raises(ValueError, match="rho_margin"):
+            LossSpec("CSMAX", rho_margin=math.nan, psi_tau=1.0)
 
 
 class TestPsiQ:
@@ -550,8 +556,12 @@ def _reference_psi_family(spec, scores, labels, stats):
 
 
 def _reference_family(spec, scores, labels, stats, gated):
-    """The row-major reference of any family but CSMAX on one block's rows;
-    ``gated`` is EQUAL's drawn gates times its rare-class mask."""
+    """The row-major reference of any family on one block's rows; ``gated``
+    is EQUAL's drawn gates times its rare-class mask."""
+    if spec.family == "CSMAX":
+        idx = labels - 1
+        return csmax_loss_and_grad(scores, idx, stats.inv_priors[idx],
+                                   spec.rho_margin, spec.psi_tau, True)
     if spec.family == "FOCAL":
         return focal_loss_and_grad(spec.gamma, scores, labels)
     if spec.family == "EQUAL":
@@ -572,9 +582,10 @@ class TestPsiFamiliesEqualTheReference:
     # past its 128-class one): for one spec with its stats, for a table
     # with one block per row (kinds row_counts and row_priors), each with
     # its own stats and, for GCE, GLA and GCA, its own q, for FOCAL its
-    # own gamma, and for tables that mix every family but CSMAX. LDAM
-    # needs integer class counts. EQUAL's gates come from fixed draws and
-    # from one generator per block.
+    # own gamma, for CSMAX its own rho_margin and psi_tau, and for tables
+    # that mix every family. LDAM needs integer class counts. EQUAL's
+    # gates come from fixed draws and from one generator per block.
+    # CSMAX's scores are rounded, so that its top score ties.
     @pytest.mark.parametrize("family,kind", [
         (family, kind)
         for family in CORE_FAMILIES
@@ -592,6 +603,9 @@ class TestPsiFamiliesEqualTheReference:
             spec = random_spec(rng, family, n)
             if not kind.startswith("row_"):
                 blocks = [(spec, _block_stats(rng, kind, n))]
+            elif family == "CSMAX":
+                blocks = [(random_spec(rng, family, n),
+                           _block_stats(rng, kind, n)) for _ in range(m)]
             elif family == "FOCAL":  # gammas numpy's power takes apart
                 blocks = [(replace(spec, gamma=float(gamma)),
                            _block_stats(rng, kind, n))
@@ -602,10 +616,12 @@ class TestPsiFamiliesEqualTheReference:
                            else replace(spec, q=float(q)),
                            _block_stats(rng, kind, n))
                           for q in rng.choice([0.0, 0.3, 0.7], m)]
+            if family == "CSMAX":
+                scores = np.round(scores)
             self.assert_bit_equal(blocks, scores, labels, rng)
 
     def test_mixed_tables_are_bit_equal(self):
-        # every family but CSMAX twice, in a shuffled order, each block
+        # every family twice, in a shuffled order, each block
         # with its own hyperparameters, q and counts or priors, and several
         # rows; wide scores give EQUAL losses past the floor's 690.78
         rng = np.random.default_rng(33)
@@ -682,8 +698,9 @@ class TestPsiFamiliesEqualTheReference:
             sums.clear()
             self.assert_bit_equal(blocks, scores, labels, rng)
             # the share leaves EQUAL out: a row whose gates leave only its
-            # label is saturated whatever the gap
-            saturated = np.mean(sums[0][family != "EQUAL"] == 1.0)
+            # label is saturated whatever the gap; CSMAX takes no class sum
+            psi = family[family != "CSMAX"]
+            saturated = np.mean(sums[0][psi != "EQUAL"] == 1.0)
             low, high = share
             assert low <= saturated <= high
             assert (saturated in (0.0, 1.0)) == (low == high)
@@ -704,30 +721,33 @@ class TestPsiFamiliesEqualTheReference:
         seeds = rng.integers(0, 2**32, len(blocks))
         gens = [np.random.default_rng(seed) for seed in seeds]
         fixed = (rng.random((m, n)) < 0.5).astype(np.float64)
-        for draws in (fixed, None):
-            given = ({"equal_draws": draws} if draws is not None else
-                     {"rng": gens[0] if len(blocks) == 1 else gens})
-            values, grads = batch_loss_and_grad(loss, scores, labels, stats,
-                                                **given)
-            assert grads.flags.c_contiguous
-            ref_values, ref_grads = np.empty(m), np.empty((m, n))
-            for b, (spec, block_stats) in enumerate(blocks):
-                rows = slice(b * size, (b + 1) * size)
-                gated = None
-                if spec.family == "EQUAL":
-                    drawn = draws[rows] if draws is not None else (
-                        np.random.default_rng(seeds[b]).random((size, n))
-                        < spec.eq_p)
-                    gated = drawn * (block_stats.priors < spec.eq_lambda)
-                ref_values[rows], ref_grads[rows] = _reference_family(
-                    spec, scores[rows], labels[rows], block_stats, gated)
-            assert np.array_equal(values, ref_values)
-            assert np.array_equal(grads, ref_grads)
-            only, none = batch_loss_and_grad(loss, scores, labels, stats,
-                                             equal_draws=fixed,
-                                             want_grad=False)
-            if draws is not None:
-                assert np.array_equal(only, ref_values) and none is None
+        csmax = any(spec.family == "CSMAX" for spec, _ in blocks)
+        # CSMAX's link may overflow at wide gaps, in the reference too
+        with np.errstate(over="ignore" if csmax else "warn"):
+            for draws in (fixed, None):
+                given = ({"equal_draws": draws} if draws is not None else
+                         {"rng": gens[0] if len(blocks) == 1 else gens})
+                values, grads = batch_loss_and_grad(loss, scores, labels, stats,
+                                                    **given)
+                assert grads.flags.c_contiguous
+                ref_values, ref_grads = np.empty(m), np.empty((m, n))
+                for b, (spec, block_stats) in enumerate(blocks):
+                    rows = slice(b * size, (b + 1) * size)
+                    gated = None
+                    if spec.family == "EQUAL":
+                        drawn = draws[rows] if draws is not None else (
+                            np.random.default_rng(seeds[b]).random((size, n))
+                            < spec.eq_p)
+                        gated = drawn * (block_stats.priors < spec.eq_lambda)
+                    ref_values[rows], ref_grads[rows] = _reference_family(
+                        spec, scores[rows], labels[rows], block_stats, gated)
+                assert np.array_equal(values, ref_values)
+                assert np.array_equal(grads, ref_grads)
+                only, none = batch_loss_and_grad(loss, scores, labels, stats,
+                                                 equal_draws=fixed,
+                                                 want_grad=False)
+                if draws is not None:
+                    assert np.array_equal(only, ref_values) and none is None
         for seed, gen, (spec, _) in zip(seeds, gens, blocks):
             fresh = np.random.default_rng(seed)
             if spec.family == "EQUAL":
@@ -737,18 +757,16 @@ class TestPsiFamiliesEqualTheReference:
 
     def test_table_is_checked(self):
         counts, priors = ClassStats([2, 1]), PriorStats([0.5, 0.5])
-        csmax = LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0)
-        # FOCAL and EQUAL share a table with any family but CSMAX
-        for blocks in ([(LossSpec("FOCAL", gamma=1.0), None),
-                        (LossSpec("FOCAL", gamma=2.0), None)],
-                       [(LossSpec("CE"), None),
-                        (LossSpec("FOCAL", gamma=1.0), None)]):
-            assert loss_table(blocks, 2).spec is None
+        csmax = LossSpec("CSMAX", rho_margin=0.5, psi_tau=2.0)
+        # CSMAX shares a table with any family: its rho_margin in every
+        # class of rho, its psi_tau NaN in another family's block
+        table = loss_table([(LossSpec("CE"), None), (csmax, counts),
+                            (LossSpec("FOCAL", gamma=1.0), None)], 2)
+        assert np.array_equal(table.psi_tau, [np.nan, 2.0, np.nan],
+                              equal_nan=True)
+        assert np.array_equal(table.rho, [[1.0, 1.0], [0.5, 0.5], [1.0, 1.0]])
+        assert loss_table([(LossSpec("CE"), None)], 2).psi_tau is None
         for blocks, error in [
-                ([(csmax, counts), (replace(csmax, psi_tau=0.5), counts)],
-                 "CSMAX needs one spec"),
-                ([(LossSpec("CE"), None), (csmax, counts)],
-                 "CSMAX needs one spec"),
                 ([(LossSpec("WCE"), None)], "requires ClassStats"),
                 ([(LossSpec("LDAM", cap_c=1.0), priors)], "integer class"),
                 ([(LossSpec("GCA", q=0.0, margins=(1.0,) * 3), counts)],

@@ -402,8 +402,9 @@ class TestLockstep:
          {"weight_decay": 1e-2, "schedule": "constant", "batch_size": 10}),
         (lambda s: MlpModel.init_random([4, 6, 3], s),
          {"weight_decay": 1e-2, "schedule": "constant"}),
+        (lambda s: MlpModel.init_random([4, 1, 3], s), {}),
     ], ids=["norm-bound", "no-bias", "mlp", "linear-decay-constant",
-            "mlp-decay-constant"])
+            "mlp-decay-constant", "mlp-width-1"])
     @pytest.mark.parametrize("family", ["WCE", "EQUAL"])
     def test_models_and_schedules_match_solo_runs(self, make, overrides,
                                                   family):
@@ -422,6 +423,18 @@ class TestLockstep:
                 assert np.all(norms <= 0.4 + 1e-12)
         if not models[0].use_bias:
             assert all(not np.any(trained.biases) for trained, _ in outcomes)
+
+    def test_mixed_families_match_solo_runs(self):
+        # any families may share a stack, CSMAX's blocks among the others
+        data = imbalanced_mixture()
+        specs = [LossSpec("CE"), LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
+                 lockstep_spec("EQUAL", data.stats()),
+                 LossSpec("CSMAX", rho_margin=0.5, psi_tau=2.0),
+                 LossSpec("FOCAL", gamma=1.0), LossSpec("FOCAL", gamma=2.0)]
+        cfgs = seed_configs(seeds=range(len(specs)))
+        models = [LinearModel.init_random(3, 4, c.seed) for c in cfgs]
+        outcomes = assert_lockstep_matches_solo(models, data, specs, cfgs)
+        assert all(isinstance(outcome, tuple) for outcome in outcomes)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_one_feature_matches_solo_runs(self, n):
@@ -662,14 +675,6 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one config per model"):
             train_lockstep(models, data, spec, seed_configs(seeds=(0,)))
         cfgs = seed_configs(seeds=(0, 1))
-        # any families but CSMAX may share a stack; CSMAX needs one spec
-        assert_lockstep_matches_solo(models, data,
-                                     [LossSpec("FOCAL", gamma=1.0),
-                                      LossSpec("FOCAL", gamma=2.0)], cfgs)
-        with pytest.raises(ValueError, match="one spec"):
-            train_lockstep(models, data, [LossSpec("CE"),
-                                          LossSpec("CSMAX", rho_margin=1.0,
-                                                   psi_tau=1.0)], cfgs)
         with pytest.raises(ValueError, match="one loss spec per model"):
             train_lockstep(models, data, [LossSpec("CE")], cfgs)
 
