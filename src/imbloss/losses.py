@@ -611,7 +611,7 @@ def batch_loss_and_grad(
         values, grads = _psi_batch(table, cols, idx, draws, rng, want_grad)
     else:  # each path on its blocks' rows alone, answered in block order
         csmax = ~np.isnan(table.psi_tau)
-        values, grads = np.empty(m), np.empty((n, m)) if want_grad else None
+        values, grads = np.empty(m), (np.empty((n, m)) if want_grad else None)
         if not (rng is None or isinstance(rng, np.random.Generator)):
             rng = [rng[b] for b in np.flatnonzero(~csmax)]
         for part in (p for p in (csmax, ~csmax) if p.any()):

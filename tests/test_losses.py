@@ -29,10 +29,6 @@ from oracles import (
     log_softmax,
 )
 
-PSI_FAMILIES = ("CE", "WCE", "LA", "CB", "LDAM", "GCE", "GLA", "GCA")
-# every family, in the order the class-major core's tests draw them
-CORE_FAMILIES = PSI_FAMILIES + ("FOCAL", "EQUAL", "CSMAX")
-
 
 def random_spec(rng, family, n):
     """A valid LossSpec with hyperparameters drawn from sane ranges."""
@@ -588,7 +584,7 @@ class TestPsiFamiliesEqualTheReference:
     # CSMAX's scores are rounded, so that its top score ties.
     @pytest.mark.parametrize("family,kind", [
         (family, kind)
-        for family in CORE_FAMILIES
+        for family in FAMILIES
         for kind in ("counts", "priors", "row_priors", "row_counts")
         if family != "LDAM" or kind.endswith("counts")])
     def test_values_and_grads_are_bit_equal(self, family, kind):
@@ -631,7 +627,7 @@ class TestPsiFamiliesEqualTheReference:
                        _block_stats(rng, "counts" if family == "LDAM"
                                     else str(rng.choice(["counts",
                                                          "priors"])), n))
-                      for family in CORE_FAMILIES * 2]
+                      for family in FAMILIES * 2]
             blocks = [blocks[i] for i in rng.permutation(len(blocks))]
             size = int(rng.integers(1, 5))
             scores = rng.normal(0, float(rng.choice([1.0, 30.0, 400.0])),
@@ -678,7 +674,7 @@ class TestPsiFamiliesEqualTheReference:
                 blocks = [(LossSpec("CE"), None)]
             else:
                 blocks = [(random_spec(rng, family, n), counts)
-                          for family in CORE_FAMILIES] + [(gca, counts)]
+                          for family in FAMILIES] + [(gca, counts)]
             size = 40
             m = len(blocks) * size
             labels = rng.integers(1, n + 1, m)
@@ -727,8 +723,8 @@ class TestPsiFamiliesEqualTheReference:
             for draws in (fixed, None):
                 given = ({"equal_draws": draws} if draws is not None else
                          {"rng": gens[0] if len(blocks) == 1 else gens})
-                values, grads = batch_loss_and_grad(loss, scores, labels, stats,
-                                                    **given)
+                values, grads = batch_loss_and_grad(loss, scores, labels,
+                                                    stats, **given)
                 assert grads.flags.c_contiguous
                 ref_values, ref_grads = np.empty(m), np.empty((m, n))
                 for b, (spec, block_stats) in enumerate(blocks):
@@ -736,8 +732,8 @@ class TestPsiFamiliesEqualTheReference:
                     gated = None
                     if spec.family == "EQUAL":
                         drawn = draws[rows] if draws is not None else (
-                            np.random.default_rng(seeds[b]).random((size, n))
-                            < spec.eq_p)
+                            np.random.default_rng(seeds[b]).random(
+                                (size, n)) < spec.eq_p)
                         gated = drawn * (block_stats.priors < spec.eq_lambda)
                     ref_values[rows], ref_grads[rows] = _reference_family(
                         spec, scores[rows], labels[rows], block_stats, gated)

@@ -427,7 +427,8 @@ class TestLockstep:
     def test_mixed_families_match_solo_runs(self):
         # any families may share a stack, CSMAX's blocks among the others
         data = imbalanced_mixture()
-        specs = [LossSpec("CE"), LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
+        specs = [LossSpec("CE"),
+                 LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
                  lockstep_spec("EQUAL", data.stats()),
                  LossSpec("CSMAX", rho_margin=0.5, psi_tau=2.0),
                  LossSpec("FOCAL", gamma=1.0), LossSpec("FOCAL", gamma=2.0)]
