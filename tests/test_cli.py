@@ -642,21 +642,27 @@ class TestCommands:
                           "d512dcce898c1b9ed29bb6f6c69e0656")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    @pytest.mark.parametrize("suite, budget, digest", [
+    @pytest.mark.parametrize("suite, budget, code, digest", [
         # the default budgets; bounds crosses 40 blocks of its trials.
         # Written by one ConditionalPoint per drawn trial, the same under
         # 1 and 2 BLAS threads
-        ("bayes", 500, "22acabae487c106212ce40b5b0c2c1f7"
-                       "1cd4f4f411e36c7885799c671e391f92"),
-        ("bounds", 10_000, "8e9a5104b3f63cb4ed8a79e470138f9e"
-                           "b3beda40135c69b6ca85594b889c11d6"),
-    ], ids=["bayes", "bounds"])
+        ("bayes", 500, 0, "22acabae487c106212ce40b5b0c2c1f7"
+                          "1cd4f4f411e36c7885799c671e391f92"),
+        ("bounds", 10_000, 0, "8e9a5104b3f63cb4ed8a79e470138f9e"
+                              "b3beda40135c69b6ca85594b889c11d6"),
+        # the searches at m = 50,000, written while the best-in-class
+        # objective passed row-major scores to the loss core; exit 3, as
+        # LA tilts less than 5 degrees at this sample
+        ("counterexample", 50_000, 3, "dfa1b9e1f9cebc2b275b4599f95a6d80"
+                                      "8e19b5e1f6e6f9540e528cbfc3eb179c"),
+    ], ids=["bayes", "bounds", "counterexample"])
     def test_full_budget_evidence_bytes_are_pinned(self, tmp_path, suite,
-                                                   budget, digest, threads):
+                                                   budget, code, digest,
+                                                   threads):
         done = run_python(["-m", "imbloss.cli", "--out", "v", "--seed", "0",
                            "verify", suite, "--budget", str(budget)],
                           tmp_path, OPENBLAS_NUM_THREADS=threads)
-        assert done.returncode == 0, done.stderr
+        assert done.returncode == code, done.stderr
         assert hashlib.sha256(
             (tmp_path / "v" / f"verify_{suite}.jsonl").read_bytes()
         ).hexdigest() == digest
