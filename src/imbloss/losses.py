@@ -28,20 +28,19 @@ code path of their own, and the other families one shared path,
 weight_y * Psi^q(softmax(adjusted scores)_y), FOCAL's times
 (1 - softmax_y)^gamma, EQUAL's with its gated classes at -inf. Both are
 class-major, (n, m), so every reduction and broadcast over the classes
-runs along m-long rows. ``batch_loss_and_grad`` takes row-major (m, n)
-scores, which it transposes once on the way in and the gradient once on
-the way out, or, with a table, class-major (n, blocks, size) scores, as
-the trainer's forward pass writes them, which it copies without a
-transpose and answers with a gradient of that layout. The shared path
-adds the classes in the exact order of numpy's last-axis sum over a
-row: one by one for n < 8, numpy's pairwise tree of eight running sums
-for 8 <= n <= 128, and numpy's own sum beyond. Its values and gradients
-are therefore bit for bit those of the row-major log-softmax in either
-layout. It takes one exp per call where the softmax saturates (a
-log-sum-exp of exactly 0), a second one only over the rows where it
-does not. Adjusted scores
-that overflow give non-finite values, which a caller such as the trainer
-reads as divergence.
+runs along m-long rows. With a table, ``batch_loss_and_grad`` takes
+class-major (n, blocks, size) scores, as the trainer's forward pass
+writes them, and answers in that layout; with a LossSpec it takes
+row-major (m, n) scores, which it transposes once on the way in and the
+gradient once on the way out. The shared path adds the classes in the
+exact order of numpy's last-axis sum over a row: one by one for n < 8,
+numpy's pairwise tree of eight running sums for 8 <= n <= 128, and
+numpy's own sum beyond. Its values and gradients are therefore bit for
+bit those of the row-major log-softmax. It takes one exp per call where
+the softmax saturates (a log-sum-exp of exactly 0), a second one only
+over the rows where it does not. Adjusted scores that overflow give
+non-finite values, which a caller such as the trainer reads as
+divergence.
 
 Conventions used throughout the package:
 
@@ -324,8 +323,8 @@ def loss_table(blocks, n: int) -> LossTable:
 
 
 # ---------------------------------------------------------------------------
-# Batch core. scores is (m, n), or class-major (n, blocks, size) with a
-# table; labels is (m,) of 1-based ints. All the
+# Batch core. scores is class-major, (n, blocks, size) with a table, or
+# (m, n) at the LossSpec boundary; labels is (m,) of 1-based ints. All the
 # scalar entry points below are thin wrappers over these so the trainer and
 # the per-example API cannot drift apart.
 # ---------------------------------------------------------------------------
@@ -337,13 +336,17 @@ def _check_batch(scores, labels):
         scores = scores[None, :]
     if scores.ndim != 2 or scores.shape[1] < 2:
         raise ValueError("scores must be (m, n) with n >= 2")
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
     if labels.shape[0] != scores.shape[0]:
         raise ValueError("scores and labels must have the same length")
+    if not labels.size:
+        raise ValueError("the batch is empty: scores and labels hold no rows")
+    if labels.dtype.kind not in "biuf" or np.any(np.trunc(labels) != labels):
+        raise ValueError(f"labels must be integers, got {labels}")
     n = scores.shape[1]
     if labels.min() < 1 or labels.max() > n:
         raise ValueError(f"labels must lie in 1..{n}")
-    return scores, labels
+    return scores, labels.astype(np.int64)
 
 
 def _class_sum(values):
@@ -413,22 +416,22 @@ def _pow(base, exponent, size):
 
 def _gated(table, idx, draws, rng):
     """The mask of the classes EQUAL gates out of its rows, marked by the
-    block's gate, drawn, and not the label, as a class-major (n, m) view.
-    ``draws`` is row-major (m, n); without it only EQUAL blocks draw, from
-    their generators, which may serve other draws as well."""
+    block's gate, drawn, and not the label, class-major (n, m) as
+    ``draws``. Without draws only EQUAL blocks draw, each a (size, n)
+    array from its generator, which may serve other draws as well."""
     m, (blocks, n) = len(idx), table.gate.shape
     size = m // blocks
     if draws is None:
         if rng is None:
             raise ValueError("EQUAL needs equal_draws or an rng")
         gens = [rng] * blocks if isinstance(rng, np.random.Generator) else rng
-        draws = np.zeros((m, n))
+        draws = np.zeros((n, m))
         for b in np.flatnonzero(~np.isnan(table.eq_p)):
-            draws[b * size:(b + 1) * size] = (
-                gens[b].random((size, n)) < table.eq_p[b])
-    gated = draws * table.gate.repeat(size, axis=0) != 0.0
-    gated[np.arange(m), idx] = False
-    return gated.T
+            draws[:, b * size:(b + 1) * size] = (
+                gens[b].random((size, n)) < table.eq_p[b]).T
+    gated = draws * table.gate.T.repeat(size, axis=1) != 0.0
+    gated[idx, np.arange(m)] = False
+    return gated
 
 
 def _psi_batch(table, scores, idx, draws, rng, want_grad):
@@ -556,8 +559,8 @@ def batch_loss_and_grad(
     """Per-example loss values and score gradients for a batch.
 
     ``spec`` is a LossSpec with ``stats`` the class statistics it reads,
-    or a :class:`LossTable` whose blocks split the score rows evenly; a
-    caller that evaluates one stack many times builds its table once.
+    or a :class:`LossTable` whose blocks split the rows evenly; a caller
+    that evaluates one stack many times builds its table once.
     ``equal_draws`` (a 0/1 array shaped as the scores) fixes the EQUAL
     loss's Bernoulli gate; otherwise each EQUAL block draws its gates from
     ``rng``, a Generator or one per block, as a (size, n) array, and the
@@ -565,48 +568,47 @@ def batch_loss_and_grad(
     values one per row (m,), and grads a C-contiguous array in the
     layout of the scores, or None when want_grad is False.
 
-    Scores come in one of two layouts, told apart by their dimensions:
-    row-major (m, n), or, in the table form only, class-major (n, blocks,
-    size), where row s of block b is scores[:, b, s]. Labels are (m,) in
-    either, row b * size + s for that row. The loss core works class-major
-    on one copy of the scores, which are not written: the row-major form
-    costs a transposing copy in and one out, the class-major form a plain
-    copy in and none out.
-
-    The LossSpec form checks its input: finite scores, one label in 1..n
-    per row. The table form is for callers that produce their own float64
-    scores and 1-based int64 labels, and checks their shapes only: the
-    class count, and rows that split into the blocks. There a non-finite
-    score row gives non-finite or floored values and gradients in its own
-    row, and every other row is as without it.
+    The LossSpec form takes row-major (m, n) scores and checks its input:
+    finite scores, at least one row, one integral label in 1..n per row.
+    The table form takes class-major (n, blocks, size) scores, where row
+    s of block b is scores[:, b, s] with label labels[b * size + s]. It
+    is for callers that produce their own float64 scores and 1-based
+    int64 labels, and checks their shape only. There a non-finite score
+    row gives non-finite or floored values and gradients in its own row,
+    and every other row is as without it. The loss core works class-major
+    on one copy of the scores, which are not written: the LossSpec form
+    costs a transposing copy in and one out, the table form a plain copy
+    in and none out.
     """
     if isinstance(spec, LossTable):
         if stats is not None:
             raise ValueError("a LossTable carries its own class statistics")
-        table = spec
-    else:
-        scores, labels = _check_batch(scores, labels)
-        table = loss_table([(spec, stats)], scores.shape[1])
-    blocks = len(table.q)
-    class_major = scores.ndim == 3
-    n, m = ((scores.shape[0], math.prod(scores.shape[1:])) if class_major
-            else scores.shape[::-1])
-    if n != table.gate.shape[1]:
-        raise ValueError(
-            f"scores have {n} classes, expected {table.gate.shape[1]}")
-    if class_major and scores.shape[1] != blocks:
-        raise ValueError(
-            f"scores have {scores.shape[1]} blocks, expected {blocks}")
-    if m % blocks:
-        raise ValueError(f"{m} score rows do not split into {blocks} blocks")
+        return _table_loss_and_grad(spec, scores, labels, equal_draws, rng,
+                                    want_grad)
+    scores, labels = _check_batch(scores, labels)
+    draws = equal_draws if equal_draws is None else np.atleast_1d(
+        equal_draws).T[:, None]
+    values, grads = _table_loss_and_grad(
+        loss_table([(spec, stats)], scores.shape[1]), scores.T[:, None],
+        labels, draws, rng, want_grad)
+    return values, None if grads is None else np.ascontiguousarray(
+        grads[:, 0].T)
+
+
+def _table_loss_and_grad(table, scores, labels, draws, rng, want_grad):
+    """batch_loss_and_grad's table form."""
+    blocks, n = table.gate.shape
+    if scores.shape[:-1] != (n, blocks):
+        raise ValueError("a LossTable takes class-major (n, blocks, size) "
+                         f"scores, here ({n}, {blocks}, size), got shape "
+                         f"{scores.shape}")
+    m = blocks * scores.shape[2]
     idx = labels - 1
-    cols = scores.reshape(n, m) if class_major else scores.T  # (n, m)
-    draws = None
-    if equal_draws is not None and table.eq_p is not None:
-        if np.shape(equal_draws) != scores.shape:
-            raise ValueError(f"equal_draws must be shape {scores.shape}")
-        draws = np.asarray(equal_draws)
-        draws = draws.reshape(n, m).T if class_major else draws
+    cols = scores.reshape(n, m)
+    if draws is not None:
+        if np.shape(draws) != scores.shape:
+            raise ValueError("equal_draws must be shaped as the scores")
+        draws = np.reshape(draws, (n, m))
     if table.psi_tau is None:  # no CSMAX block
         values, grads = _psi_batch(table, cols, idx, draws, rng, want_grad)
     else:  # each path on its blocks' rows alone, answered in block order
@@ -619,16 +621,12 @@ def batch_loss_and_grad(
             sub = table[part], cols[:, at], idx[at]
             part_values, part_grads = (
                 _csmax_batch(*sub, want_grad) if part is csmax else
-                _psi_batch(*sub, None if draws is None else draws[at], rng,
+                _psi_batch(*sub, None if draws is None else draws[:, at], rng,
                            want_grad))
             values[at] = part_values
             if want_grad:
                 grads[:, at] = part_grads
-    if grads is None:
-        return values, None
-    if class_major:
-        return values, grads.reshape(scores.shape)
-    return values, np.ascontiguousarray(grads.T)
+    return values, None if grads is None else grads.reshape(scores.shape)
 
 
 def _csmax_batch(table, scores, idx, want_grad):

@@ -176,9 +176,9 @@ def bayes_la_label(point: ConditionalPoint, tau: float) -> int:
 
 def conditional_errors(table, cond, scores, want_grad=False, spans=None):
     """sum_y cond[y] * loss(scores, y) per row of the (P, N) arrays, and
-    its score gradients when want_grad, from one loss call on the (P*N, N)
-    tile of every row's labels under ``table``, a LossTable of one block
-    per row or one for all.
+    its score gradients when want_grad, from one loss call on the
+    class-major (N, P*N) tile of every row's labels under ``table``, a
+    LossTable of one block per row or one for all.
 
     ``spans`` lists (n, start, stop) per run of rows of n classes (one
     run of N by default). A LossTable's rows may be padded past n with
@@ -193,18 +193,20 @@ def conditional_errors(table, cond, scores, want_grad=False, spans=None):
     labels = np.arange(1, width + 1)[None].repeat(count, axis=0)
     for n, start, stop in spans:
         labels[start:stop, n:] = n
-    values, grads = batch_loss_and_grad(
-        table, np.repeat(scores, width, axis=0), labels.ravel(),
-        want_grad=want_grad)
+    values, grads = batch_loss_and_grad(  # tile column p * N + y: row p
+        table, np.repeat(scores.T, width, axis=1).reshape(
+            width, len(table.q), -1), labels.ravel(), want_grad=want_grad)
     values = values.reshape(count, width, 1)
+    if want_grad:  # (P, N, N): per row, per label, per class
+        grads = grads.reshape(width, count, width).transpose(1, 2, 0).copy()
     errors = np.empty(count)
     grad = np.zeros((count, width)) if want_grad else None
     for n, start, stop in spans:
         weights = cond[start:stop, None, :n]
         errors[start:stop] = (weights @ values[start:stop, :n]).reshape(-1)
         if want_grad:
-            grad[start:stop, :n] = (weights @ grads.reshape(
-                count, width, width)[start:stop, :n, :n]).reshape(-1, n)
+            grad[start:stop, :n] = (
+                weights @ grads[start:stop, :n, :n]).reshape(-1, n)
     return errors, grad
 
 

@@ -483,14 +483,14 @@ class BoundedLinearFamily:
                            norm_bound=self.norm_bound, use_bias=False)
 
 
-def _weighted_loss_and_grad(table, model, X, labels, weights):
-    # np.sum adds the m terms of a contiguous row in a fixed (pairwise)
-    # order; BLAS dot and gemm split the m rows by thread count, so their
-    # last bits would follow the BLAS threading.
-    scores = model.scores(X)
-    values, dscores = batch_loss_and_grad(table, scores, labels)
-    weighted = np.multiply(dscores.T, weights, order="C")  # (n, m)
-    grad_w = np.sum(weighted[:, None, :] * np.ascontiguousarray(X.T), axis=2)
+def _weighted_loss_and_grad(table, model, X, X_t, labels, weights):
+    # X_t is X.T, C-contiguous. np.sum adds the m terms of a contiguous
+    # row in a fixed (pairwise) order; BLAS dot and gemm split the m rows
+    # by thread count, so their last bits would follow the BLAS threading.
+    values, dscores = batch_loss_and_grad(table, model.scores(X).T[:, None],
+                                          labels)
+    weighted = dscores[:, 0] * weights  # (n, m)
+    grad_w = np.sum(weighted[:, None, :] * X_t, axis=2)
     return float(np.sum(weights * values)), grad_w
 
 
@@ -567,7 +567,8 @@ def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
     table = loss_table([(objective, stats)], data.n)
     model = LinearModel(np.zeros((family.n, family.d)), np.zeros(family.n),
                         bound, use_bias=False)
-    value, grad = _weighted_loss_and_grad(table, model, X, labels, weights)
+    sample = X, np.ascontiguousarray(X.T), labels, weights
+    value, grad = _weighted_loss_and_grad(table, model, *sample)
     lr = 1.0
     for _ in range(_DESCENT_CAP):
         gnorm = np.linalg.norm(grad)
@@ -576,8 +577,7 @@ def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
         trial = model.copy()
         trial.weights -= lr * grad
         trial.project()
-        new_value, new_grad = _weighted_loss_and_grad(table, trial, X,
-                                                      labels, weights)
+        new_value, new_grad = _weighted_loss_and_grad(table, trial, *sample)
         if new_value < value:
             model, value, grad = trial, new_value, new_grad
             lr *= 1.5

@@ -54,6 +54,13 @@ def random_spec(rng, family, n):
     return LossSpec(family)
 
 
+def class_major(rows, blocks):
+    """Row-major (m, n) rows as the class-major (n, blocks, size) array."""
+    m, n = rows.shape
+    return np.ascontiguousarray(
+        rows.reshape(blocks, m // blocks, n).transpose(2, 0, 1))
+
+
 class TestClassStats:
     def test_derived_fields(self):
         stats = ClassStats([6, 2, 2])
@@ -83,14 +90,15 @@ class TestClassStats:
         if family == "EQUAL":  # gates a different class set in each row
             spec = LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.25)
         table = loss_table([(spec, ClassStats(row)) for row in counts], n)
-        values, grads = batch_loss_and_grad(table, scores, labels,
-                                            equal_draws=draws)
+        values, grads = batch_loss_and_grad(
+            table, class_major(scores, m), labels,
+            equal_draws=class_major(draws, m))
         for k in range(m):
             value, grad = batch_loss_and_grad(
                 spec, scores[k:k + 1], labels[k:k + 1], ClassStats(counts[k]),
                 equal_draws=draws[k:k + 1])
             assert values[k] == value[0]
-            assert np.array_equal(grads[k], grad[0])
+            assert np.array_equal(grads[:, k, 0], grad[0])
 
 
 class TestLossSpecValidation:
@@ -485,19 +493,21 @@ class TestPriorStats:
         if family == "EQUAL":  # straddle eq_lambda so the rare mask varies
             spec = LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.25)
         table = loss_table([(spec, PriorStats(row)) for row in priors], n)
-        values, grads = batch_loss_and_grad(table, scores, labels,
-                                            equal_draws=draws)
+        values, grads = batch_loss_and_grad(
+            table, class_major(scores, m), labels,
+            equal_draws=class_major(draws, m))
         for i in range(m):
             value, grad = batch_loss_and_grad(
                 spec, scores[i:i + 1], labels[i:i + 1], PriorStats(priors[i]),
                 equal_draws=draws[i:i + 1])
             assert values[i] == value[0]
-            assert np.array_equal(grads[i], grad[0])
+            assert np.array_equal(grads[:, i, 0], grad[0])
 
     def test_per_row_priors_need_one_row_per_score_row(self):
         table = loss_table([(LossSpec("WCE"), PriorStats([0.5, 0.5]))] * 2, 2)
-        with pytest.raises(ValueError, match="split into 2 blocks"):
-            batch_loss_and_grad(table, np.zeros((3, 2)), [1, 2, 1])
+        with pytest.raises(ValueError, match="\\(2, 2, size\\), got shape "
+                                             "\\(2, 3, 1\\)"):
+            batch_loss_and_grad(table, np.zeros((2, 3, 1)), [1, 2, 1])
 
 
 def _reference_psi_family(spec, scores, labels, stats):
@@ -707,13 +717,17 @@ class TestPsiFamiliesEqualTheReference:
         several, against the reference on each block's rows alone; EQUAL
         draws its gates once from fixed draws, once from one generator per
         block (a lone spec's one generator), and the blocks of other
-        families leave theirs untouched. Returns the values."""
+        families leave theirs untouched. A table takes and gives class-major
+        arrays. Returns the values."""
         m, n = scores.shape
         size = m // len(blocks)
         if len(blocks) == 1:
             (loss, stats), = blocks
         else:
             loss, stats = loss_table(blocks, n), None
+
+        def layout(rows):
+            return rows if len(blocks) == 1 else class_major(rows, len(blocks))
         seeds = rng.integers(0, 2**32, len(blocks))
         gens = [np.random.default_rng(seed) for seed in seeds]
         fixed = (rng.random((m, n)) < 0.5).astype(np.float64)
@@ -721,10 +735,10 @@ class TestPsiFamiliesEqualTheReference:
         # CSMAX's link may overflow at wide gaps, in the reference too
         with np.errstate(over="ignore" if csmax else "warn"):
             for draws in (fixed, None):
-                given = ({"equal_draws": draws} if draws is not None else
-                         {"rng": gens[0] if len(blocks) == 1 else gens})
-                values, grads = batch_loss_and_grad(loss, scores, labels,
-                                                    stats, **given)
+                given = ({"equal_draws": layout(draws)} if draws is not None
+                         else {"rng": gens[0] if len(blocks) == 1 else gens})
+                values, grads = batch_loss_and_grad(loss, layout(scores),
+                                                    labels, stats, **given)
                 assert grads.flags.c_contiguous
                 ref_values, ref_grads = np.empty(m), np.empty((m, n))
                 for b, (spec, block_stats) in enumerate(blocks):
@@ -738,9 +752,10 @@ class TestPsiFamiliesEqualTheReference:
                     ref_values[rows], ref_grads[rows] = _reference_family(
                         spec, scores[rows], labels[rows], block_stats, gated)
                 assert np.array_equal(values, ref_values)
-                assert np.array_equal(grads, ref_grads)
-                only, none = batch_loss_and_grad(loss, scores, labels, stats,
-                                                 equal_draws=fixed,
+                assert np.array_equal(grads, layout(ref_grads))
+                only, none = batch_loss_and_grad(loss, layout(scores), labels,
+                                                 stats,
+                                                 equal_draws=layout(fixed),
                                                  want_grad=False)
                 if draws is not None:
                     assert np.array_equal(only, ref_values) and none is None
@@ -776,49 +791,45 @@ class TestPsiFamiliesEqualTheReference:
                                 [1, 2, 1], ClassStats([1, 1, 1]))
         table = loss_table([(LossSpec("WCE"), counts)], 2)
         with pytest.raises(ValueError, match="its own class statistics"):
-            batch_loss_and_grad(table, np.zeros((3, 2)), [1, 2, 1], counts)
-        with pytest.raises(ValueError, match="3 classes"):
-            batch_loss_and_grad(table, np.zeros((3, 3)), [1, 2, 1])
+            batch_loss_and_grad(table, np.zeros((2, 1, 3)), [1, 2, 1], counts)
         # class-major (n, blocks, size) scores: the table form only
-        with pytest.raises(ValueError, match="3 classes, expected 2"):
+        with pytest.raises(ValueError, match="class-major \\(n, blocks, "
+                                             "size\\) scores, here \\(2, 1, "
+                                             "size\\), got shape \\(3, 2\\)"):
+            batch_loss_and_grad(table, np.zeros((3, 2)), [1, 2, 1])
+        with pytest.raises(ValueError, match="\\(2, 1, size\\), got shape "
+                                             "\\(3, 1, 3\\)"):
             batch_loss_and_grad(table, np.zeros((3, 1, 3)), [1, 2, 1])
-        with pytest.raises(ValueError, match="3 blocks, expected 1"):
+        with pytest.raises(ValueError, match="\\(2, 1, size\\), got shape "
+                                             "\\(2, 3, 1\\)"):
             batch_loss_and_grad(table, np.zeros((2, 3, 1)), [1, 2, 1])
         with pytest.raises(ValueError, match="must be \\(m, n\\)"):
             batch_loss_and_grad(LossSpec("WCE"), np.zeros((2, 1, 3)),
                                 [1, 2, 1], counts)
         equal = loss_table([(LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.9),
                              counts)], 2)
-        with pytest.raises(ValueError, match="must be shape \\(2, 1, 3\\)"):
+        with pytest.raises(ValueError, match="shaped as the scores"):
             batch_loss_and_grad(equal, np.zeros((2, 1, 3)),
                                 np.array([1, 2, 1]),
                                 equal_draws=np.zeros((3, 2)))
 
 
-def class_major(rows, blocks):
-    """Row-major (m, n) rows as the class-major (n, blocks, size) array."""
-    m, n = rows.shape
-    return np.ascontiguousarray(
-        rows.reshape(blocks, m // blocks, n).transpose(2, 0, 1))
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_class_major_scores_give_the_row_major_bits(family):
-    # The table form takes class-major (n, blocks, size) scores beside
-    # (m, n) ones: the same values, the gradient in the scores' layout,
-    # bit for bit, on both sides of the 8- and 128-class switches of the
-    # class sums. EQUAL's gates come from fixed draws, in the scores'
-    # layout, and from one generator per block. The class-major scores
-    # are not written.
+    # The table form on class-major (n, blocks, size) scores gives each
+    # block, bit for bit, what the LossSpec form gives on that block's
+    # (size, n) rows: the same values, the gradient in the scores' layout,
+    # on both sides of the 8- and 128-class switches of the class sums.
+    # EQUAL's gates come from fixed draws, in the scores' layout, and from
+    # one generator per block. The class-major scores are not written.
     rng = np.random.default_rng(37)
     for n in [*range(2, 21), 130]:
         blocks, size = int(rng.integers(1, 6)), int(rng.integers(1, 9))
         spec = random_spec(rng, family, n)
         # each block its own counts and, where the family has one, q
-        table = loss_table(
-            [(spec if spec.q is None else replace(spec, q=float(q)),
-              ClassStats(rng.integers(1, 500, n)))
-             for q in rng.choice([0.0, 0.3, 0.7], blocks)], n)
+        parts = [(spec if spec.q is None else replace(spec, q=float(q)),
+                  ClassStats(rng.integers(1, 500, n)))
+                 for q in rng.choice([0.0, 0.3, 0.7], blocks)]
         rows = rng.normal(0, float(rng.choice([1.0, 30.0, 400.0])),
                           (blocks * size, n))
         labels = rng.integers(1, n + 1, blocks * size)
@@ -827,16 +838,20 @@ def test_class_major_scores_give_the_row_major_bits(family):
         scores = class_major(rows, blocks)
         before = scores.copy()
         for draws in (fixed, None):
-            def given(layout):
-                if draws is None:
-                    return {"rng": [np.random.default_rng(s) for s in seeds]}
-                return {"equal_draws": layout(draws)}
+            if draws is None:
+                given = {"rng": [np.random.default_rng(s) for s in seeds]}
+            else:
+                given = {"equal_draws": class_major(draws, blocks)}
+            want_values, want_grads = np.empty(len(rows)), np.empty(rows.shape)
             with np.errstate(over="ignore"):  # CSMAX's link at wide gaps
                 values, grads = batch_loss_and_grad(
-                    table, scores, labels,
-                    **given(lambda d: class_major(d, blocks)))
-                want_values, want_grads = batch_loss_and_grad(
-                    table, rows, labels, **given(lambda d: d))
+                    loss_table(parts, n), scores, labels, **given)
+                for b, (block_spec, stats) in enumerate(parts):
+                    at = slice(b * size, (b + 1) * size)
+                    one = ({"rng": np.random.default_rng(seeds[b])}
+                           if draws is None else {"equal_draws": draws[at]})
+                    want_values[at], want_grads[at] = batch_loss_and_grad(
+                        block_spec, rows[at], labels[at], stats, **one)
             assert np.array_equal(values, want_values)
             assert grads.shape == scores.shape and grads.flags.c_contiguous
             assert np.array_equal(grads, class_major(want_grads, blocks))
@@ -865,15 +880,17 @@ def test_a_non_finite_block_leaves_the_others_bit_equal(family):
     block[3, 0] = np.nan
     block[4] = np.inf
     keep = np.arange(len(scores)) // size != bad
+    others = np.arange(len(blocks)) != bad
     table = loss_table(blocks, n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values, grads = batch_loss_and_grad(table, scores, labels,
-                                            equal_draws=draws)
+        values, grads = batch_loss_and_grad(
+            table, class_major(scores, len(blocks)), labels,
+            equal_draws=class_major(draws, len(blocks)))
     want_values, want_grads = batch_loss_and_grad(
-        table[np.arange(len(blocks)) != bad], scores[keep], labels[keep],
-        equal_draws=draws[keep])
+        table[others], class_major(scores[keep], len(blocks) - 1),
+        labels[keep], equal_draws=class_major(draws[keep], len(blocks) - 1))
     assert np.array_equal(values[keep], want_values)
-    assert np.array_equal(grads[keep], want_grads)
+    assert np.array_equal(grads[:, others], want_grads)
     spec, stats = blocks[bad]
     with pytest.raises(ValueError, match="scores must be finite"):
         batch_loss_and_grad(spec, block, labels[rows], stats,
@@ -882,3 +899,21 @@ def test_a_non_finite_block_leaves_the_others_bit_equal(family):
         with pytest.raises(ValueError, match=f"labels must lie in 1..{n}"):
             batch_loss_and_grad(spec, scores[:1], [label], stats,
                                 equal_draws=draws[:1])
+    # a non-integral label is not rounded down to a class
+    with pytest.raises(ValueError, match="labels must be integers"):
+        batch_loss_and_grad(spec, scores[:2], [1.5, 2], stats,
+                            equal_draws=draws[:2])
+    with pytest.raises(ValueError, match="labels must be integers"):
+        eval_loss(spec, scores[0], 1.5, stats, equal_draws=draws[0])
+    with pytest.raises(ValueError, match="the batch is empty"):
+        batch_loss_and_grad(spec, scores[:0], labels[:0], stats,
+                            equal_draws=draws[:0])
+    # integral labels of any dtype are the int64 ones
+    good = slice(0, size)
+    want = batch_loss_and_grad(spec, scores[good], labels[good], stats,
+                               equal_draws=draws[good])
+    for dtype in (np.float64, np.uint8):
+        got = batch_loss_and_grad(spec, scores[good],
+                                  labels[good].astype(dtype), stats,
+                                  equal_draws=draws[good])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -338,9 +338,9 @@ class TestLockstepMinimizer:
         calls = []
         real = theory.batch_loss_and_grad
 
-        def counting(spec, scores, *args, **kwargs):
-            calls.append(len(scores))
-            return real(spec, scores, *args, **kwargs)
+        def counting(spec, scores, labels, *args, **kwargs):
+            calls.append(len(labels))
+            return real(spec, scores, labels, *args, **kwargs)
 
         monkeypatch.setattr(theory, "batch_loss_and_grad", counting)
         spec = LossSpec("GLA", q=0.7)
@@ -373,9 +373,9 @@ class TestLockstepMinimizer:
         calls = []
         real = theory.batch_loss_and_grad
 
-        def counting(spec, scores, *args, **kwargs):
-            calls.append(len(scores))
-            return real(spec, scores, *args, **kwargs)
+        def counting(spec, scores, labels, *args, **kwargs):
+            calls.append(len(labels))
+            return real(spec, scores, labels, *args, **kwargs)
 
         monkeypatch.setattr(theory, "batch_loss_and_grad", counting)
         spec = LossSpec("GLA", q=0.7)
@@ -517,6 +517,34 @@ class TestConditionalError:
             )
             assert _conditional_error(spec, scores, point) == pytest.approx(
                 direct, abs=1e-12)
+
+
+    def test_gca_margins_two_class_closed_form(self):
+        # n = 2, q = 0: with w = p(y|x) / p(y) and delta = s_1 - s_2, GCA
+        # with margins (rho_1, rho_2) has the conditional error
+        # w_1 log(1 + e^(-delta / rho_1)) + w_2 log(1 + e^(delta / rho_2)),
+        # convex in delta with slope (w_2 / rho_2 - w_1 / rho_1) / 2 at 0,
+        # so the minimizer's label is 1 exactly when w_1 / rho_1 >
+        # w_2 / rho_2; at the minimizers and at random scores, every point
+        rng = np.random.default_rng(45)
+        points = [random_conditional_point(rng, 2, ratio_gap=1e-2)
+                  for _ in range(200)]
+        rho = rng.uniform(0.05, 1.0, (200, 2))
+        specs = [LossSpec("GCA", q=0.0, margins=tuple(r)) for r in rho]
+        solved = np.array([s for s, _ in minimize_conditional_errors(
+            specs, points)])
+        w = np.array([p.ratios for p in points])
+        table = loss_table([(spec, PriorStats(p.priors))
+                            for spec, p in zip(specs, points)], 2)
+        for scores in (solved, rng.normal(0, 2, (200, 2))):
+            errors, _ = conditional_errors(
+                table, np.array([p.cond for p in points]), scores)
+            delta = scores[:, 0] - scores[:, 1]
+            closed = (w[:, 0] * np.logaddexp(0.0, -delta / rho[:, 0])
+                      + w[:, 1] * np.logaddexp(0.0, delta / rho[:, 1]))
+            np.testing.assert_allclose(errors, closed, rtol=1e-13, atol=0.0)
+        assert np.array_equal(solved[:, 0] > solved[:, 1],
+                              w[:, 0] / rho[:, 0] > w[:, 1] / rho[:, 1])
 
 
 class TestBestConditionalError:

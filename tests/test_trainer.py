@@ -794,8 +794,8 @@ class TestBestInClassSearch:
         table = loss_table([(spec, stats)], data.n)
         for _ in range(10):
             probe = family.random_model(rng)
-            probe_value, _ = _weighted_loss_and_grad(table, probe, X, labels,
-                                                     weights)
+            probe_value, _ = _weighted_loss_and_grad(
+                table, probe, X, np.ascontiguousarray(X.T), labels, weights)
             assert value <= probe_value + 1e-9
 
     def test_balanced_objective_on_separable_data_reaches_zero(self):
@@ -861,7 +861,8 @@ class TestBestInClassSearch:
         model, value = best_in_class_search(family, data, spec)
         X, labels, weights, stats = sample_problem(data)
         at, grad = _weighted_loss_and_grad(
-            loss_table([(spec, stats)], data.n), model, X, labels, weights)
+            loss_table([(spec, stats)], data.n), model, X,
+            np.ascontiguousarray(X.T), labels, weights)
         assert at == value
         stepped = model.copy()
         stepped.weights -= grad
