@@ -341,12 +341,13 @@ def _check_batch(scores, labels):
         raise ValueError("scores and labels must have the same length")
     if not labels.size:
         raise ValueError("the batch is empty: scores and labels hold no rows")
-    if labels.dtype.kind not in "biuf" or np.any(np.trunc(labels) != labels):
+    if labels.dtype.kind not in "biu" and (labels.dtype.kind != "f" or np.any(
+            np.trunc(labels) != labels)):
         raise ValueError(f"labels must be integers, got {labels}")
     n = scores.shape[1]
     if labels.min() < 1 or labels.max() > n:
         raise ValueError(f"labels must lie in 1..{n}")
-    return scores, labels.astype(np.int64)
+    return scores, labels.astype(np.int64, copy=False)
 
 
 def _class_sum(values):

@@ -484,13 +484,12 @@ class BoundedLinearFamily:
 
 
 def _weighted_loss_and_grad(table, model, X, X_t, labels, weights):
-    # X_t is X.T, C-contiguous. np.sum adds the m terms of a contiguous
+    # X_t is X.T, C-contiguous. np.sum adds the m terms of each (n, d, m)
     # row in a fixed (pairwise) order; BLAS dot and gemm split the m rows
     # by thread count, so their last bits would follow the BLAS threading.
     values, dscores = batch_loss_and_grad(table, model.scores(X).T[:, None],
                                           labels)
-    weighted = dscores[:, 0] * weights  # (n, m)
-    grad_w = np.sum(weighted[:, None, :] * X_t, axis=2)
+    grad_w = np.sum(dscores * weights * X_t, axis=2)
     return float(np.sum(weights * values)), grad_w
 
 

@@ -518,14 +518,14 @@ class TestConditionalError:
             assert _conditional_error(spec, scores, point) == pytest.approx(
                 direct, abs=1e-12)
 
-
     def test_gca_margins_two_class_closed_form(self):
         # n = 2, q = 0: with w = p(y|x) / p(y) and delta = s_1 - s_2, GCA
         # with margins (rho_1, rho_2) has the conditional error
         # w_1 log(1 + e^(-delta / rho_1)) + w_2 log(1 + e^(delta / rho_2)),
         # convex in delta with slope (w_2 / rho_2 - w_1 / rho_1) / 2 at 0,
         # so the minimizer's label is 1 exactly when w_1 / rho_1 >
-        # w_2 / rho_2; at the minimizers and at random scores, every point
+        # w_2 / rho_2. Checked on every point, at its minimizer and at
+        # random scores.
         rng = np.random.default_rng(45)
         points = [random_conditional_point(rng, 2, ratio_gap=1e-2)
                   for _ in range(200)]
