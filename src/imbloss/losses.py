@@ -587,7 +587,7 @@ def batch_loss_and_grad(
         return _table_loss_and_grad(spec, scores, labels, equal_draws, rng,
                                     want_grad)
     scores, labels = _check_batch(scores, labels)
-    draws = equal_draws if equal_draws is None else np.atleast_1d(
+    draws = None if equal_draws is None else np.atleast_1d(
         equal_draws).T[:, None]
     values, grads = _table_loss_and_grad(
         loss_table([(spec, stats)], scores.shape[1]), scores.T[:, None],
