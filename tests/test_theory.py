@@ -14,6 +14,7 @@ from imbloss.losses import (
     eval_loss,
     loss_table,
 )
+from imbloss.numerics import argmax_highest
 from imbloss.theory import (
     ConditionalPoint,
     RegretReport,
@@ -545,6 +546,28 @@ class TestConditionalError:
             np.testing.assert_allclose(errors, closed, rtol=1e-13, atol=0.0)
         assert np.array_equal(solved[:, 0] > solved[:, 1],
                               w[:, 0] / rho[:, 0] > w[:, 1] / rho[:, 1])
+
+    def test_gca_margins_decision_rule_on_mixed_class_counts(self):
+        # q = 0, n from 2 to 6 in one solve, each point with its own
+        # margins: the minimizer's label is the top of p(y|x) /
+        # (p(y) rho_y), ties to the highest, at every point; that label
+        # is not the balanced one at many of them, so the margins and
+        # their padding past each point's n are read
+        rng = np.random.default_rng(0)
+        points, specs = [], []
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            points.append(random_conditional_point(rng, n, ratio_gap=1e-2))
+            specs.append(LossSpec("GCA", q=0.0,
+                                  margins=tuple(rng.uniform(0.05, 1.0, n))))
+        solved = minimize_conditional_errors(specs, points)
+        assert {p.n for p in points} == {2, 3, 4, 5, 6}
+        moved = 0
+        for point, spec, (scores, _) in zip(points, specs, solved):
+            label = argmax_highest(point.ratios / np.array(spec.margins))
+            assert argmax_highest(scores) == label
+            moved += label != argmax_highest(point.ratios)
+        assert moved > 50
 
 
 class TestBestConditionalError:
