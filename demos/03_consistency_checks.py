@@ -18,6 +18,7 @@ from imbloss import (
     best_conditional_error,
     minimize_conditional_errors,
 )
+from imbloss.numerics import argmax_highest
 from imbloss.theory import check_regret_bounds, random_conditional_point
 
 print("== temperature sensitivity of logit adjustment")
@@ -35,7 +36,7 @@ for q in (0.0, 0.5):
     [(scores, value)] = minimize_conditional_errors(LossSpec("GLA", q=q),
                                                     [point])
     closed = best_conditional_error("GLA", point, q)
-    print(f"  q={q}: argmax label {int(np.argmax(scores)) + 1} "
+    print(f"  q={q}: argmax label {argmax_highest(scores) + 1} "
           f"(balanced {bayes_balanced_label(point)}), "
           f"objective gap {abs(value - closed):.2e}")
 

@@ -261,7 +261,7 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
             # needs
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
                 trained = list(pool.map(_stack_worker, tasks))
         else:
             trained = [_stack_worker(task) for task in tasks]

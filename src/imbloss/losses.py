@@ -22,9 +22,10 @@ Implements closed-form values and analytic score gradients for:
 
 ``loss_table`` turns each (LossSpec, class statistics) pair into table
 columns (shifts, a divisor, a weight, q, gamma, EQUAL's gates and CSMAX's
-psi_tau), so one call evaluates any mix of families; a column that no
-block of a table uses is skipped. A table's CSMAX blocks take a short
-code path of their own, and the other families one shared path,
+psi_tau), so one call evaluates any mix of families and of class counts,
+a block of fewer classes padded with each column's identity; a column
+that no block of a table uses is skipped. A table's CSMAX blocks take a
+short code path of their own, and the other families one shared path,
 weight_y * Psi^q(softmax(adjusted scores)_y), FOCAL's times
 (1 - softmax_y)^gamma, EQUAL's with its gated classes at -inf. Both are
 class-major, (n, m), so every reduction and broadcast over the classes
@@ -273,25 +274,29 @@ class LossTable:
 def loss_table(blocks, n: int) -> LossTable:
     """The LossTable of ``blocks``, (LossSpec, stats) pairs over n classes.
 
-    Any mix of families may share a table. A parameter a family lacks is
+    Any mix of families and of class counts may share a table: a block
+    whose stats have k <= n classes holds its k entries in each per-class
+    column, then that column's identity. A parameter a family lacks is
     an exact identity: x - 0.0 (which keeps -0.0, where x + 0.0 would
-    not), x / 1.0, x * 1.0 and q = 0, or NaN for gamma, eq_p and psi_tau.
-    A column that no block sets is None, decided here once per table, and
-    skipped.
+    not), x / 1.0, x * 1.0, gate 0 and q = 0, or NaN for gamma, eq_p and
+    psi_tau. A column that no block sets is None, decided here once per
+    table, and skipped.
     """
     zero, one, nan = np.zeros(n), np.ones(n), math.nan
+    identity = (zero, zero, one, one, zero)
     rows = []
     for spec, stats in blocks:
         family = spec.family
         if stats is None and family not in ("CE", "FOCAL", "GCE"):
             raise ValueError(f"{family} requires ClassStats")
-        if stats is not None and stats.n != n:
-            raise ValueError(f"stats have {stats.n} classes, expected {n}")
+        k = n if stats is None else stats.n
+        if k > n:
+            raise ValueError(f"stats have {k} classes, expected at most {n}")
         q = spec.q or 0.0
         gamma = spec.gamma if family == "FOCAL" else nan
         eq_p = nan if spec.eq_p is None else spec.eq_p
         psi_tau = nan if spec.psi_tau is None else spec.psi_tau
-        neg_shift, label_shift, rho, weight, gate = zero, zero, one, one, zero
+        neg_shift, label_shift, rho, weight, gate = identity
         if family == "LA":
             neg_shift = -(spec.tau * stats.log_priors)
         elif family == "GLA":
@@ -302,19 +307,22 @@ def loss_table(blocks, n: int) -> LossTable:
             label_shift = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
         elif family == "GCA":
             rho = np.asarray(spec.margins, dtype=np.float64)
-            if rho.size != n:
+            if rho.size != k:
                 raise ValueError(
-                    f"margins have length {rho.size}, expected {n}")
+                    f"margins have length {rho.size}, expected {k}")
         elif family == "CB":
             weight = (1.0 - spec.gamma) / (1.0 - spec.gamma ** stats.priors)
         elif family == "EQUAL":
             gate = (stats.priors < spec.eq_lambda).astype(np.float64)
         elif family == "CSMAX":
-            rho = np.full(n, spec.rho_margin)
+            rho = np.full(k, spec.rho_margin)
         if family in ("WCE", "GCA", "CSMAX"):
             weight = stats.inv_priors
-        rows.append((neg_shift, label_shift, rho, weight, gate, q, gamma,
-                     eq_p, psi_tau))
+        columns = (neg_shift, label_shift, rho, weight, gate)
+        if k < n:  # past the block's k classes, each column's identity
+            columns = [c if c is u else np.concatenate([c, u[k:]])
+                       for c, u in zip(columns, identity)]
+        rows.append((*columns, q, gamma, eq_p, psi_tau))
     # a column that no block sets holds only the shared zero, one or NaN
     unset = (zero, zero, one, one, None, None, nan, nan, nan)
     return LossTable(*(None if all(c is u for c in column)
@@ -454,9 +462,9 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     they are at most half of the rows, else as one exp over every row.
     EQUAL's softmax is the first exp over the class sum, and its loss
     takes no 1e-300 floor. FOCAL's gradient takes u = softmax_y, then
-    -dL/du, as two products, as in the row-major chain rule. A table of
-    FOCAL blocks only, or of EQUAL blocks only, takes no per-row mask of
-    its family.
+    -dL/du, as two products, as in the row-major chain rule. FOCAL's
+    modulation and EQUAL's floor reach their rows through per-row masks,
+    a factor of 1.0 or the shared floor in every other row.
     """
     n, m = scores.shape
     blocks = len(table.q)
@@ -481,8 +489,7 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     if table.eq_p is not None:  # EQUAL: no floor
         adjusted[_gated(table, idx, draws, rng)] = -np.inf
         equal = ~np.isnan(table.eq_p)  # per block
-        floor = (-np.inf if equal.all()
-                 else np.where(equal.repeat(size), -np.inf, floor))
+        floor = np.where(equal.repeat(size), -np.inf, floor)
     q = table.q.repeat(size)
     # log-softmax over the classes, then Psi^q in log space with the
     # 1e-300 floor at q = 0.
@@ -498,15 +505,11 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     np.divide(1.0 - t_pow_q, q, out=psi, where=q != 0.0)
     values = psi if table.weight is None else weight * psi
     if table.gamma is not None:  # FOCAL: (1 - u)^gamma * psi, u = t
-        focal = ~np.isnan(table.gamma)  # per block
-        mixed = not focal.all()
-        if mixed:
-            focal = focal.repeat(size)
+        focal = ~np.isnan(table.gamma).repeat(size)  # per row
         u = np.exp(log_t)
         one_minus_u = np.maximum(1.0 - u, 0.0)
-        modulation = _pow(one_minus_u, table.gamma, size)
-        if mixed:
-            modulation = np.where(focal, modulation, 1.0)
+        modulation = np.where(focal, _pow(one_minus_u, table.gamma, size),
+                              1.0)
         values = modulation * values  # weight 1.0 in a FOCAL row
     if not want_grad:
         return values, None
@@ -532,15 +535,10 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
             dl_du = np.where(one_minus_u > 0.0, -table.gamma.repeat(size)
                              * _pow(one_minus_u, table.gamma - 1.0, size)
                              * psi - modulation / floored_u, 0.0)
-        plain = table.gamma == 0.0
-        if plain.any():
-            dl_du = np.where(plain.repeat(size), -1.0 / floored_u, dl_du)
-        if mixed:
-            probs *= np.where(focal, u, 1.0)
-            t_pow_q = np.where(focal, -dl_du, t_pow_q)
-        else:
-            probs *= u
-            t_pow_q = -dl_du
+        dl_du = np.where(table.gamma.repeat(size) == 0.0, -1.0 / floored_u,
+                         dl_du)  # gamma 0: the log loss's -1/u
+        probs *= np.where(focal, u, 1.0)
+        t_pow_q = np.where(focal, -dl_du, t_pow_q)
     if table.rho is not None or table.weight is not None:
         t_pow_q = weight / rho * t_pow_q
     probs *= t_pow_q
@@ -587,6 +585,9 @@ def batch_loss_and_grad(
         return _table_loss_and_grad(spec, scores, labels, equal_draws, rng,
                                     want_grad)
     scores, labels = _check_batch(scores, labels)
+    if stats is not None and stats.n != scores.shape[1]:
+        raise ValueError(
+            f"stats have {stats.n} classes, expected {scores.shape[1]}")
     draws = None if equal_draws is None else np.atleast_1d(
         equal_draws).T[:, None]
     values, grads = _table_loss_and_grad(

@@ -38,7 +38,7 @@ All computations are pure; fuzzing helpers take explicit generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -275,12 +275,13 @@ def minimize_conditional_errors(
     The points descend together, sorted by n and padded to the widest N
     with scores of -inf: one ``batch_loss_and_grad`` call per iteration
     covers the (P*N, N) tile of every point still descending, each point's
-    rows with its own row of one loss table (its spec and marginal,
-    identities past its n). Every point keeps its own step, Armijo test
-    and stopping test, and leaves at the iteration where its solo descent
-    stops, so its result equals the solo (P = 1) one bit for bit. Each
-    gradient norm is a per-n stacked matmul, (P,1,n) @ (P,n,1): per point
-    the BLAS dot call of ``np.linalg.norm`` on that point alone.
+    rows with its own block of one ``loss_table`` over N classes: its spec
+    and marginal, which the table pads with identities past its n. Every
+    point keeps its own step, Armijo test and stopping test, and leaves at
+    the iteration where its solo descent stops, so its result equals the
+    solo (P = 1) one bit for bit. Each gradient norm is a per-n stacked
+    matmul, (P,1,n) @ (P,n,1): per point the BLAS dot call of
+    ``np.linalg.norm`` on that point alone.
     """
     specs = [spec] * len(points) if isinstance(spec, LossSpec) else spec
     if len(specs) != len(points):
@@ -294,8 +295,8 @@ def minimize_conditional_errors(
     for row, i in enumerate(ids.tolist()):
         cond[row, :ns[row]] = points[i].cond
     scores = np.where(np.arange(width) < ns[:, None], 0.0, -np.inf)
-    table = _padded_table([(specs[i], PriorStats(points[i].priors))
-                           for i in ids.tolist()], spans, width)
+    table = loss_table([(specs[i], PriorStats(points[i].priors))
+                        for i in ids.tolist()], width)
     max_move = 1.0
     results = [None] * len(points)
     value, grad = conditional_errors(table, cond, scores, want_grad=True,
@@ -352,29 +353,6 @@ def _spans(ns):
     """(n, start, stop) of each run of equal class counts in sorted ``ns``."""
     cuts = [0, *(np.flatnonzero(np.diff(ns)) + 1).tolist(), len(ns)]
     return [(int(ns[a]), a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
-def _padded_table(blocks, spans, width):
-    """The ``loss_table`` of each span's (LossSpec, stats) blocks, stacked
-    into one LossTable over ``width`` classes: past its n, a column holds
-    its identity (shift 0, divisor 1, weight 1, no gate), and a span with
-    no FOCAL, EQUAL or CSMAX block holds NaN gamma, eq_p or psi_tau."""
-    tables = [loss_table(blocks[start:stop], n) for n, start, stop in spans]
-    columns = {}
-    for name, pad in (("neg_shift", 0.0), ("label_shift", 0.0), ("rho", 1.0),
-                      ("weight", 1.0), ("gate", 0.0)):
-        parts = [getattr(t, name) for t in tables]
-        columns[name] = None if all(c is None for c in parts) else (
-            np.full((len(blocks), width), pad))
-        for (n, start, stop), part in zip(spans, parts):
-            if part is not None:
-                columns[name][start:stop, :n] = part
-    for name in ("q", "gamma", "eq_p", "psi_tau"):  # q is never None
-        parts = [getattr(t, name) for t in tables]
-        columns[name] = None if all(c is None for c in parts) else (
-            np.concatenate([np.full(len(t.q), np.nan) if c is None else c
-                            for c, t in zip(parts, tables)]))
-    return replace(tables[0], **columns)
 
 
 def _log_normalize(logits) -> np.ndarray:

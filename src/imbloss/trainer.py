@@ -573,9 +573,8 @@ def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
         gnorm = np.linalg.norm(grad)
         if gnorm < 1e-14 or lr < 1e-14:
             break
-        trial = model.copy()
-        trial.weights -= lr * grad
-        trial.project()
+        trial = LinearModel(model.weights - lr * grad, model.biases, bound,
+                            use_bias=False)  # projected once, on creation
         new_value, new_grad = _weighted_loss_and_grad(table, trial, *sample)
         if new_value < value:
             model, value, grad = trial, new_value, new_grad

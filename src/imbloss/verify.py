@@ -41,7 +41,7 @@ def bayes(pairs):
         [LossSpec("GLA", q=q) for _, q in pairs], [p for p, _ in pairs])
     for trial, ((point, q), (scores, value)) in enumerate(zip(pairs, solved)):
         closed = theory.best_conditional_error("GLA", point, q)
-        label = int(np.argmax(scores)) + 1
+        label = numerics.argmax_highest(scores) + 1
         expected = theory.bayes_balanced_label(point)
         yield {
             "trial": trial, "n": point.n, "q": q,

@@ -57,6 +57,16 @@ repeats = 2
 """
 
 
+def train_tree(config_file, out, jobs):
+    """synth and train with ``--jobs jobs``: every file under runs/, by
+    its path relative to ``out``."""
+    main(["--config", str(config_file), "--out", str(out), "synth"])
+    assert main(["--config", str(config_file), "--out", str(out),
+                 "--jobs", jobs, "train"]) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted((out / "runs").rglob("*")) if p.is_file()}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "exp.ini"
@@ -100,10 +110,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_default_margins_resolve_from_stats(self):
+    def test_default_margins_resolve_from_stats(self, tmp_path):
         point = {"family": "GCA", "q": 0.1, "margins": "default"}
         spec = spec_from_gridpoint(point, ClassStats([8, 1]))
         np.testing.assert_allclose(spec.margins, (2 / 3, 1 / 3))
+        # an explicit list is every grid point's margins, whatever the stats
+        path = tmp_path / "gca.ini"
+        path.write_text(BASE_CONFIG.replace(
+            "family = GLA", "family = GCA\nmargins = 0.5, 0.25, 2"))
+        specs = [spec_from_gridpoint(p, ClassStats([8, 4, 1]))
+                 for p in loss_grid_points(load_config(path))]
+        assert [(s.q, s.margins) for s in specs] == [(0.0, (0.5, 0.25, 2.0)),
+                                                     (0.3, (0.5, 0.25, 2.0))]
 
     def test_default_search_grids_are_valid(self):
         from imbloss.config import DEFAULT_SEARCH_GRIDS
@@ -214,13 +232,18 @@ class TestConfigParsing:
 
 
 class TestSynthesizeSplits:
-    def test_counts_follow_profile(self, config_file):
-        config = load_config(config_file)
+    @pytest.mark.parametrize("profile, train, test", [
+        ("longtail", [60, 19, 6], [30, 9, 3]),
+        ("gaussian", [60, 60, 60], [30, 30, 30]),
+    ])
+    def test_counts_follow_profile(self, tmp_path, profile, train, test):
+        path = tmp_path / "exp.ini"
+        path.write_text(BASE_CONFIG.replace("profile = longtail",
+                                            f"profile = {profile}"))
+        config = load_config(path)
         splits = synthesize_splits(config["dataset"])
-        np.testing.assert_array_equal(splits["train"].class_counts(),
-                                      [60, 19, 6])
-        np.testing.assert_array_equal(splits["test"].class_counts(),
-                                      [30, 9, 3])
+        np.testing.assert_array_equal(splits["train"].class_counts(), train)
+        np.testing.assert_array_equal(splits["test"].class_counts(), test)
         assert np.all(splits["val"].class_counts() >= 1)
 
     def test_splits_are_distinct_draws(self, config_file):
@@ -313,13 +336,19 @@ class TestCommands:
 
         config = tmp_path / "one.ini"
         config.write_text(BASE_CONFIG.replace("repeats = 2", "repeats = 1")
-                          .replace("q = 0.0, 0.3", "q = 0.0"))
+                          .replace("q = 0.0, 0.3", "q = 0.0")
+                          + "\n[eval]\nmetrics = balanced_error, confusion\n")
         out = tmp_path / "o"
         main(["--config", str(config), "--out", str(out), "synth"])
         main(["--config", str(config), "--out", str(out), "train"])
         run_dirs = [str(p.parent)
                     for p in (out / "runs").rglob("metrics.json")]
         assert len(run_dirs) == 1
+        # the confusion metric: one row per true test class, [30, 9, 3]
+        # examples, and no per-class errors, which it did not ask for
+        payload = json.loads((Path(run_dirs[0]) / "metrics.json").read_text())
+        assert [sum(row) for row in payload["test_confusion"]] == [30, 9, 3]
+        assert "test_per_class_error" not in payload
         rep = tmp_path / "rep"
         assert main(["--out", str(rep), "report", *run_dirs]) == 0
         with open(rep / "table.csv", newline="") as fh:
@@ -342,19 +371,40 @@ class TestCommands:
 
     def test_train_jobs_2_writes_the_same_bytes_as_jobs_1(self, config_file,
                                                            tmp_path):
-        trees = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            main(["--config", str(config_file), "--out", str(out), "synth"])
-            assert main(["--config", str(config_file), "--out", str(out),
-                         "--jobs", jobs, "train"]) == 0
-            trees.append({p.relative_to(out).as_posix(): p.read_bytes()
-                          for p in sorted((out / "runs").rglob("*"))
-                          if p.is_file()})
+        trees = [train_tree(config_file, tmp_path / f"jobs{jobs}", jobs)
+                 for jobs in ("1", "2")]
         assert len(trees[0]) == 4 * 3 + 1  # 3 files per run, one summary
         assert trees[0] == trees[1]
 
-    def test_diverged_runs_are_recorded_not_fatal(self, tmp_path):
+    def test_train_pool_has_one_worker_per_task(self, config_file, tmp_path,
+                                                monkeypatch):
+        # --jobs 8 on a 2-point grid makes two tasks and a pool of two
+        # workers: a pool under the fork start method starts all of its
+        # workers up front. The recording pool runs its tasks here.
+        workers = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            RecordingPool)
+        trees = [train_tree(config_file, tmp_path / f"jobs{jobs}", jobs)
+                 for jobs in ("1", "8")]
+        assert workers == [2]
+        assert trees[0] == trees[1]
+
+    def test_diverged_runs_are_recorded_not_fatal(self, tmp_path,
+                                                  monkeypatch):
         # At lr0 = 1e305 the GCA scores of three runs, divided by their
         # margins, overflow: those runs record a non-finite loss, the
         # fourth trains on, and train writes the summary.
@@ -378,6 +428,15 @@ class TestCommands:
         # runs_ok and runs_failed of q = 0.0 and q = 0.3
         assert [row.split(",")[-7:-5] for row in rows] == [["0", "2"],
                                                            ["1", "1"]]
+        # a rerun keeps every finished run, the diverged ones included,
+        # and trains nothing
+        metrics = sorted((out / "runs").rglob("metrics.json"))
+        stamps = [p.stat().st_mtime_ns for p in metrics]
+        monkeypatch.setattr("imbloss.cli.train_lockstep", None)
+        assert main(["--config", str(path), "--out", str(out),
+                     "train"]) == 0
+        assert [p.stat().st_mtime_ns for p in metrics] == stamps
+        assert summary.read_text().splitlines()[1:] == rows
 
     @pytest.mark.parametrize("loss, model, jobs, digest", [
         ("family = GCA\nq = 0.0, 0.5\nmargins = default", "", "1",
@@ -703,6 +762,19 @@ class TestCommands:
         out = tmp_path / "v"
         assert main(["--out", str(out), *args]) == 2
         assert not out.exists()
+
+    def test_bayes_labels_break_ties_to_the_highest_class(self):
+        # the minimizer's label takes the tie rule of bayes_balanced_label:
+        # at equal ratios p(y|x) / p(y) the highest tied class
+        from imbloss import verify
+        from imbloss.theory import ConditionalPoint
+
+        points = [ConditionalPoint([0.5, 0.5], [0.5, 0.5]),
+                  ConditionalPoint([0.2, 0.3, 0.5], [0.2, 0.3, 0.5])]
+        records = list(verify.bayes([(point, q) for point in points
+                                     for q in (0.0, 0.3)]))
+        assert [(r["argmax_label"], r["balanced_label"], r["ok"])
+                for r in records] == [(2, 2, True)] * 2 + [(3, 3, True)] * 2
 
     def test_verify_counts_each_failed_check_once(self):
         from imbloss.verify import is_violation
