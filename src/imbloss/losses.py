@@ -568,7 +568,7 @@ def batch_loss_and_grad(
     layout of the scores, or None when want_grad is False.
 
     The LossSpec form takes row-major (m, n) scores and checks its input:
-    finite scores, at least one row, one integral label in 1..n per row.
+    finite scores, a row or more, labels integral in 1..n, n-class stats.
     The table form takes class-major (n, blocks, size) scores, where row
     s of block b is scores[:, b, s] with label labels[b * size + s]. It
     is for callers that produce their own float64 scores and 1-based

@@ -232,19 +232,17 @@ class TestConfigParsing:
 
 
 class TestSynthesizeSplits:
-    @pytest.mark.parametrize("profile, train, test", [
-        ("longtail", [60, 19, 6], [30, 9, 3]),
-        ("gaussian", [60, 60, 60], [30, 30, 30]),
-    ])
-    def test_counts_follow_profile(self, tmp_path, profile, train, test):
-        path = tmp_path / "exp.ini"
-        path.write_text(BASE_CONFIG.replace("profile = longtail",
-                                            f"profile = {profile}"))
-        config = load_config(path)
-        splits = synthesize_splits(config["dataset"])
-        np.testing.assert_array_equal(splits["train"].class_counts(), train)
-        np.testing.assert_array_equal(splits["test"].class_counts(), test)
-        assert np.all(splits["val"].class_counts() >= 1)
+    def test_counts_follow_profile(self, tmp_path):
+        for profile, train, test in [("longtail", [60, 19, 6], [30, 9, 3]),
+                                     ("gaussian", [60] * 3, [30] * 3)]:
+            path = tmp_path / f"{profile}.ini"
+            path.write_text(BASE_CONFIG.replace("profile = longtail",
+                                                f"profile = {profile}"))
+            splits = synthesize_splits(load_config(path)["dataset"])
+            np.testing.assert_array_equal(splits["train"].class_counts(),
+                                          train)
+            np.testing.assert_array_equal(splits["test"].class_counts(), test)
+            assert np.all(splits["val"].class_counts() >= 1)
 
     def test_splits_are_distinct_draws(self, config_file):
         config = load_config(config_file)
