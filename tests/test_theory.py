@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from imbloss import theory
+from imbloss import theory, verify
 from imbloss.datagen import Dataset, gaussian_mixture
 from imbloss.losses import (
     LossSpec,
@@ -604,6 +604,38 @@ class TestBestConditionalError:
             expected = n * -np.sum(uniform.cond * np.log(uniform.cond))
             assert best_conditional_error("GCA", uniform, 0.0) == pytest.approx(
                 expected, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.8, 0.9])
+    def test_gla_oracle_matches_the_closed_form_at_high_q(self, q):
+        # the optimum's softmax is proportional to p^(1/(1-q)), flat in
+        # the small posterior entries; a first-order descent from s = 0
+        # misses 1e-10 at 21 of these points at q = 0.8, and at 176 with
+        # 70 wrong labels at q = 0.9
+        points = verify.bayes_points(np.random.default_rng(0), 300)
+        solved = minimize_conditional_errors(LossSpec("GLA", q=q), points)
+        gaps = [abs(value - best_conditional_error("GLA", point, q))
+                for point, (_, value) in zip(points, solved)]
+        wrong = [i for i, (point, (scores, _)) in enumerate(zip(points, solved))
+                 if argmax_highest(scores) + 1 != bayes_balanced_label(point)]
+        assert max(gaps) <= 1e-10 and wrong == []
+
+    def test_gca_oracle_matches_the_closed_form_at_q_09(self):
+        # unit margins, n = 2..6 in one solve: the closed form to 1e-10
+        # and the balanced label; a first-order descent from s = 0 stops
+        # short of 1e-10 at 103 of these points (by up to 1.4e-5)
+        rng = np.random.default_rng(0)
+        points = [random_conditional_point(rng, int(rng.integers(2, 7)),
+                                           ratio_gap=1e-3)
+                  for _ in range(200)]
+        assert {p.n for p in points} == {2, 3, 4, 5, 6}
+        solved = minimize_conditional_errors(
+            [LossSpec("GCA", q=0.9, margins=(1.0,) * p.n) for p in points],
+            points)
+        gaps = [abs(value - best_conditional_error("GCA", point, 0.9))
+                for point, (_, value) in zip(points, solved)]
+        wrong = [i for i, (point, (scores, _)) in enumerate(zip(points, solved))
+                 if argmax_highest(scores) + 1 != bayes_balanced_label(point)]
+        assert max(gaps) <= 1e-10 and wrong == []
 
 
 def _perturbed_minimizers(q, points, scores, near):
