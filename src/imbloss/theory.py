@@ -44,7 +44,8 @@ import numpy as np
 
 from .datagen import Dataset
 from .losses import LossSpec, PriorStats, batch_loss_and_grad, loss_table
-from .numerics import argmax_highest, as_finite_array, softplus
+from .numerics import (DEFAULT_FD_STEP, argmax_highest, as_finite_array,
+                       softplus)
 from .trainer import predict_batch
 
 # Tolerance absorbing float error in the closed-form entropy/Tsallis
@@ -250,38 +251,45 @@ def best_conditional_error(family: str, point: ConditionalPoint, q: float) -> fl
     raise ValueError(f"unsupported family {family!r}")
 
 
-def minimize_conditional_errors(
-    spec,
-    points,
-    *,
-    max_steps: int = 10_000,
-    init_step: float = 0.5,
-    tol: float = 1e-15,
-):
-    """Independent numeric oracle: gradient descent on unconstrained scores,
+# Points per Hessian tile of the conditional-error oracle, which holds 2n
+# score rows of N labels per point. `verify bayes` peaks at 40.0 MB with
+# tiles of 64 points and at 45.0 MB with one tile of all its 500.
+_HESSIAN_BLOCK = 64
+
+
+def minimize_conditional_errors(spec, points, *, max_steps: int = 1000):
+    """Independent numeric oracle: damped Newton on unconstrained scores,
     one (scores, value) per point, in input order; ``spec`` is one LossSpec
     or a list of one per point, of any mix of families.
 
-    Backtracking descent starting at step 0.5 with two safeguards: an
-    Armijo sufficient-decrease test and a unit cap on the per-iteration
-    movement. Together they keep the iterates from sailing over a basin
-    into the saturation plateaus these losses have at one-hot softmax
-    limits for q > 0, where gradients underflow and descent stalls. The
-    step is halved on rejection and grown by 1.5x after a success, so
-    flat directions (small posterior entries raised to 1/(1-q)) still
-    converge to machine precision within the step budget. Stops when the
-    relative per-step improvement falls below ``tol``.
+    Each point starts at the lower of two score vectors: its adjusted
+    origin, the scores its loss table's ``neg_shift`` cancels, and s = 0
+    (the origin on a tie). The adjusted origin keeps GLA at large q off
+    the saturation plateau that s = 0 sits on; s = 0 is the exact optimum,
+    with the scores of tied ratios tied, where p(y|x) = p(y). The losses
+    are invariant to adding a constant to every score, so each step
+    solves on the sum-zero subspace of the point's real classes: the
+    Hessian, from central differences of the analytic gradient, is reduced
+    to an orthonormal basis of that subspace, its eigenvalues taken in
+    absolute value (a negative curvature flipped) and floored at 1e-12 of
+    the largest. A step is capped to unit length and halved until it
+    passes an Armijo test; both keep the iterates out of the plateaus these
+    losses have at one-hot softmax limits for q > 0. A point stops when
+    the decrease its step still promises, g^T H^-1 g (the squared Newton
+    decrement) times the step fraction, falls below 1e-15 max(1, |value|),
+    or after ``max_steps`` trial steps.
 
-    The points descend together, sorted by n and padded to the widest N
-    with scores of -inf: one ``batch_loss_and_grad`` call per iteration
-    covers the (P*N, N) tile of every point still descending, each point's
-    rows with its own block of one ``loss_table`` over N classes: its spec
-    and marginal, which the table pads with identities past its n. Every
-    point keeps its own step, Armijo test and stopping test, and leaves at
-    the iteration where its solo descent stops, so its result equals the
-    solo (P = 1) one bit for bit. Each gradient norm is a per-n stacked
-    matmul, (P,1,n) @ (P,n,1): per point the BLAS dot call of
-    ``np.linalg.norm`` on that point alone.
+    The points solve together, sorted by n and padded to the widest N
+    with scores of -inf. One ``conditional_errors`` call per iteration
+    evaluates every point's trial step, each point's rows with its own
+    block of one ``loss_table`` over N classes: its spec and marginal,
+    which the table pads with identities past its n. The Hessians of the
+    points that moved take one more call per ``_HESSIAN_BLOCK`` of them,
+    over the +-h e_j rows of each. Every point keeps its own step, Armijo
+    test and stopping test, and leaves at the iteration where its solo
+    solve stops, so its result equals the solo (P = 1) one bit for bit:
+    the per-point reductions are per-n stacked matmuls and ``eigh`` calls,
+    the BLAS and LAPACK calls of that point alone.
     """
     specs = [spec] * len(points) if isinstance(spec, LossSpec) else spec
     if len(specs) != len(points):
@@ -294,59 +302,120 @@ def minimize_conditional_errors(
     cond = np.zeros((len(points), width))
     for row, i in enumerate(ids.tolist()):
         cond[row, :ns[row]] = points[i].cond
-    scores = np.where(np.arange(width) < ns[:, None], 0.0, -np.inf)
     table = loss_table([(specs[i], PriorStats(points[i].priors))
                         for i in ids.tolist()], width)
-    max_move = 1.0
+    real = np.arange(width) < ns[:, None]
+    origin = 0.0 if table.neg_shift is None else table.neg_shift
+    starts = np.stack([np.where(real, origin, -np.inf),
+                       np.where(real, 0.0, -np.inf)], axis=1)
+    pair = np.repeat(np.arange(len(points)), 2)
+    values, grads = conditional_errors(
+        table[pair], cond[pair], starts.reshape(-1, width), want_grad=True,
+        spans=[(n, 2 * a, 2 * b) for n, a, b in spans])
+    zero = values[1::2] < values[::2]
+    scores = starts[np.arange(len(points)), zero.astype(int)]
+    value = np.where(zero, values[1::2], values[::2])
+    grad = np.where(zero[:, None], grads[1::2], grads[::2])
     results = [None] * len(points)
-    value, grad = conditional_errors(table, cond, scores, want_grad=True,
-                                     spans=spans)
-    step = np.full(len(points), init_step)
+    # per point: its direction, decrement and step, whether it moved since
+    # its direction was taken, and whether it stops
+    direction, decrement = np.zeros_like(scores), np.zeros(len(points))
+    step, fresh = np.ones(len(points)), np.ones(len(points), dtype=bool)
+    done = ~fresh
 
     def leave(stay):
         """Write the results of the rows ``stay`` drops; the kept state."""
         for i in np.flatnonzero(~stay).tolist():
             results[ids[i]] = (scores[i, :ns[i]].copy(), float(value[i]))
         kept = [a[stay] for a in (ids, ns, cond, table, scores, value, grad,
-                                  step)]
+                                  direction, decrement, step, fresh)]
         return kept + [_spans(kept[1])]
 
     for _ in range(max_steps):
-        gnorm = np.sqrt(np.concatenate([
-            (g[:, None, :] @ g[:, :, None]).reshape(-1)
-            for g in (grad[start:stop, :n] for n, start, stop in spans)]))
-        moving = ~(gnorm < 1e-13)
-        if not moving.all():
-            ids, ns, cond, table, scores, value, grad, step, spans = leave(
-                moving)
-            gnorm = gnorm[moving]
+        if fresh.any():
+            at = np.flatnonzero(fresh)
+            direction[at], decrement[at], step[at] = _newton_steps(
+                table[at], cond[at], scores[at], grad[at], ns[at])
+            done |= fresh & (decrement < 1e-15 * np.maximum(1.0, abs(value)))
+        if done.any():
+            (ids, ns, cond, table, scores, value, grad, direction, decrement,
+             step, fresh, spans) = leave(~done)
             if ids.size == 0:
                 break
-        used = np.minimum(step, max_move / gnorm)
-        candidate = scores - used[:, None] * grad
+        candidate = scores + step[:, None] * direction
         cand_value, cand_grad = conditional_errors(
             table, cond, candidate, want_grad=True, spans=spans)
-        # gnorm**2 on Python floats, as the per-point loop always computed
-        # it: libm pow differs from gnorm * gnorm in the last bit for
-        # about 0.1% of inputs, which could flip an Armijo decision.
-        gnorm_sq = np.array([g**2 for g in gnorm.tolist()])
-        accept = cand_value <= value - 0.1 * used * gnorm_sq
-        halved = used * 0.5
-        done = np.where(
-            accept,
-            value - cand_value < tol * np.maximum(1.0, np.abs(cand_value)),
-            halved < 1e-14)
-        step = np.where(accept, np.minimum(step * 1.5, 1e6), halved)
-        scores = np.where(accept[:, None], candidate, scores)
-        value = np.where(accept, cand_value, value)
-        grad = np.where(accept[:, None], cand_grad, grad)
-        if done.any():
-            ids, ns, cond, table, scores, value, grad, step, spans = leave(
-                ~done)
-            if ids.size == 0:
-                break
+        fresh = cand_value <= value - 0.1 * step * decrement
+        scores = np.where(fresh[:, None], candidate, scores)
+        value = np.where(fresh, cand_value, value)
+        grad = np.where(fresh[:, None], cand_grad, grad)
+        step = np.where(fresh, step, 0.5 * step)
+        done = ~fresh & (step * decrement
+                         < 1e-15 * np.maximum(1.0, abs(value)))
     leave(np.zeros(ids.size, dtype=bool))
     return results
+
+
+def _sum_zero_basis(n):
+    """(n, n - 1) orthonormal basis of the vectors of R^n summing to zero:
+    column k - 1 is (1, ..., 1, -k, 0, ...) / sqrt(k (k + 1)), k ones."""
+    k = np.arange(1, n)
+    rows = np.arange(n)[:, None]
+    return ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1.0))
+
+
+def _newton_steps(table, cond, scores, grad, ns):
+    """Newton directions on each row's sum-zero subspace, their squared
+    decrements g^T H^-1 g and their unit-capped steps 1 / max(1, |d|), for
+    the (P, N) padded rows, sorted by n.
+
+    Row j of a point's Hessian is (g(s + h e_j) - g(s - h e_j)) / 2h,
+    symmetrized, from one ``conditional_errors`` call per
+    ``_HESSIAN_BLOCK`` points over their 2n perturbed score rows. Reduced
+    to the basis of ``_sum_zero_basis``, its eigenvalues are taken in
+    absolute value and floored at 1e-12 of the largest (and at 1e-30).
+    """
+    count, width = scores.shape
+    h = DEFAULT_FD_STEP
+    hess = np.empty((count, width, width))
+    for start in range(0, count, _HESSIAN_BLOCK):
+        spans = [(n, start + a, start + b) for n, a, b in
+                 _spans(ns[start:start + _HESSIAN_BLOCK])]
+        rows = np.concatenate([np.arange(a, b).repeat(2 * n)
+                               for n, a, b in spans])
+        cuts = np.cumsum([0] + [2 * n * (b - a) for n, a, b in spans])
+        tile = scores[rows]  # per point, s + h e_j then s - h e_j
+        for (n, a, b), first in zip(spans, cuts.tolist()):
+            part = tile[first:first + 2 * n * (b - a)].reshape(
+                b - a, 2, n, width)
+            diag = np.arange(n)
+            part[:, 0, diag, diag] += h
+            part[:, 1, diag, diag] -= h
+        _, tile_grad = conditional_errors(
+            table[rows], cond[rows], tile, want_grad=True,
+            spans=[(n, c, d) for (n, _, _), c, d in zip(spans, cuts[:-1],
+                                                         cuts[1:])])
+        for (n, a, b), first in zip(spans, cuts.tolist()):
+            part = tile_grad[first:first + 2 * n * (b - a), :n].reshape(
+                b - a, 2, n, n)
+            hess[a:b, :n, :n] = (part[:, 0] - part[:, 1]) / (2 * h)
+    direction, decrement = np.zeros((count, width)), np.empty(count)
+    length = np.empty(count)
+    for n, a, b in _spans(ns):
+        basis = _sum_zero_basis(n)
+        sym = hess[a:b, :n, :n]
+        sym = 0.5 * (sym + sym.transpose(0, 2, 1))
+        curv, vecs = np.linalg.eigh(basis.T @ sym @ basis)
+        curv = np.abs(curv)
+        curv = np.maximum(curv, np.maximum(
+            1e-12 * curv.max(axis=1, keepdims=True), 1e-30))
+        coef = grad[a:b, None, :n] @ basis @ vecs
+        scaled = coef / curv[:, None, :]
+        decrement[a:b] = (scaled @ coef.transpose(0, 2, 1)).reshape(-1)
+        d = -(scaled @ vecs.transpose(0, 2, 1) @ basis.T)
+        length[a:b] = np.sqrt(d @ d.transpose(0, 2, 1)).reshape(-1)
+        direction[a:b, :n] = d.reshape(-1, n)
+    return direction, decrement, 1.0 / np.maximum(1.0, length)
 
 
 def _spans(ns):

@@ -701,10 +701,11 @@ class TestCommands:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("suite, budget, code, digest", [
         # the default budgets; bounds crosses 40 blocks of its trials.
-        # Written by one ConditionalPoint per drawn trial, the same under
-        # 1 and 2 BLAS threads
-        ("bayes", 500, 0, "22acabae487c106212ce40b5b0c2c1f7"
-                          "1cd4f4f411e36c7885799c671e391f92"),
+        # bayes written by the damped Newton oracle, bounds by one
+        # ConditionalPoint per drawn trial; the same under 1 and 2 BLAS
+        # threads
+        ("bayes", 500, 0, "362e62c93b7db999ef620af00b2cc78d"
+                          "f1ef8ce2b030db2f7178924e7a325fc2"),
         ("bounds", 10_000, 0, "8e9a5104b3f63cb4ed8a79e470138f9e"
                               "b3beda40135c69b6ca85594b889c11d6"),
         # the searches at m = 50,000, written while the best-in-class
@@ -725,9 +726,9 @@ class TestCommands:
         ).hexdigest() == digest
 
     @pytest.mark.parametrize("suite, budget, seed, code, digest", [
-        # written by the per-point descent before the lockstep loop
-        ("bayes", 30, 0, 0, "75b7f71e1518faaa02eea5b8f30c6e0d"
-                            "c98ab6448eac9973decfd284a2900629"),
+        # written by the damped Newton oracle
+        ("bayes", 30, 0, 0, "81750bbcdffea16c67ec2e4a5e4c85c0"
+                            "8bf6c822552da724919c038b752b0d5e"),
         # the two below were written by the suites as they stood in
         # cli.py, before they moved to imbloss.verify
         ("bounds", 50, 3, 0, "0081c42a7b7750e52f5bddd45202c516"

@@ -16,8 +16,9 @@ DEMOS = {
         "e304a1bfce27624d89745c0760e333b56a9a5ec2013dd15f38989ad7227698cb",
     "02_imbalanced_training.py":
         "b50830aec15336d515fdb06dae6ae5185e2abe76c9011a2c0884f031543af881",
+    # written by the damped Newton conditional-error oracle
     "03_consistency_checks.py":
-        "aa83cc2560b0e27fe99923f96a616e2d983dfc74e985ccbbe2c54029b8115c42",
+        "e85c7cfda9591585f4c3878ddb8b4516d228dad80b72463249164124d2e6ec5d",
     "04_margin_bound.py":
         "c4031493597e75250b313af9e10dff082834b02e7555bae08f1575514b080092",
     "05_bounded_counterexample.py":

@@ -14,7 +14,7 @@ from imbloss.losses import (
     eval_loss,
     loss_table,
 )
-from imbloss.numerics import argmax_highest
+from imbloss.numerics import DEFAULT_FD_STEP, argmax_highest
 from imbloss.theory import (
     ConditionalPoint,
     RegretReport,
@@ -212,55 +212,121 @@ def _assert_solo_equal(spec, points, solved, **kwargs):
         assert value == solo_value and isinstance(value, float)
 
 
-def _per_point_descent(spec, point, max_steps=10_000):
-    """The descent written for one point with 1-d arrays and Python
+def _per_point_newton(spec, point, max_steps=1000):
+    """The Newton solve written for one point with 1-d arrays and Python
     floats: the reference the stacked loop must reproduce exactly."""
     stats = PriorStats(point.priors)
     n = point.n
     labels = np.arange(1, n + 1)
+    basis, h = theory._sum_zero_basis(n), DEFAULT_FD_STEP
 
     def value_grad(scores):
         values, grads = batch_loss_and_grad(spec, np.tile(scores, (n, 1)),
                                             labels, stats)
         return float(point.cond @ values), point.cond @ grads
 
+    def newton(scores, grad):
+        hess = np.empty((n, n))
+        for j in range(n):
+            plus, minus = scores.copy(), scores.copy()
+            plus[j] += h
+            minus[j] -= h
+            hess[j] = (value_grad(plus)[1] - value_grad(minus)[1]) / (2 * h)
+        hess = 0.5 * (hess + hess.T)
+        curv, vecs = np.linalg.eigh(basis.T @ hess @ basis)
+        curv = np.abs(curv)
+        curv = np.maximum(curv, max(1e-12 * curv.max(), 1e-30))
+        coef = grad @ basis @ vecs
+        scaled = coef / curv
+        return -(scaled @ vecs.T @ basis.T), float(scaled @ coef)
+
     scores = np.zeros(n)
     value, grad = value_grad(scores)
-    step = 0.5
+    if spec.family in ("GLA", "LA"):  # the adjusted origin, unless worse
+        origin = (-(stats.log_priors / (1.0 - spec.q)) if spec.family == "GLA"
+                  else -(spec.tau * stats.log_priors))
+        at_origin = value_grad(origin)
+        if not value < at_origin[0]:
+            scores, (value, grad) = origin, at_origin
+    fresh = True
     for _ in range(max_steps):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-13:
-            break
-        used = min(step, 1.0 / gnorm)
-        candidate = scores - used * grad
-        cand_value, cand_grad = value_grad(candidate)
-        if cand_value <= value - 0.1 * used * gnorm**2:
-            improvement = value - cand_value
-            scores, value, grad = candidate, cand_value, cand_grad
-            step = min(step * 1.5, 1e6)
-            if improvement < 1e-15 * max(1.0, abs(value)):
+        if fresh:
+            direction, decrement = newton(scores, grad)
+            if decrement < 1e-15 * max(1.0, abs(value)):
                 break
+            step = 1.0 / max(1.0, math.sqrt(direction @ direction))
+        candidate = scores + step * direction
+        cand_value, cand_grad = value_grad(candidate)
+        fresh = cand_value <= value - 0.1 * step * decrement
+        if fresh:
+            scores, value, grad = candidate, cand_value, cand_grad
         else:
-            step = used * 0.5
-            if step < 1e-14:
+            step *= 0.5
+            if step * decrement < 1e-15 * max(1.0, abs(value)):
                 break
     return scores, value
 
 
+def _count_loss_calls(monkeypatch):
+    """The label rows of each loss call the oracle makes, as a list that
+    fills while the test runs."""
+    calls = []
+    real = theory.batch_loss_and_grad
+
+    def counting(spec, scores, labels, *args, **kwargs):
+        calls.append(len(labels))
+        return real(spec, scores, labels, *args, **kwargs)
+
+    monkeypatch.setattr(theory, "batch_loss_and_grad", counting)
+    return calls
+
+
+def _solo_steps(calls, n):
+    """(Hessian, trial) flags per iteration of a solo solve of n classes,
+    from its loss calls: after the two starts (2n labels), a Hessian call
+    carries 2n rows of n labels, a trial step n labels."""
+    assert calls[0] == 2 * n
+    steps = []
+    for rows in calls[1:]:
+        if rows == 2 * n * n:
+            steps.append((True, False))
+        elif steps and steps[-1] == (True, False):
+            assert rows == n
+            steps[-1] = (True, True)
+        else:
+            assert rows == n
+            steps.append((False, True))
+    return steps
+
+
+def _lockstep_calls(steps, ns, width):
+    """The label rows of each loss call of the lockstep solve of points
+    whose solo iterations are ``steps``, padded to ``width`` classes."""
+    calls = [2 * width * len(ns)]
+    for j in range(max(map(len, steps))):
+        at = [(n, s[j]) for n, s in zip(ns, steps) if j < len(s)]
+        hessian = sum(2 * n * width for n, (h, _) in at if h)
+        trials = sum(width for _, (_, t) in at if t)
+        calls += [rows for rows in (hessian, trials) if rows]
+    return calls
+
+
 class TestLockstepMinimizer:
     def test_solo_equals_the_per_point_loop(self):
+        # run to their own stopping tests, and cut at 4 steps
         rng = np.random.default_rng(40)
         specs = [LossSpec("GLA", q=0.0), LossSpec("GLA", q=0.7),
                  LossSpec("WCE"), LossSpec("FOCAL", gamma=2.0)]
         for spec in specs:
             for _ in range(5):
                 point = random_conditional_point(rng, int(rng.integers(2, 7)))
-                [(scores, value)] = minimize_conditional_errors(
-                    spec, [point], max_steps=600)
-                ref_scores, ref_value = _per_point_descent(spec, point, 600)
-                assert np.array_equal(scores, ref_scores)
-                assert value == ref_value
-
+                for cap in (4, 1000):
+                    [(scores, value)] = minimize_conditional_errors(
+                        spec, [point], max_steps=cap)
+                    ref_scores, ref_value = _per_point_newton(spec, point,
+                                                              cap)
+                    assert np.array_equal(scores, ref_scores)
+                    assert value == ref_value
 
     @pytest.mark.parametrize("spec", [
         LossSpec("GLA", q=0.0), LossSpec("GLA", q=0.3), LossSpec("GLA", q=0.7),
@@ -275,8 +341,10 @@ class TestLockstepMinimizer:
         points = [random_conditional_point(rng, int(rng.integers(2, 7)))
                   for _ in range(14)]
         assert {p.n for p in points} == {2, 3, 4, 5, 6}
-        solved = minimize_conditional_errors(spec, points, max_steps=400)
-        _assert_solo_equal(spec, points, solved, max_steps=400)
+        # a cap of 8 steps stops some solves (GLA at q = 0.7, CSMAX)
+        for cap in (8, 1000):
+            solved = minimize_conditional_errors(spec, points, max_steps=cap)
+            _assert_solo_equal(spec, points, solved, max_steps=cap)
 
     @pytest.mark.parametrize("pick", ["every_pair", "two_per_n"])
     def test_mixed_specs_and_n_equal_solo_bit_for_bit(self, pick):
@@ -299,24 +367,24 @@ class TestLockstepMinimizer:
                          margins=tuple(rng.uniform(0.3, 2.0, n))),
                 LossSpec("LA", tau=0.5), LossSpec("CB", gamma=0.9),
                 LossSpec("WCE"), LossSpec("CE")][family])
-        solved = minimize_conditional_errors(specs, points, max_steps=400)
-        assert len(solved) == len(points)
-        for spec, point, (scores, value) in zip(specs, points, solved):
-            [(solo_scores, solo_value)] = minimize_conditional_errors(
-                spec, [point], max_steps=400)
-            assert np.array_equal(scores, solo_scores)
-            assert value == solo_value
+        for cap in (8, 1000):
+            solved = minimize_conditional_errors(specs, points, max_steps=cap)
+            assert len(solved) == len(points)
+            for spec, point, (scores, value) in zip(specs, points, solved):
+                [(solo_scores, solo_value)] = minimize_conditional_errors(
+                    spec, [point], max_steps=cap)
+                assert np.array_equal(scores, solo_scores)
+                assert value == solo_value
         # padded into one table, FOCAL or CSMAX shares it with another
         # spec, here across two class counts
         for mixed in ([LossSpec("FOCAL", gamma=2.0), LossSpec("CE")],
                       [LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
                        LossSpec("CE")]):
-            solved = minimize_conditional_errors(mixed, points[:2],
-                                                 max_steps=400)
+            solved = minimize_conditional_errors(mixed, points[:2])
             for spec, point, (scores, value) in zip(mixed, points[:2],
                                                     solved):
                 [(solo_scores, solo_value)] = minimize_conditional_errors(
-                    spec, [point], max_steps=400)
+                    spec, [point])
                 assert np.array_equal(scores, solo_scores)
                 assert value == solo_value
 
@@ -325,25 +393,17 @@ class TestLockstepMinimizer:
         rng = np.random.default_rng(42)
         spec = LossSpec("GCA", q=q, margins=(1.0, 0.5, 2.0))
         points = [random_conditional_point(rng, 3) for _ in range(6)]
-        solved = minimize_conditional_errors(spec, points, max_steps=400)
-        _assert_solo_equal(spec, points, solved, max_steps=400)
+        for cap in (8, 1000):
+            solved = minimize_conditional_errors(spec, points, max_steps=cap)
+            _assert_solo_equal(spec, points, solved, max_steps=cap)
 
     def test_points_leave_at_their_own_iteration(self, monkeypatch):
         # At q = 0.7 a flat point stops before its first step, two stop
-        # within a few dozen steps, and one with an impossible label keeps
-        # pushing that score down until the step limit; the lockstep loop
-        # evaluates exactly the rows their solo descents do, in as many
-        # calls as the longest of them.
-        import imbloss.theory as theory
-
-        calls = []
-        real = theory.batch_loss_and_grad
-
-        def counting(spec, scores, labels, *args, **kwargs):
-            calls.append(len(labels))
-            return real(spec, scores, labels, *args, **kwargs)
-
-        monkeypatch.setattr(theory, "batch_loss_and_grad", counting)
+        # after a few steps and after over a dozen, and one with an
+        # impossible label keeps pushing that score down until the step
+        # limit; the lockstep loop evaluates exactly the rows their solo
+        # solves do, in as many calls as the longest of them.
+        calls = _count_loss_calls(monkeypatch)
         spec = LossSpec("GLA", q=0.7)
         points = [ConditionalPoint([0.5, 0.5, 0.0], [0.25, 0.25, 0.5]),
                   ConditionalPoint([0.96, 0.02, 0.02], [0.05, 0.05, 0.9]),
@@ -352,55 +412,67 @@ class TestLockstepMinimizer:
         solo_calls = []
         for point in points:
             calls.clear()
-            minimize_conditional_errors(spec, [point], max_steps=1500)
+            minimize_conditional_errors(spec, [point], max_steps=20)
             solo_calls.append(list(calls))
-        counts = [len(c) for c in solo_calls]
-        assert counts[0] == 1501 and counts[2] == 1
-        assert 10 < counts[1] < 100 and 10 < counts[3] < 100
+        steps = [_solo_steps(c, 3) for c in solo_calls]
+        # the start, then per step a Hessian and a trial; the flat point
+        # leaves at its first Hessian
+        assert len(steps[0]) == 20 and len(solo_calls[0]) == 1 + 2 * 20
+        assert steps[2] == [(True, False)] and len(solo_calls[2]) == 2
+        assert 10 < len(steps[1]) < 20 and 3 < len(steps[3]) < 10
         calls.clear()
-        solved = minimize_conditional_errors(spec, points, max_steps=1500)
-        assert len(calls) == 1501
+        solved = minimize_conditional_errors(spec, points, max_steps=20)
+        assert len(calls) == 1 + 2 * 20
         assert sum(calls) == sum(sum(c) for c in solo_calls)
-        _assert_solo_equal(spec, points, solved, max_steps=1500)
+        assert calls == _lockstep_calls(steps, [3] * 4, 3)
+        _assert_solo_equal(spec, points, solved, max_steps=20)
 
     def test_mixed_n_points_leave_at_their_own_iteration(self,
                                                          monkeypatch):
-        # padded to six classes, points of every n descend in one series
-        # of loss calls, as many as the longest solo descent makes; each
-        # call carries six label rows for every point whose solo descent
-        # makes a call at that iteration
-        import imbloss.theory as theory
-
-        calls = []
-        real = theory.batch_loss_and_grad
-
-        def counting(spec, scores, labels, *args, **kwargs):
-            calls.append(len(labels))
-            return real(spec, scores, labels, *args, **kwargs)
-
-        monkeypatch.setattr(theory, "batch_loss_and_grad", counting)
+        # padded to six classes, points of every n solve in one series of
+        # loss calls: per iteration one Hessian call over the points whose
+        # solo solve takes a Hessian there (2n rows of six labels each)
+        # and one call over those that try a step there (six labels each)
+        calls = _count_loss_calls(monkeypatch)
         spec = LossSpec("GLA", q=0.7)
         points = [
             ConditionalPoint([0.3, 0.25, 0.2, 0.15, 0.1], [0.2] * 5),
             ConditionalPoint([0.5, 0.5, 0.0], [0.25, 0.25, 0.5]),
             ConditionalPoint([1 / 6] * 6, [1 / 6] * 6),
-            ConditionalPoint([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]),
+            ConditionalPoint([0.7, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.4]),
             ConditionalPoint([0.5, 0.5], [0.5, 0.5]),
             ConditionalPoint([0.3, 0.2, 0.2, 0.1, 0.1, 0.1],
                              [0.1, 0.1, 0.2, 0.2, 0.2, 0.2]),
             ConditionalPoint([0.96, 0.02, 0.02], [0.05, 0.05, 0.9])]
-        counts = []
+        counts, steps = [], []
         for point in points:
             calls.clear()
-            minimize_conditional_errors(spec, [point], max_steps=1500)
+            minimize_conditional_errors(spec, [point], max_steps=20)
             counts.append(len(calls))
-        assert counts[1] == 1501 and counts[2] == counts[4] == 1
+            steps.append(_solo_steps(calls, point.n))
+        assert counts[1] == 1 + 2 * 20 and counts[2] == counts[4] == 2
         assert len(set(counts)) == 6
         calls.clear()
-        solved = minimize_conditional_errors(spec, points, max_steps=1500)
-        assert calls == [6 * sum(c > j for c in counts)
-                         for j in range(1501)]
-        _assert_solo_equal(spec, points, solved, max_steps=1500)
+        solved = minimize_conditional_errors(spec, points, max_steps=20)
+        assert calls == _lockstep_calls(steps, [p.n for p in points], 6)
+        _assert_solo_equal(spec, points, solved, max_steps=20)
+
+    def test_results_do_not_depend_on_the_hessian_block_size(
+            self, monkeypatch):
+        # 150 points of every n cross three blocks of the default size, and
+        # blocks of 1 and 2 put each point's Hessian rows in calls of their
+        # own or with one other point; the bits are the same
+        rng = np.random.default_rng(48)
+        points = verify.bayes_points(rng, 150)
+        specs = [LossSpec("GLA", q=(0.0, 0.3, 0.7, 0.9)[i % 4])
+                 for i in range(150)]
+        whole = minimize_conditional_errors(specs, points)
+        for block in (1, 2):
+            monkeypatch.setattr(theory, "_HESSIAN_BLOCK", block)
+            for (scores, value), (ref_scores, ref_value) in zip(
+                    minimize_conditional_errors(specs, points), whole):
+                assert np.array_equal(scores, ref_scores)
+                assert value == ref_value
 
     def test_padding_raises_no_floating_point_error(self):
         # -inf scores past a point's n: the loss core, the reductions and
@@ -411,7 +483,7 @@ class TestLockstepMinimizer:
                  LossSpec("GCA", q=0.3, margins=(0.5,) * point.n)
                  for i, point in enumerate(points)]
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            solved = minimize_conditional_errors(specs, points, max_steps=200)
+            solved = minimize_conditional_errors(specs, points)
         assert all(np.isfinite(scores).all() for scores, _ in solved)
 
     def test_empty_and_single(self):
@@ -425,13 +497,11 @@ class TestLockstepMinimizer:
     def test_results_do_not_share_memory(self):
         rng = np.random.default_rng(43)
         points = [random_conditional_point(rng, 3) for _ in range(3)]
-        solved = minimize_conditional_errors(LossSpec("GLA", q=0.0), points,
-                                             max_steps=50)
+        solved = minimize_conditional_errors(LossSpec("GLA", q=0.0), points)
         first = solved[0][0]
         first += 1.0
         assert not np.shares_memory(first, solved[1][0])
-        _assert_solo_equal(LossSpec("GLA", q=0.0), points[1:], solved[1:],
-                           max_steps=50)
+        _assert_solo_equal(LossSpec("GLA", q=0.0), points[1:], solved[1:])
 
 
 def _all_label_values(spec, scores, stats):
@@ -640,12 +710,12 @@ class TestBestConditionalError:
 
 def _perturbed_minimizers(q, points, scores, near):
     """The scores, with each entry where ``near`` holds replaced by the
-    GLA descent's minimizer of its point (150 steps) plus that entry as
-    noise; one descent covers every such point."""
+    GLA oracle's minimizer of its point plus that entry as noise; one
+    solve covers every such point."""
     scores = list(scores)
     chosen = [i for i, flag in enumerate(near) if flag]
     solved = minimize_conditional_errors(
-        LossSpec("GLA", q=q), [points[i] for i in chosen], max_steps=150)
+        LossSpec("GLA", q=q), [points[i] for i in chosen])
     for i, (minimizer, _) in zip(chosen, solved):
         scores[i] = minimizer + scores[i]
     return scores
