@@ -14,12 +14,14 @@ The key quantities:
   tau (argmax p(y|x)/p(y)^tau) -- these disagree for tau != 1, which is
   what ``find_la_disagreement`` hunts for;
 * conditional errors sum_y p(y|x) loss(scores, y), computed row-wise by
-  one function, ``conditional_errors``, for the descent below;
+  one function, ``conditional_errors``, for the minimizer below;
 * closed-form best conditional errors of the generalized losses over
-  unconstrained scores, cross-checked by an independent gradient-descent
-  minimizer; it descends many points of any n in lockstep, padded to the
-  widest (one loss call per iteration for all of them), and each point's
-  result equals its solo descent bit for bit;
+  unconstrained scores, cross-checked by an independent damped Newton
+  minimizer (Hessians from central differences of the analytic
+  gradient); it solves many points of any n in lockstep, padded to the
+  widest (one loss call per iteration for all their trial steps, one per
+  block of points for their Hessians), and each point's result equals
+  its solo solve bit for bit;
 * conditional-regret bound checks: the balanced regret of any score
   vector must be covered by sqrt(2 t) / p_min (logit-adjusted family,
   q = 0; with an extra (1-q) correction for q in (0,1)) and by
@@ -257,7 +259,7 @@ def best_conditional_error(family: str, point: ConditionalPoint, q: float) -> fl
 _HESSIAN_BLOCK = 64
 
 
-def minimize_conditional_errors(spec, points, *, max_steps: int = 1000):
+def minimize_conditional_errors(spec, points, *, max_steps: int = 10_000):
     """Independent numeric oracle: damped Newton on unconstrained scores,
     one (scores, value) per point, in input order; ``spec`` is one LossSpec
     or a list of one per point, of any mix of families.
@@ -308,14 +310,13 @@ def minimize_conditional_errors(spec, points, *, max_steps: int = 1000):
     origin = 0.0 if table.neg_shift is None else table.neg_shift
     starts = np.stack([np.where(real, origin, -np.inf),
                        np.where(real, 0.0, -np.inf)], axis=1)
+    starts = starts.reshape(-1, width)  # per point, origin then zero
     pair = np.repeat(np.arange(len(points)), 2)
     values, grads = conditional_errors(
-        table[pair], cond[pair], starts.reshape(-1, width), want_grad=True,
+        table[pair], cond[pair], starts, want_grad=True,
         spans=[(n, 2 * a, 2 * b) for n, a, b in spans])
-    zero = values[1::2] < values[::2]
-    scores = starts[np.arange(len(points)), zero.astype(int)]
-    value = np.where(zero, values[1::2], values[::2])
-    grad = np.where(zero[:, None], grads[1::2], grads[::2])
+    pick = 2 * np.arange(len(points)) + (values[1::2] < values[::2])
+    scores, value, grad = starts[pick], values[pick], grads[pick]
     results = [None] * len(points)
     # per point: its direction, decrement and step, whether it moved since
     # its direction was taken, and whether it stops

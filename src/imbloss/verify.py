@@ -32,9 +32,10 @@ def bayes_points(rng: np.random.Generator, count: int):
 def bayes(pairs):
     """Pointwise optimality of the logit-adjusted family, per (point, q).
 
-    The numerically minimized conditional GLA error must match the closed
-    form to 1e-10, and its argmax label must be the balanced-optimal
-    label. Every (point, q) is solved in one lockstep call.
+    The conditional GLA error minimized by the damped Newton oracle
+    ``theory.minimize_conditional_errors`` must match the closed form to
+    1e-10, and its argmax label must be the balanced-optimal label. Every
+    (point, q) is solved in one lockstep call.
     """
     pairs = list(pairs)
     solved = theory.minimize_conditional_errors(

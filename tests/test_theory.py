@@ -212,7 +212,7 @@ def _assert_solo_equal(spec, points, solved, **kwargs):
         assert value == solo_value and isinstance(value, float)
 
 
-def _per_point_newton(spec, point, max_steps=1000):
+def _per_point_newton(spec, point, max_steps):
     """The Newton solve written for one point with 1-d arrays and Python
     floats: the reference the stacked loop must reproduce exactly."""
     stats = PriorStats(point.priors)
@@ -320,7 +320,7 @@ class TestLockstepMinimizer:
         for spec in specs:
             for _ in range(5):
                 point = random_conditional_point(rng, int(rng.integers(2, 7)))
-                for cap in (4, 1000):
+                for cap in (4, 10_000):
                     [(scores, value)] = minimize_conditional_errors(
                         spec, [point], max_steps=cap)
                     ref_scores, ref_value = _per_point_newton(spec, point,
@@ -342,7 +342,7 @@ class TestLockstepMinimizer:
                   for _ in range(14)]
         assert {p.n for p in points} == {2, 3, 4, 5, 6}
         # a cap of 8 steps stops some solves (GLA at q = 0.7, CSMAX)
-        for cap in (8, 1000):
+        for cap in (8, 10_000):
             solved = minimize_conditional_errors(spec, points, max_steps=cap)
             _assert_solo_equal(spec, points, solved, max_steps=cap)
 
@@ -367,7 +367,7 @@ class TestLockstepMinimizer:
                          margins=tuple(rng.uniform(0.3, 2.0, n))),
                 LossSpec("LA", tau=0.5), LossSpec("CB", gamma=0.9),
                 LossSpec("WCE"), LossSpec("CE")][family])
-        for cap in (8, 1000):
+        for cap in (8, 10_000):
             solved = minimize_conditional_errors(specs, points, max_steps=cap)
             assert len(solved) == len(points)
             for spec, point, (scores, value) in zip(specs, points, solved):
@@ -393,7 +393,7 @@ class TestLockstepMinimizer:
         rng = np.random.default_rng(42)
         spec = LossSpec("GCA", q=q, margins=(1.0, 0.5, 2.0))
         points = [random_conditional_point(rng, 3) for _ in range(6)]
-        for cap in (8, 1000):
+        for cap in (8, 10_000):
             solved = minimize_conditional_errors(spec, points, max_steps=cap)
             _assert_solo_equal(spec, points, solved, max_steps=cap)
 
@@ -685,9 +685,9 @@ class TestBestConditionalError:
         solved = minimize_conditional_errors(LossSpec("GLA", q=q), points)
         gaps = [abs(value - best_conditional_error("GLA", point, q))
                 for point, (_, value) in zip(points, solved)]
-        wrong = [i for i, (point, (scores, _)) in enumerate(zip(points, solved))
-                 if argmax_highest(scores) + 1 != bayes_balanced_label(point)]
-        assert max(gaps) <= 1e-10 and wrong == []
+        assert max(gaps) <= 1e-10
+        assert ([argmax_highest(scores) + 1 for scores, _ in solved]
+                == [bayes_balanced_label(point) for point in points])
 
     def test_gca_oracle_matches_the_closed_form_at_q_09(self):
         # unit margins, n = 2..6 in one solve: the closed form to 1e-10
@@ -703,9 +703,9 @@ class TestBestConditionalError:
             points)
         gaps = [abs(value - best_conditional_error("GCA", point, 0.9))
                 for point, (_, value) in zip(points, solved)]
-        wrong = [i for i, (point, (scores, _)) in enumerate(zip(points, solved))
-                 if argmax_highest(scores) + 1 != bayes_balanced_label(point)]
-        assert max(gaps) <= 1e-10 and wrong == []
+        assert max(gaps) <= 1e-10
+        assert ([argmax_highest(scores) + 1 for scores, _ in solved]
+                == [bayes_balanced_label(point) for point in points])
 
 
 def _perturbed_minimizers(q, points, scores, near):
