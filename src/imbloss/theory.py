@@ -382,23 +382,21 @@ def _newton_steps(table, cond, scores, grad, ns):
     for start in range(0, count, _HESSIAN_BLOCK):
         spans = [(n, start + a, start + b) for n, a, b in
                  _spans(ns[start:start + _HESSIAN_BLOCK])]
+        cuts = np.cumsum([0] + [2 * n * (b - a) for n, a, b in spans])
+        tile_spans = [(n, c, d) for (n, _, _), c, d in
+                      zip(spans, cuts.tolist(), cuts[1:].tolist())]
         rows = np.concatenate([np.arange(a, b).repeat(2 * n)
                                for n, a, b in spans])
-        cuts = np.cumsum([0] + [2 * n * (b - a) for n, a, b in spans])
-        tile = scores[rows]  # per point, s + h e_j then s - h e_j
-        for (n, a, b), first in zip(spans, cuts.tolist()):
-            part = tile[first:first + 2 * n * (b - a)].reshape(
-                b - a, 2, n, width)
+        tile = scores[rows]  # per point, s + h e_j for each j, then - h
+        for (n, a, b), (_, c, d) in zip(spans, tile_spans):
+            part = tile[c:d].reshape(b - a, 2, n, width)
             diag = np.arange(n)
             part[:, 0, diag, diag] += h
             part[:, 1, diag, diag] -= h
-        _, tile_grad = conditional_errors(
-            table[rows], cond[rows], tile, want_grad=True,
-            spans=[(n, c, d) for (n, _, _), c, d in zip(spans, cuts[:-1],
-                                                         cuts[1:])])
-        for (n, a, b), first in zip(spans, cuts.tolist()):
-            part = tile_grad[first:first + 2 * n * (b - a), :n].reshape(
-                b - a, 2, n, n)
+        _, tile_grad = conditional_errors(table[rows], cond[rows], tile,
+                                          want_grad=True, spans=tile_spans)
+        for (n, a, b), (_, c, d) in zip(spans, tile_spans):
+            part = tile_grad[c:d, :n].reshape(b - a, 2, n, n)
             hess[a:b, :n, :n] = (part[:, 0] - part[:, 1]) / (2 * h)
     direction, decrement = np.zeros((count, width)), np.empty(count)
     length = np.empty(count)
