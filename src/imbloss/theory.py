@@ -387,7 +387,7 @@ def _newton_steps(table, cond, scores, grad, ns):
                       zip(spans, cuts.tolist(), cuts[1:].tolist())]
         rows = np.concatenate([np.arange(a, b).repeat(2 * n)
                                for n, a, b in spans])
-        tile = scores[rows]  # per point, s + h e_j for each j, then - h
+        tile = scores[rows]  # per point, s + h e_j for each j, then s - h e_j
         for (n, a, b), (_, c, d) in zip(spans, tile_spans):
             part = tile[c:d].reshape(b - a, 2, n, width)
             diag = np.arange(n)
