@@ -684,6 +684,42 @@ class TestCommands:
         with pytest.raises(trainer.TrainingDiverged, match="rep 4"):
             next(records)
 
+    def test_margin_records_equal_training_each_resample_alone(
+            self, monkeypatch):
+        from imbloss import trainer, verify
+
+        stacked = list(verify.margin_bound(np.random.default_rng(4), 23))
+        train_lockstep = trainer.train_lockstep
+
+        alone = []
+
+        def one_at_a_time(models, data, spec, cfgs):
+            outcomes = []
+            for model, train_set, cfg in zip(models, data, cfgs):
+                outcomes += train_lockstep([model], [train_set], spec, [cfg])
+                alone.append(cfg.seed)
+            return outcomes
+
+        monkeypatch.setattr(trainer, "train_lockstep", one_at_a_time)
+        assert list(verify.margin_bound(np.random.default_rng(4),
+                                        23)) == stacked
+        assert alone == list(range(23))
+        assert [r.get("rep") for r in stacked] == [*range(23), None]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_margin_bytes_of_23_resamples_are_pinned(self, tmp_path,
+                                                     threads):
+        # 23 resamples, written when the margin suite trained them in
+        # blocks of 10, 10 and 3; the same under 1 and 2 BLAS threads
+        done = run_python(["-m", "imbloss.cli", "--out", "v", "--seed", "3",
+                           "verify", "margin", "--budget", "2345"],
+                          tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(
+            (tmp_path / "v" / "verify_margin.jsonl").read_bytes()
+        ).hexdigest() == ("2b6685cff51bee6327d7f3a37b1b4e86"
+                          "e7aa56151d2b811cb10c7f7715da0cd6")
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_full_budget_margin_bytes_are_pinned(self, tmp_path, threads):
         # written when the margin suite trained each of its 100 resamples
