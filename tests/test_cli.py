@@ -653,18 +653,22 @@ class TestCommands:
             {"check": "domination", "trials": 300, "failures": len(failing),
              "ok": False}]
 
-    def test_margin_records_do_not_depend_on_the_block_size(self,
-                                                            monkeypatch):
-        # the margin suite trains its resamples a block at a time; the
-        # records of 10 resamples in blocks of 3 (the last of one) are
-        # those of one block of all of them
-        from imbloss import verify
+    def test_margin_resamples_train_in_one_lockstep_call(self, monkeypatch):
+        # every resample of the margin suite trains in one stack, each on
+        # its own train set
+        from imbloss import trainer, verify
 
-        monkeypatch.setattr(verify, "_MARGIN_BLOCK", 10)
-        whole = list(verify.margin_bound(np.random.default_rng(4), 10))
-        monkeypatch.setattr(verify, "_MARGIN_BLOCK", 3)
-        assert list(verify.margin_bound(np.random.default_rng(4), 10)) == whole
-        assert [r.get("rep") for r in whole] == [*range(10), None]
+        train_lockstep = trainer.train_lockstep
+        stacks = []
+
+        def spy(models, data, spec, cfgs):
+            stacks.append(([cfg.seed for cfg in cfgs], len(data)))
+            return train_lockstep(models, data, spec, cfgs)
+
+        monkeypatch.setattr(trainer, "train_lockstep", spy)
+        records = list(verify.margin_bound(np.random.default_rng(4), 23))
+        assert stacks == [(list(range(23)), 23)]
+        assert [r.get("rep") for r in records] == [*range(23), None]
 
     def test_diverged_margin_resample_raises_after_the_ones_before(
             self, monkeypatch):
@@ -677,7 +681,6 @@ class TestCommands:
                     if cfg.seed == 4 else outcome for cfg, outcome in
                     zip(cfgs, train_lockstep(models, data, spec, cfgs))]
 
-        monkeypatch.setattr(verify, "_MARGIN_BLOCK", 3)
         monkeypatch.setattr(trainer, "train_lockstep", diverge_rep_4)
         records = verify.margin_bound(np.random.default_rng(4), 10)
         assert [next(records)["rep"] for _ in range(4)] == [0, 1, 2, 3]
