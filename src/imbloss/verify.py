@@ -7,7 +7,7 @@ opens a file or prints. A record with ``"ok": False`` is a failed check;
 ``is_violation`` says which failed records the CLI counts.
 
 Functions of the other modules are called through their module
-(``theory.check_regret_bounds``, ``trainer.train_lockstep``), so code that
+(``theory.regret_reports``, ``trainer.train_lockstep``), so code that
 replaces a module attribute, such as a tracer, sees every call.
 """
 
@@ -164,51 +164,47 @@ def _nonempty_counts(rng, total, probs):
     return counts
 
 
-# Resamples trained per lockstep call of the margin suite. Against training
-# each alone, a block of 10 adds 0.5 MB to the command's peak memory and
-# a block of 25 adds 1.7 MB.
-_MARGIN_BLOCK = 10
-
-
 def margin_bound(rng: np.random.Generator, resamples: int):
     """The margin generalization bound across fresh train/test draws of a
     3-class Gaussian task: one record per resample, then the rate, which
-    must reach 85%. The resamples of each block of ``_MARGIN_BLOCK`` are
-    trained in one lockstep call, each on its own train set; a resample
-    that diverges raises the TrainingDiverged that call returns for it."""
+    must reach 85%.
+
+    Every resample's train set and test draw are drawn first, in resample
+    order; then all the resamples train in one lockstep call, each on its
+    own train set. That stack holds the 500-row train sets twice, about
+    5.6 MB at the default 100 resamples. A resample that diverges raises
+    the TrainingDiverged that call returns for it, after the records of
+    the ones before; each test set is drawn only for its own check."""
     probs = [0.6, 0.3, 0.1]
     # the sampling distribution is fixed; only train/test draws resample
     means = np.random.default_rng(123).normal(0, 2.0, (3, 6))
+    train_sets, test_draws = [], []
+    for _ in range(resamples):
+        train_sets.append(datagen.gaussian_mixture(
+            3, 6, _nonempty_counts(rng, 500, probs), means, np.ones(3),
+            int(rng.integers(2**31))))
+        test_draws.append((_nonempty_counts(rng, 2000, probs),
+                           int(rng.integers(2**31))))
+    outcomes = trainer.train_lockstep(
+        [trainer.LinearModel.init_random(3, 6, rep, norm_bound=1.0,
+                                         use_bias=False)
+         for rep in range(resamples)],
+        train_sets, LossSpec("WCE"),
+        [trainer.TrainConfig(epochs=10, batch_size=50, lr0=0.05, seed=rep)
+         for rep in range(resamples)])
     holds = 0
-    for start in range(0, resamples, _MARGIN_BLOCK):
-        reps = range(start, min(start + _MARGIN_BLOCK, resamples))
-        train_sets, test_draws = [], []
-        for _ in reps:
-            train_sets.append(datagen.gaussian_mixture(
-                3, 6, _nonempty_counts(rng, 500, probs), means, np.ones(3),
-                int(rng.integers(2**31))))
-            test_draws.append((_nonempty_counts(rng, 2000, probs),
-                               int(rng.integers(2**31))))
-        outcomes = trainer.train_lockstep(
-            [trainer.LinearModel.init_random(3, 6, rep, norm_bound=1.0,
-                                             use_bias=False)
-             for rep in reps],
-            train_sets, LossSpec("WCE"),
-            [trainer.TrainConfig(epochs=10, batch_size=50, lr0=0.05,
-                                 seed=rep) for rep in reps])
-        for rep, train_set, (counts, seed), outcome in zip(
-                reps, train_sets, test_draws, outcomes):
-            if isinstance(outcome, trainer.TrainingDiverged):
-                raise outcome
-            test_set = datagen.gaussian_mixture(3, 6, counts, means,
-                                                np.ones(3), seed)
-            report = theory.check_theorem5_bound(
-                outcome[0], train_set, test_set, rho=0.5, norm_bound=1.0,
-                delta=0.1, trials=30, seed=rep)
-            holds += report.holds
-            yield {"check": "margin_bound", "rep": rep, "rhs": report.rhs,
-                   "test_risk": report.test_balanced_risk,
-                   "ok": report.holds}
+    for rep, (train_set, (counts, seed), outcome) in enumerate(zip(
+            train_sets, test_draws, outcomes)):
+        if isinstance(outcome, trainer.TrainingDiverged):
+            raise outcome
+        test_set = datagen.gaussian_mixture(3, 6, counts, means, np.ones(3),
+                                            seed)
+        report = theory.check_theorem5_bound(
+            outcome[0], train_set, test_set, rho=0.5, norm_bound=1.0,
+            delta=0.1, trials=30, seed=rep)
+        holds += report.holds
+        yield {"check": "margin_bound", "rep": rep, "rhs": report.rhs,
+               "test_risk": report.test_balanced_risk, "ok": report.holds}
     required = math.ceil(0.85 * resamples)
     yield {"check": "margin_bound_rate", "holds": holds,
            "resamples": resamples, "required": required,

@@ -713,7 +713,8 @@ class TestCommands:
     def test_margin_bytes_of_23_resamples_are_pinned(self, tmp_path,
                                                      threads):
         # 23 resamples, written when the margin suite trained them in
-        # blocks of 10, 10 and 3; the same under 1 and 2 BLAS threads
+        # blocks of 10, 10 and 3, and held by one stack of all 23; the
+        # same under 1 and 2 BLAS threads
         done = run_python(["-m", "imbloss.cli", "--out", "v", "--seed", "3",
                            "verify", "margin", "--budget", "2345"],
                           tmp_path, OPENBLAS_NUM_THREADS=threads)
@@ -726,8 +727,8 @@ class TestCommands:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_full_budget_margin_bytes_are_pinned(self, tmp_path, threads):
         # written when the margin suite trained each of its 100 resamples
-        # alone, before it trained them in blocks; the same under 1 and 2
-        # BLAS threads
+        # alone, and held by blocks of 10 and by one stack of all 100; the
+        # same under 1 and 2 BLAS threads
         done = run_python(["-m", "imbloss.cli", "--out", "v", "--seed", "0",
                            "verify", "margin", "--budget", "10000"],
                           tmp_path, OPENBLAS_NUM_THREADS=threads)
