@@ -165,6 +165,15 @@ def load_config(path) -> dict:
         raise ConfigError("need n >= 2, m_max >= 1, imb_ratio >= 1")
     if not (0.0 < dataset["val_fraction"] < 1.0):
         raise ConfigError("val_fraction must lie in (0, 1)")
+    for key, rule, ok in (
+            ("d", ">= 1", dataset["d"] >= 1),
+            ("test_m_max", ">= 1", dataset["test_m_max"] >= 1),
+            ("noise_scale", ">= 0", dataset["noise_scale"] >= 0),
+            ("minority_fraction", "in (0, 1)",
+             0.0 < dataset["minority_fraction"] < 1.0)):
+        if not ok:
+            raise ConfigError(f"[dataset] {key} must be {rule}, "
+                              f"got {dataset[key]!r}")
 
     if not parser.has_section("loss"):
         raise ConfigError("missing [loss] section")

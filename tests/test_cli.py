@@ -209,6 +209,29 @@ class TestConfigParsing:
                          command]) == 2
         assert not (out / "runs").exists()
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("d = 4", "d = 0", "d"),
+        ("d = 4", "d = -3", "d"),
+        ("test_m_max = 30", "test_m_max = 0", "test_m_max"),
+        ("mean_scale = 2.0", "mean_scale = 2.0\nnoise_scale = -1",
+         "noise_scale"),
+        ("profile = longtail", "profile = step\nminority_fraction = 1.5",
+         "minority_fraction"),
+        ("profile = longtail", "profile = step\nminority_fraction = 0",
+         "minority_fraction"),
+    ], ids=["zero-d", "negative-d", "zero-test-m-max", "negative-noise",
+            "minority-fraction-above-one", "zero-minority-fraction"])
+    def test_out_of_range_dataset_option_is_config_error(self, tmp_path, old,
+                                                         new, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"\[dataset\] {key} "):
+            load_config(path)
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out),
+                     "synth"]) == 2
+        assert not out.exists()
+
     def test_valid_configs_keep_their_run_hashes(self, config_file, tmp_path):
         from imbloss.cli import _run_hash
 
