@@ -161,12 +161,13 @@ def load_config(path) -> dict:
     dataset = {"profile": profile, **_numbers(ds, "dataset", _DATASET_NUMBERS)}
     if profile == "figure1":
         dataset["n"], dataset["d"] = 2, 2
-    if dataset["n"] < 2 or dataset["m_max"] < 1 or dataset["imb_ratio"] < 1:
-        raise ConfigError("need n >= 2, m_max >= 1, imb_ratio >= 1")
-    if not (0.0 < dataset["val_fraction"] < 1.0):
-        raise ConfigError("val_fraction must lie in (0, 1)")
     for key, rule, ok in (
+            ("n", ">= 2", dataset["n"] >= 2),
             ("d", ">= 1", dataset["d"] >= 1),
+            ("m_max", ">= 1", dataset["m_max"] >= 1),
+            ("imb_ratio", ">= 1", dataset["imb_ratio"] >= 1),
+            ("val_fraction", "in (0, 1)",
+             0.0 < dataset["val_fraction"] < 1.0),
             ("test_m_max", ">= 1", dataset["test_m_max"] >= 1),
             ("noise_scale", ">= 0", dataset["noise_scale"] >= 0),
             ("minority_fraction", "in (0, 1)",

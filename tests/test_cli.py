@@ -210,6 +210,7 @@ class TestConfigParsing:
         assert not (out / "runs").exists()
 
     @pytest.mark.parametrize("old, new, key", [
+        ("n = 3", "n = 1", "n"),
         ("d = 4", "d = 0", "d"),
         ("d = 4", "d = -3", "d"),
         ("test_m_max = 30", "test_m_max = 0", "test_m_max"),
@@ -219,8 +220,10 @@ class TestConfigParsing:
          "minority_fraction"),
         ("profile = longtail", "profile = step\nminority_fraction = 0",
          "minority_fraction"),
-    ], ids=["zero-d", "negative-d", "zero-test-m-max", "negative-noise",
-            "minority-fraction-above-one", "zero-minority-fraction"])
+        ("seed = 5", "seed = 5\nval_fraction = 1", "val_fraction"),
+    ], ids=["one-class", "zero-d", "negative-d", "zero-test-m-max", "negative-noise",
+            "minority-fraction-above-one", "zero-minority-fraction",
+            "val-fraction-one"])
     def test_out_of_range_dataset_option_is_config_error(self, tmp_path, old,
                                                          new, key):
         path = tmp_path / "bad.ini"
