@@ -68,27 +68,6 @@ class ConfigError(ValueError):
 
 PROFILES = ("longtail", "step", "figure1", "gaussian")
 
-# Standard cross-validation search ranges per family. Paste the relevant
-# entries into a [loss] block (or subset them: at desk scale a 10-point
-# grid is usually overkill).
-DEFAULT_SEARCH_GRIDS = {
-    "GCE": {"q": [round(0.1 * k, 1) for k in range(10)]},
-    "GLA": {"q": [round(0.1 * k, 1) for k in range(10)]},
-    "GCA": {"q": [round(0.1 * k, 1) for k in range(10)]},
-    "EQUAL": {
-        "eq_p": [round(0.1 * k, 1) for k in range(1, 10)],
-        "eq_lambda": [v * 1e-3 for v in
-                      (0.176, 0.5, 0.8, 1.5, 1.76, 2.0, 3.0, 5.0)],
-    },
-    "CB": {"gamma": [round(0.1 * k, 1) for k in range(1, 10)]
-           + [0.99, 0.999, 0.9999]},
-    "FOCAL": {"gamma": [0.5 * k for k in range(2, 21)]
-              + [round(0.1 * k, 1) for k in range(10)]},
-    "LDAM": {"cap_c": [10.0**k for k in range(-4, 5)]
-             + [5.0 * 10.0**k for k in range(-4, 4)]},
-    "LA": {"tau": [1.0]},  # the consistent temperature
-}
-
 # Every hyperparameter but margins, which is resolved per run, not swept.
 _LOSS_GRID_KEYS = tuple(k for k in HYPERPARAMETERS if k != "margins")
 

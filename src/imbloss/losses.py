@@ -22,8 +22,8 @@ Implements closed-form values and analytic score gradients for:
 
 ``loss_table`` turns each (LossSpec, class statistics) pair into table
 columns (shifts, a divisor, a weight, q, gamma, EQUAL's gates and CSMAX's
-psi_tau), so one call evaluates any mix of families and of class counts,
-a block of fewer classes padded with each column's identity; a column
+psi_tau), so one call evaluates any mix of families, all their blocks
+of one class count (their stats' n, which the table checks); a column
 that no block of a table uses is skipped. A table's CSMAX blocks take a
 short code path of their own, and the other families one shared path,
 weight_y * Psi^q(softmax(adjusted scores)_y), FOCAL's times
@@ -274,29 +274,26 @@ class LossTable:
 def loss_table(blocks, n: int) -> LossTable:
     """The LossTable of ``blocks``, (LossSpec, stats) pairs over n classes.
 
-    Any mix of families and of class counts may share a table: a block
-    whose stats have k <= n classes holds its k entries in each per-class
-    column, then that column's identity. A parameter a family lacks is
-    an exact identity: x - 0.0 (which keeps -0.0, where x + 0.0 would
-    not), x / 1.0, x * 1.0, gate 0 and q = 0, or NaN for gamma, eq_p and
+    Any mix of families may share a table; a block whose stats do not
+    have exactly n classes is rejected. A parameter a family lacks is an
+    exact identity: x - 0.0 (which keeps -0.0, where x + 0.0 would not),
+    x / 1.0, x * 1.0, gate 0 and q = 0, or NaN for gamma, eq_p and
     psi_tau. A column that no block sets is None, decided here once per
     table, and skipped.
     """
     zero, one, nan = np.zeros(n), np.ones(n), math.nan
-    identity = (zero, zero, one, one, zero)
     rows = []
     for spec, stats in blocks:
         family = spec.family
         if stats is None and family not in ("CE", "FOCAL", "GCE"):
             raise ValueError(f"{family} requires ClassStats")
-        k = n if stats is None else stats.n
-        if k > n:
-            raise ValueError(f"stats have {k} classes, expected at most {n}")
+        if stats is not None and stats.n != n:
+            raise ValueError(f"stats have {stats.n} classes, expected {n}")
         q = spec.q or 0.0
         gamma = spec.gamma if family == "FOCAL" else nan
         eq_p = nan if spec.eq_p is None else spec.eq_p
         psi_tau = nan if spec.psi_tau is None else spec.psi_tau
-        neg_shift, label_shift, rho, weight, gate = identity
+        neg_shift, label_shift, rho, weight, gate = zero, zero, one, one, zero
         if family == "LA":
             neg_shift = -(spec.tau * stats.log_priors)
         elif family == "GLA":
@@ -307,22 +304,19 @@ def loss_table(blocks, n: int) -> LossTable:
             label_shift = spec.cap_c / stats.counts.astype(np.float64) ** 0.25
         elif family == "GCA":
             rho = np.asarray(spec.margins, dtype=np.float64)
-            if rho.size != k:
+            if rho.size != n:
                 raise ValueError(
-                    f"margins have length {rho.size}, expected {k}")
+                    f"margins have length {rho.size}, expected {n}")
         elif family == "CB":
             weight = (1.0 - spec.gamma) / (1.0 - spec.gamma ** stats.priors)
         elif family == "EQUAL":
             gate = (stats.priors < spec.eq_lambda).astype(np.float64)
         elif family == "CSMAX":
-            rho = np.full(k, spec.rho_margin)
+            rho = np.full(n, spec.rho_margin)
         if family in ("WCE", "GCA", "CSMAX"):
             weight = stats.inv_priors
-        columns = (neg_shift, label_shift, rho, weight, gate)
-        if k < n:  # past the block's k classes, each column's identity
-            columns = [c if c is u else np.concatenate([c, u[k:]])
-                       for c, u in zip(columns, identity)]
-        rows.append((*columns, q, gamma, eq_p, psi_tau))
+        rows.append((neg_shift, label_shift, rho, weight, gate, q, gamma,
+                     eq_p, psi_tau))
     # a column that no block sets holds only the shared zero, one or NaN
     unset = (zero, zero, one, one, None, None, nan, nan, nan)
     return LossTable(*(None if all(c is u for c in column)
@@ -391,7 +385,8 @@ def _exp(x):
     that holds an entry below about -707.5, where its result nears the
     subnormals (numpy 2.4, AVX-512); trained scores put many there. Such entries are set
     apart: below -746 the result is exactly 0.0, and the few in between
-    are computed on their own; -inf (padding) takes numpy's quick 0.0.
+    are computed on their own; -inf (a gated EQUAL class) takes numpy's
+    quick 0.0.
     """
     if (lo := x.min()) >= -700.0 or (lo == -np.inf and x.min(
             initial=np.inf, where=x != lo) >= -700.0):
@@ -585,9 +580,6 @@ def batch_loss_and_grad(
         return _table_loss_and_grad(spec, scores, labels, equal_draws, rng,
                                     want_grad)
     scores, labels = _check_batch(scores, labels)
-    if stats is not None and stats.n != scores.shape[1]:
-        raise ValueError(
-            f"stats have {stats.n} classes, expected {scores.shape[1]}")
     draws = None if equal_draws is None else np.atleast_1d(
         equal_draws).T[:, None]
     values, grads = _table_loss_and_grad(

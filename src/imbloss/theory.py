@@ -18,10 +18,10 @@ The key quantities:
 * closed-form best conditional errors of the generalized losses over
   unconstrained scores, cross-checked by an independent damped Newton
   minimizer (Hessians from central differences of the analytic
-  gradient); it solves many points of any n in lockstep, padded to the
-  widest (one loss call per iteration for all their trial steps, one per
-  block of points for their Hessians), and each point's result equals
-  its solo solve bit for bit;
+  gradient); it solves many points of any n, one class count at a time,
+  the points of one n in lockstep (one loss call per iteration for all
+  their trial steps, one per block of points for their Hessians), and
+  each point's result equals its solo solve bit for bit;
 * conditional-regret bound checks: the balanced regret of any score
   vector must be covered by sqrt(2 t) / p_min (logit-adjusted family,
   q = 0; with an extra (1-q) correction for q in (0,1)) and by
@@ -177,40 +177,29 @@ def bayes_la_label(point: ConditionalPoint, tau: float) -> int:
         point.cond / point.priors**tau, point.reachable)
 
 
-def conditional_errors(table, cond, scores, want_grad=False, spans=None):
-    """sum_y cond[y] * loss(scores, y) per row of the (P, N) arrays, and
+def conditional_errors(table, cond, scores, want_grad=False):
+    """sum_y cond[y] * loss(scores, y) per row of the (P, n) arrays, and
     its score gradients when want_grad, from one loss call on the
-    class-major (N, P*N) tile of every row's labels under ``table``, a
-    LossTable of one block per row or one for all.
+    class-major (n, P*n) tile of every row's labels under ``table``, a
+    LossTable over n classes of one block per row or one for all.
 
-    ``spans`` lists (n, start, stop) per run of rows of n classes (one
-    run of N by default). A LossTable's rows may be padded past n with
-    -inf scores: the loss core adds their exp, 0.0, after the real
-    classes, and the padded label rows (label n) and cond past n go
-    unread. Per span, the stacked matmuls (P,1,n) @ (P,n,1) and
-    (P,1,n) @ (P,n,n) make per row the BLAS calls of ``cond @ values``
-    and ``cond @ grads`` on that row alone, so they round identically.
+    The stacked matmuls (P,1,n) @ (P,n,1) and (P,1,n) @ (P,n,n) make per
+    row the BLAS calls of ``cond @ values`` and ``cond @ grads`` on that
+    row alone, so they round identically.
     """
-    count, width = scores.shape
-    spans = spans or [(width, 0, count)]
-    labels = np.arange(1, width + 1)[None].repeat(count, axis=0)
-    for n, start, stop in spans:
-        labels[start:stop, n:] = n
-    values, grads = batch_loss_and_grad(  # tile column p * N + y: row p
-        table, np.repeat(scores.T, width, axis=1).reshape(
-            width, len(table.q), -1), labels.ravel(), want_grad=want_grad)
-    values = values.reshape(count, width, 1)
-    if want_grad:  # (P, N, N): per row, per label, per class
-        grads = grads.reshape(width, count, width).transpose(1, 2, 0).copy()
-    errors = np.empty(count)
-    grad = np.zeros((count, width)) if want_grad else None
-    for n, start, stop in spans:
-        weights = cond[start:stop, None, :n]
-        errors[start:stop] = (weights @ values[start:stop, :n]).reshape(-1)
-        if want_grad:
-            grad[start:stop, :n] = (
-                weights @ grads[start:stop, :n, :n]).reshape(-1, n)
-    return errors, grad
+    count, n = scores.shape
+    labels = np.arange(1, n + 1)[None].repeat(count, axis=0)
+    values, grads = batch_loss_and_grad(  # tile column p * n + y: row p
+        table, np.repeat(scores.T, n, axis=1).reshape(n, len(table.q), -1),
+        labels.ravel(), want_grad=want_grad)
+    weights = cond[:, None]
+    errors = (weights @ values.reshape(count, n, 1)).reshape(-1)
+    if not want_grad:
+        return errors, None
+    # (P, n, n), per row, per label, per class: contiguous, as one row's
+    # ``cond @ grads`` reads them, so the stacked matmul rounds the same
+    grads = grads.reshape(n, count, n).transpose(1, 2, 0).copy()
+    return errors, (weights @ grads).reshape(count, n)
 
 
 def _entropy(p) -> float:
@@ -254,8 +243,11 @@ def best_conditional_error(family: str, point: ConditionalPoint, q: float) -> fl
 
 
 # Points per Hessian tile of the conditional-error oracle, which holds 2n
-# score rows of N labels per point. `verify bayes` peaks at 40.0 MB with
-# tiles of 64 points and at 45.0 MB with one tile of all its 500.
+# score rows of n labels per point, so that a class count's tiles stay
+# small at any `--budget`. `verify bayes` at its default budget (about 100
+# points per class count) peaks at 39.3-39.4 MiB with tiles of 64 points
+# and at 39.8-40.2 MiB with one tile per class count (peak RSS from
+# os.wait4, one BLAS thread, seeds 0-2).
 _HESSIAN_BLOCK = 64
 
 
@@ -270,7 +262,7 @@ def minimize_conditional_errors(spec, points, *, max_steps: int = 10_000):
     the saturation plateau that s = 0 sits on; s = 0 is the exact optimum,
     with the scores of tied ratios tied, where p(y|x) = p(y). The losses
     are invariant to adding a constant to every score, so each step
-    solves on the sum-zero subspace of the point's real classes: the
+    solves on the sum-zero subspace of the point's scores: the
     Hessian, from central differences of the analytic gradient, is reduced
     to an orthonormal basis of that subspace, its eigenvalues taken in
     absolute value (a negative curvature flipped) and floored at 1e-12 of
@@ -281,71 +273,77 @@ def minimize_conditional_errors(spec, points, *, max_steps: int = 10_000):
     decrement) times the step fraction, falls below 1e-15 max(1, |value|),
     or after ``max_steps`` trial steps.
 
-    The points solve together, sorted by n and padded to the widest N
-    with scores of -inf. One ``conditional_errors`` call per iteration
-    evaluates every point's trial step, each point's rows with its own
-    block of one ``loss_table`` over N classes: its spec and marginal,
-    which the table pads with identities past its n. The Hessians of the
-    points that moved take one more call per ``_HESSIAN_BLOCK`` of them,
-    over the +-h e_j rows of each. Every point keeps its own step, Armijo
-    test and stopping test, and leaves at the iteration where its solo
-    solve stops, so its result equals the solo (P = 1) one bit for bit:
-    the per-point reductions are per-n stacked matmuls and ``eigh`` calls,
-    the BLAS and LAPACK calls of that point alone.
+    The points solve one class count n at a time, in ascending n, and
+    the points of one n together (``_newton_solve``).
     """
     specs = [spec] * len(points) if isinstance(spec, LossSpec) else spec
     if len(specs) != len(points):
         raise ValueError("need one loss spec per point")
-    if not points:
-        return []
-    ids = np.argsort([p.n for p in points], kind="stable")
-    ns = np.array([points[i].n for i in ids])
-    spans, width = _spans(ns), int(ns[-1])
-    cond = np.zeros((len(points), width))
-    for row, i in enumerate(ids.tolist()):
-        cond[row, :ns[row]] = points[i].cond
-    table = loss_table([(specs[i], PriorStats(points[i].priors))
-                        for i in ids.tolist()], width)
-    real = np.arange(width) < ns[:, None]
-    origin = 0.0 if table.neg_shift is None else table.neg_shift
-    starts = np.stack([np.where(real, origin, -np.inf),
-                       np.where(real, 0.0, -np.inf)], axis=1)
-    starts = starts.reshape(-1, width)  # per point, origin then zero
-    pair = np.repeat(np.arange(len(points)), 2)
-    values, grads = conditional_errors(
-        table[pair], cond[pair], starts, want_grad=True,
-        spans=[(n, 2 * a, 2 * b) for n, a, b in spans])
-    pick = 2 * np.arange(len(points)) + (values[1::2] < values[::2])
-    scores, value, grad = starts[pick], values[pick], grads[pick]
     results = [None] * len(points)
+    for n in sorted({p.n for p in points}):
+        ids = [i for i, p in enumerate(points) if p.n == n]
+        solved = _newton_solve([specs[i] for i in ids],
+                               [points[i] for i in ids], max_steps)
+        for i, result in zip(ids, solved):
+            results[i] = result
+    return results
+
+
+def _newton_solve(specs, points, max_steps):
+    """The damped Newton loop of ``minimize_conditional_errors`` over
+    points of one class count n, in lockstep; results in their order.
+
+    One ``conditional_errors`` call per iteration evaluates every point's
+    trial step, each point's rows with its own block of one
+    ``loss_table`` over n classes: its spec and marginal. The Hessians of
+    the points that moved take one more call per ``_HESSIAN_BLOCK`` of
+    them, over the +-h e_j rows of each. Every point keeps its own step,
+    Armijo test and stopping test, and leaves at the iteration where its
+    solo solve stops, so its result equals the solo (P = 1) one bit for
+    bit: the per-point reductions are stacked matmuls and ``eigh`` calls,
+    the BLAS and LAPACK calls of that point alone.
+    """
+    count, n = len(points), points[0].n
+    cond = np.array([p.cond for p in points])
+    table = loss_table([(spec, PriorStats(p.priors))
+                        for spec, p in zip(specs, points)], n)
+    starts = np.zeros((count, 2, n))  # per point, origin then zero
+    if table.neg_shift is not None:
+        starts[:, 0] = table.neg_shift
+    starts = starts.reshape(-1, n)
+    pair = np.repeat(np.arange(count), 2)
+    values, grads = conditional_errors(
+        table[pair], cond[pair], starts, want_grad=True)
+    pick = 2 * np.arange(count) + (values[1::2] < values[::2])
+    scores, value, grad = starts[pick], values[pick], grads[pick]
+    ids, results = np.arange(count), [None] * count
     # per point: its direction, decrement and step, whether it moved since
     # its direction was taken, and whether it stops
-    direction, decrement = np.zeros_like(scores), np.zeros(len(points))
-    step, fresh = np.ones(len(points)), np.ones(len(points), dtype=bool)
+    direction, decrement = np.zeros_like(scores), np.zeros(count)
+    step, fresh = np.ones(count), np.ones(count, dtype=bool)
     done = ~fresh
 
     def leave(stay):
         """Write the results of the rows ``stay`` drops; the kept state."""
         for i in np.flatnonzero(~stay).tolist():
-            results[ids[i]] = (scores[i, :ns[i]].copy(), float(value[i]))
-        kept = [a[stay] for a in (ids, ns, cond, table, scores, value, grad,
+            results[ids[i]] = (scores[i].copy(), float(value[i]))
+        return [a[stay] for a in (ids, cond, table, scores, value, grad,
                                   direction, decrement, step, fresh)]
-        return kept + [_spans(kept[1])]
 
     for _ in range(max_steps):
         if fresh.any():
             at = np.flatnonzero(fresh)
             direction[at], decrement[at], step[at] = _newton_steps(
-                table[at], cond[at], scores[at], grad[at], ns[at])
+                table[at], cond[at], scores[at], grad[at])
             done |= fresh & (decrement < 1e-15 * np.maximum(1.0, abs(value)))
         if done.any():
-            (ids, ns, cond, table, scores, value, grad, direction, decrement,
-             step, fresh, spans) = leave(~done)
+            (ids, cond, table, scores, value, grad, direction, decrement,
+             step, fresh) = leave(~done)
             if ids.size == 0:
                 break
         candidate = scores + step[:, None] * direction
         cand_value, cand_grad = conditional_errors(
-            table, cond, candidate, want_grad=True, spans=spans)
+            table, cond, candidate, want_grad=True)
         fresh = cand_value <= value - 0.1 * step * decrement
         scores = np.where(fresh[:, None], candidate, scores)
         value = np.where(fresh, cand_value, value)
@@ -365,10 +363,10 @@ def _sum_zero_basis(n):
     return ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1.0))
 
 
-def _newton_steps(table, cond, scores, grad, ns):
+def _newton_steps(table, cond, scores, grad):
     """Newton directions on each row's sum-zero subspace, their squared
     decrements g^T H^-1 g and their unit-capped steps 1 / max(1, |d|), for
-    the (P, N) padded rows, sorted by n.
+    the (P, n) rows.
 
     Row j of a point's Hessian is (g(s + h e_j) - g(s - h e_j)) / 2h,
     symmetrized, from one ``conditional_errors`` call per
@@ -376,51 +374,32 @@ def _newton_steps(table, cond, scores, grad, ns):
     to the basis of ``_sum_zero_basis``, its eigenvalues are taken in
     absolute value and floored at 1e-12 of the largest (and at 1e-30).
     """
-    count, width = scores.shape
-    h = DEFAULT_FD_STEP
-    hess = np.empty((count, width, width))
+    count, n = scores.shape
+    h, diag = DEFAULT_FD_STEP, np.arange(n)
+    hess = np.empty((count, n, n))
     for start in range(0, count, _HESSIAN_BLOCK):
-        spans = [(n, start + a, start + b) for n, a, b in
-                 _spans(ns[start:start + _HESSIAN_BLOCK])]
-        cuts = np.cumsum([0] + [2 * n * (b - a) for n, a, b in spans])
-        tile_spans = [(n, c, d) for (n, _, _), c, d in
-                      zip(spans, cuts.tolist(), cuts[1:].tolist())]
-        rows = np.concatenate([np.arange(a, b).repeat(2 * n)
-                               for n, a, b in spans])
-        tile = scores[rows]  # per point, s + h e_j for each j, then s - h e_j
-        for (n, a, b), (_, c, d) in zip(spans, tile_spans):
-            part = tile[c:d].reshape(b - a, 2, n, width)
-            diag = np.arange(n)
-            part[:, 0, diag, diag] += h
-            part[:, 1, diag, diag] -= h
-        _, tile_grad = conditional_errors(table[rows], cond[rows], tile,
-                                          want_grad=True, spans=tile_spans)
-        for (n, a, b), (_, c, d) in zip(spans, tile_spans):
-            part = tile_grad[c:d, :n].reshape(b - a, 2, n, n)
-            hess[a:b, :n, :n] = (part[:, 0] - part[:, 1]) / (2 * h)
-    direction, decrement = np.zeros((count, width)), np.empty(count)
-    length = np.empty(count)
-    for n, a, b in _spans(ns):
-        basis = _sum_zero_basis(n)
-        sym = hess[a:b, :n, :n]
-        sym = 0.5 * (sym + sym.transpose(0, 2, 1))
-        curv, vecs = np.linalg.eigh(basis.T @ sym @ basis)
-        curv = np.abs(curv)
-        curv = np.maximum(curv, np.maximum(
-            1e-12 * curv.max(axis=1, keepdims=True), 1e-30))
-        coef = grad[a:b, None, :n] @ basis @ vecs
-        scaled = coef / curv[:, None, :]
-        decrement[a:b] = (scaled @ coef.transpose(0, 2, 1)).reshape(-1)
-        d = -(scaled @ vecs.transpose(0, 2, 1) @ basis.T)
-        length[a:b] = np.sqrt(d @ d.transpose(0, 2, 1)).reshape(-1)
-        direction[a:b, :n] = d.reshape(-1, n)
-    return direction, decrement, 1.0 / np.maximum(1.0, length)
-
-
-def _spans(ns):
-    """(n, start, stop) of each run of equal class counts in sorted ``ns``."""
-    cuts = [0, *(np.flatnonzero(np.diff(ns)) + 1).tolist(), len(ns)]
-    return [(int(ns[a]), a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+        rows = np.arange(count)[start:start + _HESSIAN_BLOCK].repeat(2 * n)
+        # per point, s + h e_j for each j, then s - h e_j
+        tile = scores[rows].reshape(-1, 2, n, n)
+        tile[:, 0, diag, diag] += h
+        tile[:, 1, diag, diag] -= h
+        _, tile_grad = conditional_errors(
+            table[rows], cond[rows], tile.reshape(-1, n), want_grad=True)
+        tile_grad = tile_grad.reshape(-1, 2, n, n)
+        hess[start:start + _HESSIAN_BLOCK] = (
+            tile_grad[:, 0] - tile_grad[:, 1]) / (2 * h)
+    basis = _sum_zero_basis(n)
+    sym = 0.5 * (hess + hess.transpose(0, 2, 1))
+    curv, vecs = np.linalg.eigh(basis.T @ sym @ basis)
+    curv = np.abs(curv)
+    curv = np.maximum(curv, np.maximum(
+        1e-12 * curv.max(axis=1, keepdims=True), 1e-30))
+    coef = grad[:, None] @ basis @ vecs
+    scaled = coef / curv[:, None, :]
+    decrement = (scaled @ coef.transpose(0, 2, 1)).reshape(-1)
+    d = -(scaled @ vecs.transpose(0, 2, 1) @ basis.T)
+    length = np.sqrt(d @ d.transpose(0, 2, 1)).reshape(-1)
+    return d.reshape(-1, n), decrement, 1.0 / np.maximum(1.0, length)
 
 
 def _log_normalize(logits) -> np.ndarray:

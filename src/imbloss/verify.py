@@ -35,7 +35,7 @@ def bayes(pairs):
     The conditional GLA error minimized by the damped Newton oracle
     ``theory.minimize_conditional_errors`` must match the closed form to
     1e-10, and its argmax label must be the balanced-optimal label. Every
-    (point, q) is solved in one lockstep call.
+    (point, q) is solved in one oracle call, in lockstep per class count.
     """
     pairs = list(pairs)
     solved = theory.minimize_conditional_errors(

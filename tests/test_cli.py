@@ -123,19 +123,6 @@ class TestConfigParsing:
         assert [(s.q, s.margins) for s in specs] == [(0.0, (0.5, 0.25, 2.0)),
                                                      (0.3, (0.5, 0.25, 2.0))]
 
-    def test_default_search_grids_are_valid(self):
-        from imbloss.config import DEFAULT_SEARCH_GRIDS
-
-        stats = ClassStats([10, 5])
-        for family, grid in DEFAULT_SEARCH_GRIDS.items():
-            keys = list(grid)
-            combos = [{}]
-            for key in keys:
-                combos = [dict(c, **{key: v}) for c in combos
-                          for v in grid[key]]
-            for combo in combos:
-                spec_from_gridpoint({"family": family, **combo}, stats)
-
     @pytest.mark.parametrize("old, new", [
         ("epochs = 4", "epoch = 4"),
         ("repeats = 2",

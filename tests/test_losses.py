@@ -789,14 +789,14 @@ class TestPsiFamiliesEqualTheReference:
         with pytest.raises(ValueError, match="stats have 3 classes"):
             batch_loss_and_grad(LossSpec("LA", tau=1.0), np.zeros((3, 2)),
                                 [1, 2, 1], ClassStats([1, 1, 1]))
-        # a table pads a block of fewer classes; the LossSpec form, whose
-        # stats describe every score column, does not, and GCA's margins
-        # count the block's classes
+        # neither a table nor the LossSpec form takes a block of fewer
+        # classes, even where GCA's margins count the table's classes
         with pytest.raises(ValueError, match="stats have 2 classes, "
                                              "expected 3"):
             batch_loss_and_grad(LossSpec("LA", tau=1.0), np.zeros((3, 3)),
                                 [1, 2, 1], counts)
-        with pytest.raises(ValueError, match="length 3, expected 2"):
+        with pytest.raises(ValueError, match="stats have 2 classes, "
+                                             "expected 3"):
             loss_table([(LossSpec("GCA", q=0.0, margins=(1.0,) * 3),
                          counts)], 3)
         table = loss_table([(LossSpec("WCE"), counts)], 2)
@@ -822,38 +822,6 @@ class TestPsiFamiliesEqualTheReference:
             batch_loss_and_grad(equal, np.zeros((2, 1, 3)),
                                 np.array([1, 2, 1]),
                                 equal_draws=np.zeros((3, 2)))
-
-
-def test_short_blocks_hold_their_own_table_then_identities():
-    # In a table over n = 6 classes that mixes every family at every
-    # k = 2..6, each block holds in each per-class column the k entries of
-    # its own table over k classes, then that column's identity: shift 0,
-    # divisor 1, weight 1, gate 0. A column that its own table leaves
-    # unset (None) is all identity, and q, gamma, eq_p and psi_tau are its
-    # own table's. LDAM needs integer class counts.
-    rng = np.random.default_rng(39)
-    n = 6
-    blocks = [(random_spec(rng, family, k),
-               _block_stats(rng, "counts" if family == "LDAM"
-                            else str(rng.choice(["counts", "priors"])), k))
-              for family in FAMILIES for k in range(2, n + 1)]
-    blocks = [blocks[i] for i in rng.permutation(len(blocks))]
-    table = loss_table(blocks, n)
-    identities = {"neg_shift": 0.0, "label_shift": 0.0, "rho": 1.0,
-                  "weight": 1.0, "gate": 0.0}
-    for b, block in enumerate(blocks):
-        k = block[1].n
-        own = loss_table([block], k)
-        for name, identity in identities.items():
-            column = getattr(own, name)
-            entries = [identity] * k if column is None else column[0].tolist()
-            assert getattr(table, name)[b].tolist() == (
-                entries + [identity] * (n - k))
-        for name in ("q", "gamma", "eq_p", "psi_tau"):
-            column = getattr(own, name)
-            assert np.array_equal(getattr(table, name)[b],
-                                  math.nan if column is None else column[0],
-                                  equal_nan=True)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -299,14 +299,14 @@ def _solo_steps(calls, n):
     return steps
 
 
-def _lockstep_calls(steps, ns, width):
-    """The label rows of each loss call of the lockstep solve of points
-    whose solo iterations are ``steps``, padded to ``width`` classes."""
-    calls = [2 * width * len(ns)]
+def _lockstep_calls(steps, n):
+    """The label rows of each loss call of the lockstep solve of points of
+    n classes whose solo iterations are ``steps``."""
+    calls = [2 * n * len(steps)]
     for j in range(max(map(len, steps))):
-        at = [(n, s[j]) for n, s in zip(ns, steps) if j < len(s)]
-        hessian = sum(2 * n * width for n, (h, _) in at if h)
-        trials = sum(width for _, (_, t) in at if t)
+        at = [s[j] for s in steps if j < len(s)]
+        hessian = sum(2 * n * n for h, _ in at if h)
+        trials = sum(n for _, t in at if t)
         calls += [rows for rows in (hessian, trials) if rows]
     return calls
 
@@ -375,8 +375,8 @@ class TestLockstepMinimizer:
                     spec, [point], max_steps=cap)
                 assert np.array_equal(scores, solo_scores)
                 assert value == solo_value
-        # padded into one table, FOCAL or CSMAX shares it with another
-        # spec, here across two class counts
+        # FOCAL or CSMAX in one solve with another spec, here of another
+        # class count
         for mixed in ([LossSpec("FOCAL", gamma=2.0), LossSpec("CE")],
                       [LossSpec("CSMAX", rho_margin=1.0, psi_tau=1.0),
                        LossSpec("CE")]):
@@ -424,15 +424,16 @@ class TestLockstepMinimizer:
         solved = minimize_conditional_errors(spec, points, max_steps=20)
         assert len(calls) == 1 + 2 * 20
         assert sum(calls) == sum(sum(c) for c in solo_calls)
-        assert calls == _lockstep_calls(steps, [3] * 4, 3)
+        assert calls == _lockstep_calls(steps, 3)
         _assert_solo_equal(spec, points, solved, max_steps=20)
 
     def test_mixed_n_points_leave_at_their_own_iteration(self,
                                                          monkeypatch):
-        # padded to six classes, points of every n solve in one series of
-        # loss calls: per iteration one Hessian call over the points whose
-        # solo solve takes a Hessian there (2n rows of six labels each)
-        # and one call over those that try a step there (six labels each)
+        # points of every n solve one class count at a time, in ascending
+        # n: per group, its start call, then per iteration one Hessian call
+        # over the points whose solo solve takes a Hessian there (2n rows
+        # of n labels each) and one call over those that try a step there
+        # (n labels each)
         calls = _count_loss_calls(monkeypatch)
         spec = LossSpec("GLA", q=0.7)
         points = [
@@ -454,8 +455,35 @@ class TestLockstepMinimizer:
         assert len(set(counts)) == 6
         calls.clear()
         solved = minimize_conditional_errors(spec, points, max_steps=20)
-        assert calls == _lockstep_calls(steps, [p.n for p in points], 6)
+        groups = []
+        for n in sorted({p.n for p in points}):
+            group = [s for s, p in zip(steps, points) if p.n == n]
+            groups += _lockstep_calls(group, n)
+        assert calls == groups
         _assert_solo_equal(spec, points, solved, max_steps=20)
+
+    def test_no_loss_call_pads_a_point(self, monkeypatch):
+        # points of every n solve one class count at a time: each loss
+        # call's scores are finite, every block of it carries exactly the
+        # labels 1..n of its class axis, so no class lies past its point's
+        # n, and the calls go in ascending n
+        real = theory.batch_loss_and_grad
+        widths = []
+
+        def spy(table, scores, labels, *args, **kwargs):
+            n = scores.shape[0]
+            assert np.isfinite(scores).all()
+            assert (labels.reshape(-1, n) == np.arange(1, n + 1)).all()
+            widths.append(n)
+            return real(table, scores, labels, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "batch_loss_and_grad", spy)
+        points = verify.bayes_points(np.random.default_rng(0), 60)
+        specs = [LossSpec("GLA", q=(0.0, 0.3, 0.7, 0.9)[i % 4])
+                 for i in range(60)]
+        minimize_conditional_errors(specs, points)
+        assert set(widths) == {p.n for p in points} == {2, 3, 4, 5, 6}
+        assert widths == sorted(widths)
 
     def test_results_do_not_depend_on_the_hessian_block_size(
             self, monkeypatch):
@@ -474,9 +502,10 @@ class TestLockstepMinimizer:
                 assert np.array_equal(scores, ref_scores)
                 assert value == ref_value
 
-    def test_padding_raises_no_floating_point_error(self):
-        # -inf scores past a point's n: the loss core, the reductions and
-        # the step take them without a divide, overflow or invalid
+    def test_mixed_class_counts_raise_no_floating_point_error(self):
+        # GLA and GCA points of every n, each class count solved in its
+        # own loop: the loss core, the reductions and the step run without
+        # a divide, overflow or invalid
         rng = np.random.default_rng(47)
         points = [random_conditional_point(rng, 2 + i % 5) for i in range(10)]
         specs = [LossSpec("GLA", q=0.7) if i % 2 else
@@ -621,8 +650,8 @@ class TestConditionalError:
         # q = 0, n from 2 to 6 in one solve, each point with its own
         # margins: the minimizer's label is the top of p(y|x) /
         # (p(y) rho_y), ties to the highest, at every point; that label
-        # is not the balanced one at many of them, so the margins and
-        # their padding past each point's n are read
+        # is not the balanced one at many of them, so the margins are
+        # read
         rng = np.random.default_rng(0)
         points, specs = [], []
         for _ in range(200):
