@@ -44,16 +44,19 @@ print("\n== conditional-regret bounds on random scores")
 rng = np.random.default_rng(1)
 print(f"  {'family':6s} {'q':>4s} {'target':>9s} {'surrogate':>10s} "
       f"{'bound':>9s} {'slack':>9s}")
-for trial in range(6):
-    point = random_conditional_point(rng, 3)
-    scores = rng.normal(0, 2, 3)
-    q = (0.0, 0.5)[trial % 2]
-    for family in ("GLA", "GCA"):
-        [r] = check_regret_bounds(family, [point], [scores], q)
-        print(f"  {family:6s} {q:4.1f} {r.target_regret:9.4f} "
-              f"{r.surrogate_regret:10.4f} {r.bound_value:9.4f} "
-              f"{r.slack:9.4f}")
+points, scores = [], []
+for _ in range(6):
+    points.append(random_conditional_point(rng, 3))
+    scores.append(rng.normal(0, 2, 3))
+qs = [(0.0, 0.5)[trial % 2] for trial in range(6)]
+reports = {family: check_regret_bounds(family, points, scores, qs)
+           for family in ("GLA", "GCA")}
+for trial, q in enumerate(qs):
+    for family, r in reports.items():
+        print(f"  {family:6s} {q:4.1f} {r.target_regret[trial]:9.4f} "
+              f"{r.surrogate_regret[trial]:10.4f} "
+              f"{r.bound_value[trial]:9.4f} {r.slack[trial]:9.4f}")
 
 print("\nevery slack is nonnegative: the bounds cover the balanced regret.")
 print(f"sanity: predicting the balanced label has zero regret: "
-      f"{bal_regret(point, bayes_balanced_label(point))}")
+      f"{bal_regret(points[-1], bayes_balanced_label(points[-1]))}")

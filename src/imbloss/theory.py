@@ -27,8 +27,8 @@ The key quantities:
   q = 0; with an extra (1-q) correction for q in (0,1)) and by
   sqrt(2 n^q t) / sqrt(p_min) (class-aware family, unit margins), where
   t is the surrogate conditional regret. Both families share one batched
-  check that computes many points of any n and q row-wise, padded to the
-  widest n, and a point's report is the same bits alone or among others;
+  check of many points of any n and q, one class count at a time, and a
+  point's report entries are the same bits alone or among others;
 * margin machinery: the ramp loss Phi_rho, the row-wise cost-sensitive
   margin loss (runner-up reading), Monte-Carlo empirical Rademacher
   complexity of norm-bounded linear scorers, the resulting generalization
@@ -40,7 +40,7 @@ All computations are pure; fuzzing helpers take explicit generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,46 +97,39 @@ class ConditionalPoint:
                 f"priors={self.priors.tolist()}, reachable={self.reachable})")
 
 
-def check_point_rows(cond, priors, valid=True) -> None:
+def check_point_rows(cond, priors) -> None:
     """Raise ValueError unless each row (last axis) of ``cond`` and
     ``priors`` makes a :class:`ConditionalPoint`: both finite, cond >= 0,
-    priors > 0, each summing to 1 within 1e-12. Entries where ``valid``
-    is False, the padding past a row's class count, are not read.
+    priors > 0, each summing to 1 within 1e-12.
     """
     for name, arr in (("cond", cond), ("priors", priors)):
-        if not np.isfinite(arr).all(where=valid):
+        if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite, got {arr!r}")
-    if ((cond < 0).any(where=valid)
-            or (abs(cond.sum(axis=-1, where=valid) - 1.0) > 1e-12).any()):
+    if (cond < 0).any() or (abs(cond.sum(axis=-1) - 1.0) > 1e-12).any():
         raise ValueError("cond must be a probability vector")
-    if ((priors <= 0).any(where=valid)
-            or (abs(priors.sum(axis=-1, where=valid) - 1.0) > 1e-12).any()):
+    if (priors <= 0).any() or (abs(priors.sum(axis=-1) - 1.0) > 1e-12).any():
         raise ValueError("priors must be a strictly positive probability vector")
 
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Target/surrogate conditional regrets and the bound between them.
+    """Target/surrogate conditional regrets and the bound between them,
+    float64 arrays with one entry per checked point.
 
     ``slack`` is bound_value - target_regret; a negative slack beyond
     float tolerance falsifies the bound being checked.
     """
 
-    target_regret: float
-    surrogate_regret: float
-    bound_value: float
-    slack: float = field(init=False)
-
-    def __post_init__(self):
-        if self.target_regret < -1e-12 or self.surrogate_regret < -1e-12:
-            raise ValueError(
-                f"regrets must be >= 0 up to float error, got "
-                f"target={self.target_regret}, surrogate={self.surrogate_regret}"
-            )
-        object.__setattr__(self, "slack", self.bound_value - self.target_regret)
+    target_regret: np.ndarray
+    surrogate_regret: np.ndarray
+    bound_value: np.ndarray
 
     @property
-    def holds(self) -> bool:
+    def slack(self) -> np.ndarray:
+        return self.bound_value - self.target_regret
+
+    @property
+    def holds(self) -> np.ndarray:
         return self.slack >= SLACK_TOL
 
 
@@ -275,6 +268,10 @@ def minimize_conditional_errors(spec, points, *, max_steps: int = 10_000):
 
     The points solve one class count n at a time, in ascending n, and
     the points of one n together (``_newton_solve``).
+
+    With class-dependent GCA margins a point can have no finite minimizer
+    (margins (1, 0.5, 2) at q = 0.7: the infimum is at s_2 -> -inf); such
+    a point runs until its stop test or ``max_steps``.
     """
     specs = [spec] * len(points) if isinstance(spec, LossSpec) else spec
     if len(specs) != len(points):
@@ -435,8 +432,8 @@ def _surrogate_regrets(family, cond, priors, scores, q) -> np.ndarray:
     the plain generalized cross-entropy regret under the reweighted
     posterior, scaled by the normalizer. Both the q = 0 and the q > 0
     terms are computed for every row, and each row takes its own. The
-    terms of zero-weight entries (impossible labels, cond 0, and padding
-    past a row's n) are zeroed; adding 0.0 keeps a row sum exact.
+    terms of zero-weight entries (impossible labels, cond 0) are zeroed;
+    adding 0.0 keeps a row sum exact.
     """
     q = q[:, None]
     # log 0 = -inf at zero weights, then 0 * -inf and -inf - -inf there
@@ -461,70 +458,72 @@ def _surrogate_regrets(family, cond, priors, scores, q) -> np.ndarray:
     return np.divide(regret, q[:, 0], out=regret, where=q[:, 0] != 0.0)
 
 
-def gla_bound_transform(t: float, p_min: float, q: float) -> float:
-    """Regret transform of the logit-adjusted family,
-    sqrt(2t) / (p_min^(1/(1-q)) sqrt(1-q)); sqrt(2t) / p_min at q = 0."""
-    t = max(t, 0.0)
-    return math.sqrt(2.0 * t) / (p_min ** (1.0 / (1.0 - q)) * math.sqrt(1.0 - q))
-
-
-def gca_bound_transform(t: float, p_min: float, n: int, q: float) -> float:
-    """Regret transform of the class-aware family (unit margins),
-    sqrt(2 n^q t) / sqrt(p_min); sqrt(2t) / sqrt(p_min) at q = 0."""
-    t = max(t, 0.0)
-    return math.sqrt(2.0 * n**q * t) / math.sqrt(p_min)
-
-
-def regret_reports(family: str, cond, priors, scores, q, n) -> list:
-    """The row-wise core of :func:`check_regret_bounds`: one
-    :class:`RegretReport` per row of the (P, N) float64 arrays, all labels
-    reachable; ``q`` and the class count ``n`` are one value or one per
-    row, a row padded past its n with cond 0, priors 1 and scores -inf.
-    The caller has checked the rows (:func:`check_point_rows`, finite
-    scores) and ``family``. Every row sum runs left to right, padding
-    last, so a row's report is the same bits alone or among others.
+def regret_reports(family: str, cond, priors, scores, q) -> RegretReport:
+    """The core of :func:`check_regret_bounds` on the (P, n) float64 rows
+    ``cond``, ``priors`` and ``scores`` of one class count n, all labels
+    reachable, ``q`` one value or one per row; the caller has checked the
+    rows (:func:`check_point_rows`, finite scores) and ``family``. The
+    bounds are sqrt(2t) / (p_min^(1/(1-q)) sqrt(1-q)) (GLA) and
+    sqrt(2 n^q t) / sqrt(p_min) (GCA), t the surrogate regret floored at
+    0, their powers libm's through Python's float ``**`` row by row:
+    numpy's ``np.power`` differs from it in the last bit on a few percent
+    of rows. A row's entries are the same bits alone or among others.
     """
-    count = len(cond)
+    count, n = np.shape(cond)
     q = np.broadcast_to(np.asarray(q, dtype=np.float64), (count,))
-    n = np.broadcast_to(n, (count,))
     ratios = cond / priors
     predicted = argmax_highest(scores)
-    targets = ratios.max(axis=1) - ratios[np.arange(count), predicted]
-    surrogates = _surrogate_regrets(family, cond, priors, scores, q)
-    return [RegretReport(target, t, (
-                gla_bound_transform(t, p_min, q_k) if family == "GLA"
-                else gca_bound_transform(t, p_min, k, q_k)))
-            for target, t, p_min, q_k, k in zip(
-                targets.tolist(), surrogates.tolist(),
-                priors.min(axis=1).tolist(), q.tolist(), n.tolist())]
+    target = ratios.max(axis=1) - ratios[np.arange(count), predicted]
+    surrogate = _surrogate_regrets(family, cond, priors, scores, q)
+    t = np.where(surrogate < 0.0, 0.0, surrogate)
+    p_min = priors.min(axis=1)
+    if family == "GLA":
+        power = [p ** e for p, e in zip(p_min.tolist(),
+                                        (1.0 / (1.0 - q)).tolist())]
+        bound = np.sqrt(2.0 * t) / (np.array(power) * np.sqrt(1.0 - q))
+    else:
+        power = [n ** q_k for q_k in q.tolist()]
+        bound = np.sqrt(2.0 * np.array(power) * t) / np.sqrt(p_min)
+    return RegretReport(target, surrogate, bound)
 
 
-def check_regret_bounds(family: str, points, scores, q: float) -> list:
-    """Conditional-regret bound checks of one family at one q: one
-    :class:`RegretReport` per (point, score vector), in input order.
+def check_regret_bounds(family: str, points, scores, q) -> RegretReport:
+    """Conditional-regret bound checks of one family: one
+    :class:`RegretReport` whose entries follow the (point, score vector)
+    pairs in input order; ``q`` is one value or one per point.
 
-    ``family`` is "GLA" (logit-adjusted) or "GCA" (class-aware, unit
-    margins); every point needs all labels reachable. The balanced regret
-    of argmax(scores), ties to the highest label, must not exceed the
-    family's bound transform of the surrogate conditional regret. The
-    checked rows, padded to the widest n, go to :func:`regret_reports`
-    in one call.
+    ``family`` is "GLA" (logit-adjusted) or "GCA" (class-aware); every
+    point needs all labels reachable. The balanced regret of
+    argmax(scores), ties to the highest label, must not exceed the
+    family's bound transform of the surrogate conditional regret, checked
+    by :func:`regret_reports` one class count at a time.
+
+    The GCA transform, ``verify bounds``, ``best_conditional_error("GCA")``
+    and criterion 7's GCA leg use unit margins; ``imbloss train`` and
+    criterion 10 default to cube-root margins, which no bound here covers.
     """
     if family not in ("GLA", "GCA"):
         raise ValueError(f"unsupported family {family!r}")
     if not all(point.is_regular for point, _ in zip(points, scores,
                                                     strict=True)):
         raise ValueError("bound check requires all labels reachable")
-    n = np.array([point.n for point in points], dtype=np.int64)
-    cond, priors, rows = np.zeros((3, len(points), n.max(initial=2)))
-    priors[:], rows[:] = 1.0, -np.inf
-    for i, (point, row) in enumerate(zip(points, scores)):
-        row = as_finite_array(row, "scores")
+    rows = [as_finite_array(row, "scores") for row in scores]
+    for point, row in zip(points, rows):
         if row.shape != (point.n,):
             raise ValueError(f"scores must have {point.n} entries per point")
-        cond[i, :point.n], priors[i, :point.n] = point.cond, point.priors
-        rows[i, :point.n] = row
-    return regret_reports(family, cond, priors, rows, q, n)
+    q = np.broadcast_to(np.asarray(q, dtype=np.float64), (len(points),))
+    if not ((q >= 0.0) & (q < 1.0)).all():
+        raise ValueError(f"q must lie in [0, 1), got {q}")
+    columns = np.empty((3, len(points)))
+    for n in sorted({point.n for point in points}):
+        ids = [i for i, point in enumerate(points) if point.n == n]
+        report = regret_reports(
+            family, np.array([points[i].cond for i in ids]),
+            np.array([points[i].priors for i in ids]),
+            np.array([rows[i] for i in ids]), q[ids])
+        columns[:, ids] = (report.target_regret, report.surrogate_regret,
+                           report.bound_value)
+    return RegretReport(*columns)
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +684,11 @@ def check_lamargin(
 # ---------------------------------------------------------------------------
 
 
-def floored_simplex(w, n, floor: float) -> np.ndarray:
-    """floor + (1 - n floor) w / sum(w) along the last axis: non-negative
-    weights onto the simplex of n classes, every entry >= floor. ``n`` is
-    the class count, one per row when ``w`` is 2-d; zero weights padding
-    a row past its n become ``floor`` there.
-    """
-    n = np.asarray(n)[..., None]
+def floored_simplex(w, floor: float) -> np.ndarray:
+    """floor + (1 - n floor) w / sum(w) along the last axis, of length n:
+    non-negative weights onto the simplex of n classes, every entry >=
+    floor."""
+    n = np.shape(w)[-1]
     return floor + (1.0 - n * floor) * (w / w.sum(axis=-1, keepdims=True))
 
 
@@ -710,8 +707,8 @@ def random_conditional_point(
     if not (0.0 < floor < 1.0 / n):
         raise ValueError(f"floor must lie in (0, 1/{n})")
     while True:
-        cond = floored_simplex(rng.random(n), n, floor)
-        point = ConditionalPoint(cond, floored_simplex(rng.random(n), n, floor))
+        cond = floored_simplex(rng.random(n), floor)
+        point = ConditionalPoint(cond, floored_simplex(rng.random(n), floor))
         if ratio_gap > 0.0:
             top = np.sort(point.ratios)[::-1]
             if (top[0] - top[1]) / top[0] < ratio_gap:

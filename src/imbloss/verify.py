@@ -53,10 +53,10 @@ def bayes(pairs):
         }
 
 
-# Trials per block of the bounds suite, whose draws are padded to six
-# classes. Checking all 10,000 default trials at once adds 11 MB of peak
-# memory and a block of 1000 adds 1.4 MB; neither saves time measurably
-# (about 1.0 s for the command, one BLAS thread).
+# Trials per block of the bounds suite. Checking all 10,000 default
+# trials at once adds 18 MB to the command's 37 MB peak and a block of
+# 1000 adds 1.4 MB; each saves at most 0.03 s of its 0.65 s (os.wait4,
+# one BLAS thread).
 _BOUNDS_BLOCK = 250
 
 
@@ -66,48 +66,48 @@ def bounds(rng: np.random.Generator, trials: int):
 
     Each trial draws n in 2..6, the weights that
     ``theory.random_conditional_point`` (floor 0.03) draws, then its
-    scores. A block of ``_BOUNDS_BLOCK`` trials goes into padded
-    (block, 6) arrays, which ``theory.floored_simplex`` maps onto the
-    simplex and ``theory.check_point_rows`` validates once. Padded with
-    cond 0, priors 1 and scores -inf, the block then takes one
-    ``theory.regret_reports`` call per family, with an n and a q per row.
-    Every record has the bits of checking its trial's point alone.
+    scores. A block of ``_BOUNDS_BLOCK`` trials is checked one class
+    count at a time: ``theory.floored_simplex`` maps the (trials, n)
+    weights of that n onto the simplex, ``theory.check_point_rows``
+    validates them once, and one ``theory.regret_reports`` call per
+    family checks them. The block's records then follow in trial order,
+    each with the bits of checking its trial's point alone.
     """
     qs = (0.0, 0.3, 0.5, 0.7, 0.9)
-    families = ("GLA", "GCA")
-    floor, max_n = 0.03, 6
     for start in range(0, trials, _BOUNDS_BLOCK):
         size = min(_BOUNDS_BLOCK, trials - start)
-        n = np.empty(size, dtype=np.int64)
-        w_cond, w_prior, scores = np.zeros((3, size, max_n))
-        for i in range(size):
-            n[i] = k = int(rng.integers(2, max_n + 1))
-            w_cond[i, :k] = rng.random(k)
-            w_prior[i, :k] = rng.random(k)
-            scores[i, :k] = rng.normal(0, 3, k)
-        cond = theory.floored_simplex(w_cond, n, floor)
-        priors = theory.floored_simplex(w_prior, n, floor)
-        pad = np.arange(max_n) >= n[:, None]
-        theory.check_point_rows(cond, priors, ~pad)
-        numerics.as_finite_array(scores, "scores")
-        cond[pad], priors[pad], scores[pad] = 0.0, 1.0, -np.inf
+        draws = [(rng.random(k), rng.random(k), rng.normal(0, 3, k))
+                 for k in (int(rng.integers(2, 7)) for _ in range(size))]
         q = np.take(qs, (start + np.arange(size)) % len(qs))
-        reports = {family: theory.regret_reports(family, cond, priors,
-                                                 scores, q, n)
-                   for family in families}
-        for i, k in enumerate(n.tolist()):
-            point = {"cond": cond[i, :k].tolist(),
-                     "priors": priors[i, :k].tolist(),
-                     "scores": scores[i, :k].tolist()}
-            for family in families:
-                report = reports[family][i]
+        rows = {}  # trial -> cond, priors, scores, then a check per family
+        for k in sorted({len(w) for w, _, _ in draws}):
+            ids = [i for i, (w, _, _) in enumerate(draws) if len(w) == k]
+            w_cond, w_prior, scores = map(np.array,
+                                          zip(*(draws[i] for i in ids)))
+            cond = theory.floored_simplex(w_cond, 0.03)
+            priors = theory.floored_simplex(w_prior, 0.03)
+            theory.check_point_rows(cond, priors)
+            numerics.as_finite_array(scores, "scores")
+            columns = [cond.tolist(), priors.tolist(), scores.tolist()]
+            for family in ("GLA", "GCA"):
+                report = theory.regret_reports(family, cond, priors, scores,
+                                               q[ids])
+                columns.append(zip(
+                    report.target_regret.tolist(),
+                    report.surrogate_regret.tolist(),
+                    report.bound_value.tolist(), report.slack.tolist(),
+                    report.holds.tolist()))
+            rows.update(zip(ids, zip(*columns)))
+        for i in range(size):
+            cond, priors, scores, *checks = rows[i]
+            for family, (target, surrogate, bound, slack, ok) in zip(
+                    ("GLA", "GCA"), checks):
                 yield {
-                    "trial": start + i, "family": family, "n": k,
-                    "q": qs[(start + i) % len(qs)], **point,
-                    "target_regret": report.target_regret,
-                    "surrogate_regret": report.surrogate_regret,
-                    "bound_value": report.bound_value, "slack": report.slack,
-                    "ok": report.holds,
+                    "trial": start + i, "family": family, "n": len(cond),
+                    "q": qs[(start + i) % len(qs)], "cond": cond,
+                    "priors": priors, "scores": scores,
+                    "target_regret": target, "surrogate_regret": surrogate,
+                    "bound_value": bound, "slack": slack, "ok": ok,
                 }
 
 

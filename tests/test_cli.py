@@ -597,6 +597,25 @@ class TestCommands:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_imports_load_no_third_party_package_but_numpy(self, tmp_path):
+        # numpy is the only runtime dependency: importing the package and
+        # each of its modules loads no other package from outside the
+        # standard library
+        done = run_python(["-c", """\
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import imbloss
+modules = [m.name for m in pkgutil.iter_modules(imbloss.__path__)]
+for name in modules:
+    importlib.import_module(f"imbloss.{name}")
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(modules), sorted(loaded - set(sys.stdlib_module_names)))
+"""], tmp_path)
+        assert done.returncode == 0, done.stderr
+        modules = sorted(p.stem for p in (SRC / "imbloss").glob("*.py")
+                         if p.stem != "__init__")
+        assert done.stdout == f"{modules} ['imbloss', 'numpy']\n"
+
     def test_verify_suites_small_budget(self, tmp_path):
         out = tmp_path / "v"
         assert main(["--out", str(out), "--seed", "3", "verify", "bayes",
@@ -626,10 +645,16 @@ class TestCommands:
         from imbloss import theory, verify
 
         floored_simplex = theory.floored_simplex
+        rows = []
+
+        def off_after_ten_trials(w, floor):
+            # every trial's weights pass twice (posterior, then prior), so
+            # the rows past the first 20 are those of the last, short block
+            rows.append(len(w))
+            return floored_simplex(w, floor) * (1.0 + 1e-11 * (sum(rows) > 20))
+
         monkeypatch.setattr(verify, "_BOUNDS_BLOCK", 5)
-        monkeypatch.setattr(theory, "floored_simplex",
-                            lambda w, n, floor: floored_simplex(w, n, floor)
-                            * (1.0 + 1e-11 * (len(w) < 5)))
+        monkeypatch.setattr(theory, "floored_simplex", off_after_ten_trials)
         records = verify.bounds(np.random.default_rng(3), 13)
         assert [next(records)["trial"] for _ in range(20)] == [
             t for t in range(10) for _ in range(2)]

@@ -30,8 +30,6 @@ from imbloss.theory import (
     empirical_rademacher_linear,
     find_la_disagreement,
     floored_simplex,
-    gca_bound_transform,
-    gla_bound_transform,
     margin_losses,
     minimize_conditional_errors,
     phi_rho,
@@ -82,17 +80,15 @@ class TestPointRows:
             w = rng.random(4)
             assert got.tolist() == (0.03 + 0.88 * (w / w.sum())).tolist()
 
-    def test_a_padded_row_is_its_point_bit_for_bit(self):
+    def test_a_block_row_is_its_point_bit_for_bit(self):
         rng = np.random.default_rng(16)
-        n = rng.integers(2, 7, 40)
-        w = np.zeros((40, 6))
-        for i, k in enumerate(n.tolist()):
-            w[i, :k] = rng.random(k)
-        rows = floored_simplex(w, n, 0.03)
-        check_point_rows(rows, rows, np.arange(6) < n[:, None])
-        for i, k in enumerate(n.tolist()):
-            assert (rows[i, :k].tolist()
-                    == floored_simplex(w[i, :k], k, 0.03).tolist())
+        for k in range(2, 7):
+            w = rng.random((40, k))
+            rows = floored_simplex(w, 0.03)
+            check_point_rows(rows, rows)
+            for i in range(40):
+                assert (rows[i].tolist()
+                        == floored_simplex(w[i], 0.03).tolist())
 
     @pytest.mark.parametrize("cond, priors, match", [
         ([0.5, np.nan], [0.5, 0.5], "cond must be finite"),
@@ -107,15 +103,10 @@ class TestPointRows:
                                                       match):
         with pytest.raises(ValueError, match=match):
             ConditionalPoint(cond, priors)
-        # the bad row among good ones, padded past its n with entries that
-        # would fail every check if they were read
-        good = [0.2, 0.3, 0.5]
-        valid = np.array([[True, True, True], [True, True, False]])
+        # the bad row among good ones of its class count
+        good = [0.2, 0.8]
         with pytest.raises(ValueError, match=match):
-            check_point_rows(np.array([good, [*cond, -np.inf]]),
-                             np.array([good, [*priors, 0.0]]), valid)
-        check_point_rows(np.array([good, [0.5, 0.5, -np.inf]]),
-                         np.array([good, [0.5, 0.5, 0.0]]), valid)
+            check_point_rows(np.array([good, cond]), np.array([good, priors]))
 
 
 class TestBayesLabels:
@@ -487,15 +478,21 @@ class TestLockstepMinimizer:
 
     def test_results_do_not_depend_on_the_hessian_block_size(
             self, monkeypatch):
-        # 150 points of every n cross three blocks of the default size, and
-        # blocks of 1 and 2 put each point's Hessian rows in calls of their
-        # own or with one other point; the bits are the same
+        # 75 points each of n = 2 and n = 3: the default block splits the
+        # first Hessians of each class count across two calls, and blocks
+        # of 1 and 2 put each point's Hessian rows in calls of their own
+        # or with one other point; the bits are those of one call per
+        # class count
         rng = np.random.default_rng(48)
-        points = verify.bayes_points(rng, 150)
+        points = [random_conditional_point(rng, 2 + i % 2, ratio_gap=1e-3)
+                  for i in range(150)]
         specs = [LossSpec("GLA", q=(0.0, 0.3, 0.7, 0.9)[i % 4])
                  for i in range(150)]
+        default = theory._HESSIAN_BLOCK
+        assert default < 75
+        monkeypatch.setattr(theory, "_HESSIAN_BLOCK", 75)
         whole = minimize_conditional_errors(specs, points)
-        for block in (1, 2):
+        for block in (default, 1, 2):
             monkeypatch.setattr(theory, "_HESSIAN_BLOCK", block)
             for (scores, value), (ref_scores, ref_value) in zip(
                     minimize_conditional_errors(specs, points), whole):
@@ -753,8 +750,8 @@ def _perturbed_minimizers(q, points, scores, near):
 def _assert_bounds_hold(q, points, scores):
     """Both families' bounds cover every (point, scores) pair at q."""
     for family in ("GLA", "GCA"):
-        reports = check_regret_bounds(family, points, scores, q)
-        failed = [i for i, report in enumerate(reports) if not report.holds]
+        report = check_regret_bounds(family, points, scores, q)
+        failed = np.flatnonzero(~report.holds).tolist()
         assert not failed, (family, q, [points[i] for i in failed])
 
 
@@ -765,10 +762,10 @@ class TestBoundChecks:
             point = random_conditional_point(rng, 3)
             [(scores, _)] = minimize_conditional_errors(LossSpec("GLA", q=q),
                                                         [point])
-            [report] = check_regret_bounds("GLA", [point], [scores], q)
-            assert report.target_regret == 0.0
-            assert abs(report.surrogate_regret) < 1e-9
-            assert report.holds
+            report = check_regret_bounds("GLA", [point], [scores], q)
+            assert report.target_regret.tolist() == [0.0]
+            assert abs(report.surrogate_regret[0]) < 1e-9
+            assert report.holds.all()
 
     def test_zero_regrets_at_gca_minimizer(self):
         rng = np.random.default_rng(21)
@@ -776,17 +773,17 @@ class TestBoundChecks:
             point = random_conditional_point(rng, 3)
             spec = LossSpec("GCA", q=q, margins=(1.0, 1.0, 1.0))
             [(scores, _)] = minimize_conditional_errors(spec, [point])
-            [report] = check_regret_bounds("GCA", [point], [scores], q)
-            assert report.target_regret == 0.0
-            assert abs(report.surrogate_regret) < 1e-9
-            assert report.holds
+            report = check_regret_bounds("GCA", [point], [scores], q)
+            assert report.target_regret.tolist() == [0.0]
+            assert abs(report.surrogate_regret[0]) < 1e-9
+            assert report.holds.all()
 
     def test_tie_prediction_goes_to_highest_and_holds(self):
         point = ConditionalPoint([0.6, 0.4], [0.8, 0.2])
-        [report] = check_regret_bounds("GLA", [point], [[0.0, 0.0]], 0.0)
+        report = check_regret_bounds("GLA", [point], [[0.0, 0.0]], 0.0)
         # argmax tie resolves to class 2, which is balanced-optimal here
-        assert report.target_regret == 0.0
-        assert report.holds
+        assert report.target_regret.tolist() == [0.0]
+        assert report.holds.all()
 
     def test_fuzz_slack_nonnegative(self):
         rng = np.random.default_rng(12)
@@ -839,36 +836,52 @@ class TestBoundChecks:
             q = float(rng.choice([0.0, 0.3, 0.7]))
             naive = (_conditional_error(LossSpec("GLA", q=q), scores, point)
                      - best_conditional_error("GLA", point, q))
-            [report] = check_regret_bounds("GLA", [point], [scores], q)
-            assert report.surrogate_regret == pytest.approx(
+            report = check_regret_bounds("GLA", [point], [scores], q)
+            assert report.surrogate_regret[0] == pytest.approx(
                 naive, abs=1e-11)
             spec = LossSpec("GCA", q=q, margins=(1.0,) * n)
             naive = (_conditional_error(spec, scores, point)
                      - best_conditional_error("GCA", point, q))
-            [report] = check_regret_bounds("GCA", [point], [scores], q)
-            assert report.surrogate_regret == pytest.approx(
+            report = check_regret_bounds("GCA", [point], [scores], q)
+            assert report.surrogate_regret[0] == pytest.approx(
                 naive, abs=1e-9, rel=1e-9)
 
     def test_regret_transforms_exposed(self):
-        # slack formula sanity at a fixed regret
-        assert gla_bound_transform(0.5, 0.2, 0.0) == pytest.approx(
-            math.sqrt(1.0) / 0.2)
-        assert gca_bound_transform(0.5, 0.2, 3, 0.5) == pytest.approx(
-            math.sqrt(2 * math.sqrt(3) * 0.5) / math.sqrt(0.2))
+        # each bound is its family's transform of the surrogate regret the
+        # report carries, at p_min 0.2 and n = 3
+        cond, priors = np.array([[0.6, 0.3, 0.1]]), np.array([[0.2, 0.3, 0.5]])
+        scores = np.array([[0.5, -1.0, 2.0]])
+        for q, transform in (
+                (0.0, lambda t: math.sqrt(2 * t) / 0.2),
+                (0.5, lambda t: math.sqrt(2 * t) / (0.2**2 * math.sqrt(0.5)))):
+            report = regret_reports("GLA", cond, priors, scores, q)
+            (t,), (bound,) = report.surrogate_regret, report.bound_value
+            assert t > 0.0 and bound == pytest.approx(transform(t))
+        report = regret_reports("GCA", cond, priors, scores, 0.5)
+        (t,), (bound,) = report.surrogate_regret, report.bound_value
+        assert t > 0.0 and bound == pytest.approx(
+            math.sqrt(2 * math.sqrt(3) * t) / math.sqrt(0.2))
 
     def test_transform_ratio_is_sqrt_pmin(self):
+        # at q = 0 the GCA bound per sqrt(t) is sqrt(p_min) times GLA's
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            t = float(rng.uniform(1e-6, 5.0))
-            p_min = float(rng.uniform(0.01, 0.5))
-            ratio = (gca_bound_transform(t, p_min, 4, 0.0)
-                     / gla_bound_transform(t, p_min, 0.0))
-            assert ratio == pytest.approx(math.sqrt(p_min), rel=1e-12)
+        cond = floored_simplex(rng.random((50, 4)), 0.01)
+        priors = floored_simplex(rng.random((50, 4)), 0.01)
+        scores = rng.normal(0, 3, (50, 4))
+        gla, gca = (regret_reports(family, cond, priors, scores, 0.0)
+                    for family in ("GLA", "GCA"))
+        assert (gla.surrogate_regret > 0).all()
+        assert (gca.surrogate_regret > 0).all()
+        ratio = ((gca.bound_value / np.sqrt(gca.surrogate_regret))
+                 / (gla.bound_value / np.sqrt(gla.surrogate_regret)))
+        assert ratio == pytest.approx(np.sqrt(priors.min(axis=1)), rel=1e-12)
 
-    def test_regret_report_validates(self):
-        with pytest.raises(ValueError):
-            RegretReport(target_regret=-1.0, surrogate_regret=0.0,
-                         bound_value=0.0)
+    def test_regret_report_derives_slack_and_holds(self):
+        report = RegretReport(target_regret=np.array([0.0, 1.0, 1.0]),
+                              surrogate_regret=np.array([0.0, 0.5, 0.5]),
+                              bound_value=np.array([0.0, 1.0 - 1e-10, 0.5]))
+        assert report.slack.tolist() == [0.0, (1.0 - 1e-10) - 1.0, -0.5]
+        assert report.holds.tolist() == [True, True, False]
 
     def test_restricted_point_rejected(self):
         point = ConditionalPoint([0.5, 0.5], [0.5, 0.5], reachable=[2])
@@ -925,13 +938,13 @@ def _per_point_report(family, point, scores, q):
     return target, surrogate, bound
 
 
-def _assert_reference_equal(family, points, scores, q, reports):
-    assert len(reports) == len(points)
-    for point, s, report in zip(points, scores, reports):
-        fields = (report.target_regret, report.surrogate_regret,
-                  report.bound_value)
-        assert all(type(f) is float for f in fields)
-        assert fields == _per_point_report(family, point, s, q)
+def _assert_reference_equal(family, points, scores, q, report):
+    fields = (report.target_regret, report.surrogate_regret,
+              report.bound_value)
+    assert all(f.dtype == np.float64 and f.shape == (len(points),)
+               for f in fields)
+    for point, s, *row in zip(points, scores, *(f.tolist() for f in fields)):
+        assert tuple(row) == _per_point_report(family, point, s, q)
 
 
 def _saturation_corners(rng, q, count):
@@ -970,8 +983,8 @@ class TestBatchedBoundChecks:
         scores += corner_scores + [np.array([0.3, -1.0, 2.0])]
         assert {p.n for p in points} == {2, 3, 4, 5, 6}
         for family in ("GLA", "GCA"):
-            reports = check_regret_bounds(family, points, scores, q)
-            _assert_reference_equal(family, points, scores, q, reports)
+            report = check_regret_bounds(family, points, scores, q)
+            _assert_reference_equal(family, points, scores, q, report)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("q", [0.0, 0.7])
@@ -979,23 +992,23 @@ class TestBatchedBoundChecks:
         point = ConditionalPoint([0.0, 0.6, 0.4], [0.5, 0.3, 0.2])
         scores = [np.array([4.0, -2.0, 1.0])]
         for family in ("GLA", "GCA"):
-            reports = check_regret_bounds(family, [point], scores, q)
-            _assert_reference_equal(family, [point], scores, q, reports)
-            assert reports[0].holds
+            report = check_regret_bounds(family, [point], scores, q)
+            _assert_reference_equal(family, [point], scores, q, report)
+            assert report.holds.all()
 
     def test_single_and_empty(self):
         point = ConditionalPoint([0.7, 0.2, 0.1], [0.2, 0.3, 0.5])
         scores = [0.5, -0.2, 1.5]
         for family in ("GLA", "GCA"):
-            assert check_regret_bounds(family, [], [], 0.3) == []
-            report, = check_regret_bounds(family, [point], [scores], 0.3)
-            _assert_reference_equal(family, [point], [scores], 0.3, [report])
+            empty = check_regret_bounds(family, [], [], 0.3)
+            _assert_reference_equal(family, [], [], 0.3, empty)
+            report = check_regret_bounds(family, [point], [scores], 0.3)
+            _assert_reference_equal(family, [point], [scores], 0.3, report)
 
     @pytest.mark.parametrize("family", ["GLA", "GCA"])
-    def test_padded_block_equals_one_call_per_n_and_q(self, family):
-        # one regret_reports call on a block padded to six classes (cond
-        # 0, priors 1, scores -inf), with an n and a q per row, gives the
-        # bits of check_regret_bounds on each (n, q) slice of it
+    def test_mixed_block_equals_one_call_per_n_and_q(self, family):
+        # one check_regret_bounds call on points of every n, with a q per
+        # point, gives the bits of one call on each (n, q) slice of them
         rng = np.random.default_rng(46)
         qs = (0.0, 0.3, 0.5, 0.7, 0.9)
         points, scores = [], []
@@ -1005,30 +1018,19 @@ class TestBatchedBoundChecks:
             points.append(point)
             scores.append(-np.log(point.ratios) if i % 3 == 2
                           else rng.normal(0, (3.0, 20.0)[i % 3], point.n))
-        n = np.array([point.n for point in points])
         q = np.array([qs[i % 5] for i in range(150)])
-        cond, priors = np.zeros((150, 6)), np.ones((150, 6))
-        padded = np.full((150, 6), -np.inf)
-        for i, (point, s) in enumerate(zip(points, scores)):
-            cond[i, :point.n], priors[i, :point.n] = point.cond, point.priors
-            padded[i, :point.n] = s
-        reports = regret_reports(family, cond, priors, padded, q, n)
-        assert len(reports) == 150
-        bits = [tuple(float(f).hex() for f in (r.target_regret,
-                                               r.surrogate_regret,
-                                               r.bound_value))
-                for r in reports]
+        report = check_regret_bounds(family, points, scores, q)
+        n = np.array([point.n for point in points])
         for k in range(2, 7):
             for q_k in qs:
-                rows = np.flatnonzero((n == k) & (q == q_k)).tolist()
-                assert rows
+                rows = np.flatnonzero((n == k) & (q == q_k))
+                assert rows.size
                 alone = check_regret_bounds(family, [points[i] for i in rows],
                                             [scores[i] for i in rows], q_k)
-                assert [bits[i] for i in rows] == [
-                    tuple(f.hex() for f in (r.target_regret,
-                                            r.surrogate_regret,
-                                            r.bound_value))
-                    for r in alone]
+                for field in ("target_regret", "surrogate_regret",
+                              "bound_value"):
+                    assert (getattr(report, field)[rows].tobytes()
+                            == getattr(alone, field).tobytes())
 
     def test_rejects_restricted_points_and_bad_inputs(self):
         regular = ConditionalPoint([0.5, 0.5], [0.5, 0.5])
@@ -1040,6 +1042,9 @@ class TestBatchedBoundChecks:
             check_regret_bounds("GCA", [restricted], [[0.0, 0.0]], 0.5)
         with pytest.raises(ValueError, match="family"):
             check_regret_bounds("LA", [regular], zeros[:1], 0.0)
+        for q in (1.0, -0.1, np.nan, [0.3, 1.5]):
+            with pytest.raises(ValueError, match="q must lie in"):
+                check_regret_bounds("GLA", [regular, regular], zeros, q)
         with pytest.raises(ValueError, match="argument 2 is longer"):
             check_regret_bounds("GLA", [regular], zeros, 0.0)
         with pytest.raises(ValueError, match="2 entries"):
