@@ -874,6 +874,33 @@ class TestBestInClassSearch:
         else:
             assert np.all(norms < 0.1 * norm_bound)
 
+    @pytest.mark.parametrize("spec, norm_bound, descent_value", [
+        (LossSpec("LA", tau=1.0), 1.0, 0.25660043454140935),
+        (LossSpec("LA", tau=1.0), 0.5, 0.2965445923217496),
+        (LossSpec("LA", tau=1.0), 0.25, 0.33163597021718444),
+        (LossSpec("GLA", q=0.5), 0.25, 0.22605025913991272),
+    ], ids=["LA-1", "LA-0.5", "LA-0.25", "GLA-0.25"])
+    def test_binding_bound_on_the_criterion_7_sample(self, spec, norm_bound,
+                                                     descent_value):
+        # Criterion 7's sample at bounds that bind. The rows end on the
+        # bound, the projected-gradient residual of
+        # test_smooth_optimum_is_stationary vanishes, and the value is no
+        # worse than the one the first-order projected descent reached.
+        # GLA at q = 0.5 is not convex: at delta = 0 a Newton step on its
+        # raw Hessian goes nowhere.
+        data = figure1_distribution(50_000, 2)
+        family = BoundedLinearFamily(n=2, d=2, norm_bound=norm_bound)
+        model, value = best_in_class_search(family, data, spec)
+        np.testing.assert_allclose(np.linalg.norm(model.weights, axis=1),
+                                   norm_bound, rtol=0, atol=1e-12)
+        _, dscores = batch_loss_and_grad(spec, model.scores(data.features),
+                                         data.labels, data.stats())
+        stepped = model.copy()
+        stepped.weights -= dscores.T @ data.features / data.m
+        stepped.project()
+        assert np.linalg.norm(model.weights - stepped.weights) < 1e-6
+        assert value <= descent_value + 1e-15
+
     def test_oracle_is_no_worse_than_the_restart_search(self):
         # The objective values of the 20-restart random search that wrote
         # the oracle fixture before the exact search replaced it.
