@@ -58,7 +58,8 @@ from .datagen import (
     longtail_counts,
     step_counts,
 )
-from .losses import HYPERPARAMETERS, LossSpec
+from .losses import (HYPERPARAMETERS, ClassStats, LossSpec,
+                     default_gca_margins)
 from .trainer import TrainConfig
 
 
@@ -226,8 +227,6 @@ def load_config(path) -> dict:
         raise ConfigError("empty loss grid")
     # Fail fast on out-of-range hyperparameters: materialize every grid
     # point against placeholder balanced stats.
-    from .losses import ClassStats
-
     placeholder = ClassStats(np.ones(dataset["n"], dtype=np.int64))
     for point in points:
         spec_from_gridpoint(point, placeholder)
@@ -268,8 +267,6 @@ def loss_grid_points(config) -> list[dict]:
 
 def spec_from_gridpoint(point: dict, train_stats=None) -> LossSpec:
     """Materialize a LossSpec, resolving "default" margins from stats."""
-    from .losses import default_gca_margins
-
     kwargs = dict(point)
     family = kwargs.pop("family")
     margins = kwargs.pop("margins", None)

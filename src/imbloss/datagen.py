@@ -26,10 +26,6 @@ from .losses import ClassStats
 RNG_ALGORITHM = "numpy-pcg64"
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _seed_repr(seed):
     """JSON-friendly form of a seed (ints pass through, others stringify)."""
     if seed is None or isinstance(seed, (int, np.integer)):
@@ -135,7 +131,7 @@ def gaussian_mixture(
         raise ValueError("counts (n,), means (n, d), and scales (n,) required")
     if np.any(counts < 1) or np.any(scales < 0):
         raise ValueError("counts must be >= 1 and scales >= 0")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     features = np.concatenate([
         means[k] + scales[k] * rng.standard_normal((counts[k], d))
         for k in range(n)
@@ -160,7 +156,7 @@ def figure1_distribution(m: int, seed) -> Dataset:
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     plus = rng.random(m) < 0.125
     sign = np.where(plus, 1.0, -1.0)
     x1 = rng.random(m)

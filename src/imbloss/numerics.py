@@ -63,6 +63,42 @@ def finite_diff_gradient(
     return grad
 
 
+def newton_steps(gradients, points, grad, basis, block: int):
+    """Newton directions d = -H^-1 g of the (P, k) rows ``points`` with
+    gradients ``grad`` on the span of the orthonormal (k, r) ``basis``,
+    their squared decrements g^T H^-1 g, unit-capped steps 1 / max(1, |d|)
+    and the eigenpairs (curv, vecs) of basis^T H basis. Row j of a point's
+    H is (g(x + h e_j) - g(x - h e_j)) / 2h, h = DEFAULT_FD_STEP,
+    symmetrized, from one ``gradients(rows, tile)`` call per ``block``
+    points (tile row i a moved copy of point rows[i]); its eigenvalues are
+    taken in absolute value and floored at 1e-12 of the largest (and 1e-30).
+    """
+    count, k = points.shape
+    h, diag = DEFAULT_FD_STEP, np.arange(k)
+    hess = np.empty((count, k, k))
+    for start in range(0, count, block):
+        rows = np.arange(count)[start:start + block].repeat(2 * k)
+        # per point, x + h e_j for each j, then x - h e_j
+        tile = points[rows].reshape(-1, 2, k, k)
+        tile[:, 0, diag, diag] += h
+        tile[:, 1, diag, diag] -= h
+        tile_grad = gradients(rows, tile.reshape(-1, k)).reshape(-1, 2, k, k)
+        hess[start:start + block] = (
+            tile_grad[:, 0] - tile_grad[:, 1]) / (2 * h)
+    sym = 0.5 * (hess + hess.transpose(0, 2, 1))
+    curv, vecs = np.linalg.eigh(basis.T @ sym @ basis)
+    curv = np.abs(curv)
+    curv = np.maximum(curv, np.maximum(
+        1e-12 * curv.max(axis=1, keepdims=True), 1e-30))
+    coef = grad[:, None] @ basis @ vecs
+    scaled = coef / curv[:, None, :]
+    decrement = (scaled @ coef.transpose(0, 2, 1)).reshape(-1)
+    d = -(scaled @ vecs.transpose(0, 2, 1) @ basis.T)
+    length = np.sqrt(d @ d.transpose(0, 2, 1)).reshape(-1)
+    return (d.reshape(count, k), decrement, 1.0 / np.maximum(1.0, length),
+            curv, vecs)
+
+
 def argmax_highest(values):
     """Index of the maximum along the last axis, ties to the highest."""
     arr = np.asarray(values, dtype=np.float64)

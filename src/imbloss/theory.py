@@ -46,7 +46,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .losses import LossSpec, PriorStats, batch_loss_and_grad, loss_table
-from .numerics import (DEFAULT_FD_STEP, argmax_highest, as_finite_array,
+from .numerics import (argmax_highest, as_finite_array, newton_steps,
                        softplus)
 from .trainer import predict_batch
 
@@ -255,13 +255,12 @@ def minimize_conditional_errors(spec, points, *, max_steps: int = 10_000):
     the saturation plateau that s = 0 sits on; s = 0 is the exact optimum,
     with the scores of tied ratios tied, where p(y|x) = p(y). The losses
     are invariant to adding a constant to every score, so each step
-    solves on the sum-zero subspace of the point's scores: the
-    Hessian, from central differences of the analytic gradient, is reduced
-    to an orthonormal basis of that subspace, its eigenvalues taken in
-    absolute value (a negative curvature flipped) and floored at 1e-12 of
-    the largest. A step is capped to unit length and halved until it
-    passes an Armijo test; both keep the iterates out of the plateaus these
-    losses have at one-hot softmax limits for q > 0. A point stops when
+    (``numerics.newton_steps``) solves on an orthonormal basis of the
+    sum-zero subspace of the point's scores, with a floored |Hessian|
+    from central differences of the analytic gradient. A step is capped to
+    unit length and halved until it passes an Armijo test (0.1); both keep
+    the iterates out of the plateaus these losses have at one-hot softmax
+    limits for q > 0. A point stops when
     the decrease its step still promises, g^T H^-1 g (the squared Newton
     decrement) times the step fraction, falls below 1e-15 max(1, |value|),
     or after ``max_steps`` trial steps.
@@ -297,10 +296,12 @@ def _newton_solve(specs, points, max_steps):
     them, over the +-h e_j rows of each. Every point keeps its own step,
     Armijo test and stopping test, and leaves at the iteration where its
     solo solve stops, so its result equals the solo (P = 1) one bit for
-    bit: the per-point reductions are stacked matmuls and ``eigh`` calls,
-    the BLAS and LAPACK calls of that point alone.
+    bit: the per-point reductions of ``numerics.newton_steps`` are stacked
+    matmuls and ``eigh`` calls, the BLAS and LAPACK calls of that point
+    alone.
     """
     count, n = len(points), points[0].n
+    basis = _sum_zero_basis(n)
     cond = np.array([p.cond for p in points])
     table = loss_table([(spec, PriorStats(p.priors))
                         for spec, p in zip(specs, points)], n)
@@ -330,8 +331,10 @@ def _newton_solve(specs, points, max_steps):
     for _ in range(max_steps):
         if fresh.any():
             at = np.flatnonzero(fresh)
-            direction[at], decrement[at], step[at] = _newton_steps(
-                table[at], cond[at], scores[at], grad[at])
+            direction[at], decrement[at], step[at], _, _ = newton_steps(
+                lambda rows, tile: conditional_errors(
+                    table[at[rows]], cond[at[rows]], tile, want_grad=True)[1],
+                scores[at], grad[at], basis, _HESSIAN_BLOCK)
             done |= fresh & (decrement < 1e-15 * np.maximum(1.0, abs(value)))
         if done.any():
             (ids, cond, table, scores, value, grad, direction, decrement,
@@ -358,45 +361,6 @@ def _sum_zero_basis(n):
     k = np.arange(1, n)
     rows = np.arange(n)[:, None]
     return ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1.0))
-
-
-def _newton_steps(table, cond, scores, grad):
-    """Newton directions on each row's sum-zero subspace, their squared
-    decrements g^T H^-1 g and their unit-capped steps 1 / max(1, |d|), for
-    the (P, n) rows.
-
-    Row j of a point's Hessian is (g(s + h e_j) - g(s - h e_j)) / 2h,
-    symmetrized, from one ``conditional_errors`` call per
-    ``_HESSIAN_BLOCK`` points over their 2n perturbed score rows. Reduced
-    to the basis of ``_sum_zero_basis``, its eigenvalues are taken in
-    absolute value and floored at 1e-12 of the largest (and at 1e-30).
-    """
-    count, n = scores.shape
-    h, diag = DEFAULT_FD_STEP, np.arange(n)
-    hess = np.empty((count, n, n))
-    for start in range(0, count, _HESSIAN_BLOCK):
-        rows = np.arange(count)[start:start + _HESSIAN_BLOCK].repeat(2 * n)
-        # per point, s + h e_j for each j, then s - h e_j
-        tile = scores[rows].reshape(-1, 2, n, n)
-        tile[:, 0, diag, diag] += h
-        tile[:, 1, diag, diag] -= h
-        _, tile_grad = conditional_errors(
-            table[rows], cond[rows], tile.reshape(-1, n), want_grad=True)
-        tile_grad = tile_grad.reshape(-1, 2, n, n)
-        hess[start:start + _HESSIAN_BLOCK] = (
-            tile_grad[:, 0] - tile_grad[:, 1]) / (2 * h)
-    basis = _sum_zero_basis(n)
-    sym = 0.5 * (hess + hess.transpose(0, 2, 1))
-    curv, vecs = np.linalg.eigh(basis.T @ sym @ basis)
-    curv = np.abs(curv)
-    curv = np.maximum(curv, np.maximum(
-        1e-12 * curv.max(axis=1, keepdims=True), 1e-30))
-    coef = grad[:, None] @ basis @ vecs
-    scaled = coef / curv[:, None, :]
-    decrement = (scaled @ coef.transpose(0, 2, 1)).reshape(-1)
-    d = -(scaled @ vecs.transpose(0, 2, 1) @ basis.T)
-    length = np.sqrt(d @ d.transpose(0, 2, 1)).reshape(-1)
-    return d.reshape(-1, n), decrement, 1.0 / np.maximum(1.0, length)
 
 
 def _log_normalize(logits) -> np.ndarray:

@@ -35,13 +35,13 @@ Prediction always uses the raw scores h(x, .): the prior-based logit
 adjustments of the adjusted losses live inside the loss and are never
 applied at prediction time.
 
-``best_in_class_search`` finds the best norm-bounded linear scorer,
-deterministically. For the two-class prior-weighted zero-one objective
-an angular sweep makes it exact; for a smooth surrogate one projected
-gradient descent from the zero model finds the global optimum of every
-loss convex in the weights (every q = 0 family) and a stationary point
-of the others. That resolves geometry questions such as where a bounded
-family places its decision boundary.
+``best_in_class_search`` finds the best norm-bounded two-class linear
+scorer, deterministically: an exact angular sweep for the prior-weighted
+zero-one objective and, for a smooth surrogate, damped Newton on w_1 - w_2
+with the Newton core of the conditional-error oracle, which finds the
+global optimum of every loss convex in the weights (every q = 0 family)
+and a stationary point of the others. That resolves geometry questions such as
+where a bounded family places its decision boundary.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .losses import LossSpec, batch_loss_and_grad, loss_table
-from .numerics import argmax_highest
+from .numerics import argmax_highest, newton_steps
 
 
 @dataclass
@@ -88,15 +88,16 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 
-def _project_rows(weights, norm_bound) -> None:
+def _project_rows(weights, norm_bound) -> bool:
     """Scale in place every row of ``weights`` (last axis) whose L2 norm
-    exceeds norm_bound back onto the bound."""
+    exceeds norm_bound back onto the bound; whether any row did."""
     norms = np.linalg.norm(weights, axis=-1, keepdims=True)
     over = norms > norm_bound
     if over.any():
         # Rows within the bound are scaled by exactly 1.0.
         weights *= np.divide(norm_bound, norms, out=np.ones_like(norms),
                              where=over)
+    return over.any()
 
 
 class _Model:
@@ -470,6 +471,8 @@ class BoundedLinearFamily:
     these objectives depend only on weight-row differences, and any
     difference feasible in the ball is realizable with every row at
     exactly the bound (put the slack in a common orthogonal component).
+    With two classes that difference delta = w_1 - w_2 ranges over
+    ||delta|| <= 2 norm_bound, reached by w_1 = delta / 2 = -w_2.
     """
 
     n: int
@@ -483,14 +486,16 @@ class BoundedLinearFamily:
                            norm_bound=self.norm_bound, use_bias=False)
 
 
-def _weighted_loss_and_grad(table, model, X, X_t, labels, weights):
-    # X_t is X.T, C-contiguous. np.sum adds the m terms of each (n, d, m)
-    # row in a fixed (pairwise) order; BLAS dot and gemm split the m rows
-    # by thread count, so their last bits would follow the BLAS threading.
-    values, dscores = batch_loss_and_grad(table, model.scores(X).T[:, None],
-                                          labels)
-    grad_w = np.sum(dscores * weights * X_t, axis=2)
-    return float(np.sum(weights * values)), grad_w
+def _delta_objective(table, X_t, labels, weights, delta):
+    """The weighted loss of the scorer w_1 = delta / 2 = -w_2 and its
+    gradient in delta. np.sum adds the m terms of each row of X_t = X.T
+    in a fixed order, where BLAS would split them by thread count."""
+    half = 0.5 * (delta @ X_t)
+    values, dscores = batch_loss_and_grad(
+        table, np.stack([half, -half])[:, None], labels)
+    grad = np.sum((dscores[0, 0] - dscores[1, 0]) * (0.5 * weights) * X_t,
+                  axis=1)
+    return float(np.sum(weights * values)), grad
 
 
 def _weighted_balanced_error(model, X, labels, weights, inv_priors):
@@ -527,23 +532,37 @@ def _balanced_direction(X, labels, cost):
     return 0.5 * (breaks[k] + ends[k])
 
 
-# Safety cap on the descent's steps; its own stop test ends it first (the
-# Figure-1 samples at m = 50,000 take fewer than 100).
-_DESCENT_CAP = 10_000
+def _sphere_target(delta, grad, curv, vecs, radius):
+    """The minimizer on ||z|| = radius of the model g.(z - delta) +
+    (z - delta)^T H (z - delta) / 2, H = vecs diag(curv) vecs^T, whose own
+    lies outside: z = (H + lam I)^-1 (H delta - g), Newton's method on
+    1/radius = 1/||z(lam)|| rising from lam = 0 until lam stops rising
+    (More & Sorensen 1983, "Computing a trust region step")."""
+    beta = curv * (delta @ vecs) - grad @ vecs  # H delta - g, eigenbasis
+    lam = 0.0
+    while True:
+        z = beta / (curv + lam)
+        rise = (z @ z / (z @ (z / (curv + lam)))
+                * (np.sqrt(z @ z) / radius - 1.0))
+        if not lam + rise > lam:
+            return vecs @ z
+        lam += rise
 
 
 def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
                          objective):
-    """The best model of the bounded linear family on a sample.
+    """The best model of the bounded linear family on a two-class sample.
 
     ``objective`` is the string "balanced" (the prior-weighted zero-one
-    objective) or a LossSpec. "balanced" needs n = 2 and d = 2; it only
-    depends on the boundary's direction, and an angular sweep over it
-    finds the exact optimum, with rows at the bound. A LossSpec runs one
-    projected gradient descent with backtracking from the zero model: its
-    result is the global optimum when the loss is convex in the weights
-    (every q = 0 family, LA and CE among them) and a stationary point
-    otherwise. Deterministic.
+    objective) or a LossSpec. "balanced" needs d = 2; it only depends on
+    the boundary's direction, and an angular sweep over it finds the exact
+    optimum, with rows at the bound. A LossSpec runs damped Newton on
+    delta = w_1 - w_2 from 0, with the steps, Armijo test and stop rule of
+    the conditional-error oracle (``numerics.newton_steps``); a Newton
+    target outside ||delta|| <= 2 norm_bound gives way to the minimizer of
+    the same model on that sphere. Its result is the global optimum when
+    the loss is convex in the weights (every q = 0 family, LA and CE among
+    them) and a stationary point otherwise. Deterministic.
 
     Returns (best_model, best_objective_value).
     """
@@ -562,26 +581,44 @@ def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
                                                stats.inv_priors)
     if not isinstance(objective, LossSpec):
         raise ValueError(f"unknown objective {objective!r}")
+    if (family.n, data.n) != (2, 2) or family.d != data.d:
+        raise ValueError("the smooth search needs n = 2 and the data's d")
 
-    table = loss_table([(objective, stats)], data.n)
-    model = LinearModel(np.zeros((family.n, family.d)), np.zeros(family.n),
-                        bound, use_bias=False)
-    sample = X, np.ascontiguousarray(X.T), labels, weights
-    value, grad = _weighted_loss_and_grad(table, model, *sample)
-    lr = 1.0
-    for _ in range(_DESCENT_CAP):
-        gnorm = np.linalg.norm(grad)
-        if gnorm < 1e-14 or lr < 1e-14:
-            break
-        trial = LinearModel(model.weights - lr * grad, model.biases, bound,
-                            use_bias=False)  # projected once, on creation
-        new_value, new_grad = _weighted_loss_and_grad(table, trial, *sample)
-        if new_value < value:
-            model, value, grad = trial, new_value, new_grad
-            lr *= 1.5
+    sample = (loss_table([(objective, stats)], 2), np.ascontiguousarray(X.T),
+              labels, weights)
+    radius, delta = 2.0 * bound, np.zeros(data.d)
+    value, grad = _delta_objective(*sample, delta)
+    fresh = True
+    while True:  # the Armijo test and stop rules of theory._newton_solve
+        if fresh:
+            # the Hessian takes one loss call per moved delta: at m = 50,000
+            # one call on all 2d of them peaks at four times the memory
+            (direction,), (decrement,), (step,), (curv,), (vecs,) = \
+                newton_steps(lambda rows, tile: np.array(
+                    [_delta_objective(*sample, row)[1] for row in tile]),
+                    delta[None], grad[None], np.eye(data.d), 1)
+            if np.linalg.norm(delta + direction) > radius:
+                direction = _sphere_target(delta, grad, curv, vecs,
+                                           radius) - delta
+                decrement, step = (-(grad @ direction),
+                                   1.0 / max(1.0, np.linalg.norm(direction)))
+            if decrement < 1e-15 * max(1.0, abs(value)):
+                break
+        candidate = delta + step * direction
+        # until LinearModel leaves delta / 2 as it is: one projection can
+        # leave a row above the bound by rounding
+        while _project_rows(candidate, radius):
+            pass
+        cand_value, cand_grad = _delta_objective(*sample, candidate)
+        fresh = cand_value <= value - 0.1 * step * decrement
+        if fresh:
+            delta, value, grad = candidate, cand_value, cand_grad
         else:
-            lr *= 0.5
-    return model, value
+            step *= 0.5
+            if step * decrement < 1e-15 * max(1.0, abs(value)):
+                break
+    return LinearModel(np.stack([delta, -delta]) / 2, np.zeros(2), bound,
+                       use_bias=False), value
 
 
 def boundary_angle_degrees(model: LinearModel) -> float:

@@ -784,11 +784,11 @@ print(sorted(modules), sorted(loaded - set(sys.stdlib_module_names)))
                           "f1ef8ce2b030db2f7178924e7a325fc2"),
         ("bounds", 10_000, 0, "8e9a5104b3f63cb4ed8a79e470138f9e"
                               "b3beda40135c69b6ca85594b889c11d6"),
-        # the searches at m = 50,000, written while the best-in-class
-        # objective passed row-major scores to the loss core; exit 3, as
-        # LA tilts less than 5 degrees at this sample
-        ("counterexample", 50_000, 3, "dfa1b9e1f9cebc2b275b4599f95a6d80"
-                                      "8e19b5e1f6e6f9540e528cbfc3eb179c"),
+        # the searches at m = 50,000, written by the damped Newton search
+        # on delta = w_1 - w_2; exit 3, as LA tilts less than 5 degrees
+        # at this sample
+        ("counterexample", 50_000, 3, "006aee223efce8e115776151b13ac38b"
+                                      "905a8e7e51499a3bb01ebad1c16732ff"),
     ], ids=["bayes", "bounds", "counterexample"])
     def test_full_budget_evidence_bytes_are_pinned(self, tmp_path, suite,
                                                    budget, code, digest,
@@ -811,12 +811,12 @@ print(sorted(modules), sorted(loaded - set(sys.stdlib_module_names)))
                              "16ee97e95a133534fcde22df89add31f"),
         ("margin", 20, 0, 0, "523f2afc48c98ce03691497070d9f6a9"
                              "67b993bac64615dc4cfd903f58765e83"),
-        # written by the exact search with its row sums in a fixed order,
-        # the same under any BLAS thread count; the optimality
-        # certificates in test_trainer.py back it (balanced at 2.81
-        # degrees, so exit 3)
-        ("counterexample", 1000, 0, 3, "6948eaabd79f0582a160be04e4931249"
-                                       "64c2b0a50c239f711278451eac97dc02"),
+        # written by the exact balanced sweep and the damped Newton
+        # search, their row sums in a fixed order, the same under any BLAS
+        # thread count; the optimality certificates in test_trainer.py
+        # back it (balanced at 2.81 degrees, so exit 3)
+        ("counterexample", 1000, 0, 3, "676f8da44a20e78cbe4a322bf3a1d3ea"
+                                       "40c74a96ce6952809faf20b27344d0a4"),
     ], ids=["bayes", "bounds", "margin", "counterexample"])
     def test_verify_evidence_bytes_are_pinned(self, tmp_path, suite, budget,
                                               seed, code, digest):

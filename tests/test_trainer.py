@@ -37,9 +37,9 @@ from imbloss.trainer import (
 )
 from imbloss.trainer import (
     _backward,
+    _delta_objective,
     _forward,
     _weighted_balanced_error,
-    _weighted_loss_and_grad,
 )
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -794,8 +794,9 @@ class TestBestInClassSearch:
         table = loss_table([(spec, stats)], data.n)
         for _ in range(10):
             probe = family.random_model(rng)
-            probe_value, _ = _weighted_loss_and_grad(
-                table, probe, X, np.ascontiguousarray(X.T), labels, weights)
+            probe_value, _ = _delta_objective(
+                table, np.ascontiguousarray(X.T), labels, weights,
+                probe.weights[0] - probe.weights[1])
             assert value <= probe_value + 1e-9
 
     def test_balanced_objective_on_separable_data_reaches_zero(self):
@@ -805,8 +806,8 @@ class TestBestInClassSearch:
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_objective_returns_feasible_model(self):
-        # FOCAL with gamma=0 on symmetric data is smooth; just verify the
-        # returned model respects the norm bound.
+        # CE on symmetric data is smooth; just verify the returned model
+        # respects the norm bound.
         data = separable_blobs(counts=(20, 20))
         family = BoundedLinearFamily(n=2, d=2, norm_bound=0.7)
         model, _ = best_in_class_search(family, data, LossSpec("CE"))
@@ -817,6 +818,14 @@ class TestBestInClassSearch:
         family = BoundedLinearFamily(n=3, d=3, norm_bound=1.0)
         with pytest.raises(ValueError, match="n = 2 and d = 2"):
             best_in_class_search(family, data, "balanced")
+
+    @pytest.mark.parametrize("n, d", [(3, 3), (2, 3)])
+    def test_smooth_objective_needs_two_classes_in_the_data_dimension(
+            self, n, d):
+        data = separable_blobs(counts=(5,) * n)
+        family = BoundedLinearFamily(n=n, d=d, norm_bound=1.0)
+        with pytest.raises(ValueError, match="n = 2 and the data's d"):
+            best_in_class_search(family, data, LossSpec("CE"))
 
     @pytest.mark.parametrize("variant", ["plain", "origin", "duplicates"])
     @pytest.mark.parametrize("seed", range(5))
@@ -860,12 +869,13 @@ class TestBestInClassSearch:
         family = BoundedLinearFamily(n=2, d=2, norm_bound=norm_bound)
         model, value = best_in_class_search(family, data, spec)
         X, labels, weights, stats = sample_problem(data)
-        at, grad = _weighted_loss_and_grad(
-            loss_table([(spec, stats)], data.n), model, X,
-            np.ascontiguousarray(X.T), labels, weights)
+        at, grad = _delta_objective(
+            loss_table([(spec, stats)], data.n), np.ascontiguousarray(X.T),
+            labels, weights, model.weights[0] - model.weights[1])
         assert at == value
+        # the weight gradient: the loss depends on w_1 - w_2 only
         stepped = model.copy()
-        stepped.weights -= grad
+        stepped.weights -= np.stack([grad, -grad])
         stepped.project()
         assert np.linalg.norm(model.weights - stepped.weights) < 1e-6
         norms = np.linalg.norm(model.weights, axis=1)
