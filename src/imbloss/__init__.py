@@ -4,7 +4,8 @@ multi-class classification.
 The package is organized as a numpy library:
 
 * :mod:`imbloss.numerics` -- the finiteness check, softplus, the
-  finite-difference gradient oracle and a ties-to-highest argmax;
+  finite-difference gradient oracle, a ties-to-highest argmax, the row
+  norm cap and the damped Newton driver;
 * :mod:`imbloss.losses` -- every loss family (values and analytic
   gradients), class statistics, loss specifications;
 * :mod:`imbloss.datagen` -- long-tail / step / Gaussian / two-class

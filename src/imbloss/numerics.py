@@ -4,7 +4,8 @@ All arithmetic in this package is IEEE-754 float64 with no mixed
 precision: the downstream consistency checks need to detect slacks on
 the order of 1e-10, which narrower types cannot resolve.
 
-Everything here is a pure function and safe to call concurrently.
+Everything here is safe to call concurrently, and pure but for
+``project_rows``, which scales its argument in place.
 """
 
 from __future__ import annotations
@@ -63,40 +64,134 @@ def finite_diff_gradient(
     return grad
 
 
-def newton_steps(gradients, points, grad, basis, block: int):
-    """Newton directions d = -H^-1 g of the (P, k) rows ``points`` with
-    gradients ``grad`` on the span of the orthonormal (k, r) ``basis``,
-    their squared decrements g^T H^-1 g, unit-capped steps 1 / max(1, |d|)
-    and the eigenpairs (curv, vecs) of basis^T H basis. Row j of a point's
-    H is (g(x + h e_j) - g(x - h e_j)) / 2h, h = DEFAULT_FD_STEP,
-    symmetrized, from one ``gradients(rows, tile)`` call per ``block``
-    points (tile row i a moved copy of point rows[i]); its eigenvalues are
-    taken in absolute value and floored at 1e-12 of the largest (and 1e-30).
+def project_rows(weights, norm_bound) -> bool:
+    """Scale in place every row of ``weights`` (last axis) whose L2 norm
+    exceeds norm_bound back onto the bound; whether any row did. Rounding
+    can leave a scaled row above the bound."""
+    norms = np.linalg.norm(weights, axis=-1, keepdims=True)
+    over = norms > norm_bound
+    if over.any():
+        # Rows within the bound are scaled by exactly 1.0.
+        weights *= np.divide(norm_bound, norms, out=np.ones_like(norms),
+                             where=over)
+    return over.any()
+
+
+def _sphere_target(point, grad, curv, axes, radius):
+    """The minimizer on ||z|| = radius of the model g.(z - x) +
+    (z - x)^T H (z - x) / 2 at x = ``point``, H = axes diag(curv) axes^T
+    with orthonormal ``axes`` spanning x, whose own minimizer lies outside:
+    z = (H + lam I)^-1 (H x - g), Newton's method on 1/radius = 1/||z(lam)||
+    rising from lam = 0 until lam stops rising (More & Sorensen 1983,
+    "Computing a trust region step")."""
+    beta = curv * (point @ axes) - grad @ axes  # H x - g, eigenbasis
+    lam = 0.0
+    while True:
+        z = beta / (curv + lam)
+        rise = (z @ z / (z @ (z / (curv + lam)))
+                * (np.sqrt(z @ z) / radius - 1.0))
+        if not lam + rise > lam:
+            return axes @ z
+        lam += rise
+
+
+def newton_minimize(objective, points, value, grad, basis, block, *,
+                    radius=np.inf, max_steps=10_000):
+    """Damped Newton from each of the (P, k) rows ``points`` over the ball
+    ||x|| <= radius, in lockstep; the final points and their values.
+
+    ``value`` and ``grad`` are the objective and its gradient at the
+    points; ``objective(ids, rows)`` returns both at an (R, k) array of
+    iterates, row i one of point ids[i], each row's as if alone. The
+    points move on the span of the orthonormal (k, r) ``basis``, which
+    holds them when the ball binds.
+
+    A point's direction is d = -H^-1 g on the basis, H from central
+    differences of g (step DEFAULT_FD_STEP), symmetrized, one objective
+    call per ``block`` points, its eigenvalues taken in absolute value and
+    floored at 1e-12 of the largest (and 1e-30); its decrement g^T H^-1 g;
+    its step 1 / max(1, |d|). A target x + d outside the ball gives way to
+    the minimizer of the same model on the sphere, decrement -g.d. The
+    trial point x + step d, projected until the projection is a no-op, is
+    taken if f <= f(x) - 0.1 step decrement (a new direction follows),
+    else the step halves: the cap and the halving keep the iterates out of
+    plateaus such as the conditional errors' at one-hot softmax limits. A
+    point stops when its new decrement, or its halved step times its
+    decrement, falls below 1e-15 max(1, |f(x)|), or after ``max_steps``
+    trial steps.
+
+    One objective call per iteration takes every point's trial step. Each
+    point leaves at the iteration its solo solve stops, with the solo
+    (P = 1) result bit for bit: the per-point reductions are stacked
+    matmuls and ``eigh`` calls, the BLAS and LAPACK calls of that point
+    alone.
     """
     count, k = points.shape
     h, diag = DEFAULT_FD_STEP, np.arange(k)
-    hess = np.empty((count, k, k))
-    for start in range(0, count, block):
-        rows = np.arange(count)[start:start + block].repeat(2 * k)
-        # per point, x + h e_j for each j, then x - h e_j
-        tile = points[rows].reshape(-1, 2, k, k)
-        tile[:, 0, diag, diag] += h
-        tile[:, 1, diag, diag] -= h
-        tile_grad = gradients(rows, tile.reshape(-1, k)).reshape(-1, 2, k, k)
-        hess[start:start + block] = (
-            tile_grad[:, 0] - tile_grad[:, 1]) / (2 * h)
-    sym = 0.5 * (hess + hess.transpose(0, 2, 1))
-    curv, vecs = np.linalg.eigh(basis.T @ sym @ basis)
-    curv = np.abs(curv)
-    curv = np.maximum(curv, np.maximum(
-        1e-12 * curv.max(axis=1, keepdims=True), 1e-30))
-    coef = grad[:, None] @ basis @ vecs
-    scaled = coef / curv[:, None, :]
-    decrement = (scaled @ coef.transpose(0, 2, 1)).reshape(-1)
-    d = -(scaled @ vecs.transpose(0, 2, 1) @ basis.T)
-    length = np.sqrt(d @ d.transpose(0, 2, 1)).reshape(-1)
-    return (d.reshape(count, k), decrement, 1.0 / np.maximum(1.0, length),
-            curv, vecs)
+    final, final_value = points.copy(), value.copy()
+    ids = np.arange(count)
+    # per point: its direction, decrement and step, whether it moved since
+    # its direction was taken, and whether it stops
+    direction, decrement = np.zeros_like(points), np.zeros(count)
+    step, fresh = np.ones(count), np.ones(count, dtype=bool)
+    done = ~fresh
+    for _ in range(max_steps):
+        if fresh.any():
+            at = np.flatnonzero(fresh)
+            hess = np.empty((at.size, k, k))
+            for start in range(0, at.size, block):
+                rows = at[start:start + block].repeat(2 * k)
+                # per point, x + h e_j for each j, then x - h e_j
+                tile = points[rows].reshape(-1, 2, k, k)
+                tile[:, 0, diag, diag] += h
+                tile[:, 1, diag, diag] -= h
+                tile_grad = objective(ids[rows], tile.reshape(-1, k))[1]
+                tile_grad = tile_grad.reshape(-1, 2, k, k)
+                hess[start:start + block] = (
+                    tile_grad[:, 0] - tile_grad[:, 1]) / (2 * h)
+            sym = 0.5 * (hess + hess.transpose(0, 2, 1))
+            curv, vecs = np.linalg.eigh(basis.T @ sym @ basis)
+            curv = np.abs(curv)
+            curv = np.maximum(curv, np.maximum(
+                1e-12 * curv.max(axis=1, keepdims=True), 1e-30))
+            coef = grad[at][:, None] @ basis @ vecs
+            scaled = coef / curv[:, None, :]
+            decrement[at] = (scaled @ coef.transpose(0, 2, 1)).reshape(-1)
+            d = -(scaled @ vecs.transpose(0, 2, 1) @ basis.T)
+            step[at] = 1.0 / np.maximum(
+                1.0, np.sqrt(d @ d.transpose(0, 2, 1)).reshape(-1))
+            direction[at] = d.reshape(-1, k)
+            outside = np.linalg.norm(points[at] + direction[at],
+                                     axis=1) > radius
+            for j, i in zip(np.flatnonzero(outside).tolist(),
+                            at[outside].tolist()):
+                direction[i] = _sphere_target(
+                    points[i], grad[i], curv[j], basis @ vecs[j],
+                    radius) - points[i]
+                decrement[i] = -(grad[i] @ direction[i])
+                step[i] = 1.0 / max(1.0, np.linalg.norm(direction[i]))
+            done |= fresh & (decrement < 1e-15 * np.maximum(1.0, abs(value)))
+        if done.any():
+            final[ids[done]], final_value[ids[done]] = points[done], value[done]
+            stay = ~done
+            (ids, points, value, grad, direction, decrement, step,
+             fresh) = (a[stay] for a in (ids, points, value, grad, direction,
+                                         decrement, step, fresh))
+            if ids.size == 0:
+                break
+        candidate = points + step[:, None] * direction
+        while project_rows(candidate, radius):
+            pass
+        cand_value, cand_grad = objective(ids, candidate)
+        fresh = cand_value <= value - 0.1 * step * decrement
+        points = np.where(fresh[:, None], candidate, points)
+        value = np.where(fresh, cand_value, value)
+        grad = np.where(fresh[:, None], cand_grad, grad)
+        step = np.where(fresh, step, 0.5 * step)
+        done = ~fresh & (step * decrement
+                         < 1e-15 * np.maximum(1.0, abs(value)))
+    final[ids], final_value[ids] = points, value
+    return final, final_value
 
 
 def argmax_highest(values):

@@ -16,12 +16,10 @@ The key quantities:
 * conditional errors sum_y p(y|x) loss(scores, y), computed row-wise by
   one function, ``conditional_errors``, for the minimizer below;
 * closed-form best conditional errors of the generalized losses over
-  unconstrained scores, cross-checked by an independent damped Newton
-  minimizer (Hessians from central differences of the analytic
-  gradient); it solves many points of any n, one class count at a time,
-  the points of one n in lockstep (one loss call per iteration for all
-  their trial steps, one per block of points for their Hessians), and
-  each point's result equals its solo solve bit for bit;
+  unconstrained scores, cross-checked by an independent minimizer, the
+  damped Newton driver ``numerics.newton_minimize``; it solves many
+  points of any n, one class count at a time, the points of one n in
+  lockstep, and each point's result equals its solo solve bit for bit;
 * conditional-regret bound checks: the balanced regret of any score
   vector must be covered by sqrt(2 t) / p_min (logit-adjusted family,
   q = 0; with an extra (1-q) correction for q in (0,1)) and by
@@ -46,7 +44,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .losses import LossSpec, PriorStats, batch_loss_and_grad, loss_table
-from .numerics import (argmax_highest, as_finite_array, newton_steps,
+from .numerics import (argmax_highest, as_finite_array, newton_minimize,
                        softplus)
 from .trainer import predict_batch
 
@@ -254,19 +252,11 @@ def minimize_conditional_errors(spec, points, *, max_steps: int = 10_000):
     (the origin on a tie). The adjusted origin keeps GLA at large q off
     the saturation plateau that s = 0 sits on; s = 0 is the exact optimum,
     with the scores of tied ratios tied, where p(y|x) = p(y). The losses
-    are invariant to adding a constant to every score, so each step
-    (``numerics.newton_steps``) solves on an orthonormal basis of the
-    sum-zero subspace of the point's scores, with a floored |Hessian|
-    from central differences of the analytic gradient. A step is capped to
-    unit length and halved until it passes an Armijo test (0.1); both keep
-    the iterates out of the plateaus these losses have at one-hot softmax
-    limits for q > 0. A point stops when
-    the decrease its step still promises, g^T H^-1 g (the squared Newton
-    decrement) times the step fraction, falls below 1e-15 max(1, |value|),
-    or after ``max_steps`` trial steps.
-
-    The points solve one class count n at a time, in ascending n, and
-    the points of one n together (``_newton_solve``).
+    are invariant to adding a constant to every score, so the points run
+    the damped Newton driver ``numerics.newton_minimize``, unbounded, on
+    an orthonormal basis of the sum-zero subspace of their scores. They
+    solve one class count n at a time, in ascending n, the points of one
+    n together (``_newton_solve``).
 
     With class-dependent GCA margins a point can have no finite minimizer
     (margins (1, 0.5, 2) at q = 0.7: the infimum is at s_2 -> -inf); such
@@ -286,22 +276,13 @@ def minimize_conditional_errors(spec, points, *, max_steps: int = 10_000):
 
 
 def _newton_solve(specs, points, max_steps):
-    """The damped Newton loop of ``minimize_conditional_errors`` over
-    points of one class count n, in lockstep; results in their order.
-
-    One ``conditional_errors`` call per iteration evaluates every point's
-    trial step, each point's rows with its own block of one
-    ``loss_table`` over n classes: its spec and marginal. The Hessians of
-    the points that moved take one more call per ``_HESSIAN_BLOCK`` of
-    them, over the +-h e_j rows of each. Every point keeps its own step,
-    Armijo test and stopping test, and leaves at the iteration where its
-    solo solve stops, so its result equals the solo (P = 1) one bit for
-    bit: the per-point reductions of ``numerics.newton_steps`` are stacked
-    matmuls and ``eigh`` calls, the BLAS and LAPACK calls of that point
-    alone.
+    """``minimize_conditional_errors`` over points of one class count n:
+    one driver call from each point's lower start, whose objective is one
+    ``conditional_errors`` call, each point's rows with its own block of
+    one ``loss_table`` over n classes (its spec and marginal), with
+    Hessian tiles of ``_HESSIAN_BLOCK`` points; results in their order.
     """
     count, n = len(points), points[0].n
-    basis = _sum_zero_basis(n)
     cond = np.array([p.cond for p in points])
     table = loss_table([(spec, PriorStats(p.priors))
                         for spec, p in zip(specs, points)], n)
@@ -313,46 +294,12 @@ def _newton_solve(specs, points, max_steps):
     values, grads = conditional_errors(
         table[pair], cond[pair], starts, want_grad=True)
     pick = 2 * np.arange(count) + (values[1::2] < values[::2])
-    scores, value, grad = starts[pick], values[pick], grads[pick]
-    ids, results = np.arange(count), [None] * count
-    # per point: its direction, decrement and step, whether it moved since
-    # its direction was taken, and whether it stops
-    direction, decrement = np.zeros_like(scores), np.zeros(count)
-    step, fresh = np.ones(count), np.ones(count, dtype=bool)
-    done = ~fresh
-
-    def leave(stay):
-        """Write the results of the rows ``stay`` drops; the kept state."""
-        for i in np.flatnonzero(~stay).tolist():
-            results[ids[i]] = (scores[i].copy(), float(value[i]))
-        return [a[stay] for a in (ids, cond, table, scores, value, grad,
-                                  direction, decrement, step, fresh)]
-
-    for _ in range(max_steps):
-        if fresh.any():
-            at = np.flatnonzero(fresh)
-            direction[at], decrement[at], step[at], _, _ = newton_steps(
-                lambda rows, tile: conditional_errors(
-                    table[at[rows]], cond[at[rows]], tile, want_grad=True)[1],
-                scores[at], grad[at], basis, _HESSIAN_BLOCK)
-            done |= fresh & (decrement < 1e-15 * np.maximum(1.0, abs(value)))
-        if done.any():
-            (ids, cond, table, scores, value, grad, direction, decrement,
-             step, fresh) = leave(~done)
-            if ids.size == 0:
-                break
-        candidate = scores + step[:, None] * direction
-        cand_value, cand_grad = conditional_errors(
-            table, cond, candidate, want_grad=True)
-        fresh = cand_value <= value - 0.1 * step * decrement
-        scores = np.where(fresh[:, None], candidate, scores)
-        value = np.where(fresh, cand_value, value)
-        grad = np.where(fresh[:, None], cand_grad, grad)
-        step = np.where(fresh, step, 0.5 * step)
-        done = ~fresh & (step * decrement
-                         < 1e-15 * np.maximum(1.0, abs(value)))
-    leave(np.zeros(ids.size, dtype=bool))
-    return results
+    scores, value = newton_minimize(
+        lambda ids, rows: conditional_errors(table[ids], cond[ids], rows,
+                                             want_grad=True),
+        starts[pick], values[pick], grads[pick], _sum_zero_basis(n),
+        _HESSIAN_BLOCK, max_steps=max_steps)
+    return [(row, float(v)) for row, v in zip(scores, value)]
 
 
 def _sum_zero_basis(n):

@@ -37,23 +37,24 @@ applied at prediction time.
 
 ``best_in_class_search`` finds the best norm-bounded two-class linear
 scorer, deterministically: an exact angular sweep for the prior-weighted
-zero-one objective and, for a smooth surrogate, damped Newton on w_1 - w_2
-with the Newton core of the conditional-error oracle, which finds the
-global optimum of every loss convex in the weights (every q = 0 family)
-and a stationary point of the others. That resolves geometry questions such as
-where a bounded family places its decision boundary.
+zero-one objective and, for a smooth surrogate, the damped Newton driver
+of the conditional-error oracle on w_1 - w_2 over its ball, which finds
+the global optimum of every loss convex in the weights (every q = 0
+family) and a stationary point of the others. That resolves geometry
+questions such as where a bounded family places its decision boundary.
 """
 
 from __future__ import annotations
 
 import json
+from copy import deepcopy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datagen import Dataset
 from .losses import LossSpec, batch_loss_and_grad, loss_table
-from .numerics import argmax_highest, newton_steps
+from .numerics import argmax_highest, newton_minimize, project_rows
 
 
 @dataclass
@@ -88,18 +89,6 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
 
 
-def _project_rows(weights, norm_bound) -> bool:
-    """Scale in place every row of ``weights`` (last axis) whose L2 norm
-    exceeds norm_bound back onto the bound; whether any row did."""
-    norms = np.linalg.norm(weights, axis=-1, keepdims=True)
-    over = norms > norm_bound
-    if over.any():
-        # Rows within the bound are scaled by exactly 1.0.
-        weights *= np.divide(norm_bound, norms, out=np.ones_like(norms),
-                             where=over)
-    return over.any()
-
-
 class _Model:
     """What both model classes derive from their ``_layers()``: the class
     count n, the input dimension d and the scores, which come from the one
@@ -112,6 +101,11 @@ class _Model:
     @property
     def d(self) -> int:
         return self._layers()[0][0].shape[1]
+
+    def copy(self):
+        """A copy with arrays of its own, bit for bit this model's: a
+        bounded row at its bound is not projected again."""
+        return deepcopy(self)
 
     def scores(self, X) -> np.ndarray:
         """Scores of one input (d,) or of a batch (B, d)."""
@@ -140,8 +134,8 @@ class LinearModel(_Model):
             raise ValueError("weights must be (n, d) and biases (n,)")
         self.norm_bound = None if norm_bound is None else float(norm_bound)
         self.use_bias = bool(use_bias)
-        if self.norm_bound is not None and self.norm_bound <= 0:
-            raise ValueError("norm_bound must be positive")
+        if self.norm_bound is not None and not self.norm_bound > 0:
+            raise ValueError(f"norm_bound must be positive, got {norm_bound}")
         self.project()
 
     @classmethod
@@ -152,13 +146,9 @@ class LinearModel(_Model):
         weights = rng.uniform(-limit, limit, size=(n, d))
         return cls(weights, np.zeros(n), norm_bound, use_bias)
 
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.weights.copy(), self.biases.copy(),
-                           self.norm_bound, self.use_bias)
-
     def project(self) -> None:
         if self.norm_bound is not None:
-            _project_rows(self.weights, self.norm_bound)
+            project_rows(self.weights, self.norm_bound)
 
     def _layers(self):
         return [(self.weights, self.biases)]
@@ -206,10 +196,6 @@ class MlpModel(_Model):
             weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
-
-    def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
 
     def project(self) -> None:
         pass
@@ -442,7 +428,7 @@ def train_lockstep(models, data, spec, cfgs):
                 if i < depth and cfg.weight_decay > 0.0:
                     p *= 1.0 - lr * cfg.weight_decay
             if norm_bound is not None:
-                _project_rows(arrays[0], norm_bound)
+                project_rows(arrays[0], norm_bound)
             step += 1
         for run, loss_sum in zip(live, loss_sums):
             histories[run].append(float(loss_sum / m))
@@ -478,6 +464,11 @@ class BoundedLinearFamily:
     n: int
     d: int
     norm_bound: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.norm_bound) and self.norm_bound > 0):
+            raise ValueError("norm_bound must be finite and positive, "
+                             f"got {self.norm_bound}")
 
     def random_model(self, rng) -> LinearModel:
         raw = rng.standard_normal((self.n, self.d))
@@ -532,23 +523,6 @@ def _balanced_direction(X, labels, cost):
     return 0.5 * (breaks[k] + ends[k])
 
 
-def _sphere_target(delta, grad, curv, vecs, radius):
-    """The minimizer on ||z|| = radius of the model g.(z - delta) +
-    (z - delta)^T H (z - delta) / 2, H = vecs diag(curv) vecs^T, whose own
-    lies outside: z = (H + lam I)^-1 (H delta - g), Newton's method on
-    1/radius = 1/||z(lam)|| rising from lam = 0 until lam stops rising
-    (More & Sorensen 1983, "Computing a trust region step")."""
-    beta = curv * (delta @ vecs) - grad @ vecs  # H delta - g, eigenbasis
-    lam = 0.0
-    while True:
-        z = beta / (curv + lam)
-        rise = (z @ z / (z @ (z / (curv + lam)))
-                * (np.sqrt(z @ z) / radius - 1.0))
-        if not lam + rise > lam:
-            return vecs @ z
-        lam += rise
-
-
 def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
                          objective):
     """The best model of the bounded linear family on a two-class sample.
@@ -556,13 +530,12 @@ def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
     ``objective`` is the string "balanced" (the prior-weighted zero-one
     objective) or a LossSpec. "balanced" needs d = 2; it only depends on
     the boundary's direction, and an angular sweep over it finds the exact
-    optimum, with rows at the bound. A LossSpec runs damped Newton on
-    delta = w_1 - w_2 from 0, with the steps, Armijo test and stop rule of
-    the conditional-error oracle (``numerics.newton_steps``); a Newton
-    target outside ||delta|| <= 2 norm_bound gives way to the minimizer of
-    the same model on that sphere. Its result is the global optimum when
-    the loss is convex in the weights (every q = 0 family, LA and CE among
-    them) and a stationary point otherwise. Deterministic.
+    optimum, with rows at the bound. A LossSpec runs the damped Newton
+    driver of the conditional-error oracle, ``numerics.newton_minimize``,
+    on delta = w_1 - w_2 from 0 over the ball ||delta|| <= 2 norm_bound.
+    Its result is the global optimum when the loss is convex in the
+    weights (every q = 0 family, LA and CE among them) and a stationary
+    point otherwise. Deterministic.
 
     Returns (best_model, best_objective_value).
     """
@@ -586,39 +559,21 @@ def best_in_class_search(family: BoundedLinearFamily, data: Dataset,
 
     sample = (loss_table([(objective, stats)], 2), np.ascontiguousarray(X.T),
               labels, weights)
-    radius, delta = 2.0 * bound, np.zeros(data.d)
-    value, grad = _delta_objective(*sample, delta)
-    fresh = True
-    while True:  # the Armijo test and stop rules of theory._newton_solve
-        if fresh:
-            # the Hessian takes one loss call per moved delta: at m = 50,000
-            # one call on all 2d of them peaks at four times the memory
-            (direction,), (decrement,), (step,), (curv,), (vecs,) = \
-                newton_steps(lambda rows, tile: np.array(
-                    [_delta_objective(*sample, row)[1] for row in tile]),
-                    delta[None], grad[None], np.eye(data.d), 1)
-            if np.linalg.norm(delta + direction) > radius:
-                direction = _sphere_target(delta, grad, curv, vecs,
-                                           radius) - delta
-                decrement, step = (-(grad @ direction),
-                                   1.0 / max(1.0, np.linalg.norm(direction)))
-            if decrement < 1e-15 * max(1.0, abs(value)):
-                break
-        candidate = delta + step * direction
-        # until LinearModel leaves delta / 2 as it is: one projection can
-        # leave a row above the bound by rounding
-        while _project_rows(candidate, radius):
-            pass
-        cand_value, cand_grad = _delta_objective(*sample, candidate)
-        fresh = cand_value <= value - 0.1 * step * decrement
-        if fresh:
-            delta, value, grad = candidate, cand_value, cand_grad
-        else:
-            step *= 0.5
-            if step * decrement < 1e-15 * max(1.0, abs(value)):
-                break
+
+    def rows_objective(ids, rows):
+        # one loss call per delta: at m = 50,000 one call on all 2d rows of
+        # a Hessian tile peaks at four times the memory
+        values, grads = zip(*(_delta_objective(*sample, row) for row in rows))
+        return np.array(values), np.array(grads)
+
+    start = np.zeros((1, data.d))
+    (delta,), (value,) = newton_minimize(
+        rows_objective, start, *rows_objective(None, start), np.eye(data.d),
+        1, radius=2.0 * bound)
+    # the driver projects until the projection is a no-op, so LinearModel
+    # leaves delta / 2 as it is
     return LinearModel(np.stack([delta, -delta]) / 2, np.zeros(2), bound,
-                       use_bias=False), value
+                       use_bias=False), float(value)
 
 
 def boundary_angle_degrees(model: LinearModel) -> float:

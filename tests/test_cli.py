@@ -615,6 +615,19 @@ print(sorted(modules), sorted(loaded - set(sys.stdlib_module_names)))
         modules = sorted(p.stem for p in (SRC / "imbloss").glob("*.py")
                          if p.stem != "__init__")
         assert done.stdout == f"{modules} ['imbloss', 'numpy']\n"
+        # trainer and theory import numerics' Newton driver, so numerics
+        # imports no other module of the package: loaded past the
+        # package's __init__, it loads none
+        done = run_python(["-c", f"""\
+import sys, types
+package = types.ModuleType("imbloss")
+package.__path__ = [{str(SRC / "imbloss")!r}]
+sys.modules["imbloss"] = package
+import imbloss.numerics
+print(sorted(name for name in sys.modules if name.startswith("imbloss")))
+"""], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "['imbloss', 'imbloss.numerics']\n"
 
     def test_verify_suites_small_budget(self, tmp_path):
         out = tmp_path / "v"

@@ -783,7 +783,42 @@ class TestCheckpoint:
             np.testing.assert_array_equal(wa, wb)
 
 
+class TestCopy:
+    def test_a_copy_keeps_the_bits_of_a_row_at_its_bound(self):
+        # scaling a row onto its bound can leave it above the bound by
+        # rounding, so a copy that projected again would move it
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            model = LinearModel(3 * rng.standard_normal((3, 4)), np.zeros(3),
+                                norm_bound=1.0)
+            assert model.copy().weights.tobytes() == model.weights.tobytes()
+
+    @pytest.mark.parametrize("model", [
+        LinearModel.init_random(3, 4, seed=1, norm_bound=0.4, use_bias=False),
+        MlpModel.init_random([4, 5, 3], seed=1)], ids=["linear", "mlp"])
+    def test_a_copy_owns_its_arrays(self, model):
+        copy = model.copy()
+        assert type(copy) is type(model)
+        assert (copy.norm_bound, copy.use_bias) == (model.norm_bound,
+                                                    model.use_bias)
+        for (w, b), (cw, cb) in zip(model._layers(), copy._layers()):
+            assert np.array_equal(cw, w) and np.array_equal(cb, b)
+            cw += 1.0
+            cb += 1.0
+            assert not np.array_equal(cw, w) and not np.array_equal(cb, b)
+
+
 class TestBestInClassSearch:
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf])
+    def test_norm_bound_must_be_finite_and_positive(self, bound):
+        with pytest.raises(ValueError, match="norm_bound"):
+            BoundedLinearFamily(n=2, d=2, norm_bound=bound)
+        if bound == np.inf:  # a model's infinite cap is no cap
+            LinearModel(np.ones((2, 2)), np.zeros(2), norm_bound=bound)
+        else:
+            with pytest.raises(ValueError, match="norm_bound"):
+                LinearModel(np.ones((2, 2)), np.zeros(2), norm_bound=bound)
+
     def test_smooth_objective_beats_random_models(self):
         data = separable_blobs(counts=(40, 40))
         family = BoundedLinearFamily(n=2, d=2, norm_bound=5.0)
