@@ -11,10 +11,8 @@ Exit codes: 0 success, 2 config error, 3 theory-check violation,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -31,7 +29,14 @@ from .config import (
     synthesize_splits,
     train_config,
 )
-from .datagen import DatasetShapeError, read_dataset_csv, write_dataset_csv
+from .datagen import (
+    DatasetShapeError,
+    read_dataset_csv,
+    replacing,
+    write_csv,
+    write_dataset_csv,
+    write_json,
+)
 from .metrics import balanced_error, confusion, per_class_error
 from .trainer import (
     LinearModel,
@@ -47,28 +52,6 @@ EXIT_VIOLATION = 3
 EXIT_RUNTIME = 4
 
 SPLITS = ("train", "val", "test")
-
-
-@contextlib.contextmanager
-def _replacing(path: Path):
-    """Open a temp file in path's directory for writing and os.replace it
-    onto path when the block completes, so a reader finds the old file or
-    the whole new one; a block that raises leaves no temp file behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _dump_json(path: Path, payload) -> None:
-    with _replacing(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 # json.dumps(record, sort_keys=True) without building an encoder per record
@@ -91,12 +74,11 @@ def dataset_dir(config, out: Path) -> Path:
 def cmd_synth(config, out: Path) -> Path:
     """Write train/val/test CSVs plus metadata under a content hash."""
     target = dataset_dir(config, out)
-    target.mkdir(parents=True, exist_ok=True)
     splits = synthesize_splits(config["dataset"])
     for name in SPLITS:
         write_dataset_csv(splits[name], target / f"{name}.csv",
                           target / f"{name}.meta.json")
-    _dump_json(target / "dataset.json", config["dataset"])
+    write_json(target / "dataset.json", config["dataset"])
     print(f"synth: wrote {', '.join(SPLITS)} to {target}")
     return target
 
@@ -179,7 +161,6 @@ def _execute_stack(config, points, splits, out: Path):
     for (gridpoint, seed), spec, outcome in zip(runs, specs, outcomes):
         run_hash = _run_hash(config, gridpoint)
         run_dir = out / "runs" / run_hash / str(seed)
-        run_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "config_hash": run_hash,
             "dataset_hash": canonical_hash(config["dataset"]),
@@ -192,7 +173,7 @@ def _execute_stack(config, points, splits, out: Path):
         payloads[run_hash, seed] = payload
         if isinstance(outcome, TrainingDiverged):
             payload.update(status="diverged", error=str(outcome))
-            _dump_json(run_dir / "metrics.json", payload)
+            write_json(run_dir / "metrics.json", payload)
             continue
         trained, history = outcome
         payload.update(
@@ -207,13 +188,10 @@ def _execute_stack(config, points, splits, out: Path):
         if "confusion" in metrics:
             payload["test_confusion"] = confusion(trained, test_set).tolist()
         save_checkpoint(trained, run_dir / "model.json")
-        with open(run_dir / "history.csv", "w", encoding="ascii",
-                  newline="\n") as fh:
-            fh.write("epoch,mean_loss\n")
-            for epoch, loss in enumerate(history):
-                fh.write(f"{epoch},{loss:.17g}\n")
+        write_csv(run_dir / "history.csv", ["epoch", "mean_loss"],
+                  enumerate(history))
         # Written last: a complete metrics.json marks the run as done.
-        _dump_json(run_dir / "metrics.json", payload)
+        write_json(run_dir / "metrics.json", payload)
     return payloads
 
 
@@ -298,11 +276,8 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     header = ["config_hash", "family", "hyperparams", "runs_ok",
               "runs_failed", "val_mean", "val_sd", "test_mean", "test_sd",
               "selected"]
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in summary_rows:
-            fh.write(",".join(_csv_cell(row[h]) for h in header) + "\n")
+    write_csv(summary_path, header,
+              ([row[h] for h in header] for row in summary_rows))
     print(f"train: {len(grid) * len(seeds)} runs, summary at {summary_path}")
     if best_hash is not None:
         best = next(r for r in summary_rows if r["config_hash"] == best_hash)
@@ -323,15 +298,6 @@ def _aggregate(runs, split):
         return 0, "", ""
     sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return len(values), float(np.mean(values)), sd
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    text = str(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +343,7 @@ def cmd_verify(suite: str, budget, seed: int, out: Path) -> int:
         raise ConfigError(f"--seed must be >= 0, got {seed}")
     evidence_path = out / f"verify_{suite}.jsonl"
     violations = 0
-    with _replacing(evidence_path) as fh:
+    with replacing(evidence_path) as fh:
         for record in records(budget, seed):
             _append_jsonl(fh, record)
             violations += verify.is_violation(record)
@@ -410,31 +376,19 @@ def cmd_report(run_dirs, out: Path):
                row["profile"], row["imb_ratio"])
         groups.setdefault(key, []).append(row)
 
-    out.mkdir(parents=True, exist_ok=True)
+    keys = sorted(groups)
     table_path = out / "table.csv"
-    with open(table_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("family,hyperparams,profile,imb_ratio,runs_ok,"
-                 "test_mean,test_sd\n")
-        for key in sorted(groups):
-            family, hp, profile, ratio = key
-            ok, mean, sd = _aggregate(groups[key], "test")
-            fh.write(",".join([family, _csv_cell(hp), profile,
-                               f"{ratio:.17g}", str(ok), _csv_cell(mean),
-                               _csv_cell(sd)]) + "\n")
+    write_csv(table_path, ["family", "hyperparams", "profile", "imb_ratio",
+                           "runs_ok", "test_mean", "test_sd"],
+              ((*key, *_aggregate(groups[key], "test")) for key in keys))
 
     plot_path = out / "plot_data.csv"
-    with open(plot_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("family,hyperparams,profile,imb_ratio,seed,"
-                 "test_balanced_error,status\n")
-        for key in sorted(groups):
-            for r in sorted(groups[key], key=lambda r: r["seed"]):
-                value = (f"{r['test_balanced_error']:.17g}"
-                         if r["status"] == "ok" else "")
-                fh.write(",".join([
-                    r["family"],
-                    _csv_cell(json.dumps(r["hyperparams"], sort_keys=True)),
-                    r["profile"], f"{r['imb_ratio']:.17g}", str(r["seed"]),
-                    value, r["status"]]) + "\n")
+    write_csv(plot_path, ["family", "hyperparams", "profile", "imb_ratio",
+                          "seed", "test_balanced_error", "status"],
+              ((*key, r["seed"], r["test_balanced_error"]
+                if r["status"] == "ok" else "", r["status"])
+               for key in keys
+               for r in sorted(groups[key], key=lambda r: r["seed"])))
     print(f"report: wrote {table_path} and {plot_path}")
     return table_path, plot_path
 

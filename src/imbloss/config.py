@@ -306,10 +306,11 @@ def _val_counts(train_counts: np.ndarray, fraction: float) -> np.ndarray:
     return np.maximum(np.floor(fraction * train_counts + 0.5), 1).astype(np.int64)
 
 
-def _figure1_split(m: int, seed_seq, min_m: int = 2) -> Dataset:
-    """Draw a two-class sample, retrying derived seeds until both classes
-    appear (needed so stratified metrics stay well-defined)."""
-    m = max(int(m), min_m)
+def _figure1_split(m: int, seed_seq) -> Dataset:
+    """Draw a two-class sample of at least 2 points, retrying derived
+    seeds until both classes appear (needed so stratified metrics stay
+    well-defined)."""
+    m = max(int(m), 2)
     for attempt, child in enumerate(seed_seq.spawn(100)):
         data = figure1_distribution(m, child)
         if np.all(data.class_counts() >= 1):

@@ -1,7 +1,10 @@
-"""Synthetic imbalanced datasets and their CSV format.
+"""Synthetic imbalanced datasets, and the text files imbloss writes.
 
 :class:`Dataset` holds feature vectors with 1-based integer labels plus
-provenance metadata, written/read as CSV with a JSON sidecar.
+provenance metadata, written/read as CSV with a JSON sidecar. Every file
+the package writes goes through :func:`replacing`, as CSV by
+:func:`write_csv` or as JSON by :func:`write_json`, so a reader finds the
+old file or the whole new one.
 
 Counts follow the usual long-tail / step protocols: long-tailed counts
 decay exponentially across sorted classes, step counts split the classes
@@ -16,8 +19,11 @@ cross-implementation contract.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -172,26 +178,66 @@ def figure1_distribution(m: int, seed) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# File format: CSV with header f0,...,f{d-1},label (floats printed with 17
-# significant digits, labels 1-based) plus a JSON metadata sidecar.
+# Text files. CSV: a header line, then one line per row; floats printed
+# with 17 significant digits, a cell holding a comma or a quote quoted. A
+# split is a CSV with header f0,...,f{d-1},label (labels 1-based) plus a
+# JSON metadata sidecar.
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """Open a temp file in path's directory, which it makes, for writing
+    and os.replace it onto path when the block completes, so a reader
+    finds the old file or the whole new one; a block that raises leaves
+    no temp file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, payload) -> None:
+    """payload as JSON, keys sorted, indented by 2, newline-terminated."""
+    with replacing(path) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv(path, header, rows) -> None:
+    """One CSV line for the header and one for each row of cells."""
+    with replacing(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
 def write_dataset_csv(dataset: Dataset, csv_path, meta_path=None) -> None:
-    lines = [",".join([f"f{j}" for j in range(dataset.d)] + ["label"])]
-    for row, label in zip(dataset.features, dataset.labels):
-        lines.append(",".join(f"{v:.17g}" for v in row) + f",{label}")
-    with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(csv_path, [f"f{j}" for j in range(dataset.d)] + ["label"],
+              ([*row, label] for row, label in zip(dataset.features.tolist(),
+                                                   dataset.labels.tolist())))
     if meta_path is not None:
         meta = dict(dataset.meta)
         meta.setdefault("counts", dataset.class_counts().tolist())
         meta["n"] = dataset.n
         meta["d"] = dataset.d
         meta["m"] = dataset.m
-        with open(meta_path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(meta_path, meta)
 
 
 class DatasetShapeError(ValueError):

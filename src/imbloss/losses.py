@@ -137,7 +137,8 @@ class PriorStats:
 class LossSpec:
     """Tagged descriptor of a loss family and its hyperparameters.
 
-    Exactly the hyperparameters required by ``family`` must be set:
+    Exactly the hyperparameters required by ``family`` must be set, each
+    finite, every margin included:
 
     ====== =======================================================
     CE      (none)
@@ -190,17 +191,22 @@ class LossSpec:
             if name not in required and value is not None:
                 raise ValueError(f"{self.family} does not accept {name}")
         if self.margins is not None:
-            margins = tuple(float(r) for r in self.margins)
-            if any(r <= 0 for r in margins) or len(margins) == 0:
-                raise ValueError(f"margins must be positive, got {margins}")
-            object.__setattr__(self, "margins", margins)
+            object.__setattr__(self, "margins",
+                               tuple(float(r) for r in self.margins))
+        for name, value in self.hyperparams().items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(
+                    f"{self.family} {name} must be finite, got {value}")
+        if self.margins is not None and (
+                any(r <= 0 for r in self.margins) or not self.margins):
+            raise ValueError(f"margins must be positive, got {self.margins}")
         if self.q is not None and not (0.0 <= self.q < 1.0):
             raise ValueError(f"q must lie in [0, 1), got {self.q}")
         if self.tau is not None and self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.family == "CB" and not (0.0 < self.gamma < 1.0):
             raise ValueError(f"CB gamma must lie in (0, 1), got {self.gamma}")
-        if self.family == "FOCAL" and not self.gamma >= 0:
+        if self.family == "FOCAL" and self.gamma < 0:
             raise ValueError(f"FOCAL gamma must be >= 0, got {self.gamma}")
         if self.cap_c is not None and self.cap_c <= 0:
             raise ValueError(f"cap_c must be positive, got {self.cap_c}")
@@ -208,10 +214,9 @@ class LossSpec:
             raise ValueError(f"eq_p must lie in (0, 1), got {self.eq_p}")
         if self.eq_lambda is not None and not (0.0 < self.eq_lambda < 1.0):
             raise ValueError(f"eq_lambda must lie in (0, 1), got {self.eq_lambda}")
-        if self.rho_margin is not None and not self.rho_margin > 0:
+        if self.rho_margin is not None and self.rho_margin <= 0:
             raise ValueError(f"rho_margin must be positive, got {self.rho_margin}")
-        # a loss table reads a NaN psi_tau as a block of another family
-        if self.psi_tau is not None and not self.psi_tau >= 0:
+        if self.psi_tau is not None and self.psi_tau < 0:
             raise ValueError(f"psi_tau must be >= 0, got {self.psi_tau}")
 
     def hyperparams(self) -> dict:
@@ -334,8 +339,6 @@ def loss_table(blocks, n: int) -> LossTable:
 
 def _check_batch(scores, labels):
     scores = as_finite_array(scores, "scores")
-    if scores.ndim == 1:
-        scores = scores[None, :]
     if scores.ndim != 2 or scores.shape[1] < 2:
         raise ValueError("scores must be (m, n) with n >= 2")
     labels = np.asarray(labels).reshape(-1)

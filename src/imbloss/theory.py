@@ -168,11 +168,11 @@ def bayes_la_label(point: ConditionalPoint, tau: float) -> int:
         point.cond / point.priors**tau, point.reachable)
 
 
-def conditional_errors(table, cond, scores, want_grad=False):
+def conditional_errors(table, cond, scores):
     """sum_y cond[y] * loss(scores, y) per row of the (P, n) arrays, and
-    its score gradients when want_grad, from one loss call on the
-    class-major (n, P*n) tile of every row's labels under ``table``, a
-    LossTable over n classes of one block per row or one for all.
+    its score gradients, from one loss call on the class-major (n, P*n)
+    tile of every row's labels under ``table``, a LossTable over n
+    classes of one block per row or one for all.
 
     The stacked matmuls (P,1,n) @ (P,n,1) and (P,1,n) @ (P,n,n) make per
     row the BLAS calls of ``cond @ values`` and ``cond @ grads`` on that
@@ -182,11 +182,9 @@ def conditional_errors(table, cond, scores, want_grad=False):
     labels = np.arange(1, n + 1)[None].repeat(count, axis=0)
     values, grads = batch_loss_and_grad(  # tile column p * n + y: row p
         table, np.repeat(scores.T, n, axis=1).reshape(n, len(table.q), -1),
-        labels.ravel(), want_grad=want_grad)
+        labels.ravel())
     weights = cond[:, None]
     errors = (weights @ values.reshape(count, n, 1)).reshape(-1)
-    if not want_grad:
-        return errors, None
     # (P, n, n), per row, per label, per class: contiguous, as one row's
     # ``cond @ grads`` reads them, so the stacked matmul rounds the same
     grads = grads.reshape(n, count, n).transpose(1, 2, 0).copy()
@@ -291,12 +289,10 @@ def _newton_solve(specs, points, max_steps):
         starts[:, 0] = table.neg_shift
     starts = starts.reshape(-1, n)
     pair = np.repeat(np.arange(count), 2)
-    values, grads = conditional_errors(
-        table[pair], cond[pair], starts, want_grad=True)
+    values, grads = conditional_errors(table[pair], cond[pair], starts)
     pick = 2 * np.arange(count) + (values[1::2] < values[::2])
     scores, value = newton_minimize(
-        lambda ids, rows: conditional_errors(table[ids], cond[ids], rows,
-                                             want_grad=True),
+        lambda ids, rows: conditional_errors(table[ids], cond[ids], rows),
         starts[pick], values[pick], grads[pick], _sum_zero_basis(n),
         _HESSIAN_BLOCK, max_steps=max_steps)
     return [(row, float(v)) for row, v in zip(scores, value)]
@@ -627,28 +623,23 @@ def random_conditional_point(
         return point
 
 
-def find_la_disagreement(
-    tau: float,
-    grid=None,
-    min_gap: float = 1e-9,
-) -> ConditionalPoint | None:
+def find_la_disagreement(tau: float) -> ConditionalPoint | None:
     """First two-class grid point where the logit-adjusted optimal label
     (temperature tau) differs from the balanced-optimal label.
 
-    Scans cond x prior products of a coarse simplex grid in a fixed
-    order, skipping knife-edge points whose top-two ratio gap (for either
-    criterion) is below min_gap, so the stored witness is robust to
-    rounding. Returns None when no disagreement exists on the grid
-    (e.g. tau = 1).
+    Scans cond x prior products of the grid 0.05, 0.10, ..., 0.95 in a
+    fixed order, skipping knife-edge points whose relative top-two ratio
+    gap (for either criterion) is below 1e-9, so the stored witness is
+    robust to rounding. Returns None when no disagreement exists on the
+    grid (e.g. tau = 1).
     """
-    if grid is None:
-        grid = np.round(np.arange(1, 20) * 0.05, 10)
+    grid = np.round(np.arange(1, 20) * 0.05, 10)
     for prior1 in grid:
         for p1 in grid:
             point = ConditionalPoint((p1, 1.0 - p1), (prior1, 1.0 - prior1))
             for ratios in (point.ratios, point.cond / point.priors**tau):
                 top = np.sort(ratios)[::-1]
-                if (top[0] - top[1]) / top[0] < min_gap:
+                if (top[0] - top[1]) / top[0] < 1e-9:
                     break
             else:
                 if bayes_la_label(point, tau) != bayes_balanced_label(point):

@@ -52,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import Dataset, replacing
 from .losses import LossSpec, batch_loss_and_grad, loss_table
 from .numerics import argmax_highest, newton_minimize, project_rows
 
@@ -197,9 +197,6 @@ class MlpModel(_Model):
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
 
-    def project(self) -> None:
-        pass
-
     def _layers(self):
         return list(zip(self.weights, self.biases))
 
@@ -214,7 +211,7 @@ class MlpModel(_Model):
 
 def save_checkpoint(model, path) -> None:
     """JSON checkpoint with shapes and row-major float64 arrays."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with replacing(path) as fh:
         json.dump(model.to_dict(), fh, sort_keys=True)
         fh.write("\n")
 

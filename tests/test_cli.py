@@ -110,6 +110,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_hyperparameter_is_config_error(self, tmp_path, value,
+                                                       capsys):
+        # a NaN tau once trained, diverged and wrote "tau": NaN, which is
+        # not JSON, into metrics.json and the summary
+        path = tmp_path / "bad.ini"
+        path.write_text(BASE_CONFIG.replace("family = GLA\nq = 0.0, 0.3",
+                                            f"family = LA\ntau = {value}, 1.0"))
+        out = tmp_path / "o"
+        for command in ("synth", "train"):
+            assert main(["--config", str(path), "--out", str(out),
+                         command]) == 2
+        assert "tau must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_margins_resolve_from_stats(self, tmp_path):
         point = {"family": "GCA", "q": 0.1, "margins": "default"}
         spec = spec_from_gridpoint(point, ClassStats([8, 1]))
@@ -561,15 +576,73 @@ class TestCommands:
                       if p.is_file()) == files  # no temp files left
 
     def test_failed_json_write_keeps_the_old_file(self, tmp_path):
-        from imbloss.cli import _dump_json
+        from imbloss.datagen import write_json
 
         path = tmp_path / "metrics.json"
-        _dump_json(path, {"status": "ok"})
+        write_json(path, {"status": "ok"})
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            _dump_json(path, {"status": object()})
+            write_json(path, {"status": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+    def test_failed_report_keeps_the_old_files(self, config_file, tmp_path,
+                                               monkeypatch):
+        from imbloss import cli
+
+        out = tmp_path / "o"
+        main(["--config", str(config_file), "--out", str(out), "synth"])
+        main(["--config", str(config_file), "--out", str(out), "train"])
+        run_dirs = sorted(str(p.parent)
+                          for p in (out / "runs").rglob("metrics.json"))
+        rep = tmp_path / "rep"
+        assert main(["--out", str(rep), "report", *run_dirs]) == 0
+        before = {p.name: p.read_bytes() for p in rep.iterdir()}
+        aggregate, calls = cli._aggregate, []
+
+        def fail_on_the_second_group(runs, split):
+            calls.append(split)
+            if len(calls) == 2:
+                raise RuntimeError("report failed partway")
+            return aggregate(runs, split)
+
+        monkeypatch.setattr(cli, "_aggregate", fail_on_the_second_group)
+        assert main(["--out", str(rep), "report", *run_dirs]) == 4
+        assert len(calls) == 2
+        # table.csv keeps its bytes, and no temp file is left
+        assert {p.name: p.read_bytes() for p in rep.iterdir()} == before
+
+    def test_failed_summary_write_keeps_the_old_summary(self, config_file,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # The summary's selected column compares every grid point's
+        # aggregate, so all are computed before the file is opened; the
+        # write fails on a cell of the second grid point instead.
+        from imbloss import cli
+
+        class Unwritable:
+            def __str__(self):
+                raise RuntimeError("this cell cannot be written")
+
+        out = tmp_path / "o"
+        main(["--config", str(config_file), "--out", str(out), "synth"])
+        main(["--config", str(config_file), "--out", str(out), "train"])
+        before = {p: p.read_bytes()
+                  for p in sorted((out / "runs").rglob("*")) if p.is_file()}
+        aggregate, calls = cli._aggregate, []
+
+        def unwritable_second_group(runs, split):
+            calls.append(split)
+            ok, mean, sd = aggregate(runs, split)
+            return ok, mean, Unwritable() if len(calls) > 2 else sd
+
+        monkeypatch.setattr(cli, "_aggregate", unwritable_second_group)
+        assert main(["--config", str(config_file), "--out", str(out),
+                     "train"]) == 4
+        assert len(calls) == 4
+        # the summary keeps its bytes, and no temp file is left
+        assert {p: p.read_bytes() for p in sorted((out / "runs").rglob("*"))
+                if p.is_file()} == before
 
     def test_failed_verify_suite_keeps_the_old_evidence(self, tmp_path,
                                                         monkeypatch):

@@ -133,6 +133,19 @@ class TestLossSpecValidation:
         with pytest.raises(ValueError, match="rho_margin"):
             LossSpec("CSMAX", rho_margin=math.nan, psi_tau=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(family="LA", tau=math.nan),
+        dict(family="LA", tau=math.inf),
+        dict(family="LDAM", cap_c=math.nan),
+        dict(family="GCA", q=0.0, margins=(math.nan, 1.0)),
+        dict(family="GCA", q=0.0, margins=(math.inf, 1.0)),
+        dict(family="FOCAL", gamma=math.inf),
+    ], ids=["tau-nan", "tau-inf", "cap_c-nan", "margin-nan", "margin-inf",
+            "gamma-inf"])
+    def test_non_finite_hyperparameters_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be finite"):
+            LossSpec(**kwargs)
+
 
 class TestPsiQ:
     """The generalized cross-entropy link Psi^q(t), read through GCE at
@@ -816,6 +829,11 @@ class TestPsiFamiliesEqualTheReference:
         with pytest.raises(ValueError, match="must be \\(m, n\\)"):
             batch_loss_and_grad(LossSpec("WCE"), np.zeros((2, 1, 3)),
                                 [1, 2, 1], counts)
+        # one score vector is a (1, n) batch, not (n,)
+        with pytest.raises(ValueError, match="must be \\(m, n\\)"):
+            batch_loss_and_grad(LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.9),
+                                [1.0, 2.0, 3.0], [1], ClassStats([1, 1, 1]),
+                                equal_draws=[1.0, 1.0, 0.0])
         equal = loss_table([(LossSpec("EQUAL", eq_p=0.5, eq_lambda=0.9),
                              counts)], 2)
         with pytest.raises(ValueError, match="shaped as the scores"):

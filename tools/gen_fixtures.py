@@ -10,11 +10,10 @@ tests/fixtures/figure1_oracle.json (the best-in-class boundary angles on
 the skewed two-dimensional sample at m = 50,000, norm 100).
 """
 
-import json
 from pathlib import Path
 
 from imbloss import verify
-from imbloss.datagen import figure1_distribution
+from imbloss.datagen import figure1_distribution, write_json
 from imbloss.theory import (bayes_balanced_label, bayes_la_label,
                             find_la_disagreement)
 
@@ -48,15 +47,8 @@ def figure1_oracle(data_seed=2, m=50_000, norm_bound=100.0):
 
 
 def main():
-    # Both are computed before either file is opened: a fixture opened for
-    # writing reads empty until the search behind it ends.
-    fixtures = {"la_witness.json": la_witness(),
-                "figure1_oracle.json": figure1_oracle()}
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    for name, payload in fixtures.items():
-        with open(FIXTURES / name, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    write_json(FIXTURES / "la_witness.json", la_witness())
+    write_json(FIXTURES / "figure1_oracle.json", figure1_oracle())
     print(f"fixtures written to {FIXTURES}")
 
 
