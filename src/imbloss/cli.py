@@ -176,15 +176,17 @@ def _execute_stack(config, points, splits, out: Path):
             write_json(run_dir / "metrics.json", payload)
             continue
         trained, history = outcome
+        # balanced_error is the sum of per_class_error: one prediction of
+        # the test split serves both
+        test_errors = per_class_error(trained, test_set)
         payload.update(
             status="ok",
             final_train_loss=history[-1],
             val_balanced_error=balanced_error(trained, val_set),
-            test_balanced_error=balanced_error(trained, test_set),
+            test_balanced_error=float(test_errors.sum()),
         )
         if "per_class_error" in metrics:
-            payload["test_per_class_error"] = per_class_error(
-                trained, test_set).tolist()
+            payload["test_per_class_error"] = test_errors.tolist()
         if "confusion" in metrics:
             payload["test_confusion"] = confusion(trained, test_set).tolist()
         save_checkpoint(trained, run_dir / "model.json")

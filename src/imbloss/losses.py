@@ -445,10 +445,14 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient, every
     column of the table applied to every row (a None column is skipped,
     being an identity), and EQUAL's gated classes at -inf. Class-major:
-    scores is an (n, m) array of any strides, which is copied once and
-    not written, and the gradient is a new C-contiguous (n, m) array. Each
-    element takes the float operations of the row-major log-softmax, and
-    the class sums its order (_class_sum), so the bits are the same.
+    scores is an (n, m) array of any strides, which is not written. Of
+    the adjustments, in their order (the negative shift, the label shift,
+    the division by the margins), the first writes a new C-contiguous
+    array, a copy when it is the label shift or there is none, and the
+    others adjust it in place. The gradient is a new C-contiguous (n, m)
+    array.
+    Each element takes the float operations of the row-major log-softmax,
+    and the class sums its order (_class_sum), so the bits are the same.
 
     One exp serves both the log-sum-exp and, in a saturated row, the
     gradient's softmax. A row is saturated when its class sum is exactly
@@ -457,7 +461,9 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     shifted bit for bit (-0.0 included) and exp(logp) is the first exp.
     GCA's division by margins of 0.03 to 0.2 saturates most rows of a
     trained model. Only the other rows take a second exp, gathered when
-    they are at most half of the rows, else as one exp over every row.
+    they are at most half of the rows, else as one exp over every row;
+    the log-sum-exp is subtracted from those rows and the label entries
+    only.
     EQUAL's softmax is the first exp over the class sum, and its loss
     takes no 1e-300 floor. FOCAL's gradient takes u = softmax_y, then
     -dL/du, as two products, as in the row-major chain rule. FOCAL's
@@ -468,21 +474,27 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     blocks = len(table.q)
     size = m // blocks
     label_at = idx * m + np.arange(m)  # each label in the flat (n, m) array
-    adjusted = scores.copy()  # C-contiguous, adjusted in place
-    if table.neg_shift is not None:
-        by_block = adjusted.reshape(n, blocks, size)  # a view
-        by_block -= table.neg_shift.T[:, :, None]
     if (table.label_shift is not None or table.rho is not None
             or table.weight is not None):
         at = _label_entries(idx, blocks, n)
-    if table.label_shift is not None:
-        adjusted.ravel()[label_at] -= table.label_shift.ravel()[at]
     rho = weight = 1.0
     if table.rho is not None:
         rho = table.rho.ravel()[at]
-        adjusted /= rho
     if table.weight is not None:
         weight = table.weight.ravel()[at]
+    # The first adjustment writes a new C-contiguous array, the others
+    # adjust it in place.
+    if table.neg_shift is None and table.label_shift is None:
+        adjusted = (scores.copy() if table.rho is None
+                    else np.divide(scores, rho, order="C"))
+    else:
+        adjusted = (scores.copy() if table.neg_shift is None else np.subtract(
+            scores.reshape(n, blocks, size), table.neg_shift.T[:, :, None],
+            order="C").reshape(n, m))
+        if table.label_shift is not None:
+            adjusted.ravel()[label_at] -= table.label_shift.ravel()[at]
+        if table.rho is not None:
+            adjusted /= rho
     equal, floor = None, _LOG_PROB_FLOOR
     if table.eq_p is not None:  # EQUAL: no floor
         adjusted[_gated(table, idx, draws, rng)] = -np.inf
@@ -491,13 +503,12 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     q = table.q.repeat(size)
     # log-softmax over the classes, then Psi^q in log space with the
     # 1e-300 floor at q = 0.
-    logp = adjusted  # shifted by the class max, in place
-    logp -= logp.max(axis=0)
-    expd = _exp(logp)
+    shifted = adjusted  # by the class max, in place
+    shifted -= shifted.max(axis=0)
+    expd = _exp(shifted)
     sums = _class_sum(expd)
     lse = np.log(sums)
-    logp -= lse
-    log_t = logp.ravel()[label_at]
+    log_t = shifted.ravel()[label_at] - lse
     t_pow_q = np.exp(q * log_t)  # exactly 1.0 where q = 0
     psi = -np.maximum(log_t, floor)  # the q = 0 link
     np.divide(1.0 - t_pow_q, q, out=psi, where=q != 0.0)
@@ -518,13 +529,14 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
     rest = np.flatnonzero(rest)
     if 2 * rest.size > m and equal is None:
         del expd  # not alive through the second exp: a lower peak
-        probs = _exp(logp)
+        shifted -= lse
+        probs = _exp(shifted)
     else:
         probs = expd
         # few entries, or EQUAL rows to keep: numpy's slow path on their
         # underflows costs less than _exp's passes over them
         if rest.size:
-            probs[:, rest] = np.exp(logp.take(rest, axis=1))
+            probs[:, rest] = np.exp(shifted.take(rest, axis=1) - lse[rest])
     probs.ravel()[label_at] -= 1.0
     if table.gamma is not None:
         # dL/du with the u -> 1 limit handled explicitly (both terms -> 0)

@@ -71,6 +71,20 @@ class TestCosineLr:
             cosine_lr(-1, 4, 0.1)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("batch_size", 2.5), ("epochs", 2.0),
+        ("lr0", np.nan), ("lr0", np.inf), ("weight_decay", np.inf),
+        ("weight_decay", np.nan)])
+    def test_rejects_what_training_cannot_use(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(16))
+        assert (cfg.epochs, cfg.batch_size) == (2, 16)
+
+
 class TestPredict:
     def test_examples(self):
         model = LinearModel(np.eye(3), np.zeros(3))
@@ -740,6 +754,43 @@ class TestLockstep:
         for model, spec, cfg, outcome in zip(models, specs, cfgs, outcomes):
             assert_same_outcome(outcome,
                                 reference_train(model, data, spec, cfg))
+
+    def test_no_subnormal_reaches_the_weight_products(self, monkeypatch):
+        # Each step zeroes the gradient entries below its own batch size
+        # times 2**-1022, which its division by that size would make
+        # subnormal: the saturated stack has such entries in full batches
+        # of 64 rows and in each epoch's last batch of 26.
+        data, rho = saturated_gca_problem()
+        specs = [LossSpec("GCA", q=q, margins=tuple(rho))
+                 for q in (0.0, 0.5)]
+        cfgs = seed_configs(seeds=(0, 1), epochs=10, batch_size=64,
+                            lr0=0.1)
+        tiny = np.finfo(np.float64).tiny
+        grads, deltas = [], []
+
+        def loss_spy(*args, **kwargs):
+            values, dscores = batch_loss_and_grad(*args, **kwargs)
+            grads.append(dscores.copy())
+            return values, dscores
+
+        def backward_spy(weights, acts, delta, bias_grads):
+            deltas.append(delta.copy())
+            return _backward(weights, acts, delta, bias_grads)
+
+        monkeypatch.setattr("imbloss.trainer.batch_loss_and_grad", loss_spy)
+        monkeypatch.setattr("imbloss.trainer._backward", backward_spy)
+        train_lockstep([LinearModel.init_random(10, 20, c.seed)
+                        for c in cfgs], data, specs, cfgs)
+        flushed = {64: 0, 26: 0}
+        assert len(grads) == len(deltas) == 10 * 20
+        for grad, delta in zip(grads, deltas):
+            size = grad.shape[2]
+            small = np.abs(grad) < size * tiny
+            assert np.array_equal(
+                delta, np.where(small, 0.0, grad).transpose(1, 2, 0) / size)
+            assert np.all((delta == 0.0) | (np.abs(delta) >= tiny))
+            flushed[size] += np.count_nonzero(small & (grad != 0.0))
+        assert min(flushed.values()) > 0
 
 
 @pytest.mark.parametrize("size", [64, 26])  # the sweep's full and last batch
