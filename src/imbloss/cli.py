@@ -197,10 +197,6 @@ def _execute_stack(config, points, splits, out: Path):
     return payloads
 
 
-def _stack_worker(args):
-    return _execute_stack(*args)
-
-
 def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
     """One run per (grid point x seed); summary with mean +- sd per point.
 
@@ -242,9 +238,9 @@ def cmd_train(config, out: Path, jobs: int = 1, force: bool = False) -> Path:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                trained = list(pool.map(_stack_worker, tasks))
+                trained = list(pool.map(_execute_stack, *zip(*tasks)))
         else:
-            trained = [_stack_worker(task) for task in tasks]
+            trained = [_execute_stack(*task) for task in tasks]
         for payloads in trained:
             done.update(payloads)
 

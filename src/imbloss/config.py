@@ -146,6 +146,7 @@ def load_config(path) -> dict:
             ("d", ">= 1", dataset["d"] >= 1),
             ("m_max", ">= 1", dataset["m_max"] >= 1),
             ("imb_ratio", ">= 1", dataset["imb_ratio"] >= 1),
+            ("seed", ">= 0", dataset["seed"] >= 0),
             ("val_fraction", "in (0, 1)",
              0.0 < dataset["val_fraction"] < 1.0),
             ("test_m_max", ">= 1", dataset["test_m_max"] >= 1),
@@ -265,15 +266,14 @@ def loss_grid_points(config) -> list[dict]:
     return out
 
 
-def spec_from_gridpoint(point: dict, train_stats=None) -> LossSpec:
-    """Materialize a LossSpec, resolving "default" margins from stats."""
+def spec_from_gridpoint(point: dict, train_stats: ClassStats) -> LossSpec:
+    """Materialize the LossSpec of a grid point; GCA's margins, when
+    absent or "default", are the cube-root margins of ``train_stats``."""
     kwargs = dict(point)
     family = kwargs.pop("family")
     margins = kwargs.pop("margins", None)
     if family == "GCA":
         if margins is None or margins == "default":
-            if train_stats is None:
-                raise ConfigError("GCA default margins need training stats")
             kwargs["margins"] = tuple(default_gca_margins(train_stats))
         else:
             kwargs["margins"] = tuple(float(v) for v in margins)

@@ -91,7 +91,7 @@ def longtail_counts(n: int, m_max: int, imb_ratio: float) -> np.ndarray:
     Rounded half-up and floored at one example per class; the first class
     keeps m_max and the last lands near m_max / imb_ratio.
     """
-    if n < 2 or m_max < 1 or imb_ratio < 1:
+    if n < 2 or m_max < 1 or not imb_ratio >= 1:
         raise ValueError("need n >= 2, m_max >= 1, imb_ratio >= 1")
     k = np.arange(n, dtype=np.float64)
     raw = m_max * imb_ratio ** (-k / (n - 1))
@@ -106,7 +106,7 @@ def step_counts(
     Minority classes share round(m_maj / imb_ratio) (floored at 1), the
     rest share m_maj.
     """
-    if n < 2 or m_maj < 1 or imb_ratio < 1:
+    if n < 2 or m_maj < 1 or not imb_ratio >= 1:
         raise ValueError("need n >= 2, m_maj >= 1, imb_ratio >= 1")
     if not (0.0 < minority_fraction < 1.0):
         raise ValueError("minority_fraction must lie in (0, 1)")
@@ -135,7 +135,7 @@ def gaussian_mixture(
     scales = np.asarray(scales, dtype=np.float64)
     if counts.shape != (n,) or means.shape != (n, d) or scales.shape != (n,):
         raise ValueError("counts (n,), means (n, d), and scales (n,) required")
-    if np.any(counts < 1) or np.any(scales < 0):
+    if np.any(counts < 1) or not np.all(scales >= 0):
         raise ValueError("counts must be >= 1 and scales >= 0")
     rng = np.random.default_rng(seed)
     features = np.concatenate([
@@ -227,17 +227,18 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
-def write_dataset_csv(dataset: Dataset, csv_path, meta_path=None) -> None:
+def write_dataset_csv(dataset: Dataset, csv_path, meta_path) -> None:
+    """The split as a CSV at csv_path and its metadata, with the counts,
+    n, d and m, as the JSON sidecar at meta_path."""
     write_csv(csv_path, [f"f{j}" for j in range(dataset.d)] + ["label"],
               ([*row, label] for row, label in zip(dataset.features.tolist(),
                                                    dataset.labels.tolist())))
-    if meta_path is not None:
-        meta = dict(dataset.meta)
-        meta.setdefault("counts", dataset.class_counts().tolist())
-        meta["n"] = dataset.n
-        meta["d"] = dataset.d
-        meta["m"] = dataset.m
-        write_json(meta_path, meta)
+    meta = dict(dataset.meta)
+    meta.setdefault("counts", dataset.class_counts().tolist())
+    meta["n"] = dataset.n
+    meta["d"] = dataset.d
+    meta["m"] = dataset.m
+    write_json(meta_path, meta)
 
 
 class DatasetShapeError(ValueError):
@@ -248,11 +249,11 @@ class DatasetShapeError(ValueError):
     sidecar."""
 
 
-def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
-    """Read a split written by :func:`write_dataset_csv`; every field must
-    be a number and every label a whole number in 1..n, every class must
-    occur, its header must end in ``label``, its sidecar must be a JSON
-    object whose n, if it has one, is the given n, and its shape must
+def read_dataset_csv(csv_path, meta_path, n: int) -> Dataset:
+    """Read a split of n classes written by :func:`write_dataset_csv`;
+    every field must be a number and every label a whole number in 1..n,
+    every class must occur, its header must end in ``label``, its sidecar
+    must be a JSON object whose n, if it has one, is n, and its shape must
     match its header and the sidecar's m and d (DatasetShapeError)."""
     with open(csv_path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
@@ -263,31 +264,26 @@ def read_dataset_csv(csv_path, meta_path=None, n: int | None = None) -> Dataset:
             raw = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DatasetShapeError(f"{csv_path}: {exc}") from None
-    meta = {}
-    if meta_path is not None:
-        with open(meta_path, "r", encoding="ascii") as fh:
-            try:
-                meta = json.load(fh)
-            except ValueError as exc:
-                raise DatasetShapeError(f"{meta_path}: {exc}") from None
-        if not isinstance(meta, dict):
-            raise DatasetShapeError(f"{meta_path}: not a JSON object")
-        if n is not None and meta.get("n", n) != n:
-            raise DatasetShapeError(f"{meta_path}: n is {meta['n']!r}, "
-                                    f"expected {n}")
-        n = meta.get("n", n)
+    with open(meta_path, "r", encoding="ascii") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise DatasetShapeError(f"{meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DatasetShapeError(f"{meta_path}: not a JSON object")
+    if meta.get("n", n) != n:
+        raise DatasetShapeError(f"{meta_path}: n is {meta['n']!r}, "
+                                f"expected {n}")
     if raw.shape != (meta.get("m", len(raw)), d + 1) or meta.get("d", d) != d:
         raise DatasetShapeError(
             f"{csv_path}: {len(raw)} rows of {raw.shape[1]} columns disagree "
             f"with its header or sidecar")
     labels = raw[:, d]
-    n = labels.max() if n is None else n
-    if not (isinstance(n, (int, float)) and np.all(
-            (labels >= 1) & (labels <= n) & (labels == np.floor(labels)))
+    if not (np.all((labels >= 1) & (labels <= n)
+                   & (labels == np.floor(labels)))
             # a bincount, not np.unique, whose first call loads 1.5 MB
-            and np.bincount(labels.astype(np.int64) - 1,
-                            minlength=int(n)).all()):
+            and np.bincount(labels.astype(np.int64) - 1, minlength=n).all()):
         raise DatasetShapeError(
             f"{csv_path}: labels must be whole numbers in 1..{n}, "
             f"every class present")
-    return Dataset(raw[:, :d], labels.astype(np.int64), int(n), meta)
+    return Dataset(raw[:, :d], labels.astype(np.int64), n, meta)

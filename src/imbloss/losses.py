@@ -87,7 +87,10 @@ class ClassStats:
     """
 
     def __init__(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
+        whole = np.asarray(counts, dtype=np.float64)
+        if not np.all(np.isfinite(whole) & (np.trunc(whole) == whole)):
+            raise ValueError(f"counts must be whole numbers, got {counts}")
+        counts = whole.astype(np.int64)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty vector")
         if np.any(counts < 1):
@@ -441,7 +444,7 @@ def _gated(table, idx, draws, rng):
     return gated
 
 
-def _psi_batch(table, scores, idx, draws, rng, want_grad):
+def _psi_batch(table, scores, idx, draws, rng):
     """weight_y * Psi^q(softmax(adjusted scores)_y) and its gradient, every
     column of the table applied to every row (a None column is skipped,
     being an identity), and EQUAL's gated classes at -inf. Class-major:
@@ -520,8 +523,6 @@ def _psi_batch(table, scores, idx, draws, rng, want_grad):
         modulation = np.where(focal, _pow(one_minus_u, table.gamma, size),
                               1.0)
         values = modulation * values  # weight 1.0 in a FOCAL row
-    if not want_grad:
-        return values, None
     rest = lse != 0.0  # the rows that are not saturated
     if equal is not None:  # the other rows' sums are 1.0 or go unread
         rest.reshape(blocks, size)[equal] = False
@@ -563,7 +564,6 @@ def batch_loss_and_grad(
     *,
     equal_draws=None,
     rng=None,
-    want_grad: bool = True,
 ):
     """Per-example loss values and score gradients for a batch.
 
@@ -575,7 +575,7 @@ def batch_loss_and_grad(
     ``rng``, a Generator or one per block, as a (size, n) array, and the
     blocks of other families draw nothing. Returns ``(values, grads)``:
     values one per row (m,), and grads a C-contiguous array in the
-    layout of the scores, or None when want_grad is False.
+    layout of the scores.
 
     The LossSpec form takes row-major (m, n) scores and checks its input:
     finite scores, a row or more, labels integral in 1..n, n-class stats.
@@ -592,19 +592,17 @@ def batch_loss_and_grad(
     if isinstance(spec, LossTable):
         if stats is not None:
             raise ValueError("a LossTable carries its own class statistics")
-        return _table_loss_and_grad(spec, scores, labels, equal_draws, rng,
-                                    want_grad)
+        return _table_loss_and_grad(spec, scores, labels, equal_draws, rng)
     scores, labels = _check_batch(scores, labels)
     draws = None if equal_draws is None else np.atleast_1d(
         equal_draws).T[:, None]
     values, grads = _table_loss_and_grad(
         loss_table([(spec, stats)], scores.shape[1]), scores.T[:, None],
-        labels, draws, rng, want_grad)
-    return values, None if grads is None else np.ascontiguousarray(
-        grads[:, 0].T)
+        labels, draws, rng)
+    return values, np.ascontiguousarray(grads[:, 0].T)
 
 
-def _table_loss_and_grad(table, scores, labels, draws, rng, want_grad):
+def _table_loss_and_grad(table, scores, labels, draws, rng):
     """batch_loss_and_grad's table form."""
     blocks, n = table.gate.shape
     if scores.shape[:-1] != (n, blocks):
@@ -619,26 +617,24 @@ def _table_loss_and_grad(table, scores, labels, draws, rng, want_grad):
             raise ValueError("equal_draws must be shaped as the scores")
         draws = np.reshape(draws, (n, m))
     if table.psi_tau is None:  # no CSMAX block
-        values, grads = _psi_batch(table, cols, idx, draws, rng, want_grad)
+        values, grads = _psi_batch(table, cols, idx, draws, rng)
     else:  # each path on its blocks' rows alone, answered in block order
         csmax = ~np.isnan(table.psi_tau)
-        values, grads = np.empty(m), (np.empty((n, m)) if want_grad else None)
+        values, grads = np.empty(m), np.empty((n, m))
         if not (rng is None or isinstance(rng, np.random.Generator)):
             rng = [rng[b] for b in np.flatnonzero(~csmax)]
         for part in (p for p in (csmax, ~csmax) if p.any()):
             at = np.flatnonzero(part.repeat(m // blocks))
             sub = table[part], cols[:, at], idx[at]
             part_values, part_grads = (
-                _csmax_batch(*sub, want_grad) if part is csmax else
-                _psi_batch(*sub, None if draws is None else draws[:, at], rng,
-                           want_grad))
+                _csmax_batch(*sub) if part is csmax else
+                _psi_batch(*sub, None if draws is None else draws[:, at], rng))
             values[at] = part_values
-            if want_grad:
-                grads[:, at] = part_grads
-    return values, None if grads is None else grads.reshape(scores.shape)
+            grads[:, at] = part_grads
+    return values, grads.reshape(scores.shape)
 
 
-def _csmax_batch(table, scores, idx, want_grad):
+def _csmax_batch(table, scores, idx):
     """CSMAX's weight_y * Psi((s_y - s_j) / rho_y) and its subgradient, j
     the first top score, Psi(x) = log(1 + e^{-x}) at psi_tau = 1, else
     ((1 + e^{-x})^(1 - tau) - 1) / (1 - tau). Class-major, as _psi_batch,
@@ -655,8 +651,6 @@ def _csmax_batch(table, scores, idx, want_grad):
     with np.errstate(divide="ignore", invalid="ignore"):  # at tau = 1
         link = np.expm1((1.0 - tau) * softplus_gap) / (1.0 - tau)
     values = cost * np.where(tau == 1.0, softplus_gap, link)
-    if not want_grad:
-        return values, None
     # d/dx Psi(x) = -e^{-x} (1 + e^{-x})^{-tau}
     slope = cost * -np.exp(-gap - tau * softplus_gap) / rho
     grads = np.zeros((n, m))
@@ -670,6 +664,16 @@ def _csmax_batch(table, scores, idx, want_grad):
 # ---------------------------------------------------------------------------
 
 
+def _one_row(spec, scores, label, stats, equal_draws, rng):
+    """batch_loss_and_grad on one score vector and its label."""
+    draws = None if equal_draws is None else np.asarray(equal_draws)[None, :]
+    values, grads = batch_loss_and_grad(
+        spec, np.asarray(scores)[None, :], [label], stats,
+        equal_draws=draws, rng=rng,
+    )
+    return values[0], grads[0]
+
+
 def eval_loss(
     spec: LossSpec,
     scores,
@@ -679,13 +683,9 @@ def eval_loss(
     equal_draws=None,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Loss value of any family on a single score vector."""
-    draws = None if equal_draws is None else np.asarray(equal_draws)[None, :]
-    values, _ = batch_loss_and_grad(
-        spec, np.asarray(scores)[None, :], [label], stats,
-        equal_draws=draws, rng=rng, want_grad=False,
-    )
-    return float(values[0])
+    """Loss value of any family on a single score vector, as a float: the
+    value of the one-row call whose gradient :func:`eval_grad` reads."""
+    return float(_one_row(spec, scores, label, stats, equal_draws, rng)[0])
 
 
 def eval_grad(
@@ -697,15 +697,11 @@ def eval_grad(
     equal_draws=None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Gradient of the loss with respect to the score vector.
+    """Gradient of the loss with respect to the score vector, the (n,)
+    row of the one-row call whose value :func:`eval_loss` reads.
 
     EQUAL must be conditioned on fixed draws (or a generator supplying
     them); CSMAX returns the subgradient of the smallest maximizing index
     at ties.
     """
-    draws = None if equal_draws is None else np.asarray(equal_draws)[None, :]
-    _, grads = batch_loss_and_grad(
-        spec, np.asarray(scores)[None, :], [label], stats,
-        equal_draws=draws, rng=rng,
-    )
-    return grads[0]
+    return _one_row(spec, scores, label, stats, equal_draws, rng)[1]

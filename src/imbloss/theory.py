@@ -162,7 +162,7 @@ def bayes_la_label(point: ConditionalPoint, tau: float) -> int:
     argmax over reachable labels of p(y|x)/p(y)^tau; at tau = 1 this is
     the balanced-optimal label, at tau = 0 the plain posterior argmax.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     return _argmax_highest_restricted(
         point.cond / point.priors**tau, point.reachable)
@@ -441,7 +441,7 @@ def check_regret_bounds(family: str, points, scores, q) -> RegretReport:
 def phi_rho(u, rho):
     """Ramp loss min(1, max(0, 1 - u/rho)): 1 at margin 0, 0 at margin rho;
     ``rho`` is one value or an array broadcasting against ``u``."""
-    if np.any(np.asarray(rho) <= 0):
+    if not np.all(np.asarray(rho) > 0):
         raise ValueError(f"rho must be positive, got {rho}")
     return np.clip(1.0 - np.asarray(u, dtype=np.float64) / rho, 0.0, 1.0)
 
@@ -459,7 +459,7 @@ def margin_losses(scores, labels, costs, rho) -> np.ndarray:
     scores = as_finite_array(scores, "scores")
     labels, costs = np.asarray(labels), np.asarray(costs, dtype=np.float64)
     m, n = scores.shape
-    if n < 2 or np.any(costs < 0):
+    if n < 2 or not np.all(costs >= 0):
         raise ValueError("need n >= 2 classes and costs >= 0")
     if np.any((labels < 1) | (labels > n)):
         raise ValueError(f"labels must lie in 1..{n}")
@@ -485,7 +485,7 @@ def empirical_rademacher_linear(
     so only the expectation over sign matrices is estimated. Returns
     (estimate, standard_error).
     """
-    if norm_bound < 0 or trials < 1:
+    if not (norm_bound >= 0 and trials >= 1):
         raise ValueError("need norm_bound >= 0 and trials >= 1")
     X = sample.features
     m, n = X.shape[0], sample.n
@@ -578,7 +578,7 @@ def check_lamargin(
     log_ratio = math.log(c_y / c_yprime)
     worst = np.inf
     for rho in np.asarray(rho_grid, dtype=np.float64):
-        if rho <= 0:
+        if not rho > 0:
             raise ValueError("rho grid entries must be positive")
         lhs = c_y * phi_rho(v, rho)
         rhs = c_max_const * softplus(log_ratio - v / rho)
@@ -607,12 +607,15 @@ def random_conditional_point(
 ) -> ConditionalPoint:
     """Random point with all posterior/prior entries >= floor.
 
-    With ratio_gap > 0, resamples until the top two balanced ratios are
-    separated by that relative gap, avoiding knife-edge argmaxes in
-    checks that compare labels across independently computed optima.
+    With ratio_gap in (0, 1), resamples until the top two balanced ratios
+    are separated by that relative gap, avoiding knife-edge argmaxes in
+    checks that compare labels across independently computed optima. No
+    point has a gap of 1 or more: every ratio is positive.
     """
     if not (0.0 < floor < 1.0 / n):
         raise ValueError(f"floor must lie in (0, 1/{n})")
+    if not (0.0 <= ratio_gap < 1.0):
+        raise ValueError(f"ratio_gap must lie in [0, 1), got {ratio_gap}")
     while True:
         cond = floored_simplex(rng.random(n), floor)
         point = ConditionalPoint(cond, floored_simplex(rng.random(n), floor))

@@ -71,7 +71,7 @@ from .numerics import argmax_highest, newton_minimize, project_rows
 @dataclass
 class TrainConfig:
     """Optimization settings; epochs and batch_size must be integers
-    >= 1, and lr0 and weight_decay finite."""
+    >= 1, seed an integer >= 0, and lr0 and weight_decay finite."""
 
     epochs: int = 200
     batch_size: int = 64
@@ -88,6 +88,9 @@ class TrainConfig:
                              f"{self.epochs!r} and {self.batch_size!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(
+                f"seed must be an integer >= 0, got {self.seed!r}")
         if not np.isfinite([self.lr0, self.weight_decay]).all():
             raise ValueError("lr0 and weight_decay must be finite, got "
                              f"{self.lr0} and {self.weight_decay}")

@@ -196,9 +196,10 @@ class TestConfigParsing:
         ("repeats = 2", "repeats = 2\nmodel = mlp\nhidden = 8.5", "hidden"),
         ("repeats = 2", "repeats = 2\nmodel = mlp\nhidden = 8, -4",
          "hidden"),
+        ("seed = 1", "seed = -1", "seed"),
     ], ids=["schedule", "momentum", "lr0", "weight-decay", "norm-bound",
             "zero-norm-bound", "epochs", "repeats", "zero-hidden",
-            "fractional-hidden", "negative-hidden"])
+            "fractional-hidden", "negative-hidden", "negative-seed"])
     def test_out_of_range_train_option_is_config_error(self, tmp_path, old,
                                                        new, key):
         path = tmp_path / "bad.ini"
@@ -223,9 +224,10 @@ class TestConfigParsing:
         ("profile = longtail", "profile = step\nminority_fraction = 0",
          "minority_fraction"),
         ("seed = 5", "seed = 5\nval_fraction = 1", "val_fraction"),
+        ("seed = 5", "seed = -3", "seed"),
     ], ids=["one-class", "zero-d", "negative-d", "zero-test-m-max",
             "negative-noise", "minority-fraction-above-one",
-            "zero-minority-fraction", "val-fraction-one"])
+            "zero-minority-fraction", "val-fraction-one", "negative-seed"])
     def test_out_of_range_dataset_option_is_config_error(self, tmp_path, old,
                                                          new, key):
         path = tmp_path / "bad.ini"
@@ -395,6 +397,19 @@ class TestCommands:
                      "train"]) == 0
         assert [p.stat().st_mtime_ns for p in metrics] == stamps
 
+    def test_force_retrains_runs_counted_as_done(self, config_file, tmp_path):
+        out = tmp_path / "o"
+        before = train_tree(config_file, out, "1")
+        victim = next((out / "runs").rglob("history.csv"))
+        victim.unlink()
+        train = ["--config", str(config_file), "--out", str(out), "train"]
+        assert main(train) == 0
+        assert not victim.exists()  # its metrics.json marks the run done
+        assert main(train + ["--force"]) == 0
+        assert {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted((out / "runs").rglob("*"))
+                if p.is_file()} == before
+
     def test_train_jobs_2_writes_the_same_bytes_as_jobs_1(self, config_file,
                                                            tmp_path):
         trees = [train_tree(config_file, tmp_path / f"jobs{jobs}", jobs)
@@ -419,8 +434,8 @@ class TestCommands:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             RecordingPool)

@@ -125,7 +125,7 @@ class TestCsvRoundTrip:
         csv = tmp_path / "sample.csv"
         meta = tmp_path / "sample.meta.json"
         write_dataset_csv(data, csv, meta)
-        back = read_dataset_csv(csv, meta)
+        back = read_dataset_csv(csv, meta, 3)
         np.testing.assert_array_equal(back.features, data.features)
         np.testing.assert_array_equal(back.labels, data.labels)
         assert back.n == data.n
@@ -134,14 +134,15 @@ class TestCsvRoundTrip:
     def test_deterministic_bytes(self, tmp_path):
         data = figure1_distribution(50, seed=1)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_dataset_csv(data, p1)
-        write_dataset_csv(data, p2)
+        meta = tmp_path / "meta.json"
+        write_dataset_csv(data, p1, meta)
+        write_dataset_csv(data, p2, meta)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_and_one_based_labels(self, tmp_path):
         data = figure1_distribution(10, seed=1)
         path = tmp_path / "f.csv"
-        write_dataset_csv(data, path)
+        write_dataset_csv(data, path, tmp_path / "f.meta.json")
         lines = path.read_text().splitlines()
         assert lines[0] == "f0,f1,label"
         labels = {int(line.rsplit(",", 1)[1]) for line in lines[1:]}

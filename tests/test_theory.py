@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from imbloss import theory, verify
-from imbloss.datagen import Dataset, gaussian_mixture
+from imbloss.datagen import (Dataset, gaussian_mixture, longtail_counts,
+                             step_counts)
 from imbloss.losses import (
     LossSpec,
     PriorStats,
@@ -535,8 +536,7 @@ def _all_label_values(spec, scores, stats):
     rows: the reference of the conditional errors."""
     n = stats.n
     tiled = np.tile(np.asarray(scores, dtype=np.float64), (n, 1))
-    values, _ = batch_loss_and_grad(spec, tiled, np.arange(1, n + 1), stats,
-                                    want_grad=False)
+    values, _ = batch_loss_and_grad(spec, tiled, np.arange(1, n + 1), stats)
     return values
 
 
@@ -1269,3 +1269,30 @@ class TestLaMarginInequality:
     def test_rejects_inconsistent_cost_bounds(self):
         with pytest.raises(ValueError):
             check_lamargin(0.5, 2.0, 1.0, 2.0, [0.0], [1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phi_rho(0.5, math.nan),
+    lambda: bayes_la_label(ConditionalPoint([0.6, 0.4], [0.8, 0.2]),
+                           math.nan),
+    lambda: empirical_rademacher_linear(Dataset(np.eye(2), [1, 2], 2),
+                                        math.nan, 2, 0),
+    lambda: check_lamargin(1.0, 2.0, 1.0, 2.0, [0.0], [1.0, math.nan]),
+    lambda: margin_losses([[1.0, 0.0]], [1], [math.nan], 1.0),
+    lambda: gaussian_mixture(2, 1, [1, 1], np.zeros((2, 1)),
+                             [1.0, math.nan], 0),
+    lambda: longtail_counts(3, 10, math.nan),
+    lambda: step_counts(3, 10, math.nan),
+], ids=["phi_rho", "bayes_la_label", "empirical_rademacher_linear",
+        "check_lamargin", "margin_losses", "gaussian_mixture",
+        "longtail_counts", "step_counts"])
+def test_range_checks_reject_nan(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("gap", [math.nan, -0.1, 1.0])
+def test_random_point_rejects_ratio_gap_outside_zero_one(gap):
+    # a gap of 1 or more is never drawn: every ratio is positive
+    with pytest.raises(ValueError, match="ratio_gap"):
+        random_conditional_point(np.random.default_rng(0), 3, ratio_gap=gap)

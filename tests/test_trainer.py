@@ -75,7 +75,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 2.5), ("batch_size", 2.5), ("epochs", 2.0),
         ("lr0", np.nan), ("lr0", np.inf), ("weight_decay", np.inf),
-        ("weight_decay", np.nan)])
+        ("weight_decay", np.nan), ("seed", -1), ("seed", 1.5)])
     def test_rejects_what_training_cannot_use(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
